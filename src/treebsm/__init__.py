@@ -48,9 +48,6 @@ from .montecarlo import (
     exhaustive_dynamic,
     exhaustive_static,
     run,
-    run_dynamic,
-    run_loss_only,
-    run_static,
     sample_bsm_error_rates,
     z_score,
 )
@@ -74,7 +71,6 @@ from .stabilizer import (
 )
 from .trees import (
     BranchingVector,
-    BsmOutcome,
     ChannelParams,
     OutcomeCounts,
     TreeGraph,

@@ -11,17 +11,23 @@ Two protocols are evaluated in closed (recursive) form:
   single-qubit measurements, which upgrade a failed pair to a known
   Z-parity through two independent single-qubit indirect measurements.
 
-The recursions walk the tree from the leaves (level ``d``) to the virtual
-level 0; level-``d`` photons can only be measured directly.  An exponent
-over the children of a leaf is an empty product (1), and any indirect
-probability at level ``d`` is 0.
+Both rest on one recovery rule, coded once in :func:`_chain_step`: a lost
+Z-parity is rebuilt from indirect chains, a chain is an opener plus all of
+its children readable, repeated chains combine by majority vote, and an
+available vote beats the direct readout (:func:`_prefer_indirect`).  The
+recursions walk the tree from the leaves (level ``d``) to the virtual
+level 0, whose single node has the ``b0`` first-level pairs as children and
+whose indirect entry is the logical X-parity; level-``d`` photons can only
+be measured directly.  An exponent over the children of a leaf is an empty
+product (1), and any indirect probability at level ``d`` is 0.
 
-Error rates are conditional on success.  Whenever an indirect result is
-available it is preferred over the direct one (the indirect side carries
-the majority vote, so correction only helps if it is trusted); even-sized
-votes drop one result at random, which is equivalent to voting over one
-fewer sample.  Conditional errors whose conditioning probability is zero
-are defined as zero: those branches carry no weight.
+Error rates are conditional on success.  Even-sized votes drop one result
+at random, which is equivalent to voting over one fewer sample.
+Conditional errors whose conditioning probability is zero are defined as
+zero: those branches carry no weight.  The complete-BSM term is the
+closed form of a multinomial sum (:func:`_complete_bsm_closed`), and every
+``1 - (1 - p)**n`` is evaluated as ``-expm1(n * log1p(-p))``, so tiny chain
+rates and branch counts in the thousands stay accurate.
 """
 
 from __future__ import annotations
@@ -77,6 +83,14 @@ def parity_error(per_slot: Sequence[float], counts: Sequence[int]) -> float:
     return 0.5 * (1.0 - prod)
 
 
+def _vote_tail(m, e):
+    """P(Binom(m', e) > m'/2), where m' is ``m`` rounded down to odd; ``m`` may be an array."""
+    m_eff = m - 1 + m % 2
+    k0 = (m_eff + 1) // 2
+    # P(Binom(m_eff, e) >= k0) via the regularized incomplete beta function.
+    return special.betainc(k0, m_eff - k0 + 1, e)
+
+
 def vote_error(m: int, e: float) -> float:
     """Failure probability of a majority vote over ``m`` iid results.
 
@@ -85,29 +99,51 @@ def vote_error(m: int, e: float) -> float:
     """
     if m <= 0:
         return 0.0
-    m_eff = m if m % 2 == 1 else m - 1
-    k0 = (m_eff + 1) // 2
-    # P(Binom(m_eff, e) >= k0) via the regularized incomplete beta function.
-    return float(special.betainc(k0, m_eff - k0 + 1, e))
+    return float(_vote_tail(m, e))
 
 
 def _vote_error_mix(n_chains: int, p_chain: float, e_chain: float) -> float:
     """Majority-vote error averaged over how many of ``n_chains`` succeeded.
 
-    Conditional on at least one success; returns 0 when that event has no
-    probability.
+    Conditional on at least one success: the binomial weights of 1..n
+    successes are formed in log space and divided by their own sum, which
+    avoids both overflowing coefficients and the cancellation in
+    ``1 - (1 - p)**n`` at tiny chain rates.  0 when no chain can succeed.
     """
     if n_chains <= 0 or p_chain <= 0.0:
         return 0.0
-    pmf = [
-        math.comb(n_chains, m) * p_chain**m * (1.0 - p_chain) ** (n_chains - m)
-        for m in range(n_chains + 1)
-    ]
-    p_any = 1.0 - pmf[0]
-    if p_any <= 0.0:
-        return 0.0
-    total = sum(pmf[m] * vote_error(m, e_chain) for m in range(1, n_chains + 1))
-    return total / p_any
+    m = np.arange(1, n_chains + 1)
+    log_w = (
+        special.gammaln(n_chains + 1) - special.gammaln(m + 1) - special.gammaln(n_chains - m + 1)
+        + m * math.log(p_chain) + special.xlog1py(n_chains - m, -p_chain)
+    )
+    w = np.exp(log_w - log_w.max())
+    return float(w @ _vote_tail(m, e_chain) / w.sum())
+
+
+def _chain_step(
+    n_chains: int, n_grand: int, opener: tuple[float, float], grand: tuple[float, float]
+) -> tuple[float, float, float, float]:
+    """The recovery rule for one node: ``(pr_s, err_s, pr_i, err_i)``.
+
+    Each of ``n_chains`` children opens a chain (success and error rates
+    ``opener``) that needs all ``n_grand`` of its own children readable
+    (rates ``grand``).  A chain errs on the odd parity of its opener and
+    grandchild results; the successful chains vote by majority.
+    """
+    pr_s = opener[0] * grand[0] ** n_grand
+    err_s = parity_error([opener[1], grand[1]], [1, n_grand])
+    pr_i = 1.0 if pr_s >= 1.0 else -math.expm1(n_chains * math.log1p(-pr_s))
+    return pr_s, err_s, pr_i, _vote_error_mix(n_chains, pr_s, err_s)
+
+
+def _prefer_indirect(pr_i: float, err_i: float, pr_d: float, err_d: float) -> tuple[float, float]:
+    """Rate and conditional error of a value read indirectly when possible, else directly."""
+    pr_m = pr_d + (1.0 - pr_d) * pr_i
+    if pr_m <= 0.0:
+        return 0.0, 0.0
+    w_ind = pr_i / pr_m
+    return pr_m, w_ind * err_i + (1.0 - w_ind) * err_d
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +217,12 @@ def static_layer_recursion(
     err_m[d] = err_d
 
     for k in range(d - 1, -1, -1):
-        if k + 1 == d:
-            grand_pr, grand_err, n_grand = 1.0, 0.0, 0
-        else:
-            grand_pr, grand_err, n_grand = pr_m[k + 2], err_m[k + 2], vec[k + 1]
-        pr_s[k] = pr_opener * grand_pr**n_grand
-        err_s[k] = parity_error([err_opener, grand_err], [1, n_grand])
-
-        pr_i[k] = 1.0 - (1.0 - pr_s[k]) ** vec[k]
-        err_i[k] = _vote_error_mix(vec[k], pr_s[k], err_s[k])
-
-        pr_m[k] = pr_d + (1.0 - pr_d) * pr_i[k]
-        if pr_m[k] > 0.0:
-            w_ind = pr_i[k] / pr_m[k]
-            err_m[k] = w_ind * err_i[k] + (1.0 - w_ind) * err_d
-        else:
-            err_m[k] = 0.0
+        n_grand = vec[k + 1] if k + 1 < d else 0
+        grand = (pr_m[k + 2], err_m[k + 2]) if n_grand else (1.0, 0.0)
+        pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(
+            vec[k], n_grand, (pr_opener, err_opener), grand
+        )
+        pr_m[k], err_m[k] = _prefer_indirect(pr_i[k], err_i[k], pr_d, err_d)
 
     return LayerStats(
         basis=basis, pr_d=pr_d, err_d=err_d,
@@ -227,6 +253,8 @@ def _complete_bsm_sum(b0: int, eta: float, i1: float, x: float) -> float:
     first-level pairs: every failed pair must be recovered indirectly
     (probability ``i1`` each) and at least one complete pair must see all
     of its child pairs measured (probability ``x`` per complete pair).
+    The engine evaluates :func:`_complete_bsm_closed`; this O(b0^2) sum is
+    the independent route that the tests check it against.
     """
     pc = 0.5 * eta**2
     pf = 1.0 - eta**2
@@ -247,33 +275,42 @@ def _complete_bsm_closed(b0: int, eta: float, i1: float, x: float) -> float:
     """Closed form of :func:`_complete_bsm_sum` via the multinomial theorem.
 
     With ``m1 = eta^2 + (1 - eta^2) * i1`` the sum collapses to
-    ``m1**b0 - (m1 - (eta^2/2) * x)**b0``.
+    ``m1**b0 - (m1 - (eta^2/2) * x)**b0``, evaluated here without the
+    cancellation of that difference.
     """
     m1 = eta**2 + (1.0 - eta**2) * i1
-    return m1**b0 - (m1 - 0.5 * eta**2 * x) ** b0
+    if m1 <= 0.0:
+        return 0.0
+    return m1**b0 * -math.expm1(b0 * math.log1p(-0.5 * eta**2 * x / m1))
+
+
+def _logical_result(
+    protocol: Protocol, vec: BranchingVector, params: ChannelParams,
+    pr_xx: float, err_xx: float, pr_m: np.ndarray, err_m1: float, i1: float,
+) -> LogicalBsmResult:
+    """Logical rates at the virtual root from its level-0 vote and level-1 parities.
+
+    ``pr_m`` holds the per-pair Z-parity rates by level, ``err_m1`` the
+    level-1 value error and ``i1`` the level-1 indirect (upgrade) rate.
+    """
+    pr_zz = float(pr_m[1] ** vec[0])
+    err_zz = parity_error([float(err_m1)], [vec[0]])
+    x = float(pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
+    return LogicalBsmResult(
+        protocol=protocol, b=vec, params=params,
+        pr_xx=float(pr_xx), pr_zz=pr_zz,
+        pr_complete=_complete_bsm_closed(vec[0], params.eta, float(i1), x),
+        err_xx=float(err_xx), err_zz=err_zz,
+        err_complete=err_zz + (1.0 - err_zz) * float(err_xx),
+    )
 
 
 def static_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
     """Evaluate the static protocol exactly on tree shape ``b``."""
     vec = as_branching_vector(b)
-    d = vec.depth
     zz = static_layer_recursion(vec, params, Basis.ZZ)
-
-    pr_xx = float(zz.pr_i[0])
-    err_xx = float(zz.err_i[0])
-    pr_zz = float(zz.pr_m[1] ** vec[0])
-    err_zz = parity_error([float(zz.err_m[1])], [vec[0]])
-
-    i1 = float(zz.pr_i[1])
-    x = float(zz.pr_m[2] ** vec[1]) if d >= 2 else 1.0
-    pr_complete = _complete_bsm_sum(vec[0], params.eta, i1, x)
-    err_complete = err_zz + (1.0 - err_zz) * err_xx
-
-    return LogicalBsmResult(
-        protocol=Protocol.STATIC, b=vec, params=params,
-        pr_xx=pr_xx, pr_zz=pr_zz, pr_complete=pr_complete,
-        err_xx=err_xx, err_zz=err_zz, err_complete=err_complete,
-    )
+    return _logical_result(Protocol.STATIC, vec, params, zz.pr_i[0], zz.err_i[0],
+                           zz.pr_m, zz.err_m[1], zz.pr_i[1])
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +384,14 @@ def dynamic_layer_recursion(
             err_m_c[k] = params.err_dzz
             err_m_p[k] = params.err_dzz
         else:
-            if k + 1 == d:
-                grand_pr, grand_err, n_grand = 1.0, 0.0, 0
-            else:
-                grand_pr, grand_err, n_grand = pr_m[k + 2], err_m_bar[k + 2], vec[k + 1]
-            pr_s_c[k] = 0.5 * eta2 * grand_pr**n_grand
-            err_s_c[k] = parity_error([params.err_dxx, grand_err], [1, n_grand])
-            pr_i_c[k] = 1.0 - (1.0 - pr_s_c[k]) ** vec[k]
-            err_i_c[k] = _vote_error_mix(vec[k], pr_s_c[k], err_s_c[k])
-            err_m_c[k] = pr_i_c[k] * err_i_c[k] + (1.0 - pr_i_c[k]) * params.err_dzz
-            err_m_p[k] = pr_i_f[k] * err_i_f[k] + (1.0 - pr_i_f[k]) * params.err_dzz
+            n_grand = vec[k + 1] if k + 1 < d else 0
+            grand = (pr_m[k + 2], err_m_bar[k + 2]) if n_grand else (1.0, 0.0)
+            pr_s_c[k], err_s_c[k], pr_i_c[k], err_i_c[k] = _chain_step(
+                vec[k], n_grand, (0.5 * eta2, params.err_dxx), grand
+            )
+            # Complete and partial pairs always read the parity directly.
+            err_m_c[k] = _prefer_indirect(pr_i_c[k], err_i_c[k], 1.0, params.err_dzz)[1]
+            err_m_p[k] = _prefer_indirect(pr_i_f[k], err_i_f[k], 1.0, params.err_dzz)[1]
 
         if pr_m[k] > 0.0:
             err_m_bar[k] = (
@@ -378,24 +413,9 @@ def dynamic_layer_recursion(
 def dynamic_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
     """Evaluate the adaptive protocol exactly on tree shape ``b``."""
     vec = as_branching_vector(b)
-    d = vec.depth
     dyn = dynamic_layer_recursion(vec, params)
-
-    pr_xx = float(dyn.pr_i_c[0])
-    err_xx = float(dyn.err_i_c[0])
-    pr_zz = float(dyn.pr_m[1] ** vec[0])
-    err_zz = parity_error([float(dyn.err_m_bar[1])], [vec[0]])
-
-    i1 = float(dyn.pr_i_f[1])
-    x = float(dyn.pr_m[2] ** vec[1]) if d >= 2 else 1.0
-    pr_complete = _complete_bsm_sum(vec[0], params.eta, i1, x)
-    err_complete = err_zz + (1.0 - err_zz) * err_xx
-
-    return LogicalBsmResult(
-        protocol=Protocol.DYNAMIC, b=vec, params=params,
-        pr_xx=pr_xx, pr_zz=pr_zz, pr_complete=pr_complete,
-        err_xx=err_xx, err_zz=err_zz, err_complete=err_complete,
-    )
+    return _logical_result(Protocol.DYNAMIC, vec, params, dyn.pr_i_c[0], dyn.err_i_c[0],
+                           dyn.pr_m, dyn.err_m_bar[1], dyn.pr_i_f[1])
 
 
 def logical_bsm(

@@ -95,7 +95,11 @@ def _write_manifest(output: Path, command: str, params: dict, seed: int | None,
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("TREEBSM_WORKERS", "1"))
+    raw = os.environ.get("TREEBSM_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TREEBSM_WORKERS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     proto = _protocol(args.protocol)
     if args.family:
         family = [BranchingVector.parse(part) for part in args.family.split(";")]
@@ -154,7 +159,6 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     }
     print(json.dumps(report, indent=2))
     if args.output:
-        t0 = time.perf_counter()
         out = Path(args.output)
         out.write_text(json.dumps(report, indent=2) + "\n")
         _write_manifest(out, "threshold", {
@@ -251,7 +255,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "bounds": {
             "max_depth": bounds.max_depth, "max_branch": bounds.max_branch,
             "max_photons": bounds.max_photons, "min_branch": bounds.min_branch,
-            "monotone": bounds.monotone,
+            "min_depth": bounds.min_depth, "monotone": bounds.monotone,
         },
     }, seed=None, workers=None, t0=t0)
     print(f"wrote {len(front)} front entries to {out}")
@@ -315,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -241,7 +241,6 @@ def execute_sequence(
     rotation (H on each leaf photon) is applied before returning.
     """
     vec = as_branching_vector(seq.branching)
-    depth = len(vec)
     t = StabilizerTableau(0)
     photon_q: dict[int, int] = {}
     for p in range(seq.n_photons):
@@ -280,9 +279,10 @@ def execute_sequence(
     if reg_q:
         raise ValueError(f"registers never measured out: {sorted(reg_q)}")
 
-    # Deferred single-photon rotation on the leaves.
+    # Deferred single-photon rotation on the leaves, which come last in BFS order.
+    first_leaf = photon_count(vec) - vec.level_sizes()[-1]
     for p, (tree_id, vertex) in seq.photon_vertex.items():
-        if _vertex_level(vec, vertex) == depth:
+        if vertex >= first_leaf:
             t.apply_h(photon_q[p])
 
     # Reorder photons into (tree 0 BFS, tree 1 BFS) to match the target.
@@ -291,16 +291,6 @@ def execute_sequence(
     for p, (tree_id, vertex) in seq.photon_vertex.items():
         order[tree_id * per + (vertex - 1)] = photon_q[p]
     return restricted_to(t, order)
-
-
-def _vertex_level(vec, vertex: int) -> int:
-    size, start, level = 1, 0, 0
-    while True:
-        if vertex < start + size:
-            return level
-        start += size
-        size *= vec[level]
-        level += 1
 
 
 def verify_bell_pair(

@@ -8,9 +8,15 @@ decision procedure reads the same world; distinct recovery attempts use
 disjoint photons, which is what makes the product/independence structure
 of the exact recursions hold sample-by-sample.
 
-Error tallies follow the same conventions as the analytic engine: an
-available indirect result is preferred to the direct one, repeated chains
-combine by majority vote, and an even vote drops one member at random.
+Every protocol applies one recovery rule, coded once in :func:`_recover`
+and walked from the leaves (level d) to the virtual root (level 0): a lost
+value is rebuilt from indirect chains, a chain is an opener plus all of
+its children readable, repeated chains combine by majority vote (an even
+vote drops one member at random), and an available vote beats the direct
+readout.  The virtual root is one node whose children are the first-level
+pairs; its chain is the logical Z-parity and its vote the logical
+X-parity.  The protocols differ only in the level inputs they supply.
+
 A two-photon BSM's Z-parity readout flips when the pair's combined fault
 has an odd number of X/Y letters; the X-parity readout is corrupted
 whenever either parity flips, since the X readout is decoded assuming the
@@ -172,16 +178,14 @@ def z_score(estimate: float, reference: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 class TreeLayout:
-    """Per-level array geometry of one tree (levels 1..d, root excluded)."""
+    """Per-level array geometry of one tree; level 0 is the single root."""
 
     def __init__(self, b: BranchingVectorLike):
         self.b = tuple(as_branching_vector(b))
         self.depth = len(self.b)
-        self.sizes = [0] * (self.depth + 1)
-        s = 1
-        for k, bk in enumerate(self.b):
-            s *= bk
-            self.sizes[k + 1] = s
+        self.sizes = [1]
+        for bk in self.b:
+            self.sizes.append(self.sizes[-1] * bk)
         self.n_per_side = sum(self.sizes[1:])
 
     def group(self, arr: np.ndarray, k: int) -> np.ndarray:
@@ -204,9 +208,15 @@ class World:
     tie_side_b: list[np.ndarray] | None = None
     tie_top: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.det_a[1].shape[0]
+
+def _draw_faults(rng: np.random.Generator, shape, eps_d: float) -> np.ndarray:
+    """Per-photon Pauli fault (0 none, 1 X, 2 Y, 3 Z) of total rate ``eps_d``."""
+    u = rng.random(shape)
+    f = np.zeros(shape, dtype=np.uint8)
+    hit = u < eps_d
+    # Uniform over X, Y, Z given a fault.
+    f[hit] = 1 + np.minimum((3.0 * u[hit] / eps_d).astype(np.uint8), 2)
+    return f
 
 
 def draw_world(
@@ -224,16 +234,8 @@ def draw_world(
     world = World(det_a=det_a, det_b=det_b, coin=coin)
 
     if params.eps > 0.0:
-        def faults(s: int) -> np.ndarray:
-            u = rng.random((n, s))
-            f = np.zeros((n, s), dtype=np.uint8)
-            hit = u < params.eps_d
-            # Uniform over X, Y, Z given a fault.
-            f[hit] = 1 + np.minimum((3.0 * u[hit] / params.eps_d).astype(np.uint8), 2)
-            return f
-
-        world.fault_a = per_level(faults)
-        world.fault_b = per_level(faults)
+        world.fault_a = per_level(lambda s: _draw_faults(rng, (n, s), params.eps_d))
+        world.fault_b = per_level(lambda s: _draw_faults(rng, (n, s), params.eps_d))
         world.tie_pair = per_level(lambda s: rng.random((n, s)))
         world.tie_side_a = per_level(lambda s: rng.random((n, s)))
         world.tie_side_b = per_level(lambda s: rng.random((n, s)))
@@ -241,15 +243,127 @@ def draw_world(
     return world
 
 
+# A fault flips a single-qubit Z readout when it has an X letter (X or Y),
+# and an X readout when it has a Z letter (Y or Z).
+_Z_FLIP = np.array([False, True, True, False])
+_X_FLIP = np.array([False, False, True, True])
+
+
+def _pair_flips(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z-parity flip and X-readout error of two-photon BSMs with faults fa, fb.
+
+    The X readout is decoded assuming the Z parity, so it is wrong whenever
+    either parity flips.
+    """
+    zz = _Z_FLIP[fa] ^ _Z_FLIP[fb]
+    return zz, zz | (_X_FLIP[fa] ^ _X_FLIP[fb])
+
+
 def _majority_wrong(wrong: np.ndarray, total: np.ndarray, tie: np.ndarray) -> np.ndarray:
     """Vote failure with random drop on even ties; False where total == 0."""
-    strict = 2 * wrong > total
-    tied = (total > 0) & (total % 2 == 0) & (2 * wrong == total)
-    return strict | (tied & (tie < 0.5))
+    tied = (total > 0) & (2 * wrong == total)
+    return (2 * wrong > total) | (tied & (tie < 0.5))
 
 
 def _xor_children(layout: TreeLayout, arr: np.ndarray, k: int) -> np.ndarray:
     return layout.group(arr.astype(np.uint8), k).sum(axis=2) % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# The recovery rule
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Recovery:
+    """Per level: ``ind`` some chain below a node succeeded, ``err_ind`` their vote
+    is wrong; at the top level of the walk: ``chain`` the node opens a chain with
+    all children readable, ``err_chain`` that chain's value error."""
+
+    ind: list
+    err_ind: list
+    chain: np.ndarray
+    err_chain: np.ndarray | None
+
+
+# Level inputs of the virtual root: no photon of its own, it always opens
+# (its X-parity is the vote over the level-1 chains), and its Z-parity is the
+# xor of its children's values.
+_ROOT = (False, True, True, False, False)
+
+
+def _recover(
+    layout: TreeLayout,
+    level: Callable[[int], tuple],
+    ties: list | None,
+    top: int = 0,
+    bottom: int | None = None,
+) -> _Recovery:
+    """Walk levels ``bottom`` (default d) down to ``top`` with the one recovery rule.
+
+    ``level(k)`` gives the level-k planes ``(direct, opener, gate,
+    direct_err, opener_err)``: the node reads itself; it opens a chain for
+    its parent; it may use its own chain vote; and the errors of the direct
+    readout and of the opener (None when ``ties`` is None, which skips error
+    tallies).  A chain through a child needs the child to open and all of
+    the child's children readable.  Chains vote by majority, ``ties[k]``
+    breaks even votes, and an available vote beats the direct readout.
+    Only level k + 1's planes are kept while level k is evaluated.
+    """
+    d = layout.depth
+    ind = [None] * (d + 1)
+    err_ind = [None] * (d + 1)
+    can = chain = err = err_chain = None
+    for k in range(d if bottom is None else bottom, top - 1, -1):
+        direct, opener, gate, direct_err, opener_err = level(k)
+        if can is None:  # no children below this level
+            kids_ok, err_kids = True, False
+            ind[k] = err_ind[k] = np.zeros_like(direct)
+        else:
+            kids_ok = layout.group(can, k).all(axis=2)
+            votes = layout.group(chain, k)
+            ind[k] = votes.any(axis=2) & gate
+            if ties is not None:
+                err_kids = _xor_children(layout, err, k)
+                wrong = (votes & layout.group(err_chain, k)).sum(axis=2)
+                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=2), ties[k])
+        can = direct | ind[k]
+        chain = opener & kids_ok
+        if ties is not None:
+            err_chain = opener_err ^ err_kids
+            err = np.where(ind[k], err_ind[k], direct_err) & can
+    return _Recovery(ind=ind, err_ind=err_ind, chain=chain, err_chain=err_chain)
+
+
+def _root_ties(world: World, want_errors: bool) -> list | None:
+    """Pair tie planes by level, with the logical X-parity's tie as level 0."""
+    return [world.tie_top[:, None], *world.tie_pair[1:]] if want_errors else None
+
+
+def _logical(root: _Recovery, want_errors: bool):
+    """Success and logical-error flags read off a walk that reached level 0.
+
+    Success needs every first-level Z-parity (the root's chain) and at least
+    one first-level chain (the root's indirect X-parity).
+    """
+    success = (root.chain & root.ind[0])[:, 0]
+    if not want_errors:
+        zero = np.zeros_like(success)
+        return success, zero, zero
+    return success, success & root.err_chain[:, 0], success & root.err_ind[0][:, 0]
+
+
+def _side(layout: TreeLayout, det: list, fault: list | None, ties: list | None) -> _Recovery:
+    """Single-qubit Z readouts of one tree, levels d..1.
+
+    A photon is its own direct readout and opens its parent's chain with an
+    X measurement.
+    """
+    def level(k: int) -> tuple:
+        if ties is None:
+            return det[k], det[k], True, None, None
+        return det[k], det[k], True, _Z_FLIP[fault[k]], _X_FLIP[fault[k]]
+
+    return _recover(layout, level, ties, top=1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,115 +379,21 @@ def eval_static(layout: TreeLayout, world: World, want_errors: bool):
     X-parity needs one complete first-level pair with all children
     readable.
     """
-    d = layout.depth
-    cls_c = [None] * (d + 1)
-    cls_p = [None] * (d + 1)
-    for k in range(1, d + 1):
+    def level(k: int) -> tuple:
+        if k == 0:
+            return _ROOT
         both = world.det_a[k] & world.det_b[k]
-        cls_c[k] = both & world.coin[k]
-        cls_p[k] = both & ~world.coin[k]
+        complete = both & world.coin[k]
+        if not want_errors:
+            return both, complete, True, None, None
+        return (both, complete, True, *_pair_flips(world.fault_a[k], world.fault_b[k]))
 
-    can = [None] * (d + 2)
-    chain = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        if k == d:
-            all_kids = True
-            ind = np.zeros_like(cls_c[k])
-        else:
-            all_kids = layout.group(can[k + 1], k).all(axis=2)
-            ind = layout.group(chain[k + 1], k).any(axis=2)
-        chain[k] = cls_c[k] & all_kids
-        can[k] = cls_c[k] | cls_p[k] | ind
-
-    zz_ok = can[1].all(axis=1)
-    xx_ok = chain[1].any(axis=1)
-    success = zz_ok & xx_ok
-    if not want_errors:
-        zero = np.zeros_like(success)
-        return success, zero, zero
-
-    zzflip = [None] * (d + 1)
-    xxerr = [None] * (d + 1)
-    for k in range(1, d + 1):
-        fa, fb = world.fault_a[k], world.fault_b[k]
-        zf = ((fa == 1) | (fa == 2)) ^ ((fb == 1) | (fb == 2))
-        xf = ((fa == 2) | (fa == 3)) ^ ((fb == 2) | (fb == 3))
-        zzflip[k] = zf
-        xxerr[k] = zf | xf  # X readout decodes against the Z parity
-
-    verr = [None] * (d + 2)
-    cherr = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        if k == d:
-            cherr[k] = xxerr[k]
-            voted = np.zeros_like(zzflip[k])
-            ind = np.zeros_like(cls_c[k])
-        else:
-            cherr[k] = xxerr[k] ^ _xor_children(layout, verr[k + 1], k)
-            votes_ok = layout.group(chain[k + 1], k)
-            wrong = (votes_ok & layout.group(cherr[k + 1], k)).sum(axis=2)
-            total = votes_ok.sum(axis=2)
-            voted = _majority_wrong(wrong, total, world.tie_pair[k])
-            ind = layout.group(chain[k + 1], k).any(axis=2)
-        verr[k] = np.where(ind, voted, zzflip[k]) & can[k]
-
-    zz_err = verr[1].astype(np.uint8).sum(axis=1) % 2 == 1
-    if d == 1:
-        top_cherr = xxerr[1]
-    else:
-        top_cherr = xxerr[1] ^ _xor_children(layout, verr[2], 1)
-    wrong0 = (chain[1] & top_cherr).sum(axis=1)
-    total0 = chain[1].sum(axis=1)
-    xx_err = _majority_wrong(wrong0, total0, world.tie_top)
-    return success, success & zz_err, success & xx_err
+    return _logical(_recover(layout, level, _root_ties(world, want_errors)), want_errors)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic protocol
 # ---------------------------------------------------------------------------
-
-def _side_z_recovery(layout: TreeLayout, det: list, fault, tie) -> tuple[list, list, list, list]:
-    """Single-qubit Z readout per node: availability and value errors.
-
-    Returns (mz, iz, e_iz, e_mz): readable flag, indirect-available flag,
-    voted indirect value error, and the preferred value error (indirect
-    when available, else the direct flip).
-    """
-    d = layout.depth
-    mz = [None] * (d + 2)
-    iz = [None] * (d + 2)
-    chain_ok = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        if k == d:
-            kids_ok = True
-            iz[k] = np.zeros_like(det[k])
-        else:
-            kids_ok = layout.group(mz[k + 1], k).all(axis=2)
-            iz[k] = layout.group(chain_ok[k + 1], k).any(axis=2)
-        chain_ok[k] = det[k] & kids_ok
-        mz[k] = det[k] | iz[k]
-
-    if fault is None:
-        return mz, iz, None, None
-
-    e_iz = [None] * (d + 2)
-    e_mz = [None] * (d + 2)
-    cherr = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        zdir = (fault[k] == 1) | (fault[k] == 2)
-        xdir = (fault[k] == 2) | (fault[k] == 3)
-        if k == d:
-            cherr[k] = xdir
-            e_iz[k] = np.zeros_like(zdir)
-        else:
-            cherr[k] = xdir ^ _xor_children(layout, e_mz[k + 1], k)
-            votes_ok = layout.group(chain_ok[k + 1], k)
-            wrong = (votes_ok & layout.group(cherr[k + 1], k)).sum(axis=2)
-            total = votes_ok.sum(axis=2)
-            e_iz[k] = _majority_wrong(wrong, total, tie[k]) & iz[k]
-        e_mz[k] = np.where(iz[k], e_iz[k], zdir) & mz[k]
-    return mz, iz, e_iz, e_mz
-
 
 def eval_dynamic(layout: TreeLayout, world: World, want_errors: bool):
     """Success and logical-error flags for the adaptive rules.
@@ -381,78 +401,26 @@ def eval_dynamic(layout: TreeLayout, world: World, want_errors: bool):
     First-level pairs get BSMs; the children of a complete pair get BSMs,
     the children of a partial or failed pair get single-qubit
     measurements.  A failed (or partial) pair's Z-parity is recovered as
-    the product of the two sides' single-qubit indirect readouts.
+    the product of the two sides' single-qubit indirect readouts, and only
+    a complete pair can vote over chains of its children.
     """
-    d = layout.depth
-    cls_c = [None] * (d + 1)
-    cls_p = [None] * (d + 1)
-    for k in range(1, d + 1):
+    a = _side(layout, world.det_a, world.fault_a, world.tie_side_a if want_errors else None)
+    b = _side(layout, world.det_b, world.fault_b, world.tie_side_b if want_errors else None)
+
+    def level(k: int) -> tuple:
+        if k == 0:
+            return _ROOT
         both = world.det_a[k] & world.det_b[k]
-        cls_c[k] = both & world.coin[k]
-        cls_p[k] = both & ~world.coin[k]
+        complete = both & world.coin[k]
+        upgrade = a.ind[k] & b.ind[k]
+        if not want_errors:
+            return both | upgrade, complete, complete, None, None
+        zz, xx = _pair_flips(world.fault_a[k], world.fault_b[k])
+        # A partial or failed pair prefers its upgrade to the direct readout.
+        up_err = a.err_ind[k] ^ b.err_ind[k]
+        return both | upgrade, complete, complete, np.where(~complete & upgrade, up_err, zz), xx
 
-    mza, iza, e_iza, e_mza = _side_z_recovery(
-        layout, world.det_a, world.fault_a, world.tie_side_a
-    )
-    mzb, izb, e_izb, e_mzb = _side_z_recovery(
-        layout, world.det_b, world.fault_b, world.tie_side_b
-    )
-
-    zz_ok = [None] * (d + 2)
-    chain_c = [None] * (d + 2)
-    ind_c = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        upgrade = iza[k] & izb[k]
-        zz_ok[k] = cls_c[k] | cls_p[k] | (~(world.det_a[k] & world.det_b[k]) & upgrade)
-        if k == d:
-            kids_ok = True
-            ind_c[k] = np.zeros_like(cls_c[k])
-        else:
-            kids_ok = layout.group(zz_ok[k + 1], k).all(axis=2)
-            ind_c[k] = layout.group(chain_c[k + 1], k).any(axis=2)
-        chain_c[k] = cls_c[k] & kids_ok
-
-    success = zz_ok[1].all(axis=1) & chain_c[1].any(axis=1)
-    if not want_errors:
-        zero = np.zeros_like(success)
-        return success, zero, zero
-
-    zzflip = [None] * (d + 1)
-    xxerr = [None] * (d + 1)
-    for k in range(1, d + 1):
-        fa, fb = world.fault_a[k], world.fault_b[k]
-        zf = ((fa == 1) | (fa == 2)) ^ ((fb == 1) | (fb == 2))
-        xf = ((fa == 2) | (fa == 3)) ^ ((fb == 2) | (fb == 3))
-        zzflip[k] = zf
-        xxerr[k] = zf | xf
-
-    sval = [None] * (d + 2)
-    cherr = [None] * (d + 2)
-    for k in range(d, 0, -1):
-        up_err = e_iza[k] ^ e_izb[k]
-        if k == d:
-            cherr[k] = xxerr[k]
-            voted_c = np.zeros_like(zzflip[k])
-        else:
-            cherr[k] = xxerr[k] ^ _xor_children(layout, sval[k + 1], k)
-            votes_ok = layout.group(chain_c[k + 1], k)
-            wrong = (votes_ok & layout.group(cherr[k + 1], k)).sum(axis=2)
-            total = votes_ok.sum(axis=2)
-            voted_c = _majority_wrong(wrong, total, world.tie_pair[k])
-        upgrade = iza[k] & izb[k]
-        err_c = np.where(ind_c[k], voted_c, zzflip[k])
-        err_p = np.where(upgrade, up_err, zzflip[k])
-        sval[k] = np.where(cls_c[k], err_c, np.where(cls_p[k], err_p, up_err)) & zz_ok[k]
-
-    zz_err = sval[1].astype(np.uint8).sum(axis=1) % 2 == 1
-    if d == 1:
-        top_cherr = xxerr[1]
-    else:
-        top_cherr = xxerr[1] ^ _xor_children(layout, sval[2], 1)
-    wrong0 = (chain_c[1] & top_cherr).sum(axis=1)
-    total0 = chain_c[1].sum(axis=1)
-    xx_err = _majority_wrong(wrong0, total0, world.tie_top)
-    return success, success & zz_err, success & xx_err
+    return _logical(_recover(layout, level, _root_ties(world, want_errors)), want_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +435,21 @@ def eval_loss_only(layout: TreeLayout, world: World, want_errors: bool = False):
     both sides individually; failed first-level pairs recover through the
     two sides' indirect chains, exactly as in the adaptive protocol.
     """
-    d = layout.depth
-    both = world.det_a[1] & world.det_b[1]
-    c1 = both & world.coin[1]
-    p1 = both & ~world.coin[1]
+    a = _side(layout, world.det_a, None, None)
+    b = _side(layout, world.det_b, None, None)
 
-    mza, iza, _, _ = _side_z_recovery(layout, world.det_a, None, None)
-    mzb, izb, _, _ = _side_z_recovery(layout, world.det_b, None, None)
+    def level(k: int) -> tuple:
+        if k == 0:
+            return _ROOT
+        both = world.det_a[1] & world.det_b[1]
+        opener = both & world.coin[1] & a.chain & b.chain
+        return both | (a.ind[1] & b.ind[1]), opener, True, None, None
 
-    zz_ok = c1 | p1 | (~both & iza[1] & izb[1])
-    if d == 1:
-        kids_ok = np.ones_like(c1)
-    else:
-        kids_ok = layout.group(mza[2], 1).all(axis=2) & layout.group(mzb[2], 1).all(axis=2)
-    success = zz_ok.all(axis=1) & (c1 & kids_ok).any(axis=1)
-    zero = np.zeros_like(success)
-    return success, zero, zero
+    return _logical(_recover(layout, level, None, bottom=1), False)
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runner
 # ---------------------------------------------------------------------------
 
 _EVALUATORS = {
@@ -537,24 +500,6 @@ def run(cfg: SampleConfig) -> McEstimate:
     )
 
 
-def run_static(cfg: SampleConfig) -> McEstimate:
-    if cfg.protocol is not Protocol.STATIC:
-        raise ValueError("config protocol must be STATIC")
-    return run(cfg)
-
-
-def run_dynamic(cfg: SampleConfig) -> McEstimate:
-    if cfg.protocol is not Protocol.DYNAMIC:
-        raise ValueError("config protocol must be DYNAMIC")
-    return run(cfg)
-
-
-def run_loss_only(cfg: SampleConfig) -> McEstimate:
-    if cfg.protocol is not Protocol.LOSS_ONLY:
-        raise ValueError("config protocol must be LOSS_ONLY")
-    return run(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (loss patterns x coins), exact probabilities
 # ---------------------------------------------------------------------------
@@ -569,30 +514,33 @@ def _levels_from_flat(layout: TreeLayout, flat: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], evaluator) -> float:
+    """Exact success probability summed over every assignment of per-pair atoms.
+
+    An atom is a ``(det_a, det_b, coin)`` triple; ``probs`` are their weights.
+    """
+    layout = TreeLayout(b)
+    n_pairs = layout.n_per_side
+    if len(atoms) ** n_pairs > 4_000_000:
+        raise ValueError(f"{n_pairs} pairs is too many for enumeration")
+    digits = np.array(
+        np.meshgrid(*([np.arange(len(atoms))] * n_pairs), indexing="ij")
+    ).reshape(n_pairs, -1).T  # (atoms^P, P)
+    weights = np.array(probs)[digits].prod(axis=1)
+    det_a, det_b, coin = (_levels_from_flat(layout, np.array(col)[digits]) for col in zip(*atoms))
+    success, _, _ = evaluator(layout, World(det_a=det_a, det_b=det_b, coin=coin), False)
+    return float(weights[success].sum())
+
+
 def exhaustive_static(b: BranchingVectorLike, params: ChannelParams) -> float:
     """Exact static success probability by enumerating per-pair outcomes.
 
     A pair is complete, partial or failed with weights eta^2/2, eta^2/2
     and 1 - eta^2; the success predicate depends on nothing finer.
     """
-    layout = TreeLayout(b)
-    n_pairs = layout.n_per_side
-    if 3**n_pairs > 4_000_000:
-        raise ValueError(f"{n_pairs} pairs is too many for enumeration")
-    digits = np.array(
-        np.meshgrid(*([np.arange(3)] * n_pairs), indexing="ij")
-    ).reshape(n_pairs, -1).T  # (3^P, P)
-    probs = np.array([0.5 * params.eta**2, 0.5 * params.eta**2, 1.0 - params.eta**2])
-    weights = probs[digits].prod(axis=1)
-
-    cls = _levels_from_flat(layout, digits)
-    world = World(
-        det_a=[None] + [c != 2 for c in cls[1:]],
-        det_b=[None] + [np.ones_like(c, dtype=bool) for c in cls[1:]],
-        coin=[None] + [c == 0 for c in cls[1:]],
-    )
-    success, _, _ = eval_static(layout, world, want_errors=False)
-    return float(weights[success].sum())
+    pc = 0.5 * params.eta**2
+    atoms = [(True, True, True), (True, True, False), (False, True, False)]
+    return _exhaustive(b, atoms, [pc, pc, 1.0 - params.eta**2], eval_static)
 
 
 def exhaustive_dynamic(b: BranchingVectorLike, params: ChannelParams) -> float:
@@ -602,26 +550,11 @@ def exhaustive_dynamic(b: BranchingVectorLike, params: ChannelParams) -> float:
     lost, both lost; the single-qubit recovery predicates need per-side
     loss detail, the rest only the class.
     """
-    layout = TreeLayout(b)
-    n_pairs = layout.n_per_side
-    if 5**n_pairs > 4_000_000:
-        raise ValueError(f"{n_pairs} pairs is too many for enumeration")
     eta = params.eta
-    digits = np.array(
-        np.meshgrid(*([np.arange(5)] * n_pairs), indexing="ij")
-    ).reshape(n_pairs, -1).T
-    probs = np.array([
-        0.5 * eta**2, 0.5 * eta**2, (1 - eta) * eta, eta * (1 - eta), (1 - eta) ** 2
-    ])
-    weights = probs[digits].prod(axis=1)
-
-    cls = _levels_from_flat(layout, digits)
-    det_a = [None] + [(c == 0) | (c == 1) | (c == 3) for c in cls[1:]]
-    det_b = [None] + [(c == 0) | (c == 1) | (c == 2) for c in cls[1:]]
-    coin = [None] + [c == 0 for c in cls[1:]]
-    world = World(det_a=det_a, det_b=det_b, coin=coin)
-    success, _, _ = eval_dynamic(layout, world, want_errors=False)
-    return float(weights[success].sum())
+    atoms = [(True, True, True), (True, True, False), (False, True, False),
+             (True, False, False), (False, False, False)]
+    probs = [0.5 * eta**2, 0.5 * eta**2, (1 - eta) * eta, eta * (1 - eta), (1 - eta) ** 2]
+    return _exhaustive(b, atoms, probs, eval_dynamic)
 
 
 # ---------------------------------------------------------------------------
@@ -666,43 +599,32 @@ def reference_dynamic_sample(
             return range(0)
         return range(j * layout.b[k], (j + 1) * layout.b[k])
 
-    def side_mz(side: str, k: int, j: int) -> tuple[bool, bool]:
-        """Readable flag and value error of a single-qubit Z readout."""
-        audit.want(side, k, j, "Z")
-        chains = []
-        if k < d:
-            for w in children(k, j):
-                audit.want(side, k + 1, w, "X")
-                ok = det(side, k + 1, w)
-                err = fault(side, k + 1, w) in (2, 3)
-                for u in children(k + 1, w):
-                    sub_ok, sub_err = side_mz(side, k + 2, u)
-                    ok &= sub_ok
-                    err ^= sub_err
-                if ok:
-                    chains.append(err)
-        if chains:
-            return True, _vote(chains, world.tie_side_a if side == "A" else world.tie_side_b, k, j, i)
-        if det(side, k, j):
-            return True, fault(side, k, j) in (1, 2)
-        return False, False
-
     def side_iz(side: str, k: int, j: int) -> tuple[bool, bool]:
         """Indirect-only Z readout (the node's own photon is unavailable)."""
         chains = []
-        if k < d:
-            for w in children(k, j):
-                audit.want(side, k + 1, w, "X")
-                ok = det(side, k + 1, w)
-                err = fault(side, k + 1, w) in (2, 3)
-                for u in children(k + 1, w):
-                    sub_ok, sub_err = side_mz(side, k + 2, u)
-                    ok &= sub_ok
-                    err ^= sub_err
-                if ok:
-                    chains.append(err)
+        for w in children(k, j):
+            audit.want(side, k + 1, w, "X")
+            ok = det(side, k + 1, w)
+            err = fault(side, k + 1, w) in (2, 3)
+            for u in children(k + 1, w):
+                sub_ok, sub_err = side_mz(side, k + 2, u)
+                ok &= sub_ok
+                err ^= sub_err
+            if ok:
+                chains.append(err)
         if chains:
-            return True, _vote(chains, world.tie_side_a if side == "A" else world.tie_side_b, k, j, i)
+            ties = world.tie_side_a if side == "A" else world.tie_side_b
+            return True, _vote(chains, ties[k], i, j)
+        return False, False
+
+    def side_mz(side: str, k: int, j: int) -> tuple[bool, bool]:
+        """Readable flag and value error of a single-qubit Z readout."""
+        audit.want(side, k, j, "Z")
+        ok, err = side_iz(side, k, j)
+        if ok:
+            return True, err
+        if det(side, k, j):
+            return True, fault(side, k, j) in (1, 2)
         return False, False
 
     def pair_class(k: int, j: int) -> str:
@@ -724,24 +646,19 @@ def reference_dynamic_sample(
         cls = pair_class(k, j)
         if cls == "c":
             chains = []
-            if k < d:
-                for w in children(k, j):
-                    sub = pair_zz_chain(k + 1, w)
-                    if sub is not None:
-                        chains.append(sub)
+            for w in children(k, j):
+                sub = pair_zz_chain(k + 1, w)
+                if sub is not None:
+                    chains.append(sub)
             if chains:
-                return True, _vote(chains, world.tie_pair, k, j, i)
-            return True, zz_flip(k, j)
-        if cls == "p":
-            oka, ea = side_iz("A", k, j)
-            okb, eb = side_iz("B", k, j)
-            if oka and okb:
-                return True, ea ^ eb
+                return True, _vote(chains, world.tie_pair[k], i, j)
             return True, zz_flip(k, j)
         oka, ea = side_iz("A", k, j)
         okb, eb = side_iz("B", k, j)
         if oka and okb:
             return True, ea ^ eb
+        if cls == "p":
+            return True, zz_flip(k, j)
         return False, False
 
     def pair_zz_chain(k: int, j: int) -> bool | None:
@@ -749,7 +666,7 @@ def reference_dynamic_sample(
         if pair_class(k, j) != "c":
             return None
         err = xx_err(k, j)
-        for u in children(k, j) if k < d else ():
+        for u in children(k, j):
             ok, e = pair_zz(k + 1, u)
             if not ok:
                 return None
@@ -768,28 +685,16 @@ def reference_dynamic_sample(
     success = all_ok and bool(top_chains)
     if not success:
         return False, False, False
-    xx_total_err = _vote_top(top_chains, world.tie_top, i)
+    xx_total_err = _vote(top_chains, world.tie_top[:, None], i, 0)
     return True, bool(zz_total_err), bool(xx_total_err)
 
 
-def _vote(chains: list[bool], tie_arr, k: int, j: int, i: int) -> bool:
+def _vote(chains: list[bool], tie: np.ndarray, i: int, j: int) -> bool:
+    """Majority vote of the chain errors; an even tie drops one at random."""
     wrong = sum(chains)
-    m = len(chains)
-    if m % 2 == 1:
-        return 2 * wrong > m
-    if 2 * wrong == m:
-        return bool(tie_arr[k][i, j] < 0.5)
-    return 2 * wrong > m
-
-
-def _vote_top(chains: list[bool], tie_top, i: int) -> bool:
-    wrong = sum(chains)
-    m = len(chains)
-    if m % 2 == 1:
-        return 2 * wrong > m
-    if 2 * wrong == m:
-        return bool(tie_top[i] < 0.5)
-    return 2 * wrong > m
+    if 2 * wrong == len(chains):
+        return bool(tie[i, j] < 0.5)
+    return 2 * wrong > len(chains)
 
 
 # ---------------------------------------------------------------------------
@@ -806,18 +711,10 @@ def sample_bsm_error_rates(
     rate with their standard errors.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    params = ChannelParams(eta=1.0, eps=eps)
-
-    def faults(n: int) -> np.ndarray:
-        u = rng.random(n)
-        f = np.zeros(n, dtype=np.uint8)
-        hit = u < params.eps_d
-        f[hit] = 1 + np.minimum((3.0 * u[hit] / params.eps_d).astype(np.uint8), 2)
-        return f
-
-    fa, fb = faults(n_samples), faults(n_samples)
-    zz = ((fa == 1) | (fa == 2)) ^ ((fb == 1) | (fb == 2))
-    xx = zz | (((fa == 2) | (fa == 3)) ^ ((fb == 2) | (fb == 3)))
+    eps_d = ChannelParams(eta=1.0, eps=eps).eps_d
+    fa = _draw_faults(rng, n_samples, eps_d)
+    fb = _draw_faults(rng, n_samples, eps_d)
+    zz, xx = _pair_flips(fa, fb)
     pz = float(zz.mean())
     px = float(xx.mean())
     return {

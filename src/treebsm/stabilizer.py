@@ -163,10 +163,6 @@ class StabilizerTableau:
     def all_plus(cls, n: int) -> "StabilizerTableau":
         return cls.from_generators([PauliString.single(n, q, "X") for q in range(n)])
 
-    @classmethod
-    def all_zero(cls, n: int) -> "StabilizerTableau":
-        return cls.from_generators([PauliString.single(n, q, "Z") for q in range(n)])
-
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau(self.n)
         t.xs = self.xs.copy()
@@ -260,12 +256,6 @@ class StabilizerTableau:
         """Conjugate the state by a Pauli frame correction."""
         flips = (self.xs @ p.zs.astype(np.uint8) + self.zs @ p.xs.astype(np.uint8)) % 2
         self.phase = (self.phase + 2 * flips.astype(np.uint8)) % 4
-
-    def apply_x(self, q: int) -> None:
-        self.apply_pauli(PauliString.single(self.n, q, "X"))
-
-    def apply_z(self, q: int) -> None:
-        self.apply_pauli(PauliString.single(self.n, q, "Z"))
 
     # -- membership / expectation -------------------------------------------
 

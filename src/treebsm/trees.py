@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Sequence
 
 # Default tolerance when comparing probabilities computed along independent
@@ -149,9 +148,6 @@ class TreeGraph:
     def depth(self) -> int:
         return self.branching.depth
 
-    def vertices_at_level(self, k: int) -> range:
-        return range(self.level_start[k], self.level_start[k] + self.level_size[k])
-
     def neighbors(self, v: int) -> list[int]:
         if v == 0:
             return list(self.children[v])
@@ -253,19 +249,6 @@ class ChannelParams:
     @property
     def p_failed(self) -> float:
         return 1.0 - self.eta**2
-
-
-class BsmOutcome(Enum):
-    """Outcome classes of a two-photon linear-optical BSM.
-
-    COMPLETE: both parities read out (probability eta^2/2).
-    PARTIAL:  only the Z-parity read out (probability eta^2/2).
-    FAILED:   nothing read out, at least one photon lost (1 - eta^2).
-    """
-
-    COMPLETE = "complete"
-    PARTIAL = "partial"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)

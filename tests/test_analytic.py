@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from treebsm.analytic import (
     Protocol,
     UnreachableTargetError,
     ConfigurationError,
+    _vote_error_mix,
     dynamic_logical_bsm,
     find_threshold,
     logical_bsm,
@@ -54,6 +57,71 @@ class TestVoteError:
                 math.comb(m, i) * e**i * (1 - e) ** (m - i) for i in range(k0, m + 1)
             )
             assert vote_error(m, e) == pytest.approx(tail, abs=1e-12)
+
+
+def _exact_vote_mix(n, p, e):
+    """The vote mix as an exact rational: binomial weights of m >= 1 successful
+    chains times the majority-vote tail, over the weights' own sum.
+
+    Floats are dyadic rationals, so every term is an integer over a power of
+    two and the sums are formed in exact integer arithmetic."""
+    num_p, den_p = float(p).as_integer_ratio()
+    num_e, den_e = float(e).as_integer_ratio()
+
+    def tail(m):  # P(majority of m' votes wrong) * den_e**n, m' = m rounded down to odd
+        m -= 1 - m % 2
+        hits = sum(comb(m, j) * num_e**j * (den_e - num_e) ** (m - j)
+                   for j in range((m + 1) // 2, m + 1))
+        return hits * den_e ** (n - m)
+
+    w = [comb(n, m) * num_p**m * (den_p - num_p) ** (n - m) for m in range(1, n + 1)]
+    return Fraction(sum(wm * tail(m) for m, wm in enumerate(w, start=1)), sum(w) * den_e**n)
+
+
+class TestVoteErrorMix:
+    @pytest.mark.parametrize("n,p,e", [
+        (1, 0.5, 0.2), (2, 0.3, 0.1), (64, 0.5, 0.01), (100, 1e-3, 0.25),
+        (127, 1.2e-17, 0.496), (130, 1e-20, 0.5), (130, 1e-20, 0.0),
+        (130, 1.0, 0.3), (130, 0.37, 0.4999), (129, 0.999, 0.45),
+    ])
+    def test_matches_exact_binomial_sum(self, n, p, e):
+        assert abs(_vote_error_mix(n, p, e) - float(_exact_vote_mix(n, p, e))) <= 1e-12
+
+    def test_random_points_match_exact_sum(self):
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            n = int(rng.integers(1, 131))
+            p = float(10.0 ** rng.uniform(-20, 0))
+            e = float(rng.uniform(0, 0.5))
+            exact = float(_exact_vote_mix(n, p, e))
+            assert abs(_vote_error_mix(n, p, e) - exact) <= 1e-12, (n, p, e)
+
+    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
+    def test_tiny_chain_rate_at_42_42(self, f):
+        # The level-0 chain rate here is ~2e-9, where 1 - (1 - p)**42
+        # cancels to ~1e-9 relative; err_xx must be the exact vote mix.
+        params = ChannelParams(eta=0.8, eps=1e-3)
+        stats = static_layer_recursion("42,42", params, Basis.ZZ)
+        exact = float(_exact_vote_mix(42, stats.pr_s[0], stats.err_s[0]))
+        assert abs(f("42,42", params).err_xx - exact) <= 1e-12
+
+
+class TestRange:
+    @pytest.mark.parametrize("eps", [4e-4, 5e-4, 6e-4, 8e-4, 1e-3])
+    def test_static_tower_errors_stay_in_range(self, eps):
+        res = static_logical_bsm("120,120,24,11,8,4,1", ChannelParams(eta=0.77, eps=eps))
+        assert 0.0 <= res.err_xx <= 0.5
+        assert 0.0 <= res.err_complete <= 0.75
+
+    @pytest.mark.parametrize("b", ["1100,2", "2,1100", "2000"])
+    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
+    @pytest.mark.parametrize("eta,eps", [(0.9, 1e-3), (0.6, 0.0), (1.0, 1e-2)])
+    def test_thousand_branch_shapes_evaluate(self, b, f, eta, eps):
+        res = f(b, ChannelParams(eta=eta, eps=eps))
+        for pr in (res.pr_xx, res.pr_zz, res.pr_complete):
+            assert 0.0 <= pr <= 1.0
+        assert 0.0 <= res.err_xx <= 0.5 and 0.0 <= res.err_zz <= 0.5
+        assert 0.0 <= res.err_complete <= 0.75
 
 
 class TestParityError:
@@ -154,7 +222,7 @@ class TestStaticLogical:
             i1 = float(stats.pr_i[1])
             x = float(stats.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
             assert _complete_bsm_sum(vec[0], eta, i1, x) == pytest.approx(
-                _complete_bsm_closed(vec[0], eta, i1, x), abs=1e-12
+                _complete_bsm_closed(vec[0], eta, i1, x), abs=1e-13
             )
 
     def test_complete_below_both_parities(self):

@@ -1,8 +1,10 @@
 import csv
 import json
+import time
 
 import pytest
 
+from treebsm import cli
 from treebsm.cli import main
 
 
@@ -65,6 +67,21 @@ class TestSweep:
                    "--output", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_thousand_branch_shape(self, tmp_path):
+        out = tmp_path / "wide.csv"
+        assert main(["sweep", "--protocol", "dynamic", "--b", "1100,2",
+                     "--eta", "0.5:1:6", "--eps", "0:1e-3:3", "--output", str(out)]) == 0
+        for row in read_csv(out):
+            assert 0.0 <= float(row["pr_complete"]) <= 1.0
+            assert 0.0 <= float(row["err_complete"]) <= 0.75
+
+    def test_malformed_worker_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TREEBSM_WORKERS", "two")
+        rc = main(["sweep", "--protocol", "static", "--b", "2",
+                   "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "TREEBSM_WORKERS" in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self):
         rc = main(["sweep", "--protocol", "static", "--b", "2",
                    "--output", "/nonexistent-dir/x.csv"])
@@ -85,6 +102,21 @@ class TestThreshold:
 
     def test_unreachable_target_exit_code(self):
         assert main(["threshold", "--protocol", "static", "--target", "1.0"]) == 2
+
+    def test_manifest_times_the_bisection(self, tmp_path, monkeypatch):
+        # The manifest's wall time must cover find_threshold itself.
+        real = cli.find_threshold
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_threshold", slow)
+        out = tmp_path / "t.json"
+        assert main(["threshold", "--protocol", "static", "--target", "0.7",
+                     "--family", "2,2;4,2", "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0.2
 
     def test_explicit_family(self, capsys):
         assert main([
@@ -137,6 +169,15 @@ class TestSearch:
         rows = read_csv(out)
         ec = [r for r in rows if r["error_correcting"] == "1"]
         assert ec and ec[0]["b"] == "15,15,2" and ec[0]["n"] == "691"
+
+    def test_manifest_records_min_depth(self, tmp_path):
+        manifests = []
+        for extra in ([], ["--min-depth", "1"]):
+            out = tmp_path / f"front{len(extra)}.csv"
+            assert main(["search", "--protocol", "static", "--eta", "0.9",
+                         "--max-depth", "2", "--max-n", "60", "--output", str(out)] + extra) == 0
+            manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
+        assert [m["params"]["bounds"]["min_depth"] for m in manifests] == [2, 1]
 
     def test_static_small_bound_has_no_error_correction(self, tmp_path):
         out = tmp_path / "front.csv"

@@ -10,6 +10,7 @@ from treebsm.montecarlo import (
     SampleConfig,
     TreeLayout,
     UnsupportedConfigurationError,
+    _pair_flips,
     draw_world,
     eval_dynamic,
     eval_loss_only,
@@ -18,9 +19,6 @@ from treebsm.montecarlo import (
     exhaustive_static,
     reference_dynamic_sample,
     run,
-    run_dynamic,
-    run_loss_only,
-    run_static,
     sample_bsm_error_rates,
     z_score,
 )
@@ -115,14 +113,14 @@ class TestSampling:
     def test_static_known_value(self):
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
                            n_samples=10**5, seed=42)
-        est = run_static(cfg)
+        est = run(cfg)
         assert abs(z_score(est.success, 0.492075, est.n_samples)) <= 3
 
     def test_no_loss_every_sample_is_exact(self):
         for b in ((2,), (3, 2)):
             cfg = SampleConfig(b=b, eta=1.0, eps=0.0, protocol=Protocol.DYNAMIC,
                                n_samples=4096, seed=3)
-            est = run_dynamic(cfg)
+            est = run(cfg)
             assert est.success == pytest.approx(1 - 2.0 ** -b[0], abs=0.03)
 
     def test_dynamic_beats_static_at_low_eta(self):
@@ -132,24 +130,18 @@ class TestSampling:
         sigma = (st.success_stderr**2 + dy.success_stderr**2) ** 0.5
         assert dy.success - st.success > 3 * sigma
 
-    def test_protocol_runner_guards(self):
-        cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
-                           n_samples=10, seed=0)
-        with pytest.raises(ValueError):
-            run_dynamic(cfg)
-
 
 class TestLossOnly:
     def test_rejects_errors(self):
         cfg = SampleConfig(b=(2, 2), eta=0.8, eps=0.01, protocol=Protocol.LOSS_ONLY,
                            n_samples=10, seed=0)
         with pytest.raises(UnsupportedConfigurationError):
-            run_loss_only(cfg)
+            run(cfg)
 
     def test_no_loss_closed_form(self):
         cfg = SampleConfig(b=(2, 2), eta=1.0, eps=0.0, protocol=Protocol.LOSS_ONLY,
                            n_samples=4096, seed=5)
-        est = run_loss_only(cfg)
+        est = run(cfg)
         assert est.success == pytest.approx(0.75, abs=0.03)
 
     def test_between_static_and_dynamic(self):
@@ -166,7 +158,6 @@ class TestFaultModel:
     def test_parity_flip_case_list(self):
         # Same letters on both photons compensate; X against Y also leaves
         # the Z parity intact, while either parity corrupts the X readout.
-        layout = TreeLayout((1,))
         cases = {
             (0, 0): (False, False),
             (1, 1): (False, False),  # X with X'
@@ -179,9 +170,8 @@ class TestFaultModel:
             (1, 3): (True, True),    # X with Z'
         }
         for (fa, fb), (zz_want, xx_want) in cases.items():
-            zz = (fa in (1, 2)) ^ (fb in (1, 2))
-            xx = zz | ((fa in (2, 3)) ^ (fb in (2, 3)))
-            assert (zz, xx) == (zz_want, xx_want), (fa, fb)
+            zz, xx = _pair_flips(np.array([fa], np.uint8), np.array([fb], np.uint8))
+            assert (bool(zz[0]), bool(xx[0])) == (zz_want, xx_want), (fa, fb)
 
     def test_two_photon_rates(self):
         rates = sample_bsm_error_rates(0.01, 10**6, seed=7)
