@@ -204,7 +204,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{name}: sampled {got:.6g}  exact {want:.6g}  sigma={sigma:.2e}  "
             f"z={z:+.2f}  [{status}]"
         )
-    print(f"# N={args.n} seed={seed} workers={workers} n_success={est.n_success}")
+    print(f"# N={args.n} seed={seed} workers={workers} n_success={est.n_success} "
+          f"world_bytes={est.world_bytes} samples_per_s={est.samples_per_s:.4g}")
     return 0 if ok else 3
 
 

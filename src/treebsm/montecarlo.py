@@ -23,16 +23,23 @@ whenever either parity flips, since the X readout is decoded assuming the
 Z parity.
 
 Streams come from counter-based Philox generators keyed by
-``(seed, worker_index)``; totals are order-independent sums, so results
-are bit-identical for a fixed (seed, config, worker count).
+``(seed, worker_index)``.  Workers run at the same time, on at most one
+thread per CPU this process may use (numpy releases the interpreter lock
+in its draws and array operations); totals are order-independent sums, so
+results are bit-identical for a fixed (seed, config, worker count)
+whatever the thread count.  Each worker keeps one chunk's world alive at a
+time, and a configuration whose chunk would not fit in
+:data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -40,7 +47,15 @@ import numpy as np
 from .analytic import Protocol
 from .trees import BranchingVectorLike, ChannelParams, as_branching_vector
 
-_CHUNK = 8192  # samples per draw; fixed so streams do not depend on memory
+# Samples per world.  Part of the stream contract: a world draws each plane
+# for all of its samples at once, so another chunk size gives other counters.
+# It is also the unit of memory, since each worker holds one world at a time.
+_CHUNK = 8192
+
+# Refuse a configuration whose chunk (world plus draw buffer) would need more
+# bytes than this; like trees.DEFAULT_VERTEX_CAP, it stops towers of 10^8
+# photons per side from being attempted.
+MAX_CHUNK_BYTES = 2 * 10**9
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -92,10 +107,15 @@ class McEstimate:
     n_xx_error: int
     n_joint_error: int
     wall_time_s: float
+    world_bytes: int  # the largest chunk world, in bytes
 
     @property
     def success(self) -> float:
         return self.n_success / self.n_samples
+
+    @property
+    def samples_per_s(self) -> float:
+        return self.n_samples / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     @property
     def success_stderr(self) -> float:
@@ -155,6 +175,8 @@ class McEstimate:
                 "joint_error": self.n_joint_error,
             },
             "wall_time_s": self.wall_time_s,
+            "samples_per_s": self.samples_per_s,
+            "world_bytes": self.world_bytes,
         }
 
     def to_json(self) -> str:
@@ -193,10 +215,25 @@ class TreeLayout:
         n = arr.shape[0]
         return arr.reshape(n, self.sizes[k], self.b[k])
 
+    def chunk_bytes(self, n: int, want_errors: bool) -> int:
+        """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
+
+        One byte per photon and sample for each plane (loss on both sides and
+        the coin; with errors also both sides' faults and the three tie
+        planes), one tie byte per sample at the top, and 8 bytes per sample
+        for the widest level's float64 uniforms.
+        """
+        planes = 8 if want_errors else 3
+        return n * (planes * self.n_per_side + int(want_errors) + 8 * max(self.sizes))
+
 
 @dataclass
 class World:
-    """One batch of sampled worlds, as per-level arrays of shape (N, s_k)."""
+    """One batch of sampled worlds, as per-level arrays of shape (N, s_k).
+
+    Loss flags, coins and tie-breaks are bool (a tie plane is True where an
+    even vote drops a wrong member); faults are uint8 Pauli codes.
+    """
 
     det_a: list[np.ndarray]
     det_b: list[np.ndarray]
@@ -208,11 +245,19 @@ class World:
     tie_side_b: list[np.ndarray] | None = None
     tie_top: np.ndarray | None = None
 
+    @property
+    def nbytes(self) -> int:
+        total = 0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            arrays = value if isinstance(value, list) else [value]
+            total += sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        return total
 
-def _draw_faults(rng: np.random.Generator, shape, eps_d: float) -> np.ndarray:
-    """Per-photon Pauli fault (0 none, 1 X, 2 Y, 3 Z) of total rate ``eps_d``."""
-    u = rng.random(shape)
-    f = np.zeros(shape, dtype=np.uint8)
+
+def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
+    """Per-photon Pauli fault (0 none, 1 X, 2 Y, 3 Z) of total rate ``eps_d`` from uniforms."""
+    f = np.zeros(u.shape, dtype=np.uint8)
     hit = u < eps_d
     # Uniform over X, Y, Z given a fault.
     f[hit] = 1 + np.minimum((3.0 * u[hit] / eps_d).astype(np.uint8), 2)
@@ -222,24 +267,34 @@ def _draw_faults(rng: np.random.Generator, shape, eps_d: float) -> np.ndarray:
 def draw_world(
     layout: TreeLayout, params: ChannelParams, n: int, rng: np.random.Generator
 ) -> World:
-    """Sample a world batch; the draw order here is part of the stream contract."""
+    """Sample a world batch; the draw order here is part of the stream contract.
+
+    Every plane is one ``rng.random`` fill of (n, s_k) uniforms, thresholded,
+    through one buffer sized for the widest level.
+    """
     d = layout.depth
+    buf = np.empty(n * max(layout.sizes))
 
-    def per_level(draw: Callable[[int], np.ndarray]) -> list[np.ndarray]:
-        return [None] + [draw(layout.sizes[k]) for k in range(1, d + 1)]
+    def uniform(s: int) -> np.ndarray:
+        u = buf[:n * s].reshape(n, s)
+        rng.random(out=u)
+        return u
 
-    det_a = per_level(lambda s: rng.random((n, s)) < params.eta)
-    det_b = per_level(lambda s: rng.random((n, s)) < params.eta)
-    coin = per_level(lambda s: rng.random((n, s)) < 0.5)
+    def per_level(decode: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
+        return [None] + [decode(uniform(layout.sizes[k])) for k in range(1, d + 1)]
+
+    det_a = per_level(lambda u: u < params.eta)
+    det_b = per_level(lambda u: u < params.eta)
+    coin = per_level(lambda u: u < 0.5)
     world = World(det_a=det_a, det_b=det_b, coin=coin)
 
     if params.eps > 0.0:
-        world.fault_a = per_level(lambda s: _draw_faults(rng, (n, s), params.eps_d))
-        world.fault_b = per_level(lambda s: _draw_faults(rng, (n, s), params.eps_d))
-        world.tie_pair = per_level(lambda s: rng.random((n, s)))
-        world.tie_side_a = per_level(lambda s: rng.random((n, s)))
-        world.tie_side_b = per_level(lambda s: rng.random((n, s)))
-        world.tie_top = rng.random(n)
+        world.fault_a = per_level(lambda u: _faults(u, params.eps_d))
+        world.fault_b = per_level(lambda u: _faults(u, params.eps_d))
+        world.tie_pair = per_level(lambda u: u < 0.5)
+        world.tie_side_a = per_level(lambda u: u < 0.5)
+        world.tie_side_b = per_level(lambda u: u < 0.5)
+        world.tie_top = uniform(1)[:, 0] < 0.5
     return world
 
 
@@ -261,12 +316,8 @@ def _pair_flips(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _majority_wrong(wrong: np.ndarray, total: np.ndarray, tie: np.ndarray) -> np.ndarray:
     """Vote failure with random drop on even ties; False where total == 0."""
-    tied = (total > 0) & (2 * wrong == total)
-    return (2 * wrong > total) | (tied & (tie < 0.5))
-
-
-def _xor_children(layout: TreeLayout, arr: np.ndarray, k: int) -> np.ndarray:
-    return layout.group(arr.astype(np.uint8), k).sum(axis=2) % 2 == 1
+    right = total - wrong
+    return (wrong > right) | ((wrong == right) & (total > 0) & tie)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +374,10 @@ def _recover(
             votes = layout.group(chain, k)
             ind[k] = votes.any(axis=2) & gate
             if ties is not None:
-                err_kids = _xor_children(layout, err, k)
-                wrong = (votes & layout.group(err_chain, k)).sum(axis=2)
-                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=2), ties[k])
+                err_kids = np.logical_xor.reduce(layout.group(err, k), axis=2)
+                count = np.min_scalar_type(layout.b[k])  # unsigned, holds up to b_k votes
+                wrong = (votes & layout.group(err_chain, k)).sum(axis=2, dtype=count)
+                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=2, dtype=count), ties[k])
         can = direct | ind[k]
         chain = opener & kids_ok
         if ties is not None:
@@ -459,6 +511,25 @@ _EVALUATORS = {
 }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _sample_chunk(layout: TreeLayout, params: ChannelParams, n: int, rng: np.random.Generator,
+                  evaluator, want_errors: bool) -> tuple[np.ndarray, int]:
+    """Draw, evaluate and tally one world, which is released on return.
+
+    Returns the (success, zz, xx, joint) counts and the world's bytes.
+    """
+    world = draw_world(layout, params, n, rng)
+    success, zz_err, xx_err = evaluator(layout, world, want_errors)
+    counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
+    return np.array(counts, dtype=np.int64), world.nbytes
+
+
 def run(cfg: SampleConfig) -> McEstimate:
     """Sample the configured protocol and estimate success and error rates."""
     if cfg.protocol is Protocol.LOSS_ONLY and cfg.eps > 0.0:
@@ -469,26 +540,32 @@ def run(cfg: SampleConfig) -> McEstimate:
     params = cfg.params
     evaluator = _EVALUATORS[cfg.protocol]
     want_errors = cfg.eps > 0.0
+    base, rem = divmod(cfg.n_samples, cfg.n_workers)
+    chunk = layout.chunk_bytes(min(_CHUNK, base + (rem > 0)), want_errors)
+    if chunk > MAX_CHUNK_BYTES:
+        raise UnsupportedConfigurationError(
+            f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
+            f"({layout.n_per_side} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
+        )
+
+    def worker(w: int) -> tuple[np.ndarray, int]:
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
+        quota = base + (1 if w < rem else 0)
+        totals, world_bytes = np.zeros(4, dtype=np.int64), 0
+        for done in range(0, quota, _CHUNK):
+            counts, nbytes = _sample_chunk(layout, params, min(_CHUNK, quota - done), rng,
+                                           evaluator, want_errors)
+            totals += counts
+            world_bytes = max(world_bytes, nbytes)
+        return totals, world_bytes
 
     t0 = time.perf_counter()
-    n_success = 0
-    n_zz = 0
-    n_xx = 0
-    n_joint = 0
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    for w in range(cfg.n_workers):
-        quota = base + (1 if w < rem else 0)
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
-        done = 0
-        while done < quota:
-            n = min(_CHUNK, quota - done)
-            world = draw_world(layout, params, n, rng)
-            success, zz_err, xx_err = evaluator(layout, world, want_errors)
-            n_success += int(success.sum())
-            n_zz += int(zz_err.sum())
-            n_xx += int(xx_err.sum())
-            n_joint += int((zz_err | xx_err).sum())
-            done += n
+    if cfg.n_workers == 1:
+        results = [worker(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(cfg.n_workers, _usable_cpus())) as pool:
+            results = list(pool.map(worker, range(cfg.n_workers)))
+    n_success, n_zz, n_xx, n_joint = (int(c) for c in sum(r[0] for r in results))
     return McEstimate(
         config=cfg,
         n_samples=cfg.n_samples,
@@ -497,6 +574,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         n_xx_error=n_xx,
         n_joint_error=n_joint,
         wall_time_s=time.perf_counter() - t0,
+        world_bytes=max(r[1] for r in results),
     )
 
 
@@ -693,7 +771,7 @@ def _vote(chains: list[bool], tie: np.ndarray, i: int, j: int) -> bool:
     """Majority vote of the chain errors; an even tie drops one at random."""
     wrong = sum(chains)
     if 2 * wrong == len(chains):
-        return bool(tie[i, j] < 0.5)
+        return bool(tie[i, j])
     return 2 * wrong > len(chains)
 
 
@@ -712,8 +790,8 @@ def sample_bsm_error_rates(
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     eps_d = ChannelParams(eta=1.0, eps=eps).eps_d
-    fa = _draw_faults(rng, n_samples, eps_d)
-    fb = _draw_faults(rng, n_samples, eps_d)
+    fa = _faults(rng.random(n_samples), eps_d)
+    fb = _faults(rng.random(n_samples), eps_d)
     zz, xx = _pair_flips(fa, fb)
     pz = float(zz.mean())
     px = float(xx.mean())

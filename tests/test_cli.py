@@ -139,6 +139,18 @@ class TestValidate:
                    "--eps", "1e-3", "--n", "100000", "--seed", "6"])
         assert rc == 0
 
+    def test_oversized_tree_is_refused(self, capsys):
+        rc = main(["validate", "--protocol", "static", "--b", "120,120,24,11,8,4,1",
+                   "--eta", "0.9", "--n", "1000", "--seed", "1"])
+        assert rc == 1
+        assert "GB" in capsys.readouterr().err
+
+    def test_footer_reports_run_metrics(self, capsys):
+        assert main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                     "--n", "1000", "--seed", "5"]) == 0
+        footer = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "world_bytes=" in footer and "samples_per_s=" in footer
+
     def test_loss_only_reports_sample_only(self, capsys):
         rc = main(["validate", "--protocol", "loss-only", "--b", "2,2", "--eta", "0.8",
                    "--n", "20000", "--seed", "8"])

@@ -1,12 +1,17 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from treebsm import montecarlo
 from treebsm.analytic import (
     Protocol,
     dynamic_logical_bsm,
     static_logical_bsm,
 )
 from treebsm.montecarlo import (
+    MAX_CHUNK_BYTES,
     SampleConfig,
     TreeLayout,
     UnsupportedConfigurationError,
@@ -72,7 +77,9 @@ class TestExhaustiveAgainstAnalytic:
 class TestVectorizedAgainstReference:
     @pytest.mark.parametrize(
         "b,eta,eps,seed",
-        [((2, 2), 0.7, 0.05, 5), ((3, 2, 2), 0.8, 0.02, 6), ((4, 2, 1), 0.6, 0.03, 9)],
+        [((2, 2), 0.7, 0.05, 5), ((3, 2, 2), 0.8, 0.02, 6), ((4, 2, 1), 0.6, 0.03, 9),
+         # Without loss about 300 first-level pairs vote: more than a byte counts.
+         ((600,), 1.0, 0.3, 12)],
     )
     def test_dynamic_flags_match(self, b, eta, eps, seed):
         layout = TreeLayout(b)
@@ -191,6 +198,8 @@ class TestEstimate:
         assert blob["config"]["b"] == "2,2"
         assert 0 < blob["success"] < 1
         assert blob["wall_time_s"] >= 0
+        assert blob["world_bytes"] == est.world_bytes > 0
+        assert blob["samples_per_s"] == pytest.approx(20000 / blob["wall_time_s"])
 
     def test_z_score_handles_empty_tail(self):
         # No observed successes against a tiny reference is no surprise.
@@ -203,3 +212,102 @@ class TestEstimate:
                                protocol=Protocol.DYNAMIC, n_samples=20000, seed=2))
         wrong_ref = static_logical_bsm((15, 15, 2), ChannelParams(eta=0.6)).pr_complete
         assert abs(z_score(est.success, wrong_ref, est.n_samples)) > 3
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the thread pool for one that records its size and maps on the calling thread."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("n_workers", [2, 5])
+    def test_counters_equal_a_serial_loop_over_streams(self, n_workers):
+        # 20003 samples give two workers two chunks each, and five workers
+        # more workers than this machine is likely to have CPUs.
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                           n_samples=20003, seed=31, n_workers=n_workers)
+        layout = TreeLayout(cfg.b)
+        want = np.zeros(4, dtype=np.int64)
+        base, rem = divmod(cfg.n_samples, n_workers)
+        for w in range(n_workers):
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
+            left = base + (1 if w < rem else 0)
+            while left:
+                n = min(8192, left)
+                success, zz, xx = eval_dynamic(layout, draw_world(layout, cfg.params, n, rng), True)
+                want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
+                left -= n
+        est = run(cfg)
+        got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
+        assert got == want.tolist()
+
+    def test_pool_is_never_larger_than_the_cpu_count(self, pool_sizes):
+        cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                           n_samples=6400, seed=4, n_workers=64)
+        est = run(cfg)
+        assert len(pool_sizes) == 1
+        assert 1 <= pool_sizes[0] <= min(64, os.cpu_count())
+        assert est.n_samples == 6400 and 0 < est.n_success < 6400
+
+    def test_one_worker_runs_without_a_pool(self, pool_sizes):
+        run(SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                         n_samples=100, seed=4))
+        assert pool_sizes == []
+
+
+class TestMemoryBudget:
+    def test_one_chunk_of_the_reference_tree(self):
+        layout = TreeLayout((15, 15, 2))
+        rng = np.random.Generator(np.random.Philox(key=[1, 0]))
+        tracemalloc.start()
+        try:
+            world = draw_world(layout, ChannelParams(eta=0.8, eps=1e-3), 8192, rng)
+            eval_dynamic(layout, world, want_errors=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert world.nbytes <= 46e6
+        assert peak <= 130e6
+        # The size estimate is the world plus a float64 buffer for the widest level.
+        assert layout.chunk_bytes(8192, True) == world.nbytes + 8 * 8192 * 450
+
+
+class TestSizeCap:
+    TOWER = (120, 120, 24, 11, 8, 4, 1)
+
+    def test_tower_is_refused_before_anything_is_drawn(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(montecarlo, "draw_world", no_draw)
+        cfg = SampleConfig(b=self.TOWER, eta=0.9, eps=1e-3, protocol=Protocol.STATIC,
+                           n_samples=10**5, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedConfigurationError, match="GB"):
+                run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_reference_shapes_fit(self):
+        for b in ((15, 15, 2), (74, 15)):
+            assert TreeLayout(b).chunk_bytes(8192, True) < MAX_CHUNK_BYTES

@@ -193,3 +193,68 @@ class TestIndirectZ:
             for v in range(tree.n_vertices):
                 if tree.children[v]:
                     assert verify_indirect_z(tree, v, rng, trials=2)
+
+
+_DENSE = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def _dense(p):
+    """The signed Pauli as a matrix; qubit 0 is the most significant index bit."""
+    out = np.array([[p.sign]], dtype=complex)
+    for letter in p.to_label()[1:]:
+        out = np.kron(out, _DENSE[letter])
+    return out
+
+
+class TestSignedStatevector:
+    """Random Clifford circuits on a tableau and on a dense statevector, side by side.
+
+    Every signed generator must fix the statevector, g|psi> = +|psi>, so a
+    wrong sign anywhere in the tableau's update rules shows up here even
+    where the unsigned stabilizer group is right.
+    """
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_generators_stabilize_the_statevector(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        t = StabilizerTableau.from_generators([PauliString.single(n, q, "Z") for q in range(n)])
+        psi = np.zeros(2**n, dtype=complex)
+        psi[0] = 1.0
+        index = np.arange(2**n)
+        bit = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for _ in range(40):
+            op = int(rng.integers(0, 5))
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            if op == 0:
+                t.apply_h(a)
+                psi = np.kron(np.kron(np.eye(2**a), hadamard), np.eye(2 ** (n - a - 1))) @ psi
+            elif op == 1:
+                t.apply_cz(a, b)
+                psi = np.where(bit[a] & bit[b], -psi, psi)
+            elif op == 2:
+                t.apply_cnot(a, b)
+                psi = psi[index ^ (bit[a] << (n - 1 - b))]
+            elif op == 3:
+                p = PauliString.from_label("".join(rng.choice(list("IXYZ"), size=n)))
+                t.apply_pauli(p)
+                psi = _dense(p) @ psi
+            else:
+                basis = "ZX"[int(rng.integers(0, 2))]
+                m = int(rng.choice([1, -1]))
+                proj = (np.eye(2**n) + m * _dense(PauliString.single(n, a, basis))) / 2
+                if np.linalg.norm(proj @ psi) ** 2 < 1e-9:
+                    with pytest.raises(MeasurementContradictionError):
+                        t.measure(a, basis, outcome=m)
+                    m, proj = -m, np.eye(2**n) - proj
+                assert t.measure(a, basis, outcome=m) == m
+                psi = proj @ psi
+                psi /= np.linalg.norm(psi)
+            for g in t.generators():
+                assert np.allclose(_dense(g) @ psi, psi), (op, g.to_label())
