@@ -34,6 +34,7 @@ time, and a configuration whose chunk would not fit in
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -511,6 +512,12 @@ _EVALUATORS = {
 }
 
 
+try:  # glibc: hands the free pages of every malloc arena back to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # another C library
+    _malloc_trim = None
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -565,6 +572,12 @@ def run(cfg: SampleConfig) -> McEstimate:
     else:
         with ThreadPoolExecutor(max_workers=min(cfg.n_workers, _usable_cpus())) as pool:
             results = list(pool.map(worker, range(cfg.n_workers)))
+        # Each worker thread allocates from its own malloc arena, which keeps
+        # the chunk's freed pages; how much it keeps depends on how the threads
+        # interleaved, and later threads reuse the arenas.  Release them here so
+        # every call starts from the same state and returns its memory.
+        if _malloc_trim is not None:
+            _malloc_trim(0)
     n_success, n_zz, n_xx, n_joint = (int(c) for c in sum(r[0] for r in results))
     return McEstimate(
         config=cfg,

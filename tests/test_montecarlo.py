@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,24 @@ class TestConcurrency:
         run(SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
                          n_samples=100, seed=4))
         assert pool_sizes == []
+
+    def test_worker_arenas_are_released_after_the_pool(self, monkeypatch):
+        # The trim must follow the pool's shutdown, when no worker allocates.
+        events = []
+
+        class Pool(montecarlo.ThreadPoolExecutor):
+            def __exit__(self, *exc):
+                events.append("pool closed")
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_malloc_trim", lambda pad: events.append(f"trim {pad}"))
+        cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                           n_samples=100, seed=4, n_workers=2)
+        run(cfg)
+        assert events == ["pool closed", "trim 0"]
+        run(replace(cfg, n_workers=1))
+        assert events == ["pool closed", "trim 0"]
 
 
 class TestMemoryBudget:
