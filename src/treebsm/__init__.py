@@ -72,12 +72,9 @@ from .stabilizer import (
 from .trees import (
     BranchingVector,
     ChannelParams,
-    OutcomeCounts,
     TreeGraph,
     TreeTooLargeError,
     build_tree,
-    iter_outcome_counts,
-    outcome_probability,
     photon_count,
 )
 

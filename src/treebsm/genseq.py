@@ -39,8 +39,6 @@ from .stabilizer import (
     PauliString,
     StabilizerTableau,
     graph_state_tableau,
-    logical_x_string,
-    logical_z_string,
     restricted_to,
     _gf2_solve,
 )

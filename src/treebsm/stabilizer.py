@@ -1,11 +1,17 @@
 """Stabilizer-tableau engine for graph states and destructive Pauli measurements.
 
 Ground truth for small instances: graph-state construction, the logical
-encoding carved out of a tree, single-qubit Pauli measurements with the
-three update rules (untouched generators keep, Z-containing generators
-absorb the outcome sign, X-containing generators reduce to a single
-representative that the measured operator replaces), and canonical-form
-comparison of tableaux.
+encoding carved out of a tree, single-qubit Pauli measurements and
+canonical-form comparison of tableaux.
+
+Every generator update goes through one row primitive, ``_row_mult``,
+which multiplies one generator into a set of others.  A pivot step
+multiplies a pivot generator into every other generator with a bit in a
+given column.  A measurement (Aaronson and Gottesman, PRA 70, 052328) is
+one pivot step: write the signed outcome ``m * P`` into the pivot row and
+clear the measured qubit's column through it; the outcome only decides
+which row is the pivot.  The canonical form is the same step taken
+column by column in row-echelon order.
 
 Internally a generator is stored as ``i**phase * prod_q X_q^{x_q} Z_q^{z_q}``
 with X factors written left of Z factors on every qubit.  A Hermitian Pauli
@@ -154,8 +160,7 @@ class StabilizerTableau:
         if not paulis:
             raise ValueError("need at least one generator")
         t = cls(paulis[0].n)
-        for p in paulis:
-            t._append_row(p)
+        t._append_rows(paulis)
         t._check_consistency()
         return t
 
@@ -190,21 +195,19 @@ class StabilizerTableau:
     def generators(self) -> list[PauliString]:
         return [self.generator(i) for i in range(self.n_generators)]
 
-    def _append_row(self, p: PauliString) -> None:
-        if p.n != self.n:
+    def _append_rows(self, paulis: Sequence[PauliString]) -> None:
+        if any(p.n != self.n for p in paulis):
             raise ValueError("qubit-count mismatch")
-        self.xs = np.vstack([self.xs, p.xs])
-        self.zs = np.vstack([self.zs, p.zs])
-        self.phase = np.append(self.phase, np.uint8(_phase_of(p)))
+        self.xs = np.vstack([self.xs, *(p.xs for p in paulis)])
+        self.zs = np.vstack([self.zs, *(p.zs for p in paulis)])
+        phases = np.array([_phase_of(p) for p in paulis], dtype=np.uint8)
+        self.phase = np.concatenate([self.phase, phases])
 
     def _check_consistency(self) -> None:
         for i in range(self.n_generators):
-            for j in range(i + 1, self.n_generators):
-                anti = np.count_nonzero(self.xs[i] & self.zs[j]) ^ np.count_nonzero(
-                    self.zs[i] & self.xs[j]
-                )
-                if anti % 2 == 1:
-                    raise ValueError(f"generators {i} and {j} anticommute")
+            later = np.flatnonzero(self._anticommuting(self.xs[i], self.zs[i])[i + 1:])
+            if later.size:
+                raise ValueError(f"generators {i} and {i + 1 + later[0]} anticommute")
 
     def add_qubit(self, state: str = "0") -> int:
         """Append a fresh qubit stabilized by +Z (``"0"``) or +X (``"+"``)."""
@@ -213,17 +216,38 @@ class StabilizerTableau:
         self.xs = np.hstack([self.xs, np.zeros((self.n_generators, 1), dtype=bool)])
         self.zs = np.hstack([self.zs, np.zeros((self.n_generators, 1), dtype=bool)])
         letter = {"0": "Z", "+": "X"}[state]
-        self._append_row(PauliString.single(self.n, q, letter))
+        self._append_rows([PauliString.single(self.n, q, letter)])
         return q
 
     # -- row arithmetic ------------------------------------------------------
 
-    def _row_mult(self, i: int, j: int) -> None:
-        """Replace generator i by (generator i) * (generator j)."""
-        cross = int(np.count_nonzero(self.zs[i] & self.xs[j]))
-        self.phase[i] = (int(self.phase[i]) + int(self.phase[j]) + 2 * cross) % 4
-        self.xs[i] ^= self.xs[j]
-        self.zs[i] ^= self.zs[j]
+    def _row_mult(self, rows: np.ndarray | int, j: int) -> None:
+        """Replace generator i by (generator i) * (generator j) for every i in ``rows``."""
+        cross = np.count_nonzero(self.zs[rows] & self.xs[j], axis=-1)
+        self.phase[rows] = (self.phase[rows] + self.phase[j] + 2 * cross) % 4
+        self.xs[rows] ^= self.xs[j]
+        self.zs[rows] ^= self.zs[j]
+
+    def _pivot(self, j: int, column: np.ndarray) -> None:
+        """Multiply generator j into every other generator with a bit in ``column``."""
+        rows = np.flatnonzero(column)
+        self._row_mult(rows[rows != j], j)
+
+    def _anticommuting(self, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
+        """Per generator, whether it anticommutes with the Pauli with bits (px, pz)."""
+        anti = np.count_nonzero(self.xs[:, pz], axis=1) + np.count_nonzero(self.zs[:, px], axis=1)
+        return anti % 2 == 1
+
+    def _product(self, rows: np.ndarray) -> PauliString:
+        """Signed product of the generators in ``rows``, taken in index order."""
+        xs, zs = self.xs[rows], self.zs[rows]
+        # Each row's X block moves left past the Z block of the product so
+        # far: one sign per overlap, as in _row_mult.
+        zs_before = np.logical_xor.accumulate(zs, axis=0)
+        cross = np.count_nonzero(zs_before[:-1] & xs[1:])
+        phase = (int(self.phase[rows].sum()) + 2 * cross) % 4
+        xs, zs = np.logical_xor.reduce(xs), np.logical_xor.reduce(zs)
+        return PauliString(xs, zs, _sign_from_phase(phase, xs, zs))
 
     # -- Clifford gates ------------------------------------------------------
 
@@ -254,7 +278,7 @@ class StabilizerTableau:
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli frame correction."""
-        flips = (self.xs @ p.zs.astype(np.uint8) + self.zs @ p.xs.astype(np.uint8)) % 2
+        flips = self._anticommuting(p.xs, p.zs)
         self.phase = (self.phase + 2 * flips.astype(np.uint8)) % 4
 
     # -- membership / expectation -------------------------------------------
@@ -268,17 +292,12 @@ class StabilizerTableau:
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        for i in range(self.n_generators):
-            anti = np.count_nonzero(self.xs[i] & p.zs) + np.count_nonzero(self.zs[i] & p.xs)
-            if anti % 2 == 1:
-                return 0
+        if self._anticommuting(p.xs, p.zs).any():
+            return 0
         coeffs = self._solve_membership(p)
         if coeffs is None:
             return 0
-        acc = PauliString.identity(self.n)
-        for i in np.flatnonzero(coeffs):
-            acc = acc * self.generator(int(i))
-        return p.sign * acc.sign
+        return p.sign * self._product(np.flatnonzero(coeffs)).sign
 
     # -- measurement ---------------------------------------------------------
 
@@ -292,60 +311,44 @@ class StabilizerTableau:
     ) -> int:
         """Measure one qubit in the X, Y or Z basis; returns the +1/-1 outcome.
 
+        Every outcome takes the same path: choose a pivot generator, write
+        the signed outcome ``m * P`` into it and multiply it into every
+        other generator touching the qubit.  The pivot is the first
+        generator anticommuting with ``P`` once it has been multiplied into
+        the others (random outcome); the first generator of the product
+        that equals ``m * P`` (deterministic outcome, the group is
+        unchanged); or a new row (``P`` commutes with the group without
+        being in it, an undetermined code direction; random outcome).
+
         ``outcome`` forces the result where it is random; forcing a
         deterministic measurement to the opposite value raises
         :class:`MeasurementContradictionError`.  In destructive mode the
-        measured qubit's residual generator is dropped and the qubit
-        retired, matching a photon absorbed by its detector.
+        pivot row, the only generator left on the qubit, is dropped and the
+        qubit retired, matching a photon absorbed by its detector.
         """
         self._alive_check(qubit)
         op = PauliString.single(self.n, qubit, basis)
-
-        # Commutation with a single-site operator is decided at that site:
-        # letters equal or identity commute, the other two letters anticommute.
-        anti = [
-            i
-            for i in range(self.n_generators)
-            if _site_anticommutes(
-                self.xs[i, qubit], self.zs[i, qubit], op.xs[qubit], op.zs[qubit]
-            )
-        ]
-
-        if anti:
-            pivot = anti[0]
-            for i in anti[1:]:
-                self._row_mult(i, pivot)
+        anti = self._anticommuting(op.xs, op.zs)
+        if anti.any():
+            pivot = int(np.argmax(anti))
+            self._pivot(pivot, anti)
             m = self._draw_outcome(outcome, rng)
-            rep = PauliString.single(self.n, qubit, basis, sign=m)
-            self.xs[pivot] = rep.xs
-            self.zs[pivot] = rep.zs
-            self.phase[pivot] = _phase_of(rep)
-            self._clear_column(qubit, pivot)
-            if destructive:
-                self._drop_row_and_qubit(pivot, qubit)
-            return m
-
-        # Deterministic (or undetermined code direction).
-        coeffs = self._solve_membership(op)
-        if coeffs is None:
+        elif (coeffs := self._solve_membership(op)) is None:
             m = self._draw_outcome(outcome, rng)
-            self._append_row(PauliString.single(self.n, qubit, basis, sign=m))
+            self._append_rows([op])
             pivot = self.n_generators - 1
-            self._clear_column(qubit, pivot)
-            if destructive:
-                self._drop_row_and_qubit(pivot, qubit)
-            return m
-
-        acc = PauliString.identity(self.n)
-        for i in np.flatnonzero(coeffs):
-            acc = acc * self.generator(int(i))
-        m = acc.sign
-        if outcome is not None and outcome != m:
-            raise MeasurementContradictionError(
-                f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}"
-            )
+        else:
+            support = np.flatnonzero(coeffs)
+            m = self._product(support).sign
+            if outcome is not None and outcome != m:
+                raise MeasurementContradictionError(
+                    f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}"
+                )
+            pivot = int(support[0])
+        rep = PauliString.single(self.n, qubit, basis, sign=m)
+        self.xs[pivot], self.zs[pivot], self.phase[pivot] = rep.xs, rep.zs, _phase_of(rep)
+        self._pivot(pivot, self.xs[:, qubit] | self.zs[:, qubit])
         if destructive:
-            pivot = self._isolate_deterministic(qubit, np.flatnonzero(coeffs))
             self._drop_row_and_qubit(pivot, qubit)
         return m
 
@@ -358,14 +361,8 @@ class StabilizerTableau:
             raise ValueError("random outcome requested but no rng supplied")
         return 1 if rng.integers(0, 2) == 0 else -1
 
-    def _clear_column(self, qubit: int, pivot: int) -> None:
-        """Multiply the pivot row into every other row still touching qubit."""
-        for i in range(self.n_generators):
-            if i != pivot and (self.xs[i, qubit] or self.zs[i, qubit]):
-                self._row_mult(i, pivot)
-
     def _drop_row_and_qubit(self, row: int, qubit: int) -> None:
-        keep = [i for i in range(self.n_generators) if i != row]
+        keep = np.arange(self.n_generators) != row
         self.xs = self.xs[keep]
         self.zs = self.zs[keep]
         self.phase = self.phase[keep]
@@ -373,54 +370,22 @@ class StabilizerTableau:
             raise AssertionError("retired qubit still has generator support")
         self.discarded.add(qubit)
 
-    def _isolate_deterministic(self, qubit: int, support: np.ndarray) -> int:
-        """Rewrite generators so one row is exactly +/-P on ``qubit``."""
-        rows = [i for i in range(self.n_generators) if self.xs[i, qubit] or self.zs[i, qubit]]
-        if not rows:
-            # The +/-P row must be synthesized from the membership support.
-            acc = PauliString.identity(self.n)
-            for i in support:
-                acc = acc * self.generator(int(i))
-            self._append_row(acc)
-            return self.n_generators - 1
-        pivot = rows[0]
-        for i in rows[1:]:
-            self._row_mult(i, pivot)
-        if np.count_nonzero(self.xs[pivot]) + np.count_nonzero(self.zs[pivot]) != 1:
-            raise ValueError(
-                "cannot destructively drop an entangled, deterministic qubit"
-            )
-        return pivot
-
     # -- canonical form and serialization -------------------------------------
 
     def canonical(self) -> "StabilizerTableau":
         """Row-reduced echelon form over the alive columns, unique per group."""
         t = self.copy()
-        cols: list[tuple[str, int]] = []
-        for q in t.alive:
-            cols.append(("x", q))
-            cols.append(("z", q))
         row = 0
-        for kind, q in cols:
-            mat = t.xs if kind == "x" else t.zs
-            pivot = None
-            for i in range(row, t.n_generators):
-                if mat[i, q]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != row:
-                t.xs[[row, pivot]] = t.xs[[pivot, row]]
-                t.zs[[row, pivot]] = t.zs[[pivot, row]]
-                t.phase[[row, pivot]] = t.phase[[pivot, row]]
-            for i in range(t.n_generators):
-                if i != row and (t.xs if kind == "x" else t.zs)[i, q]:
-                    t._row_mult(i, row)
-            row += 1
-            if row == t.n_generators:
-                break
+        for q in t.alive:
+            for bits in (t.xs, t.zs):
+                hits = np.flatnonzero(bits[row:, q])
+                if not hits.size:
+                    continue
+                pivot = row + hits[0]
+                for a in (t.xs, t.zs, t.phase):
+                    a[[row, pivot]] = a[[pivot, row]]
+                t._pivot(row, bits[:, q])
+                row += 1
         return t
 
     def to_text(self) -> str:
@@ -440,36 +405,28 @@ class StabilizerTableau:
         return cls.from_generators(rows)
 
 
-def _site_anticommutes(x1: np.bool_, z1: np.bool_, x2: np.bool_, z2: np.bool_) -> bool:
-    return bool((x1 & z2) ^ (z1 & x2))
-
-
 def _gf2_solve(a: np.ndarray, rhs: np.ndarray, n_vars: int) -> np.ndarray | None:
     """Solve a @ c = rhs over GF(2); a has shape (rows, n_vars)."""
-    aug = np.hstack([a % 2, (rhs % 2).reshape(-1, 1)]).astype(np.uint8)
-    n_rows = aug.shape[0]
-    pivots: list[tuple[int, int]] = []
+    aug = np.hstack([a % 2, (rhs % 2).reshape(-1, 1)]).astype(bool)
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
     r = 0
     for c in range(n_vars):
-        pr = None
-        for i in range(r, n_rows):
-            if aug[i, c]:
-                pr = i
-                break
-        if pr is None:
+        hits = np.flatnonzero(aug[r:, c])
+        if not hits.size:
             continue
+        pr = r + hits[0]
         aug[[r, pr]] = aug[[pr, r]]
-        for i in range(n_rows):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
-        pivots.append((r, c))
+        others = aug[:, c].copy()
+        others[r] = False
+        aug[others] ^= aug[r]
+        pivot_rows.append(r)
+        pivot_cols.append(c)
         r += 1
-    for i in range(r, n_rows):
-        if aug[i, -1]:
-            return None
+    if aug[r:, -1].any():
+        return None
     sol = np.zeros(n_vars, dtype=np.uint8)
-    for pr, pc in pivots:
-        sol[pc] = aug[pr, -1]
+    sol[pivot_cols] = aug[pivot_rows, -1]
     return sol
 
 

@@ -1,28 +1,17 @@
-"""Tree shapes, channel parameters and the physical BSM outcome model.
+"""Tree shapes and photon-channel parameters.
 
 Everything downstream (exact recursions, Monte-Carlo sampling, stabilizer
 verification, tree search) is driven by a *branching vector*
 ``b = (b_0, ..., b_{d-1})``: a rooted tree of depth ``d`` in which every
 vertex at level ``k < d`` has exactly ``b_k`` children.  This module owns
 that type, the materialized :class:`TreeGraph` with its fixed breadth-first
-vertex numbering, the photon-channel parameters, and the combinatorics of
-two-photon Bell-measurement outcomes.
-
-Probabilities are plain floats; the recursions compose only a handful of
-levels deep, so double precision is ample.  The default tolerance used when
-comparing probabilities across independently computed routes is ``1e-10``
-(:data:`PROB_TOL`).
+vertex numbering, and the photon-channel parameters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
-
-# Default tolerance when comparing probabilities computed along independent
-# routes (closed form vs. enumeration vs. recursion).
-PROB_TOL = 1e-10
 
 # build_tree refuses to materialize trees above this vertex count; the
 # analytic recursions do not have this limit since they never build the tree.
@@ -77,9 +66,6 @@ class BranchingVector:
         for bk in self.branches:
             sizes.append(sizes[-1] * bk)
         return sizes
-
-    def photon_count(self) -> int:
-        return photon_count(self)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.branches)
@@ -192,7 +178,7 @@ def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
 
 
 # ---------------------------------------------------------------------------
-# Channel parameters and BSM outcome model
+# Channel parameters
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -236,51 +222,3 @@ class ChannelParams:
     @property
     def err_dxx(self) -> float:
         return self.eps_bsm
-
-    # Two-photon BSM outcome probabilities.
-    @property
-    def p_complete(self) -> float:
-        return 0.5 * self.eta**2
-
-    @property
-    def p_partial(self) -> float:
-        return 0.5 * self.eta**2
-
-    @property
-    def p_failed(self) -> float:
-        return 1.0 - self.eta**2
-
-
-@dataclass(frozen=True)
-class OutcomeCounts:
-    """Counts of complete/partial/failed BSMs within one sibling group."""
-
-    m_c: int
-    m_p: int
-    m_f: int
-
-    def __post_init__(self) -> None:
-        if min(self.m_c, self.m_p, self.m_f) < 0:
-            raise ValueError("outcome counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.m_c + self.m_p + self.m_f
-
-
-def outcome_probability(counts: OutcomeCounts, params: ChannelParams) -> float:
-    """Multinomial probability of a (complete, partial, failed) count triple.
-
-    ``(m_c+m_p+m_f)! / (m_c! m_p! m_f!) * (eta^2/2)^(m_c+m_p) * (1-eta^2)^m_f``;
-    over all triples of a fixed total the values sum to one.
-    """
-    m_c, m_p, m_f = counts.m_c, counts.m_p, counts.m_f
-    multi = math.comb(counts.total, m_f) * math.comb(m_c + m_p, m_c)
-    return float(multi) * params.p_complete ** (m_c + m_p) * params.p_failed ** m_f
-
-
-def iter_outcome_counts(total: int) -> Iterator[OutcomeCounts]:
-    """All (m_c, m_p, m_f) triples with the given total, deterministic order."""
-    for m_f in range(total + 1):
-        for m_c in range(total - m_f + 1):
-            yield OutcomeCounts(m_c=m_c, m_p=total - m_f - m_c, m_f=m_f)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,14 @@ class TestMeasurementRules:
         with pytest.raises(MeasurementContradictionError):
             t.measure(0, "X", outcome=-1)
 
+    @pytest.mark.parametrize("sign,m", [("+", 1), ("-", -1)])
+    def test_destructive_deterministic_on_product_qubit(self, sign, m):
+        # Z on qubit 0 is fixed by ZZ * IZ, though no generator is Z on 0 alone.
+        t = from_labels("+ZZ", f"{sign}IZ")
+        assert t.measure(0, "Z", destructive=True) == m
+        assert t.alive == [1]
+        assert t.to_text() == f"{sign}Z\n"
+
     def test_measuring_dead_qubit_rejected(self):
         t = StabilizerTableau.all_plus(2)
         t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
@@ -128,6 +138,27 @@ class TestCanonicalForm:
     def test_text_format_is_one_generator_per_line(self):
         text = from_labels("+XZ", "+ZX").to_text()
         assert text == "+XZ\n+ZX\n"
+
+
+class TestExpectation:
+    def test_every_group_element_of_the_chain(self):
+        # K0 K1 = (XZI)(ZXZ) = +YYZ: reordering X and Z factors gives the sign.
+        t = from_labels(*THREE_CHAIN)
+        assert t.expectation(PauliString.from_label("+YYZ")) == 1
+        assert t.expectation(PauliString.from_label("-YYZ")) == -1
+        for mask in itertools.product([False, True], repeat=3):
+            if not any(mask):
+                continue
+            p = PauliString.identity(3)
+            for g, used in zip(t.generators(), mask):
+                p = p * g if used else p
+            assert t.expectation(p) == 1
+            assert t.expectation(PauliString(p.xs, p.zs, -p.sign)) == -1
+
+    def test_random_and_undetermined_directions_read_zero(self):
+        t = from_labels("+XX")
+        assert t.expectation(PauliString.from_label("+ZI")) == 0
+        assert t.expectation(PauliString.from_label("+ZZ")) == 0
 
 
 class TestEncoding:
@@ -221,7 +252,15 @@ class TestSignedStatevector:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_generators_stabilize_the_statevector(self, seed):
-        rng = np.random.default_rng(seed)
+        self._run_circuit(np.random.default_rng(seed), "ZX", destructive=False)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_y_and_destructive_measurements(self, seed):
+        self._run_circuit(np.random.default_rng([seed, 1]), "ZXY", destructive=True)
+
+    @staticmethod
+    def _run_circuit(rng, bases, destructive):
+        """40 random steps on the alive qubits; stops when fewer than 2 are alive."""
         n = int(rng.integers(2, 6))
         t = StabilizerTableau.from_generators([PauliString.single(n, q, "Z") for q in range(n)])
         psi = np.zeros(2**n, dtype=complex)
@@ -230,8 +269,10 @@ class TestSignedStatevector:
         bit = [(index >> (n - 1 - q)) & 1 for q in range(n)]
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         for _ in range(40):
+            if len(t.alive) < 2:
+                break
             op = int(rng.integers(0, 5))
-            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            a, b = (int(q) for q in rng.choice(t.alive, size=2, replace=False))
             if op == 0:
                 t.apply_h(a)
                 psi = np.kron(np.kron(np.eye(2**a), hadamard), np.eye(2 ** (n - a - 1))) @ psi
@@ -242,19 +283,23 @@ class TestSignedStatevector:
                 t.apply_cnot(a, b)
                 psi = psi[index ^ (bit[a] << (n - 1 - b))]
             elif op == 3:
-                p = PauliString.from_label("".join(rng.choice(list("IXYZ"), size=n)))
+                letters = rng.choice(list("IXYZ"), size=n)
+                letters[sorted(t.discarded)] = "I"
+                p = PauliString.from_label("".join(letters))
                 t.apply_pauli(p)
                 psi = _dense(p) @ psi
             else:
-                basis = "ZX"[int(rng.integers(0, 2))]
+                basis = bases[int(rng.integers(0, len(bases)))]
+                drop = destructive and bool(rng.integers(0, 2))
                 m = int(rng.choice([1, -1]))
                 proj = (np.eye(2**n) + m * _dense(PauliString.single(n, a, basis))) / 2
                 if np.linalg.norm(proj @ psi) ** 2 < 1e-9:
                     with pytest.raises(MeasurementContradictionError):
-                        t.measure(a, basis, outcome=m)
+                        t.measure(a, basis, outcome=m, destructive=drop)
                     m, proj = -m, np.eye(2**n) - proj
-                assert t.measure(a, basis, outcome=m) == m
+                assert t.measure(a, basis, outcome=m, destructive=drop) == m
                 psi = proj @ psi
                 psi /= np.linalg.norm(psi)
+            assert t.n_generators == len(t.alive)
             for g in t.generators():
                 assert np.allclose(_dense(g) @ psi, psi), (op, g.to_label())

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,11 +5,8 @@ from hypothesis import given, strategies as st
 from treebsm.trees import (
     BranchingVector,
     ChannelParams,
-    OutcomeCounts,
     TreeTooLargeError,
     build_tree,
-    iter_outcome_counts,
-    outcome_probability,
     photon_count,
 )
 
@@ -108,33 +103,8 @@ class TestChannelParams:
             p = ChannelParams(eta=0.5, eps=eps)
             assert 0.0 <= p.err_dzz <= p.err_dxx <= 1.0
 
-    def test_outcome_probabilities(self):
-        p = ChannelParams(eta=0.8)
-        assert p.p_complete == pytest.approx(0.32)
-        assert p.p_partial == pytest.approx(0.32)
-        assert p.p_failed == pytest.approx(0.36)
-
     @pytest.mark.parametrize("eta,eps", [(-0.1, 0.0), (1.1, 0.0), (0.5, -1e-9), (0.5, 2.0)])
     def test_rejects_out_of_range(self, eta, eps):
         with pytest.raises(ValueError):
             ChannelParams(eta=eta, eps=eps)
 
-
-class TestOutcomeProbability:
-    def test_two_complete_no_loss(self):
-        p = outcome_probability(OutcomeCounts(2, 0, 0), ChannelParams(eta=1.0))
-        assert p == pytest.approx(0.25)
-
-    def test_mixed_counts_direct_arithmetic(self):
-        p = outcome_probability(OutcomeCounts(1, 1, 0), ChannelParams(eta=0.9))
-        assert p == pytest.approx(2 * 0.405**2)
-        assert p == pytest.approx(0.32805)
-
-    @pytest.mark.parametrize("total", [1, 5, 15, 50])
-    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.95, 1.0])
-    def test_normalization(self, total, eta):
-        params = ChannelParams(eta=eta)
-        s = math.fsum(
-            outcome_probability(c, params) for c in iter_outcome_counts(total)
-        )
-        assert s == pytest.approx(1.0, abs=1e-10)
