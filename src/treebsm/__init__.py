@@ -16,7 +16,6 @@ Four engines over one tree shape language:
 
 from .analytic import (
     Basis,
-    DynamicLayerStats,
     LayerStats,
     LogicalBsmResult,
     Protocol,
@@ -30,7 +29,6 @@ from .analytic import (
     parity_error,
     static_layer_recursion,
     static_logical_bsm,
-    vote_error,
 )
 from .genseq import (
     Instruction,

@@ -11,15 +11,24 @@ Two protocols are evaluated in closed (recursive) form:
   single-qubit measurements, which upgrade a failed pair to a known
   Z-parity through two independent single-qubit indirect measurements.
 
-Both rest on one recovery rule, coded once in :func:`_chain_step`: a lost
-Z-parity is rebuilt from indirect chains, a chain is an opener plus all of
-its children readable, repeated chains combine by majority vote, and an
-available vote beats the direct readout (:func:`_prefer_indirect`).  The
-recursions walk the tree from the leaves (level ``d``) to the virtual
-level 0, whose single node has the ``b0`` first-level pairs as children and
-whose indirect entry is the logical X-parity; level-``d`` photons can only
-be measured directly.  An exponent over the children of a leaf is an empty
-product (1), and any indirect probability at level ``d`` is 0.
+Both rest on one level walk, :func:`_levels`: the indirect-measurement
+recursion evaluated from the leaves (level ``d``) to the virtual level 0,
+whose single node has the ``b0`` first-level pairs as children and whose
+indirect entry is the logical X-parity.  At every level
+:func:`_chain_step` applies the one recovery rule: a lost value is rebuilt
+from indirect chains, a chain is an opener plus all of its children
+readable, and repeated chains combine by majority vote.  A value rule then
+turns that vote into the level's rate and error:
+
+* single-qubit Z and the static pair ZZ prefer an available vote to the
+  direct readout (:func:`_prefer_indirect`);
+* the adaptive pair ZZ mixes three pair classes: a complete pair prefers
+  its chain vote, a partial pair prefers the single-qubit upgrade, and a
+  failed pair needs the upgrade.
+
+Level-``d`` photons have no chains below them, so their indirect rate is 0
+and the value rule reads them directly.  An exponent over the children of
+a leaf is an empty product (1).
 
 Error rates are conditional on success.  Even-sized votes drop one result
 at random, which is equivalent to voting over one fewer sample.
@@ -35,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special
@@ -91,17 +100,6 @@ def _vote_tail(m, e):
     return special.betainc(k0, m_eff - k0 + 1, e)
 
 
-def vote_error(m: int, e: float) -> float:
-    """Failure probability of a majority vote over ``m`` iid results.
-
-    Even votes drop one result at random, which is distributionally the
-    same as voting over ``m - 1``; so vote_error(2, e) == vote_error(1, e).
-    """
-    if m <= 0:
-        return 0.0
-    return float(_vote_tail(m, e))
-
-
 def _vote_error_mix(n_chains: int, p_chain: float, e_chain: float) -> float:
     """Majority-vote error averaged over how many of ``n_chains`` succeeded.
 
@@ -147,28 +145,28 @@ def _prefer_indirect(pr_i: float, err_i: float, pr_d: float, err_d: float) -> tu
 
 
 # ---------------------------------------------------------------------------
-# Static recursions
+# The level walk
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Per-level success and conditional-error rates for one basis.
+    """Per-level success and conditional-error rates of one measured value.
 
     Arrays are indexed by level ``k = 0..d``; level 0 is the virtual root
-    slot whose indirect entry feeds the logical X-parity.  ``pr_d``/``err_d``
-    are the level-independent direct rates.  Events:
+    slot whose indirect entry feeds the logical X-parity.  Events:
 
     * ``pr_s[k]``: one specific chain through one child succeeds,
     * ``pr_i[k]``: at least one chain succeeds (indirect),
-    * ``pr_m[k]``: the level-k value is obtained directly or indirectly.
+    * ``pr_m[k]``: the level-k value is obtained,
+    * ``pr_u[k]``: a pair with no direct readout is recovered -- the chain
+      vote under the static rules, the single-qubit upgrade under the
+      adaptive rules.
     """
 
-    basis: Basis
-    pr_d: float
-    err_d: float
     pr_s: np.ndarray
     pr_i: np.ndarray
     pr_m: np.ndarray
+    pr_u: np.ndarray
     err_s: np.ndarray
     err_i: np.ndarray
     err_m: np.ndarray
@@ -178,58 +176,97 @@ class LayerStats:
         return len(self.pr_m) - 1
 
 
+def _levels(
+    vec: BranchingVector,
+    opener: tuple[float, float],
+    value: Callable[[int, float, float], tuple[float, float, float]],
+) -> LayerStats:
+    """Walk the levels of ``vec`` from the leaves to the virtual root.
+
+    At level ``k`` each of the ``b[k]`` children opens a chain (success and
+    error rates ``opener``) through the ``b[k+1]`` values at level ``k+2``::
+
+        pr_s[k] = pr_opener * pr_m[k+2]**b[k+1]    (empty product if k+1 == d)
+        pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at level d)
+
+    and ``value(k, pr_i[k], err_i[k])`` turns the vote into
+    ``(pr_m[k], err_m[k], pr_u[k])``.
+    """
+    d = vec.depth
+    pr_s, pr_i, pr_m, pr_u, err_s, err_i, err_m = np.zeros((7, d + 1))
+    for k in range(d, -1, -1):
+        if k < d:
+            n_grand = vec[k + 1] if k + 1 < d else 0
+            grand = (pr_m[k + 2], err_m[k + 2]) if n_grand else (1.0, 0.0)
+            pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(vec[k], n_grand, opener, grand)
+        pr_m[k], err_m[k], pr_u[k] = value(k, pr_i[k], err_i[k])
+    return LayerStats(pr_s, pr_i, pr_m, pr_u, err_s, err_i, err_m)
+
+
 def static_layer_recursion(
     b: BranchingVectorLike, params: ChannelParams, basis: Basis
 ) -> LayerStats:
-    """Fill the level-by-level success and error rates for the static rules.
+    """Level rates of one value under the static rules.
 
-    Success, from level ``d`` down to 0::
+    Success, from level ``d`` down to 0, with the level walk's ``pr_i``::
 
         pr_m[k] = pr_d + (1 - pr_d) * pr_i[k]
-        pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at level d)
-        pr_s[k] = pr_opener * pr_m[k+2]**b[k+1]    (empty product if k+1 == d)
 
-    where the chain opener is the direct conjugate-basis rate on one child
-    (``eta`` for Z, ``eta**2 / 2`` for ZZ).  Errors follow the same shape:
-    a chain errs on odd parity of its opener and its grandchild results,
-    chains combine by majority vote, and the vote is preferred to the
-    direct result whenever it is available.
+    where the direct rate ``pr_d`` is ``eta`` for Z and ``eta**2`` for ZZ,
+    and the chain opener is the direct conjugate-basis rate on one child
+    (``eta`` for Z, ``eta**2 / 2`` for ZZ).  The vote is preferred to the
+    direct result whenever it is available, and a pair with no direct
+    readout is recovered by the vote alone: ``pr_u = pr_i``.
+    """
+    eta = params.eta
+    if basis is Basis.Z:
+        direct = opener = (eta, params.eps)
+    else:
+        direct, opener = (eta**2, params.err_dzz), (0.5 * eta**2, params.err_dxx)
+
+    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float, float]:
+        return (*_prefer_indirect(pr_i, err_i, *direct), pr_i)
+
+    return _levels(as_branching_vector(b), opener, value)
+
+
+def dynamic_layer_recursion(b: BranchingVectorLike, params: ChannelParams) -> LayerStats:
+    """Level rates of the pair Z-parity under the adaptive rules.
+
+    A pair with no direct readout is upgraded by two independent
+    single-qubit indirect measurements, one per tree: ``pr_u = pr_i_z**2``,
+    erring with ``2 e (1 - e)``.  Per-pair Z-parity::
+
+        pr_m[k] = eta^2 + (1 - eta^2) * pr_u[k]
+
+    -- a complete or partial BSM reads it directly, a failed one needs the
+    upgrade.  Below a complete pair, a chain opens with a complete child
+    BSM (eta^2/2) and needs the Z-parity of every grandchild pair; given
+    chain success the grandchild classes are iid, so ``err_m`` is the class
+    mixture: complete (eta^2/2, prefers its chain vote), partial (eta^2/2,
+    prefers the upgrade) and failed (1 - eta^2, upgrade only).
     """
     vec = as_branching_vector(b)
-    d = vec.depth
-    eta = params.eta
+    eta2 = params.eta**2
+    z = static_layer_recursion(vec, params, Basis.Z)
+    pr_u = z.pr_i**2
+    err_u = 2.0 * z.err_i - 2.0 * z.err_i**2
 
-    if basis is Basis.Z:
-        pr_d, err_d = eta, params.eps
-        pr_opener, err_opener = eta, params.eps
-    else:
-        pr_d, err_d = eta**2, params.err_dzz
-        pr_opener, err_opener = 0.5 * eta**2, params.err_dxx
+    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float, float]:
+        err_c = _prefer_indirect(pr_i, err_i, 1.0, params.err_dzz)[1]
+        err_p = _prefer_indirect(pr_u[k], err_u[k], 1.0, params.err_dzz)[1]
+        pr_f, err_f = _prefer_indirect(pr_u[k], err_u[k], 0.0, 0.0)
+        pr_m = eta2 + (1.0 - eta2) * pr_f
+        if pr_m <= 0.0:
+            return 0.0, 0.0, pr_u[k]
+        return pr_m, (0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f) / pr_m, pr_u[k]
 
-    pr_s = np.zeros(d + 1)
-    pr_i = np.zeros(d + 1)
-    pr_m = np.zeros(d + 1)
-    err_s = np.zeros(d + 1)
-    err_i = np.zeros(d + 1)
-    err_m = np.zeros(d + 1)
+    return _levels(vec, (0.5 * eta2, params.err_dxx), value)
 
-    pr_m[d] = pr_d
-    err_m[d] = err_d
 
-    for k in range(d - 1, -1, -1):
-        n_grand = vec[k + 1] if k + 1 < d else 0
-        grand = (pr_m[k + 2], err_m[k + 2]) if n_grand else (1.0, 0.0)
-        pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(
-            vec[k], n_grand, (pr_opener, err_opener), grand
-        )
-        pr_m[k], err_m[k] = _prefer_indirect(pr_i[k], err_i[k], pr_d, err_d)
-
-    return LayerStats(
-        basis=basis, pr_d=pr_d, err_d=err_d,
-        pr_s=pr_s, pr_i=pr_i, pr_m=pr_m,
-        err_s=err_s, err_i=err_i, err_m=err_m,
-    )
-
+# ---------------------------------------------------------------------------
+# Logical rates
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LogicalBsmResult:
@@ -285,137 +322,39 @@ def _complete_bsm_closed(b0: int, eta: float, i1: float, x: float) -> float:
 
 
 def _logical_result(
-    protocol: Protocol, vec: BranchingVector, params: ChannelParams,
-    pr_xx: float, err_xx: float, pr_m: np.ndarray, err_m1: float, i1: float,
+    protocol: Protocol, vec: BranchingVector, params: ChannelParams, zz: LayerStats
 ) -> LogicalBsmResult:
-    """Logical rates at the virtual root from its level-0 vote and level-1 parities.
+    """Logical rates at the virtual root from the pair recursion ``zz``.
 
-    ``pr_m`` holds the per-pair Z-parity rates by level, ``err_m1`` the
-    level-1 value error and ``i1`` the level-1 indirect (upgrade) rate.
+    The level-0 vote is the logical X-parity and the ``b0`` level-1 values
+    form the logical Z-parity; a complete BSM needs every failed first-level
+    pair recovered (``pr_u[1]``) and one complete pair whose child pairs are
+    all measured.
     """
-    pr_zz = float(pr_m[1] ** vec[0])
-    err_zz = parity_error([float(err_m1)], [vec[0]])
-    x = float(pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
+    pr_zz = float(zz.pr_m[1] ** vec[0])
+    err_zz = parity_error([float(zz.err_m[1])], [vec[0]])
+    err_xx = float(zz.err_i[0])
+    x = float(zz.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
     return LogicalBsmResult(
         protocol=protocol, b=vec, params=params,
-        pr_xx=float(pr_xx), pr_zz=pr_zz,
-        pr_complete=_complete_bsm_closed(vec[0], params.eta, float(i1), x),
-        err_xx=float(err_xx), err_zz=err_zz,
-        err_complete=err_zz + (1.0 - err_zz) * float(err_xx),
+        pr_xx=float(zz.pr_i[0]), pr_zz=pr_zz,
+        pr_complete=_complete_bsm_closed(vec[0], params.eta, float(zz.pr_u[1]), x),
+        err_xx=err_xx, err_zz=err_zz,
+        err_complete=err_zz + (1.0 - err_zz) * err_xx,
     )
 
 
 def static_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
     """Evaluate the static protocol exactly on tree shape ``b``."""
     vec = as_branching_vector(b)
-    zz = static_layer_recursion(vec, params, Basis.ZZ)
-    return _logical_result(Protocol.STATIC, vec, params, zz.pr_i[0], zz.err_i[0],
-                           zz.pr_m, zz.err_m[1], zz.pr_i[1])
-
-
-# ---------------------------------------------------------------------------
-# Dynamic recursions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DynamicLayerStats:
-    """Per-level quantities of the adaptive protocol.
-
-    ``pr_i_f``/``err_i_f`` hold the recovery rate of a failed (or partial)
-    pair through two independent single-qubit indirect measurements, one
-    per tree; ``pr_s_c``/``err_s_c`` the chain rate below a complete pair;
-    ``pr_i_c``/``err_i_c`` the majority-voted recovery below a complete
-    pair; ``pr_m`` the per-pair Z-parity rate; ``err_m_c/p/f`` the value
-    error by outcome class and ``err_m_bar`` the class mixture conditioned
-    on the parity being obtained.
-    """
-
-    pr_i_z: np.ndarray
-    err_i_z: np.ndarray
-    pr_i_f: np.ndarray
-    err_i_f: np.ndarray
-    pr_m: np.ndarray
-    pr_s_c: np.ndarray
-    err_s_c: np.ndarray
-    pr_i_c: np.ndarray
-    err_i_c: np.ndarray
-    err_m_c: np.ndarray
-    err_m_p: np.ndarray
-    err_m_bar: np.ndarray
-
-
-def dynamic_layer_recursion(
-    b: BranchingVectorLike, params: ChannelParams
-) -> DynamicLayerStats:
-    """Level recursion of the adaptive protocol.
-
-    Per-pair Z-parity: ``pr_m[k] = eta^2 + (1 - eta^2) * pr_i_f[k]`` -- a
-    complete or partial BSM reads it directly, a failed one is upgraded by
-    the two single-qubit chains.  Below a complete pair, one recovery chain
-    needs a complete child BSM (eta^2/2) and the Z-parity of every
-    grandchild pair; conditional on chain success the grandchild outcome
-    classes are iid, so the chain error is an odd-parity combination of the
-    opener error with the class-mixture error ``err_m_bar[k+2]``.
-    """
-    vec = as_branching_vector(b)
-    d = vec.depth
-    eta = params.eta
-    eta2 = eta**2
-
-    z_side = static_layer_recursion(vec, params, Basis.Z)
-    pr_i_z = z_side.pr_i.copy()
-    err_i_z = z_side.err_i.copy()
-
-    pr_i_f = pr_i_z**2
-    err_i_f = 2.0 * err_i_z - 2.0 * err_i_z**2
-    pr_m = eta2 + (1.0 - eta2) * pr_i_f
-
-    pr_s_c = np.zeros(d + 1)
-    err_s_c = np.zeros(d + 1)
-    pr_i_c = np.zeros(d + 1)
-    err_i_c = np.zeros(d + 1)
-    err_m_c = np.zeros(d + 1)
-    err_m_p = np.zeros(d + 1)
-    err_m_bar = np.zeros(d + 1)
-
-    for k in range(d, -1, -1):
-        if k == d:
-            # Leaves: no chains below, value error is the direct rate.
-            err_m_c[k] = params.err_dzz
-            err_m_p[k] = params.err_dzz
-        else:
-            n_grand = vec[k + 1] if k + 1 < d else 0
-            grand = (pr_m[k + 2], err_m_bar[k + 2]) if n_grand else (1.0, 0.0)
-            pr_s_c[k], err_s_c[k], pr_i_c[k], err_i_c[k] = _chain_step(
-                vec[k], n_grand, (0.5 * eta2, params.err_dxx), grand
-            )
-            # Complete and partial pairs always read the parity directly.
-            err_m_c[k] = _prefer_indirect(pr_i_c[k], err_i_c[k], 1.0, params.err_dzz)[1]
-            err_m_p[k] = _prefer_indirect(pr_i_f[k], err_i_f[k], 1.0, params.err_dzz)[1]
-
-        if pr_m[k] > 0.0:
-            err_m_bar[k] = (
-                0.5 * eta2 * (err_m_c[k] + err_m_p[k])
-                + (1.0 - eta2) * pr_i_f[k] * err_i_f[k]
-            ) / pr_m[k]
-        else:
-            err_m_bar[k] = 0.0
-
-    return DynamicLayerStats(
-        pr_i_z=pr_i_z, err_i_z=err_i_z,
-        pr_i_f=pr_i_f, err_i_f=err_i_f, pr_m=pr_m,
-        pr_s_c=pr_s_c, err_s_c=err_s_c,
-        pr_i_c=pr_i_c, err_i_c=err_i_c,
-        err_m_c=err_m_c, err_m_p=err_m_p, err_m_bar=err_m_bar,
-    )
+    return _logical_result(Protocol.STATIC, vec, params,
+                           static_layer_recursion(vec, params, Basis.ZZ))
 
 
 def dynamic_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
     """Evaluate the adaptive protocol exactly on tree shape ``b``."""
     vec = as_branching_vector(b)
-    dyn = dynamic_layer_recursion(vec, params)
-    return _logical_result(Protocol.DYNAMIC, vec, params, dyn.pr_i_c[0], dyn.err_i_c[0],
-                           dyn.pr_m, dyn.err_m_bar[1], dyn.pr_i_f[1])
+    return _logical_result(Protocol.DYNAMIC, vec, params, dynamic_layer_recursion(vec, params))
 
 
 def logical_bsm(

@@ -54,14 +54,16 @@ def _parse_range(text: str, geometric: bool = False) -> np.ndarray:
         if len(parts) == 1:
             return np.array([float(parts[0])])
         start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2]) if len(parts) == 3 else _DEFAULT_RANGE_COUNT
+        count = float(parts[2] if len(parts) == 3 else _DEFAULT_RANGE_COUNT)
+        if len(parts) > 3 or not count.is_integer():
+            raise ValueError(text)
     except ValueError:
         raise SystemExit(_fail(f"malformed range {text!r}; expected start:stop[:count]"))
     if count < 1:
         raise SystemExit(_fail("range count must be at least 1"))
     if geometric and start > 0 and stop > 0:
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+        return np.geomspace(start, stop, int(count))
+    return np.linspace(start, stop, int(count))
 
 
 def _fail(message: str, code: int = 1) -> int:

@@ -11,13 +11,13 @@ from treebsm.analytic import (
     UnreachableTargetError,
     ConfigurationError,
     _vote_error_mix,
+    _vote_tail,
     dynamic_logical_bsm,
     find_threshold,
     logical_bsm,
     parity_error,
     static_layer_recursion,
     static_logical_bsm,
-    vote_error,
 )
 from treebsm.analytic import _complete_bsm_closed, _complete_bsm_sum
 from treebsm import families
@@ -38,15 +38,15 @@ def _random_trees(rng, count, max_depth=4, max_branch=6):
 
 class TestVoteError:
     def test_three_way_vote(self):
-        assert vote_error(3, 0.1) == pytest.approx(0.028, abs=1e-12)
+        assert _vote_tail(3, 0.1) == pytest.approx(0.028, abs=1e-12)
 
     def test_even_votes_drop_one(self):
         for e in (0.0, 0.05, 0.3, 0.5):
-            assert vote_error(2, e) == pytest.approx(vote_error(1, e), abs=1e-12)
-            assert vote_error(4, e) == pytest.approx(vote_error(3, e), abs=1e-12)
+            assert _vote_tail(2, e) == pytest.approx(_vote_tail(1, e), abs=1e-12)
+            assert _vote_tail(4, e) == pytest.approx(_vote_tail(3, e), abs=1e-12)
 
     def test_single_vote_is_raw_error(self):
-        assert vote_error(1, 0.23) == pytest.approx(0.23)
+        assert _vote_tail(1, 0.23) == pytest.approx(0.23)
 
     def test_matches_binomial_tail(self):
         # The betainc evaluation must agree with the explicit tail sum.
@@ -56,7 +56,7 @@ class TestVoteError:
             tail = sum(
                 math.comb(m, i) * e**i * (1 - e) ** (m - i) for i in range(k0, m + 1)
             )
-            assert vote_error(m, e) == pytest.approx(tail, abs=1e-12)
+            assert _vote_tail(m, e) == pytest.approx(tail, abs=1e-12)
 
 
 def _exact_vote_mix(n, p, e):
@@ -185,14 +185,15 @@ class TestStaticLayers:
         rng = np.random.default_rng(3)
         for b in _random_trees(rng, 20):
             for basis in (Basis.Z, Basis.ZZ):
-                stats = static_layer_recursion(
-                    b, ChannelParams(eta=float(rng.uniform()), eps=0.01), basis
-                )
+                params = ChannelParams(eta=float(rng.uniform()), eps=0.01)
+                stats = static_layer_recursion(b, params, basis)
+                pr_d, err_d = ((params.eta, params.eps) if basis is Basis.Z
+                               else (params.eta**2, params.err_dzz))
                 for arr in (stats.pr_s, stats.pr_i, stats.pr_m):
                     assert np.all((arr >= 0) & (arr <= 1))
                 assert np.all(stats.pr_m >= stats.pr_i - 1e-15)
-                assert np.all(stats.pr_m >= stats.pr_d - 1e-15)
-                assert stats.err_m[stats.depth] == stats.err_d
+                assert np.all(stats.pr_m >= pr_d - 1e-15)
+                assert stats.err_m[stats.depth] == err_d
 
 
 class TestStaticLogical:
@@ -244,6 +245,14 @@ class TestErrors:
             for f in (static_logical_bsm, dynamic_logical_bsm):
                 res = f(b, ChannelParams(eta=0.8, eps=0.0))
                 assert res.err_xx == res.err_zz == res.err_complete == 0.0
+
+    @pytest.mark.parametrize("b", ["1", "2", "3", "2,2"])
+    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
+    def test_parity_that_never_succeeds_has_zero_error(self, b, f):
+        # At eta = 0 no parity is ever obtained, so every conditional error is 0.
+        res = f(b, ChannelParams(eta=0.0, eps=1e-3))
+        assert res.pr_xx == res.pr_zz == res.pr_complete == 0.0
+        assert res.err_xx == res.err_zz == res.err_complete == 0.0
 
     def test_error_monotone_in_eps(self):
         for b in ("2,2", "4,2", "3,2,2"):

@@ -67,6 +67,20 @@ class TestSweep:
                    "--output", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_scientific_notation_count(self, tmp_path):
+        out = tmp_path / "sci.csv"
+        assert main(["sweep", "--protocol", "static", "--b", "2",
+                     "--eta", "0.5:1:1e1", "--output", str(out)]) == 0
+        assert len(read_csv(out)) == 10
+
+    @pytest.mark.parametrize("eta", ["0.5:1:2.5", "0.5:1:5:7"])
+    def test_non_integer_or_extra_count_is_usage_error(self, tmp_path, capsys, eta):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--protocol", "static", "--b", "2",
+                  "--eta", eta, "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        assert "malformed range" in capsys.readouterr().err
+
     def test_thousand_branch_shape(self, tmp_path):
         out = tmp_path / "wide.csv"
         assert main(["sweep", "--protocol", "dynamic", "--b", "1100,2",
