@@ -39,6 +39,9 @@ from .search import SearchBounds, front_to_csv, pareto_front
 from .trees import BranchingVector, ChannelParams
 
 _DEFAULT_RANGE_COUNT = 25
+# Largest point count of one range: a million grid points is far more than
+# any sweep needs, and a count like 1e15 would otherwise reach np.linspace.
+MAX_RANGE_COUNT = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +64,8 @@ def _parse_range(text: str, geometric: bool = False) -> np.ndarray:
         raise SystemExit(_fail(f"malformed range {text!r}; expected start:stop[:count]"))
     if count < 1:
         raise SystemExit(_fail("range count must be at least 1"))
+    if count > MAX_RANGE_COUNT:
+        raise SystemExit(_fail(f"range count {count:g} is above the cap of {MAX_RANGE_COUNT}"))
     if geometric and start > 0 and stop > 0:
         return np.geomspace(start, stop, int(count))
     return np.linspace(start, stop, int(count))
@@ -69,10 +74,6 @@ def _parse_range(text: str, geometric: bool = False) -> np.ndarray:
 def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _protocol(name: str) -> Protocol:
-    return Protocol(name)
 
 
 def _version() -> str:
@@ -110,9 +111,7 @@ def _default_workers() -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    proto = _protocol(args.protocol)
-    if proto is Protocol.LOSS_ONLY:
-        return _fail("sweep evaluates the closed-form engines; use validate for loss-only")
+    proto = Protocol(args.protocol)
     b = BranchingVector.parse(args.b)
     etas = _parse_range(args.eta)
     epss = _parse_range(args.eps, geometric=True)
@@ -140,7 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    proto = _protocol(args.protocol)
+    proto = Protocol(args.protocol)
     if args.family:
         family = [BranchingVector.parse(part) for part in args.family.split(";")]
     else:
@@ -171,7 +170,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    proto = _protocol(args.protocol)
+    proto = Protocol(args.protocol)
     seed = args.seed if args.seed is not None else secrets.randbelow(2**31)
     workers = args.workers
     b = BranchingVector.parse(args.b)
@@ -234,9 +233,7 @@ def _cmd_verify_generation(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    proto = _protocol(args.protocol)
-    if proto is Protocol.LOSS_ONLY:
-        return _fail("search scores trees with the closed-form engines")
+    proto = Protocol(args.protocol)
     bounds = SearchBounds(
         max_depth=args.max_depth,
         max_branch=args.max_branch,

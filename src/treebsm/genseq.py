@@ -16,8 +16,12 @@ Conventions fixed here and relied on by the verifier:
   single-photon rotation that turns leaf copy-bonds into graph edges is
   deferred to the photon's detector; the verifier applies it (an H on each
   leaf photon) before comparing states.
-* A measured matter register is reused by re-initializing a fresh ``|+>``
-  qubit on its next use.
+* Every photon and every register has one fixed tableau qubit: photon p
+  is qubit p, register r is qubit ``n_photons + r``.  A register starts in
+  ``|+>`` and, once measured, is prepared in ``|+>`` again on its next use.
+* Photon columns of the target state come from
+  :meth:`~treebsm.trees.BranchingVector.photon_column`: tree 0's
+  vertices 1..n-1 in breadth-first order, then tree 1's.
 * The logical Bell pair produced by root-X measurements is the graph-type
   pair: its cross generators are (logical X) x (logical Z') and
   (logical Z) x (logical X'), together with both codes' stabilizers.  It
@@ -38,7 +42,9 @@ import numpy as np
 from .stabilizer import (
     PauliString,
     StabilizerTableau,
-    graph_state_tableau,
+    graph_generator,
+    logical_x_string,
+    logical_z_string,
     restricted_to,
     _gf2_solve,
 )
@@ -123,11 +129,9 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
     tree = build_tree(vec)
     ins: list[Instruction] = []
     photon_vertex: dict[int, tuple[int, int]] = {}
-    counter = {"p": 0}
 
     def emit(reg: int, tree_id: int, vertex: int) -> None:
-        p = counter["p"]
-        counter["p"] += 1
+        p = len(photon_vertex)  # photons are numbered in emission order
         photon_vertex[p] = (tree_id, vertex)
         ins.append(Instruction("E", (reg, p)))
 
@@ -151,11 +155,10 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
     ins.append(Instruction("MX", (1,)))
     ins.append(Instruction("MX", (0,)))
 
-    n_registers = 2 if vec.depth == 1 else vec.depth + 1
     return InstructionSequence(
         branching=tuple(vec),
-        n_registers=n_registers,
-        n_photons=counter["p"],
+        n_registers=vec.depth + 1,
+        n_photons=len(photon_vertex),
         instructions=ins,
         photon_vertex=photon_vertex,
     )
@@ -168,49 +171,27 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
 def logical_bell_tableau(b: BranchingVectorLike) -> StabilizerTableau:
     """Stabilizer group of the graph-type logical Bell pair of two tree codes.
 
-    Qubits are ordered tree-0 vertices 1..n-1 (breadth first) followed by
-    tree-1 vertices 1..n-1.  Generators: every K_u of either tree for u at
-    level 2 or deeper, each code's first-level completion products, and
-    the cross pair (X_L Z_L'), (Z_L X_L').
+    Qubits are the photon columns of :meth:`BranchingVector.photon_column`:
+    tree-0 vertices 1..n-1 (breadth first) followed by tree-1 vertices
+    1..n-1.  Generators: every K_u of either tree for u at level 2 or
+    deeper, each code's first-level completion products, and the cross pair
+    (X_L Z_L'), (Z_L X_L').
     """
     vec = as_branching_vector(b)
     tree = build_tree(vec)
-    per = tree.n_vertices - 1  # photons per tree (root is matter-side)
-    n = 2 * per
-
-    def pos(tree_id: int, vertex: int) -> int:
-        return tree_id * per + (vertex - 1)
+    n = 2 * (tree.n_vertices - 1)
+    # Vertex v of tree t sits in column offsets[t] + v; the root would sit at offsets[t].
+    offsets = [vec.photon_column(tree_id, 0) for tree_id in (0, 1)]
+    lead, *others = tree.children[0]
 
     gens: list[PauliString] = []
-    for tree_id in (0, 1):
-        for u in range(1, tree.n_vertices):
-            if tree.level[u] < 2:
-                continue
-            p = PauliString.identity(n)
-            p.xs[pos(tree_id, u)] = True
-            for w in tree.neighbors(u):
-                p.zs[pos(tree_id, w)] = True
-            gens.append(p)
-        first_level = tree.children[0]
-        lead = first_level[0]
-        for other in first_level[1:]:
-            p = PauliString.identity(n)
-            for v in (lead, other):
-                p.xs[pos(tree_id, v)] = True
-                for w in tree.children[v]:
-                    p.zs[pos(tree_id, w)] ^= True
-            gens.append(p)
-
-    # Cross generators: X_L Z_L' and Z_L X_L'.
-    for a, bb in ((0, 1), (1, 0)):
-        p = PauliString.identity(n)
-        lead = tree.children[0][0]
-        p.xs[pos(a, lead)] = True
-        for w in tree.children[lead]:
-            p.zs[pos(a, w)] = True
-        for v in tree.children[0]:
-            p.zs[pos(bb, v)] ^= True
-        gens.append(p)
+    for off in offsets:
+        gens += [graph_generator(tree, u, n, off)
+                 for u in range(tree.n_vertices) if tree.level[u] >= 2]
+        gens += [logical_x_string(tree, n, off, lead) * logical_x_string(tree, n, off, v)
+                 for v in others]
+    for x_off, z_off in (offsets, offsets[::-1]):
+        gens.append(logical_x_string(tree, n, x_off) * logical_z_string(tree, n, z_off))
     return StabilizerTableau.from_generators(gens)
 
 
@@ -233,61 +214,58 @@ def execute_sequence(
 ) -> StabilizerTableau:
     """Run a sequence on the tableau engine; returns the photon-only state.
 
-    Photons occupy tableau qubits 0..P-1 in emission order; matter
-    registers are allocated on demand (fresh ``|+>`` per use) and are all
-    destructively measured out by a complete program.  The deferred leaf
-    rotation (H on each leaf photon) is applied before returning.
+    Photon p is tableau qubit p and register r is qubit ``n_photons + r``.
+    A register is prepared in ``|+>`` on first use and again on every use
+    after a measurement; a complete program destructively measures every
+    register out.  The deferred leaf rotation (H on each leaf photon) is
+    applied before returning.
     """
     vec = as_branching_vector(seq.branching)
-    t = StabilizerTableau(0)
-    photon_q: dict[int, int] = {}
-    for p in range(seq.n_photons):
-        q = t.add_qubit("0")
-        photon_q[p] = q
-    reg_q: dict[int, int] = {}
+    n_p = seq.n_photons
+    t = StabilizerTableau.from_generators(
+        PauliString.single(n_p + seq.n_registers, p, "Z") for p in range(n_p)
+    )
+    live: set[int] = set()  # registers prepared and not yet measured
 
-    def reg(r: int) -> int:
-        if r not in reg_q:
-            reg_q[r] = t.add_qubit("+")
-        return reg_q[r]
+    def reg(ins: Instruction, r: int) -> int:
+        if not 0 <= r < seq.n_registers:
+            raise ValueError(f"{ins.to_line()!r}: register {r} outside 0..{seq.n_registers - 1}")
+        if r not in live:
+            t.prepare(n_p + r, "X")
+            live.add(r)
+        return n_p + r
 
     outcomes = iter(forced_outcomes) if forced_outcomes is not None else None
-
-    def next_outcome() -> int | None:
-        if outcomes is None:
-            return None
-        return next(outcomes)
 
     for ins in seq.instructions:
         if ins.opcode == "E":
             r, p = ins.args
-            t.apply_cnot(reg(r), photon_q[p])
+            if not 0 <= p < n_p:
+                raise ValueError(f"{ins.to_line()!r}: photon {p} outside 0..{n_p - 1}")
+            t.apply_cnot(reg(ins, r), p)
         elif ins.opcode == "H":
-            t.apply_h(reg(ins.args[0]))
+            t.apply_h(reg(ins, ins.args[0]))
         elif ins.opcode == "CZ":
-            t.apply_cz(reg(ins.args[0]), reg(ins.args[1]))
+            t.apply_cz(reg(ins, ins.args[0]), reg(ins, ins.args[1]))
         elif ins.opcode in ("MX", "MY", "MZ"):
-            basis = ins.opcode[1]
-            r = ins.args[0]
-            t.measure(reg(r), basis, outcome=next_outcome(), rng=rng, destructive=True)
-            del reg_q[r]  # next use re-initializes
+            outcome = next(outcomes) if outcomes is not None else None
+            t.measure(reg(ins, ins.args[0]), ins.opcode[1], outcome=outcome, rng=rng,
+                      destructive=True)
+            live.remove(ins.args[0])
         else:
             raise ValueError(f"unknown opcode {ins.opcode}")
 
-    if reg_q:
-        raise ValueError(f"registers never measured out: {sorted(reg_q)}")
+    if live:
+        raise ValueError(f"registers never measured out: {sorted(live)}")
 
-    # Deferred single-photon rotation on the leaves, which come last in BFS order.
-    first_leaf = photon_count(vec) - vec.level_sizes()[-1]
+    # Deferred single-photon rotation on the leaves; order the photons into
+    # the target's columns.
+    leaves = vec.level_vertices(vec.depth)
+    order = [None] * (2 * (photon_count(vec) - 1))
     for p, (tree_id, vertex) in seq.photon_vertex.items():
-        if vertex >= first_leaf:
-            t.apply_h(photon_q[p])
-
-    # Reorder photons into (tree 0 BFS, tree 1 BFS) to match the target.
-    per = photon_count(vec) - 1
-    order = [None] * (2 * per)
-    for p, (tree_id, vertex) in seq.photon_vertex.items():
-        order[tree_id * per + (vertex - 1)] = photon_q[p]
+        if vertex in leaves:
+            t.apply_h(p)
+        order[vec.photon_column(tree_id, vertex)] = p
     return restricted_to(t, order)
 
 
@@ -314,40 +292,30 @@ def verify_bell_pair(
     state = execute_sequence(seq, rng=rng, forced_outcomes=forced_outcomes)
     target = logical_bell_tableau(vec)
 
+    def result(ok: bool, detail: str, corr: PauliString | None = None) -> VerifyResult:
+        return VerifyResult(ok, seq.n_registers, seq.n_photons, corr, detail)
+
     if state.n_generators != target.n_generators:
-        return VerifyResult(
-            False, seq.n_registers, seq.n_photons, None,
-            f"rank mismatch: got {state.n_generators}, want {target.n_generators}",
-        )
+        return result(False, f"rank mismatch: got {state.n_generators}, "
+                             f"want {target.n_generators}")
 
     # Unsigned group comparison first.
     cs, ct = state.canonical(), target.canonical()
-    if not (np.array_equal(cs.xs, ct.xs) and np.array_equal(cs.zs, ct.zs)):
-        for i in range(ct.n_generators):
-            if not (
-                np.array_equal(cs.xs[i], ct.xs[i]) and np.array_equal(cs.zs[i], ct.zs[i])
-            ):
-                return VerifyResult(
-                    False, seq.n_registers, seq.n_photons, None,
-                    f"unsigned group mismatch at canonical row {i}: "
-                    f"got {cs.generator(i).to_label()}, want {ct.generator(i).to_label()}",
-                )
+    differ = np.flatnonzero((cs.xs != ct.xs).any(axis=1) | (cs.zs != ct.zs).any(axis=1))
+    if differ.size:
+        i = differ[0]
+        return result(False, f"unsigned group mismatch at canonical row {i}: "
+                             f"got {cs.generator(i).to_label()}, want {ct.generator(i).to_label()}")
 
     # Solve for the Pauli frame that fixes the sign defects.
     defects = (cs.phase != ct.phase).astype(np.uint8)
     a = np.hstack([ct.zs, ct.xs]).astype(np.uint8)  # commutation pairing matrix
     sol = _gf2_solve(a, defects, 2 * state.n)
     if sol is None:
-        return VerifyResult(
-            False, seq.n_registers, seq.n_photons, None,
-            "no Pauli correction realizes the sign pattern",
-        )
+        return result(False, "no Pauli correction realizes the sign pattern")
     corr = PauliString(sol[: state.n].astype(bool), sol[state.n:].astype(bool), 1)
     state.apply_pauli(corr)
 
-    cs = state.canonical()
-    if np.array_equal(cs.phase, ct.phase):
-        return VerifyResult(True, seq.n_registers, seq.n_photons, corr, "ok")
-    return VerifyResult(
-        False, seq.n_registers, seq.n_photons, corr, "sign mismatch after correction"
-    )
+    if np.array_equal(state.canonical().phase, ct.phase):
+        return result(True, "ok", corr)
+    return result(False, "sign mismatch after correction", corr)

@@ -8,6 +8,10 @@ decision procedure reads the same world; distinct recovery attempts use
 disjoint photons, which is what makes the product/independence structure
 of the exact recursions hold sample-by-sample.
 
+The sampler functions take the tree's :class:`~treebsm.trees.BranchingVector`.
+A world holds one (samples, level size) array per level, viewed as
+(samples, parent nodes, b_k) to reach each node's children.
+
 Every protocol applies one recovery rule, coded once in :func:`_recover`
 and walked from the leaves (level d) to the virtual root (level 0): a lost
 value is rebuilt from indirect chains, a chain is an opener plus all of
@@ -46,7 +50,13 @@ from typing import Callable
 import numpy as np
 
 from .analytic import Protocol
-from .trees import BranchingVectorLike, ChannelParams, as_branching_vector
+from .trees import (
+    BranchingVector,
+    BranchingVectorLike,
+    ChannelParams,
+    as_branching_vector,
+    photon_count,
+)
 
 # Samples per world.  Part of the stream contract: a world draws each plane
 # for all of its samples at once, so another chunk size gives other counters.
@@ -197,35 +207,25 @@ def z_score(estimate: float, reference: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Tree layout and world container
+# Level arrays and the world container
 # ---------------------------------------------------------------------------
 
-class TreeLayout:
-    """Per-level array geometry of one tree; level 0 is the single root."""
+def _group(arr: np.ndarray, bk: int) -> np.ndarray:
+    """View a level-(k+1) array as (samples, level-k nodes, b_k)."""
+    return arr.reshape(arr.shape[0], -1, bk)
 
-    def __init__(self, b: BranchingVectorLike):
-        self.b = tuple(as_branching_vector(b))
-        self.depth = len(self.b)
-        self.sizes = [1]
-        for bk in self.b:
-            self.sizes.append(self.sizes[-1] * bk)
-        self.n_per_side = sum(self.sizes[1:])
 
-    def group(self, arr: np.ndarray, k: int) -> np.ndarray:
-        """View a level-(k+1) array as (samples, level-k nodes, b_k)."""
-        n = arr.shape[0]
-        return arr.reshape(n, self.sizes[k], self.b[k])
+def chunk_bytes(vec: BranchingVector, n: int, want_errors: bool) -> int:
+    """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
 
-    def chunk_bytes(self, n: int, want_errors: bool) -> int:
-        """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
-
-        One byte per photon and sample for each plane (loss on both sides and
-        the coin; with errors also both sides' faults and the three tie
-        planes), one tie byte per sample at the top, and 8 bytes per sample
-        for the widest level's float64 uniforms.
-        """
-        planes = 8 if want_errors else 3
-        return n * (planes * self.n_per_side + int(want_errors) + 8 * max(self.sizes))
+    One byte per photon and sample for each plane (loss on both sides and
+    the coin; with errors also both sides' faults and the three tie
+    planes), one tie byte per sample at the top, and 8 bytes per sample
+    for the widest level's float64 uniforms (the leaves).
+    """
+    planes = 8 if want_errors else 3
+    leaves = len(vec.level_vertices(vec.depth))
+    return n * (planes * (photon_count(vec) - 1) + int(want_errors) + 8 * leaves)
 
 
 @dataclass
@@ -266,15 +266,15 @@ def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
 
 
 def draw_world(
-    layout: TreeLayout, params: ChannelParams, n: int, rng: np.random.Generator
+    vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator
 ) -> World:
     """Sample a world batch; the draw order here is part of the stream contract.
 
     Every plane is one ``rng.random`` fill of (n, s_k) uniforms, thresholded,
-    through one buffer sized for the widest level.
+    through one buffer sized for the widest level, the leaves.
     """
-    d = layout.depth
-    buf = np.empty(n * max(layout.sizes))
+    d = vec.depth
+    buf = np.empty(n * len(vec.level_vertices(d)))
 
     def uniform(s: int) -> np.ndarray:
         u = buf[:n * s].reshape(n, s)
@@ -282,7 +282,7 @@ def draw_world(
         return u
 
     def per_level(decode: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
-        return [None] + [decode(uniform(layout.sizes[k])) for k in range(1, d + 1)]
+        return [None] + [decode(uniform(len(vec.level_vertices(k)))) for k in range(1, d + 1)]
 
     det_a = per_level(lambda u: u < params.eta)
     det_b = per_level(lambda u: u < params.eta)
@@ -344,7 +344,7 @@ _ROOT = (False, True, True, False, False)
 
 
 def _recover(
-    layout: TreeLayout,
+    vec: BranchingVector,
     level: Callable[[int], tuple],
     ties: list | None,
     top: int = 0,
@@ -361,7 +361,7 @@ def _recover(
     breaks even votes, and an available vote beats the direct readout.
     Only level k + 1's planes are kept while level k is evaluated.
     """
-    d = layout.depth
+    d = vec.depth
     ind = [None] * (d + 1)
     err_ind = [None] * (d + 1)
     can = chain = err = err_chain = None
@@ -371,13 +371,13 @@ def _recover(
             kids_ok, err_kids = True, False
             ind[k] = err_ind[k] = np.zeros_like(direct)
         else:
-            kids_ok = layout.group(can, k).all(axis=2)
-            votes = layout.group(chain, k)
+            kids_ok = _group(can, vec[k]).all(axis=2)
+            votes = _group(chain, vec[k])
             ind[k] = votes.any(axis=2) & gate
             if ties is not None:
-                err_kids = np.logical_xor.reduce(layout.group(err, k), axis=2)
-                count = np.min_scalar_type(layout.b[k])  # unsigned, holds up to b_k votes
-                wrong = (votes & layout.group(err_chain, k)).sum(axis=2, dtype=count)
+                err_kids = np.logical_xor.reduce(_group(err, vec[k]), axis=2)
+                count = np.min_scalar_type(vec[k])  # unsigned, holds up to b_k votes
+                wrong = (votes & _group(err_chain, vec[k])).sum(axis=2, dtype=count)
                 err_ind[k] = _majority_wrong(wrong, votes.sum(axis=2, dtype=count), ties[k])
         can = direct | ind[k]
         chain = opener & kids_ok
@@ -405,7 +405,7 @@ def _logical(root: _Recovery, want_errors: bool):
     return success, success & root.err_chain[:, 0], success & root.err_ind[0][:, 0]
 
 
-def _side(layout: TreeLayout, det: list, fault: list | None, ties: list | None) -> _Recovery:
+def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None) -> _Recovery:
     """Single-qubit Z readouts of one tree, levels d..1.
 
     A photon is its own direct readout and opens its parent's chain with an
@@ -416,14 +416,14 @@ def _side(layout: TreeLayout, det: list, fault: list | None, ties: list | None) 
             return det[k], det[k], True, None, None
         return det[k], det[k], True, _Z_FLIP[fault[k]], _X_FLIP[fault[k]]
 
-    return _recover(layout, level, ties, top=1)
+    return _recover(vec, level, ties, top=1)
 
 
 # ---------------------------------------------------------------------------
 # Static protocol
 # ---------------------------------------------------------------------------
 
-def eval_static(layout: TreeLayout, world: World, want_errors: bool):
+def eval_static(vec: BranchingVector, world: World, want_errors: bool):
     """Success and (optionally) logical-error flags for the static rules.
 
     Every pair gets a BSM.  The logical Z-parity needs every first-level
@@ -441,14 +441,14 @@ def eval_static(layout: TreeLayout, world: World, want_errors: bool):
             return both, complete, True, None, None
         return (both, complete, True, *_pair_flips(world.fault_a[k], world.fault_b[k]))
 
-    return _logical(_recover(layout, level, _root_ties(world, want_errors)), want_errors)
+    return _logical(_recover(vec, level, _root_ties(world, want_errors)), want_errors)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic protocol
 # ---------------------------------------------------------------------------
 
-def eval_dynamic(layout: TreeLayout, world: World, want_errors: bool):
+def eval_dynamic(vec: BranchingVector, world: World, want_errors: bool):
     """Success and logical-error flags for the adaptive rules.
 
     First-level pairs get BSMs; the children of a complete pair get BSMs,
@@ -457,8 +457,8 @@ def eval_dynamic(layout: TreeLayout, world: World, want_errors: bool):
     the product of the two sides' single-qubit indirect readouts, and only
     a complete pair can vote over chains of its children.
     """
-    a = _side(layout, world.det_a, world.fault_a, world.tie_side_a if want_errors else None)
-    b = _side(layout, world.det_b, world.fault_b, world.tie_side_b if want_errors else None)
+    a = _side(vec, world.det_a, world.fault_a, world.tie_side_a if want_errors else None)
+    b = _side(vec, world.det_b, world.fault_b, world.tie_side_b if want_errors else None)
 
     def level(k: int) -> tuple:
         if k == 0:
@@ -473,14 +473,14 @@ def eval_dynamic(layout: TreeLayout, world: World, want_errors: bool):
         up_err = a.err_ind[k] ^ b.err_ind[k]
         return both | upgrade, complete, complete, np.where(~complete & upgrade, up_err, zz), xx
 
-    return _logical(_recover(layout, level, _root_ties(world, want_errors)), want_errors)
+    return _logical(_recover(vec, level, _root_ties(world, want_errors)), want_errors)
 
 
 # ---------------------------------------------------------------------------
 # Loss-only protocol
 # ---------------------------------------------------------------------------
 
-def eval_loss_only(layout: TreeLayout, world: World, want_errors: bool = False):
+def eval_loss_only(vec: BranchingVector, world: World, want_errors: bool = False):
     """Success flags when everything below level 1 is single-qubit measured.
 
     The children of complete (and partial) first-level pairs are
@@ -488,8 +488,8 @@ def eval_loss_only(layout: TreeLayout, world: World, want_errors: bool = False):
     both sides individually; failed first-level pairs recover through the
     two sides' indirect chains, exactly as in the adaptive protocol.
     """
-    a = _side(layout, world.det_a, None, None)
-    b = _side(layout, world.det_b, None, None)
+    a = _side(vec, world.det_a, None, None)
+    b = _side(vec, world.det_b, None, None)
 
     def level(k: int) -> tuple:
         if k == 0:
@@ -498,7 +498,7 @@ def eval_loss_only(layout: TreeLayout, world: World, want_errors: bool = False):
         opener = both & world.coin[1] & a.chain & b.chain
         return both | (a.ind[1] & b.ind[1]), opener, True, None, None
 
-    return _logical(_recover(layout, level, None, bottom=1), False)
+    return _logical(_recover(vec, level, None, bottom=1), False)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +525,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_chunk(layout: TreeLayout, params: ChannelParams, n: int, rng: np.random.Generator,
+def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
                   evaluator, want_errors: bool) -> tuple[np.ndarray, int]:
     """Draw, evaluate and tally one world, which is released on return.
 
     Returns the (success, zz, xx, joint) counts and the world's bytes.
     """
-    world = draw_world(layout, params, n, rng)
-    success, zz_err, xx_err = evaluator(layout, world, want_errors)
+    world = draw_world(vec, params, n, rng)
+    success, zz_err, xx_err = evaluator(vec, world, want_errors)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
     return np.array(counts, dtype=np.int64), world.nbytes
 
@@ -543,16 +543,16 @@ def run(cfg: SampleConfig) -> McEstimate:
         raise UnsupportedConfigurationError(
             "the loss-only strategy cannot correct measurement errors; set eps=0"
         )
-    layout = TreeLayout(cfg.b)
+    vec = as_branching_vector(cfg.b)
     params = cfg.params
     evaluator = _EVALUATORS[cfg.protocol]
     want_errors = cfg.eps > 0.0
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    chunk = layout.chunk_bytes(min(_CHUNK, base + (rem > 0)), want_errors)
+    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), want_errors)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
-            f"({layout.n_per_side} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
+            f"({photon_count(vec) - 1} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
         )
 
     def worker(w: int) -> tuple[np.ndarray, int]:
@@ -560,7 +560,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         quota = base + (1 if w < rem else 0)
         totals, world_bytes = np.zeros(4, dtype=np.int64), 0
         for done in range(0, quota, _CHUNK):
-            counts, nbytes = _sample_chunk(layout, params, min(_CHUNK, quota - done), rng,
+            counts, nbytes = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng,
                                            evaluator, want_errors)
             totals += counts
             world_bytes = max(world_bytes, nbytes)
@@ -595,31 +595,24 @@ def run(cfg: SampleConfig) -> McEstimate:
 # Exhaustive enumeration (loss patterns x coins), exact probabilities
 # ---------------------------------------------------------------------------
 
-def _levels_from_flat(layout: TreeLayout, flat: np.ndarray) -> list[np.ndarray]:
-    out = [None]
-    pos = 0
-    for k in range(1, layout.depth + 1):
-        s = layout.sizes[k]
-        out.append(flat[:, pos:pos + s])
-        pos += s
-    return out
-
-
 def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], evaluator) -> float:
     """Exact success probability summed over every assignment of per-pair atoms.
 
     An atom is a ``(det_a, det_b, coin)`` triple; ``probs`` are their weights.
     """
-    layout = TreeLayout(b)
-    n_pairs = layout.n_per_side
+    vec = as_branching_vector(b)
+    n_pairs = photon_count(vec) - 1
     if len(atoms) ** n_pairs > 4_000_000:
         raise ValueError(f"{n_pairs} pairs is too many for enumeration")
     digits = np.array(
         np.meshgrid(*([np.arange(len(atoms))] * n_pairs), indexing="ij")
     ).reshape(n_pairs, -1).T  # (atoms^P, P)
     weights = np.array(probs)[digits].prod(axis=1)
-    det_a, det_b, coin = (_levels_from_flat(layout, np.array(col)[digits]) for col in zip(*atoms))
-    success, _, _ = evaluator(layout, World(det_a=det_a, det_b=det_b, coin=coin), False)
+    # Split the photon columns into levels 1..d.
+    cuts = [vec.photon_column(0, vec.level_vertices(k).start) for k in range(2, vec.depth + 1)]
+    det_a, det_b, coin = ([None, *np.split(np.array(col)[digits], cuts, axis=1)]
+                          for col in zip(*atoms))
+    success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin), False)
     return float(weights[success].sum())
 
 
@@ -667,7 +660,7 @@ class _BasisAudit:
 
 
 def reference_dynamic_sample(
-    layout: TreeLayout, world: World, i: int
+    vec: BranchingVector, world: World, i: int
 ) -> tuple[bool, bool, bool]:
     """One adaptive sample, evaluated recursively with the basis audit.
 
@@ -675,7 +668,7 @@ def reference_dynamic_sample(
     evaluator must reproduce all three bit-for-bit on the same world.
     """
     audit = _BasisAudit()
-    d = layout.depth
+    d = vec.depth
 
     def det(side: str, k: int, j: int) -> bool:
         arr = world.det_a if side == "A" else world.det_b
@@ -688,7 +681,7 @@ def reference_dynamic_sample(
     def children(k: int, j: int) -> range:
         if k >= d:
             return range(0)
-        return range(j * layout.b[k], (j + 1) * layout.b[k])
+        return range(j * vec[k], (j + 1) * vec[k])
 
     def side_iz(side: str, k: int, j: int) -> tuple[bool, bool]:
         """Indirect-only Z readout (the node's own photon is unavailable)."""
@@ -766,12 +759,12 @@ def reference_dynamic_sample(
 
     zz_total_err = False
     all_ok = True
-    for j in range(layout.sizes[1]):
+    for j in range(vec[0]):
         ok, e = pair_zz(1, j)
         all_ok &= ok
         zz_total_err ^= e
     top_chains = [
-        c for j in range(layout.sizes[1]) if (c := pair_zz_chain(1, j)) is not None
+        c for j in range(vec[0]) if (c := pair_zz_chain(1, j)) is not None
     ]
     success = all_ok and bool(top_chains)
     if not success:

@@ -140,7 +140,7 @@ class StabilizerTableau:
     The generator count may be below ``n`` (code states).  Destructive
     measurements drop the measured qubit's residual generator and retire
     the qubit; retired columns are excluded from serialization, canonical
-    forms and equality.
+    forms and equality until :meth:`prepare` puts the qubit in a fresh state.
     """
 
     def __init__(self, n: int):
@@ -209,15 +209,23 @@ class StabilizerTableau:
             if later.size:
                 raise ValueError(f"generators {i} and {i + 1 + later[0]} anticommute")
 
-    def add_qubit(self, state: str = "0") -> int:
-        """Append a fresh qubit stabilized by +Z (``"0"``) or +X (``"+"``)."""
-        q = self.n
-        self.n += 1
-        self.xs = np.hstack([self.xs, np.zeros((self.n_generators, 1), dtype=bool)])
-        self.zs = np.hstack([self.zs, np.zeros((self.n_generators, 1), dtype=bool)])
-        letter = {"0": "Z", "+": "X"}[state]
-        self._append_rows([PauliString.single(self.n, q, letter)])
-        return q
+    def prepare(self, q: int, letter: str) -> None:
+        """Put qubit ``q`` in the +1 eigenstate of a one-qubit Pauli (``"X"``, ``"-Z"``, ...).
+
+        No generator may act on ``q``: it is a column never used yet or one
+        a destructive measurement retired, which this brings back.
+        """
+        if not 0 <= q < self.n:
+            raise ValueError(f"qubit {q} out of range")
+        if self.xs[:, q].any() or self.zs[:, q].any():
+            raise ValueError(f"qubit {q} is still acted on by a generator")
+        p = PauliString.from_label(letter)
+        if p.n != 1 or not (p.xs[0] or p.zs[0]):
+            raise ValueError(f"expected a one-qubit Pauli label like '+X', got {letter!r}")
+        row = PauliString.identity(self.n)
+        row.xs[q], row.zs[q], row.sign = p.xs[0], p.zs[0], p.sign
+        self._append_rows([row])
+        self.discarded.discard(q)
 
     # -- row arithmetic ------------------------------------------------------
 
@@ -446,16 +454,19 @@ def tableau_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
 # Graph states and the tree-code encoding
 # ---------------------------------------------------------------------------
 
+def graph_generator(tree: TreeGraph, v: int, n: int, offset: int = 0) -> PauliString:
+    """X on vertex ``v``, Z on every neighbor (vertex ids offset), on ``n`` qubits."""
+    p = PauliString.identity(n)
+    p.xs[offset + v] = True
+    for w in tree.neighbors(v):
+        p.zs[offset + w] = True
+    return p
+
+
 def graph_state_tableau(tree: TreeGraph) -> StabilizerTableau:
     """One generator per vertex: X there, Z on every neighbor, sign +."""
     n = tree.n_vertices
-    gens = []
-    for v in range(n):
-        p = PauliString.single(n, v, "X")
-        for w in tree.neighbors(v):
-            p.zs[w] = True
-        gens.append(p)
-    return StabilizerTableau.from_generators(gens)
+    return StabilizerTableau.from_generators(graph_generator(tree, v, n) for v in range(n))
 
 
 def logical_x_string(tree: TreeGraph, n: int, offset: int = 0, level1_vertex: int | None = None) -> PauliString:
@@ -492,48 +503,25 @@ def encode_logical(
     the code tableau on the remaining ``n - 1`` qubits with the logical
     operators designated.
     """
-    t = graph_state_tableau(tree)
-    inp = t.add_qubit("0")
-    prep = PauliString.from_label(state_prep)
-    if prep.n != 1 or (not prep.xs[0] and not prep.zs[0]):
-        raise ValueError("state_prep must be a single-qubit Pauli label like '+X'")
-    # Rewrite the fresh +Z row into the requested input stabilizer.
-    stab = PauliString.single(t.n, inp, _letter_of(prep), sign=prep.sign)
-    t.xs[-1] = stab.xs
-    t.zs[-1] = stab.zs
-    t.phase[-1] = np.uint8(_phase_of(stab))
-
+    n = tree.n_vertices
+    t = StabilizerTableau.from_generators(graph_generator(tree, v, n + 1) for v in range(n))
+    inp = n
+    t.prepare(inp, state_prep)
     t.apply_cz(inp, 0)
     forced = outcomes if outcomes is not None else (None, None)
     m_in = t.measure(inp, "X", outcome=forced[0], rng=rng, destructive=True)
     m_root = t.measure(0, "X", outcome=forced[1], rng=rng, destructive=True)
 
-    n_all = t.n
-    x_l = logical_x_string(tree, n_all)
-    z_l = logical_z_string(tree, n_all)
     if m_root == -1:
-        t.apply_pauli(x_l)
+        t.apply_pauli(logical_x_string(tree, n + 1))
     if m_in == -1:
-        t.apply_pauli(z_l)
+        t.apply_pauli(logical_z_string(tree, n + 1))
 
-    code = restricted_to(t, [v for v in range(tree.n_vertices) if v != 0])
-    remap = {v: v - 1 for v in range(1, tree.n_vertices)}
-    code.x_logical = _remap_pauli(x_l, remap, code.n)
-    code.z_logical = _remap_pauli(z_l, remap, code.n)
+    # Dropping the root shifts every vertex id down by one.
+    code = restricted_to(t, range(1, n))
+    code.x_logical = logical_x_string(tree, n - 1, offset=-1)
+    code.z_logical = logical_z_string(tree, n - 1, offset=-1)
     return code
-
-
-def _letter_of(p: PauliString) -> str:
-    return _LETTER[(int(p.xs[0]), int(p.zs[0]))]
-
-
-def _remap_pauli(p: PauliString, mapping: dict[int, int], n_new: int) -> PauliString:
-    q = PauliString.identity(n_new)
-    for old, new in mapping.items():
-        q.xs[new] = p.xs[old]
-        q.zs[new] = p.zs[old]
-    q.sign = p.sign
-    return q
 
 
 def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:

@@ -4,13 +4,14 @@ Everything downstream (exact recursions, Monte-Carlo sampling, stabilizer
 verification, tree search) is driven by a *branching vector*
 ``b = (b_0, ..., b_{d-1})``: a rooted tree of depth ``d`` in which every
 vertex at level ``k < d`` has exactly ``b_k`` children.  This module owns
-that type, the materialized :class:`TreeGraph` with its fixed breadth-first
-vertex numbering, and the photon-channel parameters.
+that type and the tree layout every engine reads from it (the vertex ids
+of each level and the photon columns left when the root is dropped), the
+materialized :class:`TreeGraph`, and the photon-channel parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 # build_tree refuses to materialize trees above this vertex count; the
@@ -60,12 +61,27 @@ class BranchingVector:
     def depth(self) -> int:
         return len(self.branches)
 
-    def level_sizes(self) -> list[int]:
-        """Vertex counts per level, root included: ``[1, b0, b0*b1, ...]``."""
-        sizes = [1]
-        for bk in self.branches:
-            sizes.append(sizes[-1] * bk)
-        return sizes
+    def level_vertices(self, k: int) -> range:
+        """Breadth-first ids of the level-``k`` vertices (0 is the root, ``depth`` the leaves).
+
+        Level ``k`` holds ``b_0 * ... * b_{k-1}`` vertices numbered after all
+        levels above it, so ``level_vertices(depth).stop`` is the vertex count.
+        """
+        if not 0 <= k <= self.depth:
+            raise IndexError(f"level {k} outside 0..{self.depth}")
+        start, size = 0, 1
+        for bk in self.branches[:k]:
+            start += size
+            size *= bk
+        return range(start, start + size)
+
+    def photon_column(self, tree_id: int, vertex: int) -> int:
+        """Column of a vertex among the photons of trees laid side by side.
+
+        Roots stay on the matter side, so each tree holds ``n - 1`` columns:
+        its vertices 1..n-1 in breadth-first order.
+        """
+        return tree_id * (photon_count(self) - 1) + vertex - 1
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.branches)
@@ -117,9 +133,8 @@ class TreeGraph:
     """A rooted tree with breadth-first vertex numbering.
 
     Vertex 0 is the root; level-(k+1) vertices follow all level-k vertices,
-    and the children of each vertex are contiguous.  Samplers, stabilizer
-    tableaux and generation sequences all rely on this numbering, so it is
-    fixed here once.
+    and the children of each vertex are contiguous.  The numbering is the
+    one :meth:`BranchingVector.level_vertices` fixes.
     """
 
     branching: BranchingVector
@@ -127,8 +142,6 @@ class TreeGraph:
     parent: list[int]           # parent[v]; -1 for the root
     children: list[list[int]]   # children[v] in increasing vertex order
     level: list[int]            # level[v]; 0 for the root
-    level_start: list[int] = field(repr=False)   # first vertex index per level
-    level_size: list[int] = field(repr=False)    # vertex count per level
 
     @property
     def depth(self) -> int:
@@ -148,19 +161,12 @@ def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
         raise TreeTooLargeError(
             f"tree {vec} has {n} vertices, above the cap of {vertex_cap}"
         )
-    sizes = vec.level_sizes()
-    level_start = [0]
-    for s in sizes[:-1]:
-        level_start.append(level_start[-1] + s)
-
     parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     level = [0] * n
     for k, bk in enumerate(vec.branches):
-        first_parent = level_start[k]
-        first_child = level_start[k + 1]
-        for i in range(sizes[k]):
-            p = first_parent + i
+        first_child = vec.level_vertices(k + 1).start
+        for i, p in enumerate(vec.level_vertices(k)):
             kids = list(range(first_child + i * bk, first_child + (i + 1) * bk))
             children[p] = kids
             for c in kids:
@@ -172,8 +178,6 @@ def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
         parent=parent,
         children=children,
         level=level,
-        level_start=level_start,
-        level_size=sizes,
     )
 
 

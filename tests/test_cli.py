@@ -81,6 +81,15 @@ class TestSweep:
         assert exc.value.code == 1
         assert "malformed range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["1e15", "1000000000000000"])
+    def test_huge_count_is_usage_error(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--protocol", "static", "--b", "2",
+                  "--eta", f"0.5:1:{count}", "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        assert f"cap of {cli.MAX_RANGE_COUNT}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_thousand_branch_shape(self, tmp_path):
         out = tmp_path / "wide.csv"
         assert main(["sweep", "--protocol", "dynamic", "--b", "1100,2",
@@ -100,6 +109,19 @@ class TestSweep:
         rc = main(["sweep", "--protocol", "static", "--b", "2",
                    "--output", "/nonexistent-dir/x.csv"])
         assert rc == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--b", "2"],
+    ["search", "--eta", "0.9"],
+])
+def test_closed_form_commands_refuse_loss_only(tmp_path, capsys, command):
+    # Only validate samples the loss-only protocol; the closed-form commands
+    # do not offer it as a choice.
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--protocol", "loss-only", "--output", str(tmp_path / "x.csv")])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestThreshold:

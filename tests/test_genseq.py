@@ -117,6 +117,36 @@ class TestVerify:
             execute_sequence(bad, forced_outcomes=[1] * 10)
 
 
+class TestProgramChecks:
+    """Hand-built programs with indices outside their declared counts."""
+
+    def _program(self, lines, n_registers=2, n_photons=2):
+        ins = [Instruction.from_line(line) for line in lines]
+        return InstructionSequence((1,), n_registers, n_photons, ins, {0: (1, 1), 1: (0, 1)})
+
+    GOOD = ["E 1 0", "E 0 1", "CZ 0 1", "MX 1", "MX 0"]
+
+    def test_hand_built_program_runs(self):
+        assert verify_bell_pair(self._program(self.GOOD), "1").ok
+
+    @pytest.mark.parametrize("bad", ["E 0 2", "E 0 -1"])
+    def test_photon_outside_the_program(self, bad):
+        seq = self._program([bad] + self.GOOD)
+        with pytest.raises(ValueError, match=f"'{bad}': photon"):
+            execute_sequence(seq, forced_outcomes=[1] * 10)
+
+    @pytest.mark.parametrize("bad", ["H 2", "CZ 0 5", "E -1 0", "MZ 2"])
+    def test_register_outside_the_program(self, bad):
+        seq = self._program(self.GOOD[:2] + [bad] + self.GOOD[2:])
+        with pytest.raises(ValueError, match=f"'{bad}': register"):
+            execute_sequence(seq, forced_outcomes=[1] * 10)
+
+    def test_register_left_unmeasured(self):
+        seq = self._program(self.GOOD[:-1])
+        with pytest.raises(ValueError, match="never measured out"):
+            execute_sequence(seq, forced_outcomes=[1] * 10)
+
+
 class TestTarget:
     def test_full_rank_on_photons(self):
         for b in ("2", "2,2", "3,2,2"):

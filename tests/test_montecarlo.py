@@ -14,9 +14,9 @@ from treebsm.analytic import (
 from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
     SampleConfig,
-    TreeLayout,
     UnsupportedConfigurationError,
     _pair_flips,
+    chunk_bytes,
     draw_world,
     eval_dynamic,
     eval_loss_only,
@@ -28,7 +28,7 @@ from treebsm.montecarlo import (
     sample_bsm_error_rates,
     z_score,
 )
-from treebsm.trees import ChannelParams, photon_count
+from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
 
 def all_trees_up_to(n_max):
@@ -83,25 +83,25 @@ class TestVectorizedAgainstReference:
          ((600,), 1.0, 0.3, 12)],
     )
     def test_dynamic_flags_match(self, b, eta, eps, seed):
-        layout = TreeLayout(b)
+        vec = BranchingVector(b)
         rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        world = draw_world(layout, ChannelParams(eta=eta, eps=eps), 250, rng)
-        success, zz_err, xx_err = eval_dynamic(layout, world, want_errors=True)
+        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), 250, rng)
+        success, zz_err, xx_err = eval_dynamic(vec, world, want_errors=True)
         for i in range(250):
             assert (
                 bool(success[i]), bool(zz_err[i]), bool(xx_err[i])
-            ) == reference_dynamic_sample(layout, world, i)
+            ) == reference_dynamic_sample(vec, world, i)
 
     def test_basis_audit_never_trips(self):
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.
-        layout = TreeLayout((2, 2, 2))
+        vec = BranchingVector((2, 2, 2))
         world = draw_world(
-            layout, ChannelParams(eta=0.5, eps=0.1), 100,
+            vec, ChannelParams(eta=0.5, eps=0.1), 100,
             np.random.Generator(np.random.Philox(key=[3, 0])),
         )
         for i in range(100):
-            reference_dynamic_sample(layout, world, i)
+            reference_dynamic_sample(vec, world, i)
 
 
 class TestSampling:
@@ -244,7 +244,7 @@ class TestConcurrency:
         # more workers than this machine is likely to have CPUs.
         cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
                            n_samples=20003, seed=31, n_workers=n_workers)
-        layout = TreeLayout(cfg.b)
+        vec = BranchingVector(cfg.b)
         want = np.zeros(4, dtype=np.int64)
         base, rem = divmod(cfg.n_samples, n_workers)
         for w in range(n_workers):
@@ -252,7 +252,7 @@ class TestConcurrency:
             left = base + (1 if w < rem else 0)
             while left:
                 n = min(8192, left)
-                success, zz, xx = eval_dynamic(layout, draw_world(layout, cfg.params, n, rng), True)
+                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng), True)
                 want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
                 left -= n
         est = run(cfg)
@@ -293,19 +293,19 @@ class TestConcurrency:
 
 class TestMemoryBudget:
     def test_one_chunk_of_the_reference_tree(self):
-        layout = TreeLayout((15, 15, 2))
+        vec = BranchingVector((15, 15, 2))
         rng = np.random.Generator(np.random.Philox(key=[1, 0]))
         tracemalloc.start()
         try:
-            world = draw_world(layout, ChannelParams(eta=0.8, eps=1e-3), 8192, rng)
-            eval_dynamic(layout, world, want_errors=True)
+            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 8192, rng)
+            eval_dynamic(vec, world, want_errors=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert world.nbytes <= 46e6
         assert peak <= 130e6
         # The size estimate is the world plus a float64 buffer for the widest level.
-        assert layout.chunk_bytes(8192, True) == world.nbytes + 8 * 8192 * 450
+        assert chunk_bytes(vec, 8192, True) == world.nbytes + 8 * 8192 * 450
 
 
 class TestSizeCap:
@@ -329,4 +329,4 @@ class TestSizeCap:
 
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15)):
-            assert TreeLayout(b).chunk_bytes(8192, True) < MAX_CHUNK_BYTES
+            assert chunk_bytes(BranchingVector(b), 8192, True) < MAX_CHUNK_BYTES

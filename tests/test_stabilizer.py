@@ -83,6 +83,26 @@ class TestMeasurementRules:
         with pytest.raises(ValueError):
             t.measure(0, "X", rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("letter,want", [("X", "+X"), ("-Z", "-Z"), ("+Y", "+Y")])
+    def test_prepare_brings_a_retired_qubit_back(self, letter, want):
+        t = StabilizerTableau.all_plus(2)
+        t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
+        t.prepare(0, letter)
+        assert t.alive == [0, 1]
+        assert tableau_equal(t, from_labels("+IX", f"{want}I"))
+
+    def test_prepare_refuses_a_qubit_in_use(self):
+        t = from_labels("+ZZ", "+XX")
+        with pytest.raises(ValueError, match="still acted on"):
+            t.prepare(1, "X")
+
+    @pytest.mark.parametrize("letter", ["I", "XX", "+"])
+    def test_prepare_needs_a_one_qubit_pauli(self, letter):
+        t = StabilizerTableau.all_plus(2)
+        t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
+        with pytest.raises(ValueError, match="one-qubit Pauli"):
+            t.prepare(0, letter)
+
     def test_generators_commute_after_random_circuit(self):
         rng = np.random.default_rng(9)
         t = graph_state_tableau(build_tree("3,2"))

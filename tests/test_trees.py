@@ -55,7 +55,7 @@ class TestBuildTree:
     def test_fig_shape_3_2(self):
         t = build_tree("3,2")
         assert t.n_vertices == 10
-        assert t.level_size == [1, 3, 6]
+        assert [len(t.branching.level_vertices(k)) for k in range(3)] == [1, 3, 6]
         # children of first level-1 vertex are contiguous
         assert t.children[1] == [4, 5]
         assert t.parent[9] == 3
@@ -63,7 +63,7 @@ class TestBuildTree:
     def test_levels_of_2_2(self):
         t = build_tree("2,2")
         assert t.n_vertices == 7
-        assert t.level_size == [1, 2, 4]
+        assert [len(t.branching.level_vertices(k)) for k in range(3)] == [1, 2, 4]
 
     def test_neighbor_sets(self):
         t = build_tree("2,2")
@@ -80,7 +80,14 @@ class TestBuildTree:
         for _ in range(200):
             d = rng.integers(1, 5)
             b = [int(x) for x in rng.integers(1, 11, size=d)]
-            assert build_tree(b).n_vertices == photon_count(b)
+            tree = build_tree(b)
+            assert tree.n_vertices == photon_count(b)
+            # Each level of the materialized tree is exactly the vector's level range.
+            levels = np.array(tree.level)
+            for k in range(d + 1):
+                got = np.flatnonzero(levels == k)
+                assert got.tolist() == list(tree.branching.level_vertices(k))
+            assert photon_count(b) == tree.branching.level_vertices(d).stop
 
 
 class TestChannelParams:
