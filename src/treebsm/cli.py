@@ -1,11 +1,11 @@
 """Command-line interface: sweeps, thresholds, validation, search, generation.
 
 Every command that writes a data file drops a ``<output>.manifest.json``
-sidecar echoing the full parameter set, the seed, the worker count and the
-package version; rerunning with the same parameters reproduces the data
-file byte for byte.  Exit codes: 0 success, 1 usage or I/O problem, 2 the
-requested target is analytically unreachable, 3 a validation or
-verification mismatch.
+sidecar echoing the full parameter set, the package version and the wall
+time; rerunning with the same parameters reproduces the data file byte for
+byte.  Exit codes: 0 success, 1 usage or I/O problem, 2 the requested
+target is analytically unreachable, 3 a validation or verification
+mismatch.
 
 Ranges are written ``start:stop[:count]`` (count defaults to 25).  Loss
 sweeps are linearly spaced; error-rate sweeps are geometrically spaced
@@ -16,6 +16,7 @@ grid.  Scientific notation is accepted everywhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import secrets
@@ -83,18 +84,17 @@ def _version() -> str:
         return "unknown"
 
 
-def _write_manifest(output: Path, command: str, params: dict, seed: int | None,
-                    workers: int | None, t0: float) -> None:
+def _write(output: str, text: str, command: str, params: dict, t0: float) -> None:
+    """Write a data file, then its ``<output>.manifest.json`` sidecar."""
+    Path(output).write_text(text)
     manifest = {
         "command": command,
         "params": params,
-        "seed": seed,
-        "workers": workers,
         "version": _version(),
-        "outputs": [str(output)],
+        "outputs": [output],
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    Path(str(output) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    Path(output + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _default_workers() -> int:
@@ -125,15 +125,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{eta!r},{eps!r},{res.pr_complete!r},{res.err_complete!r},"
                 f"{eta * eta!r},{params.eps_bsm!r}"
             )
-    out = Path(args.output)
-    try:
-        out.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        return _fail(f"cannot write {out}: {exc}")
-    _write_manifest(out, "sweep", {
+    _write(args.output, "\n".join(lines) + "\n", "sweep", {
         "protocol": proto.value, "b": str(b), "eta": args.eta, "eps": args.eps,
-    }, seed=None, workers=None, t0=t0)
-    print(f"wrote {len(lines) - 1} rows to {out}")
+    }, t0)
+    print(f"wrote {len(lines) - 1} rows to {args.output}")
     return 0
 
 
@@ -160,12 +155,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     }
     print(json.dumps(report, indent=2))
     if args.output:
-        out = Path(args.output)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "threshold", {
+        _write(args.output, json.dumps(report, indent=2) + "\n", "threshold", {
             "protocol": proto.value, "target": args.target, "tol": args.tol,
             "family": [str(v) for v in family],
-        }, seed=None, workers=None, t0=t0)
+        }, t0)
     return 0
 
 
@@ -244,21 +237,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     params = ChannelParams(eta=args.eta, eps=args.eps)
     front = pareto_front(bounds, params, proto)
-    csv_text = front_to_csv(front)
-    out = Path(args.output)
-    try:
-        out.write_text(csv_text)
-    except OSError as exc:
-        return _fail(f"cannot write {out}: {exc}")
-    _write_manifest(out, "search", {
+    _write(args.output, front_to_csv(front), "search", {
         "protocol": proto.value, "eta": args.eta, "eps": args.eps,
-        "bounds": {
-            "max_depth": bounds.max_depth, "max_branch": bounds.max_branch,
-            "max_photons": bounds.max_photons, "min_branch": bounds.min_branch,
-            "min_depth": bounds.min_depth, "monotone": bounds.monotone,
-        },
-    }, seed=None, workers=None, t0=t0)
-    print(f"wrote {len(front)} front entries to {out}")
+        "bounds": dataclasses.asdict(bounds),
+    }, t0)
+    print(f"wrote {len(front)} front entries to {args.output}")
     return 0
 
 

@@ -102,14 +102,8 @@ class InstructionSequence:
         return sum(1 for ins in self.instructions if ins.opcode in ("MX", "MY", "MZ"))
 
     def to_text(self) -> str:
+        """One instruction per line; the text has no photon->vertex map, so it is output only."""
         return "\n".join(ins.to_line() for ins in self.instructions) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, branching: BranchingVectorLike) -> "InstructionSequence":
-        ins = [Instruction.from_line(line) for line in text.strip().splitlines()]
-        regs = 1 + max((max(i.args[:1 + (i.opcode == "CZ")]) for i in ins), default=0)
-        photons = sum(1 for i in ins if i.opcode == "E")
-        return cls(tuple(as_branching_vector(branching)), regs, photons, ins)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +216,10 @@ def execute_sequence(
     """
     vec = as_branching_vector(seq.branching)
     n_p = seq.n_photons
+    unmapped = set(range(n_p)) - seq.photon_vertex.keys()
+    if unmapped:
+        raise ValueError(f"photon_vertex names no tree vertex for {len(unmapped)} of the "
+                         f"{n_p} photons; a program runs only with the compiler's map")
     t = StabilizerTableau.from_generators(
         PauliString.single(n_p + seq.n_registers, p, "Z") for p in range(n_p)
     )
@@ -248,7 +246,10 @@ def execute_sequence(
         elif ins.opcode == "CZ":
             t.apply_cz(reg(ins, ins.args[0]), reg(ins, ins.args[1]))
         elif ins.opcode in ("MX", "MY", "MZ"):
-            outcome = next(outcomes) if outcomes is not None else None
+            try:
+                outcome = next(outcomes) if outcomes is not None else None
+            except StopIteration:
+                raise ValueError(f"{ins.to_line()!r}: no forced outcome left") from None
             t.measure(reg(ins, ins.args[0]), ins.opcode[1], outcome=outcome, rng=rng,
                       destructive=True)
             live.remove(ins.args[0])

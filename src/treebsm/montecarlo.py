@@ -20,6 +20,9 @@ vote drops one member at random), and an available vote beats the direct
 readout.  The virtual root is one node whose children are the first-level
 pairs; its chain is the logical Z-parity and its vote the logical
 X-parity.  The protocols differ only in the level inputs they supply.
+Error tallies follow the world: an evaluator counts logical errors exactly
+when the world carries faults (``draw_world`` draws them when eps > 0), and
+reports all-False error flags otherwise.
 
 A two-photon BSM's Z-parity readout flips when the pair's combined fault
 has an odd number of X/Y letters; the X-parity readout is corrupted
@@ -339,7 +342,7 @@ class _Recovery:
 
 # Level inputs of the virtual root: no photon of its own, it always opens
 # (its X-parity is the vote over the level-1 chains), and its Z-parity is the
-# xor of its children's values.
+# xor of its children's values.  _recover supplies them at level 0.
 _ROOT = (False, True, True, False, False)
 
 
@@ -353,11 +356,12 @@ def _recover(
     """Walk levels ``bottom`` (default d) down to ``top`` with the one recovery rule.
 
     ``level(k)`` gives the level-k planes ``(direct, opener, gate,
-    direct_err, opener_err)``: the node reads itself; it opens a chain for
-    its parent; it may use its own chain vote; and the errors of the direct
-    readout and of the opener (None when ``ties`` is None, which skips error
-    tallies).  A chain through a child needs the child to open and all of
-    the child's children readable.  Chains vote by majority, ``ties[k]``
+    direct_err, opener_err)`` for k >= 1 (level 0 is the virtual root,
+    :data:`_ROOT`): the node reads itself; it opens a chain for its parent;
+    it may use its own chain vote; and the errors of the direct readout and
+    of the opener (None when ``ties`` is None, which skips error tallies).
+    A chain through a child needs the child to open and all of the child's
+    children readable.  Chains vote by majority, ``ties[k]``
     breaks even votes, and an available vote beats the direct readout.
     Only level k + 1's planes are kept while level k is evaluated.
     """
@@ -366,7 +370,7 @@ def _recover(
     err_ind = [None] * (d + 1)
     can = chain = err = err_chain = None
     for k in range(d if bottom is None else bottom, top - 1, -1):
-        direct, opener, gate, direct_err, opener_err = level(k)
+        direct, opener, gate, direct_err, opener_err = level(k) if k else _ROOT
         if can is None:  # no children below this level
             kids_ok, err_kids = True, False
             ind[k] = err_ind[k] = np.zeros_like(direct)
@@ -387,19 +391,20 @@ def _recover(
     return _Recovery(ind=ind, err_ind=err_ind, chain=chain, err_chain=err_chain)
 
 
-def _root_ties(world: World, want_errors: bool) -> list | None:
-    """Pair tie planes by level, with the logical X-parity's tie as level 0."""
-    return [world.tie_top[:, None], *world.tie_pair[1:]] if want_errors else None
+def _root_ties(world: World) -> list | None:
+    """Pair tie planes by level, the logical X-parity's tie as level 0; None without faults."""
+    return None if world.fault_a is None else [world.tie_top[:, None], *world.tie_pair[1:]]
 
 
-def _logical(root: _Recovery, want_errors: bool):
+def _logical(root: _Recovery):
     """Success and logical-error flags read off a walk that reached level 0.
 
     Success needs every first-level Z-parity (the root's chain) and at least
-    one first-level chain (the root's indirect X-parity).
+    one first-level chain (the root's indirect X-parity).  The error flags
+    are all False when the walk tallied no errors.
     """
     success = (root.chain & root.ind[0])[:, 0]
-    if not want_errors:
+    if root.err_chain is None:
         zero = np.zeros_like(success)
         return success, zero, zero
     return success, success & root.err_chain[:, 0], success & root.err_ind[0][:, 0]
@@ -409,7 +414,7 @@ def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None
     """Single-qubit Z readouts of one tree, levels d..1.
 
     A photon is its own direct readout and opens its parent's chain with an
-    X measurement.
+    X measurement.  Errors are tallied when ``fault`` and ``ties`` are given.
     """
     def level(k: int) -> tuple:
         if ties is None:
@@ -423,82 +428,78 @@ def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None
 # Static protocol
 # ---------------------------------------------------------------------------
 
-def eval_static(vec: BranchingVector, world: World, want_errors: bool):
-    """Success and (optionally) logical-error flags for the static rules.
+def eval_static(vec: BranchingVector, world: World):
+    """Success and logical-error flags for the static rules.
 
     Every pair gets a BSM.  The logical Z-parity needs every first-level
     pair readable (directly for complete/partial, through a chain of a
     complete child and its readable grandchildren for failed); the logical
     X-parity needs one complete first-level pair with all children
-    readable.
+    readable.  Errors are tallied when the world carries faults.
     """
     def level(k: int) -> tuple:
-        if k == 0:
-            return _ROOT
         both = world.det_a[k] & world.det_b[k]
         complete = both & world.coin[k]
-        if not want_errors:
+        if world.fault_a is None:
             return both, complete, True, None, None
         return (both, complete, True, *_pair_flips(world.fault_a[k], world.fault_b[k]))
 
-    return _logical(_recover(vec, level, _root_ties(world, want_errors)), want_errors)
+    return _logical(_recover(vec, level, _root_ties(world)))
 
 
 # ---------------------------------------------------------------------------
 # Dynamic protocol
 # ---------------------------------------------------------------------------
 
-def eval_dynamic(vec: BranchingVector, world: World, want_errors: bool):
+def eval_dynamic(vec: BranchingVector, world: World):
     """Success and logical-error flags for the adaptive rules.
 
     First-level pairs get BSMs; the children of a complete pair get BSMs,
     the children of a partial or failed pair get single-qubit
     measurements.  A failed (or partial) pair's Z-parity is recovered as
     the product of the two sides' single-qubit indirect readouts, and only
-    a complete pair can vote over chains of its children.
+    a complete pair can vote over chains of its children.  Errors are
+    tallied when the world carries faults.
     """
-    a = _side(vec, world.det_a, world.fault_a, world.tie_side_a if want_errors else None)
-    b = _side(vec, world.det_b, world.fault_b, world.tie_side_b if want_errors else None)
+    a = _side(vec, world.det_a, world.fault_a, world.tie_side_a)
+    b = _side(vec, world.det_b, world.fault_b, world.tie_side_b)
 
     def level(k: int) -> tuple:
-        if k == 0:
-            return _ROOT
         both = world.det_a[k] & world.det_b[k]
         complete = both & world.coin[k]
         upgrade = a.ind[k] & b.ind[k]
-        if not want_errors:
+        if world.fault_a is None:
             return both | upgrade, complete, complete, None, None
         zz, xx = _pair_flips(world.fault_a[k], world.fault_b[k])
         # A partial or failed pair prefers its upgrade to the direct readout.
         up_err = a.err_ind[k] ^ b.err_ind[k]
         return both | upgrade, complete, complete, np.where(~complete & upgrade, up_err, zz), xx
 
-    return _logical(_recover(vec, level, _root_ties(world, want_errors)), want_errors)
+    return _logical(_recover(vec, level, _root_ties(world)))
 
 
 # ---------------------------------------------------------------------------
 # Loss-only protocol
 # ---------------------------------------------------------------------------
 
-def eval_loss_only(vec: BranchingVector, world: World, want_errors: bool = False):
+def eval_loss_only(vec: BranchingVector, world: World):
     """Success flags when everything below level 1 is single-qubit measured.
 
     The children of complete (and partial) first-level pairs are
     Z-measured, so the logical X-parity needs every such child readable on
     both sides individually; failed first-level pairs recover through the
-    two sides' indirect chains, exactly as in the adaptive protocol.
+    two sides' indirect chains, exactly as in the adaptive protocol.  It
+    has no error model: its error flags are all False, faults or not.
     """
     a = _side(vec, world.det_a, None, None)
     b = _side(vec, world.det_b, None, None)
 
     def level(k: int) -> tuple:
-        if k == 0:
-            return _ROOT
         both = world.det_a[1] & world.det_b[1]
         opener = both & world.coin[1] & a.chain & b.chain
         return both | (a.ind[1] & b.ind[1]), opener, True, None, None
 
-    return _logical(_recover(vec, level, None, bottom=1), False)
+    return _logical(_recover(vec, level, None, bottom=1))
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +527,13 @@ def _usable_cpus() -> int:
 
 
 def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
-                  evaluator, want_errors: bool) -> tuple[np.ndarray, int]:
+                  evaluator) -> tuple[np.ndarray, int]:
     """Draw, evaluate and tally one world, which is released on return.
 
     Returns the (success, zz, xx, joint) counts and the world's bytes.
     """
     world = draw_world(vec, params, n, rng)
-    success, zz_err, xx_err = evaluator(vec, world, want_errors)
+    success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
     return np.array(counts, dtype=np.int64), world.nbytes
 
@@ -546,9 +547,8 @@ def run(cfg: SampleConfig) -> McEstimate:
     vec = as_branching_vector(cfg.b)
     params = cfg.params
     evaluator = _EVALUATORS[cfg.protocol]
-    want_errors = cfg.eps > 0.0
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), want_errors)
+    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), want_errors=cfg.eps > 0.0)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
@@ -560,8 +560,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         quota = base + (1 if w < rem else 0)
         totals, world_bytes = np.zeros(4, dtype=np.int64), 0
         for done in range(0, quota, _CHUNK):
-            counts, nbytes = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng,
-                                           evaluator, want_errors)
+            counts, nbytes = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng, evaluator)
             totals += counts
             world_bytes = max(world_bytes, nbytes)
         return totals, world_bytes
@@ -612,7 +611,7 @@ def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], 
     cuts = [vec.photon_column(0, vec.level_vertices(k).start) for k in range(2, vec.depth + 1)]
     det_a, det_b, coin = ([None, *np.split(np.array(col)[digits], cuts, axis=1)]
                           for col in zip(*atoms))
-    success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin), False)
+    success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin))
     return float(weights[success].sum())
 
 

@@ -116,12 +116,7 @@ def photon_count(b: BranchingVectorLike) -> int:
     (7, 691, 1185 photons), so that convention is adopted throughout.
     """
     vec = as_branching_vector(b)
-    total = 1
-    prod = 1
-    for bk in vec.branches:
-        prod *= bk
-        total += prod
-    return total
+    return vec.level_vertices(vec.depth).stop
 
 
 # ---------------------------------------------------------------------------

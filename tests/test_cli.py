@@ -105,10 +105,23 @@ class TestSweep:
         assert rc == 1
         assert "TREEBSM_WORKERS" in capsys.readouterr().err
 
-    def test_unwritable_output_is_io_error(self):
-        rc = main(["sweep", "--protocol", "static", "--b", "2",
-                   "--output", "/nonexistent-dir/x.csv"])
-        assert rc == 1
+    def test_manifest_keys(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--protocol", "static", "--b", "2", "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert set(manifest) == {"command", "params", "version", "outputs", "wall_time_s"}
+        assert manifest["outputs"] == [str(out)]
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--protocol", "static", "--b", "2"],
+    ["threshold", "--protocol", "static", "--target", "0.7", "--family", "2,2"],
+    ["search", "--protocol", "static", "--eta", "0.9", "--max-depth", "2", "--max-n", "20"],
+], ids=["sweep", "threshold", "search"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing-dir" / "x.out")
+    assert main(command + ["--output", out]) == 1
+    assert out in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

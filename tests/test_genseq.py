@@ -59,8 +59,8 @@ class TestCompile:
         seq = compile_bell_pair("2,2")
         text = seq.to_text()
         assert text.splitlines()[0] == "E 2 0"
-        again = InstructionSequence.from_text(text, "2,2")
-        assert [i.to_line() for i in again] == [i.to_line() for i in seq]
+        again = [Instruction.from_line(line) for line in text.splitlines()]
+        assert again == seq.instructions
 
     def test_golden_program_for_two_leaves(self):
         # Second tree first, then the first tree, then the root bond/reads.
@@ -145,6 +145,16 @@ class TestProgramChecks:
         seq = self._program(self.GOOD[:-1])
         with pytest.raises(ValueError, match="never measured out"):
             execute_sequence(seq, forced_outcomes=[1] * 10)
+
+    def test_too_few_forced_outcomes(self):
+        with pytest.raises(ValueError, match="'MX 0': no forced outcome left"):
+            verify_bell_pair(compile_bell_pair("2"), "2", forced_outcomes=[1])
+
+    def test_photon_without_a_tree_vertex(self):
+        seq = compile_bell_pair("2,2")
+        seq.photon_vertex = {}
+        with pytest.raises(ValueError, match="photon_vertex names no tree vertex for 12 of"):
+            execute_sequence(seq, forced_outcomes=[1] * seq.n_measurements)
 
 
 class TestTarget:

@@ -86,11 +86,26 @@ class TestVectorizedAgainstReference:
         vec = BranchingVector(b)
         rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
         world = draw_world(vec, ChannelParams(eta=eta, eps=eps), 250, rng)
-        success, zz_err, xx_err = eval_dynamic(vec, world, want_errors=True)
+        success, zz_err, xx_err = eval_dynamic(vec, world)
         for i in range(250):
             assert (
                 bool(success[i]), bool(zz_err[i]), bool(xx_err[i])
             ) == reference_dynamic_sample(vec, world, i)
+
+    @pytest.mark.parametrize("b", [(2, 2), (3, 2, 2), (4, 2, 1)])
+    def test_leaf_tie_planes_are_never_read(self, b):
+        # A leaf has no chains below it, so no vote at level d can tie.
+        vec = BranchingVector(b)
+        rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=0.05), 200, rng)
+        want = [eval_static(vec, world), eval_dynamic(vec, world)]
+        for ties in (world.tie_pair, world.tie_side_a, world.tie_side_b):
+            ties[vec.depth] = None
+        for before, after in zip(want, [eval_static(vec, world), eval_dynamic(vec, world)]):
+            for w, g in zip(before, after):
+                np.testing.assert_array_equal(g, w)
+        for i in range(200):
+            reference_dynamic_sample(vec, world, i)
 
     def test_basis_audit_never_trips(self):
         # The reference evaluator raises if any photon is wanted in two
@@ -252,7 +267,7 @@ class TestConcurrency:
             left = base + (1 if w < rem else 0)
             while left:
                 n = min(8192, left)
-                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng), True)
+                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng))
                 want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
                 left -= n
         est = run(cfg)
@@ -298,7 +313,7 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 8192, rng)
-            eval_dynamic(vec, world, want_errors=True)
+            eval_dynamic(vec, world)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
