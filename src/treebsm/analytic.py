@@ -33,8 +33,9 @@ a leaf is an empty product (1).
 Error rates are conditional on success.  Even-sized votes drop one result
 at random, which is equivalent to voting over one fewer sample.
 Conditional errors whose conditioning probability is zero are defined as
-zero: those branches carry no weight.  The complete-BSM term is the
-closed form of a multinomial sum (:func:`_complete_bsm_closed`), and every
+zero: those branches carry no weight.  The complete-BSM rate is read off
+levels 0 and 1 of the walk: every first-level pair readable, minus every
+one readable with no chain (:func:`_complete_bsm_closed`), and every
 ``1 - (1 - p)**n`` is evaluated as ``-expm1(n * log1p(-p))``, so tiny chain
 rates and branch counts in the thousands stay accurate.
 """
@@ -157,16 +158,12 @@ class LayerStats:
 
     * ``pr_s[k]``: one specific chain through one child succeeds,
     * ``pr_i[k]``: at least one chain succeeds (indirect),
-    * ``pr_m[k]``: the level-k value is obtained,
-    * ``pr_u[k]``: a pair with no direct readout is recovered -- the chain
-      vote under the static rules, the single-qubit upgrade under the
-      adaptive rules.
+    * ``pr_m[k]``: the level-k value is obtained.
     """
 
     pr_s: np.ndarray
     pr_i: np.ndarray
     pr_m: np.ndarray
-    pr_u: np.ndarray
     err_s: np.ndarray
     err_i: np.ndarray
     err_m: np.ndarray
@@ -179,7 +176,7 @@ class LayerStats:
 def _levels(
     vec: BranchingVector,
     opener: tuple[float, float],
-    value: Callable[[int, float, float], tuple[float, float, float]],
+    value: Callable[[int, float, float], tuple[float, float]],
 ) -> LayerStats:
     """Walk the levels of ``vec`` from the leaves to the virtual root.
 
@@ -190,17 +187,17 @@ def _levels(
         pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at level d)
 
     and ``value(k, pr_i[k], err_i[k])`` turns the vote into
-    ``(pr_m[k], err_m[k], pr_u[k])``.
+    ``(pr_m[k], err_m[k])``.
     """
     d = vec.depth
-    pr_s, pr_i, pr_m, pr_u, err_s, err_i, err_m = np.zeros((7, d + 1))
+    pr_s, pr_i, pr_m, err_s, err_i, err_m = np.zeros((6, d + 1))
     for k in range(d, -1, -1):
         if k < d:
             n_grand = vec[k + 1] if k + 1 < d else 0
             grand = (pr_m[k + 2], err_m[k + 2]) if n_grand else (1.0, 0.0)
             pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(vec[k], n_grand, opener, grand)
-        pr_m[k], err_m[k], pr_u[k] = value(k, pr_i[k], err_i[k])
-    return LayerStats(pr_s, pr_i, pr_m, pr_u, err_s, err_i, err_m)
+        pr_m[k], err_m[k] = value(k, pr_i[k], err_i[k])
+    return LayerStats(pr_s, pr_i, pr_m, err_s, err_i, err_m)
 
 
 def static_layer_recursion(
@@ -215,8 +212,7 @@ def static_layer_recursion(
     where the direct rate ``pr_d`` is ``eta`` for Z and ``eta**2`` for ZZ,
     and the chain opener is the direct conjugate-basis rate on one child
     (``eta`` for Z, ``eta**2 / 2`` for ZZ).  The vote is preferred to the
-    direct result whenever it is available, and a pair with no direct
-    readout is recovered by the vote alone: ``pr_u = pr_i``.
+    direct result whenever it is available.
     """
     eta = params.eta
     if basis is Basis.Z:
@@ -224,8 +220,8 @@ def static_layer_recursion(
     else:
         direct, opener = (eta**2, params.err_dzz), (0.5 * eta**2, params.err_dxx)
 
-    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float, float]:
-        return (*_prefer_indirect(pr_i, err_i, *direct), pr_i)
+    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float]:
+        return _prefer_indirect(pr_i, err_i, *direct)
 
     return _levels(as_branching_vector(b), opener, value)
 
@@ -252,14 +248,14 @@ def dynamic_layer_recursion(b: BranchingVectorLike, params: ChannelParams) -> La
     pr_u = z.pr_i**2
     err_u = 2.0 * z.err_i - 2.0 * z.err_i**2
 
-    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float, float]:
+    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float]:
         err_c = _prefer_indirect(pr_i, err_i, 1.0, params.err_dzz)[1]
         err_p = _prefer_indirect(pr_u[k], err_u[k], 1.0, params.err_dzz)[1]
         pr_f, err_f = _prefer_indirect(pr_u[k], err_u[k], 0.0, 0.0)
         pr_m = eta2 + (1.0 - eta2) * pr_f
         if pr_m <= 0.0:
-            return 0.0, 0.0, pr_u[k]
-        return pr_m, (0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f) / pr_m, pr_u[k]
+            return 0.0, 0.0
+        return pr_m, (0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f) / pr_m
 
     return _levels(vec, (0.5 * eta2, params.err_dxx), value)
 
@@ -308,17 +304,18 @@ def _complete_bsm_sum(b0: int, eta: float, i1: float, x: float) -> float:
     return total
 
 
-def _complete_bsm_closed(b0: int, eta: float, i1: float, x: float) -> float:
+def _complete_bsm_closed(b0: int, m1: float, s0: float) -> float:
     """Closed form of :func:`_complete_bsm_sum` via the multinomial theorem.
 
-    With ``m1 = eta^2 + (1 - eta^2) * i1`` the sum collapses to
-    ``m1**b0 - (m1 - (eta^2/2) * x)**b0``, evaluated here without the
-    cancellation of that difference.
+    Each of the ``b0`` first-level pairs is readable with rate ``m1`` and
+    carries a chain with rate ``s0`` (a chain implies readable), so a
+    complete BSM -- every pair readable, at least one chain -- has rate
+    ``m1**b0 - (m1 - s0)**b0``, evaluated here without the cancellation of
+    that difference.
     """
-    m1 = eta**2 + (1.0 - eta**2) * i1
     if m1 <= 0.0:
         return 0.0
-    return m1**b0 * -math.expm1(b0 * math.log1p(-0.5 * eta**2 * x / m1))
+    return m1**b0 * -math.expm1(b0 * math.log1p(-s0 / m1))
 
 
 def _logical_result(
@@ -327,18 +324,16 @@ def _logical_result(
     """Logical rates at the virtual root from the pair recursion ``zz``.
 
     The level-0 vote is the logical X-parity and the ``b0`` level-1 values
-    form the logical Z-parity; a complete BSM needs every failed first-level
-    pair recovered (``pr_u[1]``) and one complete pair whose child pairs are
-    all measured.
+    form the logical Z-parity; a complete BSM needs every first-level pair
+    readable (``pr_m[1]``) and at least one first-level chain (``pr_s[0]``).
     """
     pr_zz = float(zz.pr_m[1] ** vec[0])
     err_zz = parity_error([float(zz.err_m[1])], [vec[0]])
     err_xx = float(zz.err_i[0])
-    x = float(zz.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
     return LogicalBsmResult(
         protocol=protocol, b=vec, params=params,
         pr_xx=float(zz.pr_i[0]), pr_zz=pr_zz,
-        pr_complete=_complete_bsm_closed(vec[0], params.eta, float(zz.pr_u[1]), x),
+        pr_complete=_complete_bsm_closed(vec[0], float(zz.pr_m[1]), float(zz.pr_s[0])),
         err_xx=err_xx, err_zz=err_zz,
         err_complete=err_zz + (1.0 - err_zz) * err_xx,
     )
@@ -403,13 +398,17 @@ def find_threshold(
     The predicate "max over the family of pr_complete(eta) >= target" is
     monotone in eta (success rates only improve with detection), so plain
     bisection brackets the family threshold.  Family thresholds decrease
-    toward the asymptotic protocol thresholds as the family grows.
+    toward the asymptotic protocol thresholds as the family grows.  It stops
+    once the bracket is no wider than ``tol`` (which must be below 1) or
+    after ``max_iter`` halvings.
     """
     vectors = [as_branching_vector(v) for v in family]
     if not vectors:
         raise ConfigurationError("threshold family is empty")
-    if target <= 0.0:
+    if not target > 0.0:  # also refuses NaN
         raise ConfigurationError(f"target must be positive, got {target}")
+    if not tol < 1.0:
+        raise ConfigurationError(f"tol must be below 1, got {tol}")
     if target >= 1.0:
         # No finite tree is fully deterministic, so certainty is never reached.
         raise UnreachableTargetError(

@@ -223,8 +223,8 @@ def chunk_bytes(vec: BranchingVector, n: int, want_errors: bool) -> int:
 
     One byte per photon and sample for each plane (loss on both sides and
     the coin; with errors also both sides' faults and the three tie
-    planes), one tie byte per sample at the top, and 8 bytes per sample
-    for the widest level's float64 uniforms (the leaves).
+    planes), one tie byte per sample at the virtual root, and 8 bytes per
+    sample for the widest level's float64 uniforms (the leaves).
     """
     planes = 8 if want_errors else 3
     leaves = len(vec.level_vertices(vec.depth))
@@ -236,7 +236,9 @@ class World:
     """One batch of sampled worlds, as per-level arrays of shape (N, s_k).
 
     Loss flags, coins and tie-breaks are bool (a tie plane is True where an
-    even vote drops a wrong member); faults are uint8 Pauli codes.
+    even vote drops a wrong member); faults are uint8 Pauli codes.  Level 0
+    is the virtual root: it holds only the pair tie-break of the logical
+    X-parity vote, an (N, 1) plane, and None in every other list.
     """
 
     det_a: list[np.ndarray]
@@ -247,7 +249,6 @@ class World:
     tie_pair: list[np.ndarray] | None = None
     tie_side_a: list[np.ndarray] | None = None
     tie_side_b: list[np.ndarray] | None = None
-    tie_top: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
@@ -298,7 +299,7 @@ def draw_world(
         world.tie_pair = per_level(lambda u: u < 0.5)
         world.tie_side_a = per_level(lambda u: u < 0.5)
         world.tie_side_b = per_level(lambda u: u < 0.5)
-        world.tie_top = uniform(1)[:, 0] < 0.5
+        world.tie_pair[0] = uniform(1) < 0.5
     return world
 
 
@@ -391,11 +392,6 @@ def _recover(
     return _Recovery(ind=ind, err_ind=err_ind, chain=chain, err_chain=err_chain)
 
 
-def _root_ties(world: World) -> list | None:
-    """Pair tie planes by level, the logical X-parity's tie as level 0; None without faults."""
-    return None if world.fault_a is None else [world.tie_top[:, None], *world.tie_pair[1:]]
-
-
 def _logical(root: _Recovery):
     """Success and logical-error flags read off a walk that reached level 0.
 
@@ -444,7 +440,7 @@ def eval_static(vec: BranchingVector, world: World):
             return both, complete, True, None, None
         return (both, complete, True, *_pair_flips(world.fault_a[k], world.fault_b[k]))
 
-    return _logical(_recover(vec, level, _root_ties(world)))
+    return _logical(_recover(vec, level, world.tie_pair))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +471,7 @@ def eval_dynamic(vec: BranchingVector, world: World):
         up_err = a.err_ind[k] ^ b.err_ind[k]
         return both | upgrade, complete, complete, np.where(~complete & upgrade, up_err, zz), xx
 
-    return _logical(_recover(vec, level, _root_ties(world)))
+    return _logical(_recover(vec, level, world.tie_pair))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +764,7 @@ def reference_dynamic_sample(
     success = all_ok and bool(top_chains)
     if not success:
         return False, False, False
-    xx_total_err = _vote(top_chains, world.tie_top[:, None], i, 0)
+    xx_total_err = _vote(top_chains, world.tie_pair[0], i, 0)
     return True, bool(zz_total_err), bool(xx_total_err)
 
 

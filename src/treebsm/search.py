@@ -52,25 +52,21 @@ class SearchBounds:
 
 def enumerate_trees(bounds: SearchBounds) -> Iterator[BranchingVector]:
     """Yield every in-bounds vector, depth first then lexicographic."""
-    def rec(prefix: list[int]) -> Iterator[BranchingVector]:
-        if len(prefix) >= bounds.min_depth:
+    def rec(prefix: list[int], depth: int) -> Iterator[BranchingVector]:
+        if len(prefix) == depth:
             yield BranchingVector.of(*prefix)
-        if len(prefix) >= bounds.max_depth:
             return
         hi = bounds.max_branch
         if bounds.monotone and prefix:
             hi = min(hi, prefix[-1])
         for nxt in range(bounds.min_branch, hi + 1):
             cand = prefix + [nxt]
-            if photon_count(cand) <= bounds.max_photons:
-                yield from rec(cand)
+            if photon_count(cand) > bounds.max_photons:
+                break  # the photon count grows with nxt
+            yield from rec(cand, depth)
 
-    # Depth-major order: all depth-1 vectors, then depth-2, and so on.
-    by_depth: dict[int, list[BranchingVector]] = {}
-    for vec in rec([]):
-        by_depth.setdefault(vec.depth, []).append(vec)
-    for d in sorted(by_depth):
-        yield from sorted(by_depth[d], key=lambda v: v.branches)
+    for depth in range(bounds.min_depth, bounds.max_depth + 1):
+        yield from rec([], depth)
 
 
 @dataclass(frozen=True)

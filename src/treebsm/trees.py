@@ -11,6 +11,7 @@ materialized :class:`TreeGraph`, and the photon-channel parameters.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,12 +42,17 @@ class BranchingVector:
     def __post_init__(self) -> None:
         if len(self.branches) == 0:
             raise ValueError("branching vector must have depth >= 1")
-        if any((not isinstance(x, int)) or x < 1 for x in self.branches):
+        try:  # integers of any type, numpy's included; a float is never truncated
+            branches = tuple(map(operator.index, self.branches))
+        except TypeError:
+            branches = None
+        if branches is None or min(branches) < 1:
             raise ValueError(f"branch counts must be integers >= 1, got {self.branches}")
+        object.__setattr__(self, "branches", branches)
 
     @classmethod
     def of(cls, *branches: int) -> "BranchingVector":
-        return cls(tuple(int(x) for x in branches))
+        return cls(branches)
 
     @classmethod
     def parse(cls, text: str) -> "BranchingVector":
@@ -105,7 +111,7 @@ def as_branching_vector(b: BranchingVectorLike) -> BranchingVector:
         return b
     if isinstance(b, str):
         return BranchingVector.parse(b)
-    return BranchingVector(tuple(int(x) for x in b))
+    return BranchingVector(tuple(b))
 
 
 def photon_count(b: BranchingVectorLike) -> int:

@@ -222,8 +222,9 @@ class TestStaticLogical:
             stats = static_layer_recursion(vec, ChannelParams(eta=eta), Basis.ZZ)
             i1 = float(stats.pr_i[1])
             x = float(stats.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
+            m1, s0 = eta**2 + (1 - eta**2) * i1, eta**2 * x / 2
             assert _complete_bsm_sum(vec[0], eta, i1, x) == pytest.approx(
-                _complete_bsm_closed(vec[0], eta, i1, x), abs=1e-13
+                _complete_bsm_closed(vec[0], m1, s0), abs=1e-13
             )
 
     def test_complete_below_both_parities(self):

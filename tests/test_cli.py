@@ -152,6 +152,11 @@ class TestThreshold:
     def test_unreachable_target_exit_code(self):
         assert main(["threshold", "--protocol", "static", "--target", "1.0"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--target", "nan"], ["--tol", "nan"], ["--tol", "2"]])
+    def test_unusable_target_or_tol_is_refused(self, capsys, flags):
+        assert main(["threshold", "--protocol", "static", "--family", "2,2", *flags]) == 1
+        assert "must be" in capsys.readouterr().err
+
     def test_manifest_times_the_bisection(self, tmp_path, monkeypatch):
         # The manifest's wall time must cover find_threshold itself.
         real = cli.find_threshold

@@ -107,6 +107,14 @@ class TestVectorizedAgainstReference:
         for i in range(200):
             reference_dynamic_sample(vec, world, i)
 
+    def test_root_tie_is_level_zero_of_the_pair_ties(self):
+        # The logical X-parity's tie-break is the pair tie plane of the
+        # virtual root: one column; the single-qubit sides have no level 0.
+        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 50,
+                           np.random.Generator(np.random.Philox(key=[7, 0])))
+        assert world.tie_pair[0].shape == (50, 1)
+        assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
+
     def test_basis_audit_never_trips(self):
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.

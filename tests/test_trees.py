@@ -6,6 +6,7 @@ from treebsm.trees import (
     BranchingVector,
     ChannelParams,
     TreeTooLargeError,
+    as_branching_vector,
     build_tree,
     photon_count,
 )
@@ -21,6 +22,16 @@ class TestBranchingVector:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             BranchingVector.parse(bad)
+
+    def test_counts_must_be_integral(self):
+        # A fractional count is refused, never truncated; numpy integers pass.
+        with pytest.raises(ValueError):
+            as_branching_vector((2.7, 2))
+        with pytest.raises(ValueError):
+            BranchingVector.of(2.9)
+        vec = as_branching_vector(np.array([3, 2]))
+        assert vec == BranchingVector.of(3, 2)
+        assert all(type(x) is int for x in vec)
 
     def test_depth_and_indexing(self):
         vec = BranchingVector.of(3, 2)
