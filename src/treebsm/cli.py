@@ -199,7 +199,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"z={z:+.2f}  [{status}]"
         )
     print(f"# N={args.n} seed={seed} workers={workers} n_success={est.n_success} "
-          f"world_bytes={est.world_bytes} samples_per_s={est.samples_per_s:.4g}")
+          f"world_bytes={est.world_bytes} samples_per_s={est.samples_per_s:.4g} "
+          f"draw_s={est.draw_s:.3g} eval_s={est.eval_s:.3g}")
     return 0 if ok else 3
 
 

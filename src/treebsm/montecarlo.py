@@ -9,8 +9,10 @@ disjoint photons, which is what makes the product/independence structure
 of the exact recursions hold sample-by-sample.
 
 The sampler functions take the tree's :class:`~treebsm.trees.BranchingVector`.
-A world holds one (samples, level size) array per level, viewed as
-(samples, parent nodes, b_k) to reach each node's children.
+A world holds one node-major (level size, samples) array per level, viewed
+as (parent nodes, b_k, samples) to reach each node's children, so a node's
+children are b_k contiguous rows and every reduction over them is a
+row-wise operation along the sample axis.
 
 Every protocol applies one recovery rule, coded once in :func:`_recover`
 and walked from the leaves (level d) to the virtual root (level 0): a lost
@@ -71,6 +73,9 @@ _CHUNK = 8192
 # photons per side from being attempted.
 MAX_CHUNK_BYTES = 2 * 10**9
 
+# Samples per block when a drawn plane is decoded and transposed to node-major.
+_BLOCK = 512
+
 
 class UnsupportedConfigurationError(ValueError):
     """Configuration outside a protocol's supported envelope."""
@@ -112,6 +117,11 @@ class McEstimate:
     joint rate P(either parity wrong) is kept in the counters: it runs
     slightly below the composition on small trees because one physical
     pair can corrupt both parities at once.
+
+    ``draw_s`` and ``eval_s`` split the sampling time into world draws and
+    level evaluation (with the tally).  They are worker-seconds, summed per
+    chunk over all workers, so with several workers they can exceed
+    ``wall_time_s``, but not ``wall_time_s`` times the worker count.
     """
 
     config: SampleConfig
@@ -122,6 +132,8 @@ class McEstimate:
     n_joint_error: int
     wall_time_s: float
     world_bytes: int  # the largest chunk world, in bytes
+    draw_s: float  # worker-seconds drawing worlds
+    eval_s: float  # worker-seconds evaluating and tallying them
 
     @property
     def success(self) -> float:
@@ -190,6 +202,8 @@ class McEstimate:
             },
             "wall_time_s": self.wall_time_s,
             "samples_per_s": self.samples_per_s,
+            "draw_s": self.draw_s,
+            "eval_s": self.eval_s,
             "world_bytes": self.world_bytes,
         }
 
@@ -214,8 +228,8 @@ def z_score(estimate: float, reference: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _group(arr: np.ndarray, bk: int) -> np.ndarray:
-    """View a level-(k+1) array as (samples, level-k nodes, b_k)."""
-    return arr.reshape(arr.shape[0], -1, bk)
+    """View a level-(k+1) array as (level-k nodes, b_k, samples)."""
+    return arr.reshape(-1, bk, arr.shape[-1])
 
 
 def chunk_bytes(vec: BranchingVector, n: int, want_errors: bool) -> int:
@@ -233,12 +247,12 @@ def chunk_bytes(vec: BranchingVector, n: int, want_errors: bool) -> int:
 
 @dataclass
 class World:
-    """One batch of sampled worlds, as per-level arrays of shape (N, s_k).
+    """One batch of sampled worlds, as node-major per-level arrays of shape (s_k, N).
 
     Loss flags, coins and tie-breaks are bool (a tie plane is True where an
     even vote drops a wrong member); faults are uint8 Pauli codes.  Level 0
     is the virtual root: it holds only the pair tie-break of the logical
-    X-parity vote, an (N, 1) plane, and None in every other list.
+    X-parity vote, a (1, N) plane, and None in every other list.
     """
 
     det_a: list[np.ndarray]
@@ -274,19 +288,25 @@ def draw_world(
 ) -> World:
     """Sample a world batch; the draw order here is part of the stream contract.
 
-    Every plane is one ``rng.random`` fill of (n, s_k) uniforms, thresholded,
-    through one buffer sized for the widest level, the leaves.
+    Every plane is one ``rng.random`` fill of (n, s_k) uniforms, through one
+    buffer sized for the widest level, the leaves.  Uniform ``u[i, j]``, the
+    ``i * s_k + j``-th of the fill, is thresholded into node j of sample i,
+    and the plane is stored node-major, as its (s_k, n) transpose.  Decoding
+    and transposing go in blocks of samples small enough to stay in cache.
     """
     d = vec.depth
     buf = np.empty(n * len(vec.level_vertices(d)))
 
-    def uniform(s: int) -> np.ndarray:
+    def plane(s: int, decode: Callable[[np.ndarray], np.ndarray], dtype=bool) -> np.ndarray:
         u = buf[:n * s].reshape(n, s)
         rng.random(out=u)
-        return u
+        out = np.empty((s, n), dtype)
+        for i in range(0, n, _BLOCK):
+            out[:, i:i + _BLOCK] = decode(u[i:i + _BLOCK]).T
+        return out
 
-    def per_level(decode: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
-        return [None] + [decode(uniform(len(vec.level_vertices(k)))) for k in range(1, d + 1)]
+    def per_level(decode: Callable[[np.ndarray], np.ndarray], dtype=bool) -> list[np.ndarray]:
+        return [None] + [plane(len(vec.level_vertices(k)), decode, dtype) for k in range(1, d + 1)]
 
     det_a = per_level(lambda u: u < params.eta)
     det_b = per_level(lambda u: u < params.eta)
@@ -294,19 +314,25 @@ def draw_world(
     world = World(det_a=det_a, det_b=det_b, coin=coin)
 
     if params.eps > 0.0:
-        world.fault_a = per_level(lambda u: _faults(u, params.eps_d))
-        world.fault_b = per_level(lambda u: _faults(u, params.eps_d))
+        world.fault_a = per_level(lambda u: _faults(u, params.eps_d), np.uint8)
+        world.fault_b = per_level(lambda u: _faults(u, params.eps_d), np.uint8)
         world.tie_pair = per_level(lambda u: u < 0.5)
         world.tie_side_a = per_level(lambda u: u < 0.5)
         world.tie_side_b = per_level(lambda u: u < 0.5)
-        world.tie_pair[0] = uniform(1) < 0.5
+        world.tie_pair[0] = plane(1, lambda u: u < 0.5)
     return world
 
 
 # A fault flips a single-qubit Z readout when it has an X letter (X or Y),
-# and an X readout when it has a Z letter (Y or Z).
-_Z_FLIP = np.array([False, True, True, False])
-_X_FLIP = np.array([False, False, True, True])
+# and an X readout when it has a Z letter (Y or Z).  On the uint8 codes
+# (0 none, 1 X, 2 Y, 3 Z) both are bits of GF(2)-linear maps, so the flips of
+# a product of two faults are the flips of the xor of their codes.
+def _z_flip(f: np.ndarray) -> np.ndarray:
+    return ((f ^ (f >> 1)) & 1).view(bool)
+
+
+def _x_flip(f: np.ndarray) -> np.ndarray:
+    return (f >> 1).view(bool)
 
 
 def _pair_flips(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +341,9 @@ def _pair_flips(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The X readout is decoded assuming the Z parity, so it is wrong whenever
     either parity flips.
     """
-    zz = _Z_FLIP[fa] ^ _Z_FLIP[fb]
-    return zz, zz | (_X_FLIP[fa] ^ _X_FLIP[fb])
+    both = fa ^ fb
+    zz = _z_flip(both)
+    return zz, zz | _x_flip(both)
 
 
 def _majority_wrong(wrong: np.ndarray, total: np.ndarray, tie: np.ndarray) -> np.ndarray:
@@ -376,14 +403,14 @@ def _recover(
             kids_ok, err_kids = True, False
             ind[k] = err_ind[k] = np.zeros_like(direct)
         else:
-            kids_ok = _group(can, vec[k]).all(axis=2)
+            kids_ok = _group(can, vec[k]).all(axis=1)
             votes = _group(chain, vec[k])
-            ind[k] = votes.any(axis=2) & gate
+            ind[k] = votes.any(axis=1) & gate
             if ties is not None:
-                err_kids = np.logical_xor.reduce(_group(err, vec[k]), axis=2)
+                err_kids = np.logical_xor.reduce(_group(err, vec[k]), axis=1)
                 count = np.min_scalar_type(vec[k])  # unsigned, holds up to b_k votes
-                wrong = (votes & _group(err_chain, vec[k])).sum(axis=2, dtype=count)
-                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=2, dtype=count), ties[k])
+                wrong = (votes & _group(err_chain, vec[k])).sum(axis=1, dtype=count)
+                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=1, dtype=count), ties[k])
         can = direct | ind[k]
         chain = opener & kids_ok
         if ties is not None:
@@ -399,11 +426,11 @@ def _logical(root: _Recovery):
     one first-level chain (the root's indirect X-parity).  The error flags
     are all False when the walk tallied no errors.
     """
-    success = (root.chain & root.ind[0])[:, 0]
+    success = (root.chain & root.ind[0])[0]
     if root.err_chain is None:
         zero = np.zeros_like(success)
         return success, zero, zero
-    return success, success & root.err_chain[:, 0], success & root.err_ind[0][:, 0]
+    return success, success & root.err_chain[0], success & root.err_ind[0][0]
 
 
 def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None) -> _Recovery:
@@ -415,7 +442,7 @@ def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None
     def level(k: int) -> tuple:
         if ties is None:
             return det[k], det[k], True, None, None
-        return det[k], det[k], True, _Z_FLIP[fault[k]], _X_FLIP[fault[k]]
+        return det[k], det[k], True, _z_flip(fault[k]), _x_flip(fault[k])
 
     return _recover(vec, level, ties, top=1)
 
@@ -523,15 +550,19 @@ def _usable_cpus() -> int:
 
 
 def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
-                  evaluator) -> tuple[np.ndarray, int]:
+                  evaluator) -> tuple[np.ndarray, int, np.ndarray]:
     """Draw, evaluate and tally one world, which is released on return.
 
-    Returns the (success, zz, xx, joint) counts and the world's bytes.
+    Returns the (success, zz, xx, joint) counts, the world's bytes and the
+    seconds spent drawing and evaluating it.
     """
+    t0 = time.perf_counter()
     world = draw_world(vec, params, n, rng)
+    t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
-    return np.array(counts, dtype=np.int64), world.nbytes
+    seconds = np.array([t1 - t0, time.perf_counter() - t1])
+    return np.array(counts, dtype=np.int64), world.nbytes, seconds
 
 
 def run(cfg: SampleConfig) -> McEstimate:
@@ -551,15 +582,17 @@ def run(cfg: SampleConfig) -> McEstimate:
             f"({photon_count(vec) - 1} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
         )
 
-    def worker(w: int) -> tuple[np.ndarray, int]:
+    def worker(w: int) -> tuple[np.ndarray, int, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
         quota = base + (1 if w < rem else 0)
-        totals, world_bytes = np.zeros(4, dtype=np.int64), 0
+        totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
         for done in range(0, quota, _CHUNK):
-            counts, nbytes = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng, evaluator)
+            counts, nbytes, took = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng,
+                                                 evaluator)
             totals += counts
             world_bytes = max(world_bytes, nbytes)
-        return totals, world_bytes
+            seconds += took
+        return totals, world_bytes, seconds
 
     t0 = time.perf_counter()
     if cfg.n_workers == 1:
@@ -574,6 +607,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         if _malloc_trim is not None:
             _malloc_trim(0)
     n_success, n_zz, n_xx, n_joint = (int(c) for c in sum(r[0] for r in results))
+    draw_s, eval_s = (float(t) for t in sum(r[2] for r in results))
     return McEstimate(
         config=cfg,
         n_samples=cfg.n_samples,
@@ -583,6 +617,8 @@ def run(cfg: SampleConfig) -> McEstimate:
         n_joint_error=n_joint,
         wall_time_s=time.perf_counter() - t0,
         world_bytes=max(r[1] for r in results),
+        draw_s=draw_s,
+        eval_s=eval_s,
     )
 
 
@@ -601,11 +637,11 @@ def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], 
         raise ValueError(f"{n_pairs} pairs is too many for enumeration")
     digits = np.array(
         np.meshgrid(*([np.arange(len(atoms))] * n_pairs), indexing="ij")
-    ).reshape(n_pairs, -1).T  # (atoms^P, P)
-    weights = np.array(probs)[digits].prod(axis=1)
-    # Split the photon columns into levels 1..d.
+    ).reshape(n_pairs, -1)  # (P, atoms^P): one row per photon pair
+    weights = np.array(probs)[digits].prod(axis=0)
+    # Split the photon rows into levels 1..d.
     cuts = [vec.photon_column(0, vec.level_vertices(k).start) for k in range(2, vec.depth + 1)]
-    det_a, det_b, coin = ([None, *np.split(np.array(col)[digits], cuts, axis=1)]
+    det_a, det_b, coin = ([None, *np.split(np.array(col)[digits], cuts, axis=0)]
                           for col in zip(*atoms))
     success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin))
     return float(weights[success].sum())
@@ -634,146 +670,6 @@ def exhaustive_dynamic(b: BranchingVectorLike, params: ChannelParams) -> float:
              (True, False, False), (False, False, False)]
     probs = [0.5 * eta**2, 0.5 * eta**2, (1 - eta) * eta, eta * (1 - eta), (1 - eta) ** 2]
     return _exhaustive(b, atoms, probs, eval_dynamic)
-
-
-# ---------------------------------------------------------------------------
-# Reference per-sample evaluator (slow; documents the procedures and audits
-# that no photon is ever wanted in two different bases within one sample)
-# ---------------------------------------------------------------------------
-
-class _BasisAudit:
-    def __init__(self) -> None:
-        self.assigned: dict[tuple[str, int, int], str] = {}
-
-    def want(self, side: str, level: int, idx: int, basis: str) -> None:
-        key = (side, level, idx)
-        prev = self.assigned.setdefault(key, basis)
-        if prev != basis:
-            raise AssertionError(
-                f"photon {key} wanted in both {prev} and {basis} bases"
-            )
-
-
-def reference_dynamic_sample(
-    vec: BranchingVector, world: World, i: int
-) -> tuple[bool, bool, bool]:
-    """One adaptive sample, evaluated recursively with the basis audit.
-
-    Returns (success, zz parity wrong, xx estimate wrong); the vectorized
-    evaluator must reproduce all three bit-for-bit on the same world.
-    """
-    audit = _BasisAudit()
-    d = vec.depth
-
-    def det(side: str, k: int, j: int) -> bool:
-        arr = world.det_a if side == "A" else world.det_b
-        return bool(arr[k][i, j])
-
-    def fault(side: str, k: int, j: int) -> int:
-        arr = world.fault_a if side == "A" else world.fault_b
-        return int(arr[k][i, j]) if arr is not None else 0
-
-    def children(k: int, j: int) -> range:
-        if k >= d:
-            return range(0)
-        return range(j * vec[k], (j + 1) * vec[k])
-
-    def side_iz(side: str, k: int, j: int) -> tuple[bool, bool]:
-        """Indirect-only Z readout (the node's own photon is unavailable)."""
-        chains = []
-        for w in children(k, j):
-            audit.want(side, k + 1, w, "X")
-            ok = det(side, k + 1, w)
-            err = fault(side, k + 1, w) in (2, 3)
-            for u in children(k + 1, w):
-                sub_ok, sub_err = side_mz(side, k + 2, u)
-                ok &= sub_ok
-                err ^= sub_err
-            if ok:
-                chains.append(err)
-        if chains:
-            ties = world.tie_side_a if side == "A" else world.tie_side_b
-            return True, _vote(chains, ties[k], i, j)
-        return False, False
-
-    def side_mz(side: str, k: int, j: int) -> tuple[bool, bool]:
-        """Readable flag and value error of a single-qubit Z readout."""
-        audit.want(side, k, j, "Z")
-        ok, err = side_iz(side, k, j)
-        if ok:
-            return True, err
-        if det(side, k, j):
-            return True, fault(side, k, j) in (1, 2)
-        return False, False
-
-    def pair_class(k: int, j: int) -> str:
-        audit.want("A", k, j, "BSM")
-        audit.want("B", k, j, "BSM")
-        if not (det("A", k, j) and det("B", k, j)):
-            return "f"
-        return "c" if bool(world.coin[k][i, j]) else "p"
-
-    def zz_flip(k: int, j: int) -> bool:
-        return (fault("A", k, j) in (1, 2)) ^ (fault("B", k, j) in (1, 2))
-
-    def xx_err(k: int, j: int) -> bool:
-        raw = (fault("A", k, j) in (2, 3)) ^ (fault("B", k, j) in (2, 3))
-        return raw | zz_flip(k, j)
-
-    def pair_zz(k: int, j: int) -> tuple[bool, bool]:
-        """Z-parity readability and value error for a BSM-mode pair."""
-        cls = pair_class(k, j)
-        if cls == "c":
-            chains = []
-            for w in children(k, j):
-                sub = pair_zz_chain(k + 1, w)
-                if sub is not None:
-                    chains.append(sub)
-            if chains:
-                return True, _vote(chains, world.tie_pair[k], i, j)
-            return True, zz_flip(k, j)
-        oka, ea = side_iz("A", k, j)
-        okb, eb = side_iz("B", k, j)
-        if oka and okb:
-            return True, ea ^ eb
-        if cls == "p":
-            return True, zz_flip(k, j)
-        return False, False
-
-    def pair_zz_chain(k: int, j: int) -> bool | None:
-        """Chain through pair (k, j): needs it complete and kids readable."""
-        if pair_class(k, j) != "c":
-            return None
-        err = xx_err(k, j)
-        for u in children(k, j):
-            ok, e = pair_zz(k + 1, u)
-            if not ok:
-                return None
-            err ^= e
-        return err
-
-    zz_total_err = False
-    all_ok = True
-    for j in range(vec[0]):
-        ok, e = pair_zz(1, j)
-        all_ok &= ok
-        zz_total_err ^= e
-    top_chains = [
-        c for j in range(vec[0]) if (c := pair_zz_chain(1, j)) is not None
-    ]
-    success = all_ok and bool(top_chains)
-    if not success:
-        return False, False, False
-    xx_total_err = _vote(top_chains, world.tie_pair[0], i, 0)
-    return True, bool(zz_total_err), bool(xx_total_err)
-
-
-def _vote(chains: list[bool], tie: np.ndarray, i: int, j: int) -> bool:
-    """Majority vote of the chain errors; an even tie drops one at random."""
-    wrong = sum(chains)
-    if 2 * wrong == len(chains):
-        return bool(tie[i, j])
-    return 2 * wrong > len(chains)
 
 
 # ---------------------------------------------------------------------------

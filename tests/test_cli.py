@@ -204,6 +204,7 @@ class TestValidate:
                      "--n", "1000", "--seed", "5"]) == 0
         footer = capsys.readouterr().out.strip().splitlines()[-1]
         assert "world_bytes=" in footer and "samples_per_s=" in footer
+        assert "draw_s=" in footer and "eval_s=" in footer
 
     def test_loss_only_reports_sample_only(self, capsys):
         rc = main(["validate", "--protocol", "loss-only", "--b", "2,2", "--eta", "0.8",

@@ -1,6 +1,6 @@
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
     SampleConfig,
     UnsupportedConfigurationError,
+    World,
+    _faults,
     _pair_flips,
     chunk_bytes,
     draw_world,
@@ -23,12 +25,13 @@ from treebsm.montecarlo import (
     eval_static,
     exhaustive_dynamic,
     exhaustive_static,
-    reference_dynamic_sample,
     run,
     sample_bsm_error_rates,
     z_score,
 )
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
+
+from reference_sampler import reference_dynamic_sample
 
 
 def all_trees_up_to(n_max):
@@ -109,10 +112,10 @@ class TestVectorizedAgainstReference:
 
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
-        # virtual root: one column; the single-qubit sides have no level 0.
+        # virtual root: one row; the single-qubit sides have no level 0.
         world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 50,
                            np.random.Generator(np.random.Philox(key=[7, 0])))
-        assert world.tie_pair[0].shape == (50, 1)
+        assert world.tie_pair[0].shape == (1, 50)
         assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
 
     def test_basis_audit_never_trips(self):
@@ -125,6 +128,44 @@ class TestVectorizedAgainstReference:
         )
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
+
+
+class TestNodeMajorLayout:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_planes_are_contiguous_nodes_by_samples(self, eps):
+        vec = BranchingVector((3, 2, 2))
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 37,
+                           np.random.Generator(np.random.Philox(key=[5, 0])))
+        drawn = 0
+        for name in (f.name for f in fields(World)):
+            planes = getattr(world, name)
+            if planes is None:
+                assert eps == 0.0 and name.startswith(("fault", "tie"))
+                continue
+            for k in range(1, vec.depth + 1):
+                assert planes[k].shape == (len(vec.level_vertices(k)), 37), (name, k)
+                assert planes[k].flags.c_contiguous, (name, k)
+                drawn += 1
+        assert drawn == (8 if eps else 3) * vec.depth
+
+    def test_planes_are_transposed_draws_of_the_same_stream(self):
+        # Same stream, new layout: each plane is one (n, s_k) fill of uniforms,
+        # thresholded, in the documented order, stored as its transpose.  n is
+        # above and not a multiple of the draw's block of samples.
+        vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
+        world = draw_world(vec, params, n, np.random.Generator(np.random.Philox(key=[9, 0])))
+        rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+        decoders = [("det_a", lambda u: u < params.eta), ("det_b", lambda u: u < params.eta),
+                    ("coin", lambda u: u < 0.5),
+                    ("fault_a", lambda u: _faults(u, params.eps_d)),
+                    ("fault_b", lambda u: _faults(u, params.eps_d)),
+                    ("tie_pair", lambda u: u < 0.5), ("tie_side_a", lambda u: u < 0.5),
+                    ("tie_side_b", lambda u: u < 0.5)]
+        for name, decode in decoders:
+            for k in range(1, vec.depth + 1):
+                want = decode(rng.random((n, len(vec.level_vertices(k))))).T
+                np.testing.assert_array_equal(getattr(world, name)[k], want, err_msg=f"{name}[{k}]")
+        np.testing.assert_array_equal(world.tie_pair[0], (rng.random((n, 1)) < 0.5).T)
 
 
 class TestSampling:
@@ -224,6 +265,17 @@ class TestEstimate:
         assert blob["wall_time_s"] >= 0
         assert blob["world_bytes"] == est.world_bytes > 0
         assert blob["samples_per_s"] == pytest.approx(20000 / blob["wall_time_s"])
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_stage_times_are_worker_seconds(self, n_workers):
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
+                           n_samples=20000, seed=3, n_workers=n_workers)
+        est = run(cfg)
+        assert est.draw_s >= 0 and est.eval_s >= 0
+        # Each worker draws and evaluates inside the run's wall time.
+        assert est.draw_s + est.eval_s <= est.wall_time_s * n_workers + 1e-3
+        blob = est.to_dict()
+        assert (blob["draw_s"], blob["eval_s"]) == (est.draw_s, est.eval_s)
 
     def test_z_score_handles_empty_tail(self):
         # No observed successes against a tiny reference is no surprise.
