@@ -279,39 +279,16 @@ class LogicalBsmResult:
     err_complete: float
 
 
-def _complete_bsm_sum(b0: int, eta: float, i1: float, x: float) -> float:
-    """Probability of a complete logical BSM from the first-level mixture.
-
-    Sums over the (complete, partial, failed) outcome counts of the ``b0``
-    first-level pairs: every failed pair must be recovered indirectly
-    (probability ``i1`` each) and at least one complete pair must see all
-    of its child pairs measured (probability ``x`` per complete pair).
-    The engine evaluates :func:`_complete_bsm_closed`; this O(b0^2) sum is
-    the independent route that the tests check it against.
-    """
-    pc = 0.5 * eta**2
-    pf = 1.0 - eta**2
-    total = 0.0
-    for m_f in range(b0 + 1):
-        w_f = math.comb(b0, m_f) * pf**m_f * (i1**m_f if m_f else 1.0)
-        if w_f == 0.0:
-            continue
-        rest = b0 - m_f  # pairs that came out complete or partial
-        inner = 0.0
-        for m_c in range(1, rest + 1):
-            inner += math.comb(rest, m_c) * (1.0 - (1.0 - x) ** m_c)
-        total += w_f * pc**rest * inner
-    return total
-
-
 def _complete_bsm_closed(b0: int, m1: float, s0: float) -> float:
-    """Closed form of :func:`_complete_bsm_sum` via the multinomial theorem.
+    """Complete-BSM rate at the virtual root, in closed form by the multinomial theorem.
 
     Each of the ``b0`` first-level pairs is readable with rate ``m1`` and
     carries a chain with rate ``s0`` (a chain implies readable), so a
     complete BSM -- every pair readable, at least one chain -- has rate
     ``m1**b0 - (m1 - s0)**b0``, evaluated here without the cancellation of
-    that difference.
+    that difference.  ``complete_bsm_sum`` in ``tests/reference_exact.py``
+    sums the same event over the first-level outcome counts; the tests
+    check this form against it.
     """
     if m1 <= 0.0:
         return 0.0

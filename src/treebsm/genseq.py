@@ -50,6 +50,11 @@ from .stabilizer import (
 )
 from .trees import BranchingVectorLike, as_branching_vector, build_tree, photon_count
 
+# Refuse to run or verify a program whose tableau work would need more bytes
+# than this; like montecarlo.MAX_CHUNK_BYTES, it stops paper-scale towers,
+# whose tableaux would need terabytes, from being attempted.
+MAX_TABLEAU_BYTES = 2 * 10**9
+
 
 # ---------------------------------------------------------------------------
 # Instructions
@@ -68,11 +73,6 @@ class Instruction:
 
     def to_line(self) -> str:
         return " ".join([self.opcode, *map(str, self.args)])
-
-    @classmethod
-    def from_line(cls, line: str) -> "Instruction":
-        parts = line.split()
-        return cls(parts[0], tuple(int(x) for x in parts[1:]))
 
 
 @dataclass
@@ -201,6 +201,30 @@ class VerifyResult:
         return self.ok
 
 
+def tableau_bytes(b: BranchingVectorLike) -> int:
+    """Estimated peak bytes of running the Bell-pair program of shape ``b`` and verifying it.
+
+    The program runs on one tableau qubit per photon (2 (n - 1) of them)
+    and per register (d + 1).  A tableau holds about one generator per
+    qubit as two bool planes, and the verifier holds the executed state,
+    the target and their canonical forms at once: about 14 bytes per qubit
+    squared measured on (10,10,2) and (15,15,2), taken here as 16.
+    """
+    vec = as_branching_vector(b)
+    qubits = 2 * (photon_count(vec) - 1) + vec.depth + 1
+    return 16 * qubits**2
+
+
+def check_tableau_size(b: BranchingVectorLike) -> None:
+    """Raise ``ValueError`` with the estimate if shape ``b``'s tableau would not fit the cap."""
+    need = tableau_bytes(b)
+    if need > MAX_TABLEAU_BYTES:
+        raise ValueError(
+            f"verifying the Bell-pair program of {tuple(as_branching_vector(b))} on the tableau "
+            f"needs about {need / 1e9:.3g} GB, above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
+        )
+
+
 def execute_sequence(
     seq: InstructionSequence,
     rng: np.random.Generator | None = None,
@@ -212,8 +236,10 @@ def execute_sequence(
     A register is prepared in ``|+>`` on first use and again on every use
     after a measurement; a complete program destructively measures every
     register out.  The deferred leaf rotation (H on each leaf photon) is
-    applied before returning.
+    applied before returning.  A program whose shape's tableau would not fit
+    :data:`MAX_TABLEAU_BYTES` is refused before anything is allocated.
     """
+    check_tableau_size(seq.branching)
     vec = as_branching_vector(seq.branching)
     n_p = seq.n_photons
     unmapped = set(range(n_p)) - seq.photon_vertex.keys()
@@ -282,11 +308,13 @@ def verify_bell_pair(
     group must match the target up to signs; the verifier solves for the
     Pauli correction realizing the sign pattern, applies it, and then
     requires exact signed equality.  On mismatch, the first differing
-    canonical generator is reported.
+    canonical generator is reported.  Shapes whose tableau would not fit
+    :data:`MAX_TABLEAU_BYTES` are refused first.
     """
     vec = as_branching_vector(b)
     if tuple(vec) != tuple(seq.branching):
         raise ValueError("sequence was compiled for a different tree shape")
+    check_tableau_size(vec)
     if rng is None and forced_outcomes is None:
         forced_outcomes = [1] * seq.n_measurements
 

@@ -39,6 +39,18 @@ results are bit-identical for a fixed (seed, config, worker count)
 whatever the thread count.  Each worker keeps one chunk's world alive at a
 time, and a configuration whose chunk would not fit in
 :data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
+
+When there are more CPUs than worker threads, a worker draws each large
+chunk in sample windows, one per CPU it may use, at the same time.  Philox
+is counter-based, so any stretch of a worker's stream can be drawn on its
+own: window j fills its samples' rows of every plane from a generator set
+to their exact position in the stream (:func:`_stream_at`), and the
+worker's generator then continues where a serial draw would leave it.
+Worlds, and so counters, are the same for every window and thread count.
+Evaluation stays on the worker's own thread.  A chunk is split only while
+every window holds at least :data:`_MIN_WINDOW` uniforms: on smaller
+chunks the per-window bookkeeping, which holds the interpreter lock,
+cancels the gain.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -75,6 +88,10 @@ MAX_CHUNK_BYTES = 2 * 10**9
 
 # Samples per block when a drawn plane is decoded and transposed to node-major.
 _BLOCK = 512
+
+# Fewest uniforms a sample window of a chunk may hold; a chunk too small to
+# give every window this many is drawn in fewer windows, or serially.
+_MIN_WINDOW = 2**20
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -232,17 +249,30 @@ def _group(arr: np.ndarray, bk: int) -> np.ndarray:
     return arr.reshape(-1, bk, arr.shape[-1])
 
 
-def chunk_bytes(vec: BranchingVector, n: int, want_errors: bool) -> int:
+def _planes(vec: BranchingVector, faults: bool) -> list[tuple[str, int, int]]:
+    """The stream layout of a world: its planes as (field, level, width), in draw order.
+
+    Loss on both sides and the coin, then, when the world carries faults,
+    both sides' faults and the three tie planes; each field has one plane
+    per level 1..d, of one column per node.  A world with faults ends with
+    the virtual root's tie plane (level 0, width 1).
+    """
+    names = ("det_a", "det_b", "coin")
+    if faults:
+        names += ("fault_a", "fault_b", "tie_pair", "tie_side_a", "tie_side_b")
+    layout = [(f, k, len(vec.level_vertices(k))) for f in names for k in range(1, vec.depth + 1)]
+    return layout + [("tie_pair", 0, 1)] if faults else layout
+
+
+def chunk_bytes(vec: BranchingVector, n: int, faults: bool) -> int:
     """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
 
-    One byte per photon and sample for each plane (loss on both sides and
-    the coin; with errors also both sides' faults and the three tie
-    planes), one tie byte per sample at the virtual root, and 8 bytes per
-    sample for the widest level's float64 uniforms (the leaves).
+    One byte per sample for each column of each plane of :func:`_planes`,
+    and 8 bytes per sample for the widest plane's float64 uniforms (the
+    leaves).
     """
-    planes = 8 if want_errors else 3
-    leaves = len(vec.level_vertices(vec.depth))
-    return n * (planes * (photon_count(vec) - 1) + int(want_errors) + 8 * leaves)
+    widths = [width for *_, width in _planes(vec, faults)]
+    return n * (sum(widths) + 8 * max(widths))
 
 
 @dataclass
@@ -283,44 +313,86 @@ def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
     return f
 
 
+def _stream_at(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A new generator at ``rng``'s k-th next uniform, with ``rng`` left untouched.
+
+    ``Generator.random`` turns one raw uint64 into one float64.  Philox
+    makes its raws four at a time, the block of counter q being raws
+    4(q - 1) .. 4q - 1, and a generator at counter c with ``buffer_pos`` p
+    hands out raw 4c - (4 - p) next.  So raw ``4c - (4 - p) + k = 4q + r``
+    is the r-th raw of a fresh generator started at counter q.
+    """
+    state = rng.bit_generator.state
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
+    q, r = divmod(4 * counter - (4 - state["buffer_pos"]) + k, 4)
+    bits = np.random.Philox(key=state["state"]["key"], counter=q % 2**256)
+    bits.random_raw(r)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return np.random.Generator(bits)
+
+
+def _window_count(n: int, per_sample: int, windows: int) -> int:
+    """Sample windows of an ``n``-sample chunk: at most ``windows``, each of at least
+    :data:`_MIN_WINDOW` uniforms (``per_sample`` per sample), and at least one."""
+    return max(1, min(windows, n, n * per_sample // _MIN_WINDOW))
+
+
 def draw_world(
-    vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator
+    vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
+    windows: int = 1, pool: ThreadPoolExecutor | None = None,
 ) -> World:
     """Sample a world batch; the draw order here is part of the stream contract.
 
-    Every plane is one ``rng.random`` fill of (n, s_k) uniforms, through one
-    buffer sized for the widest level, the leaves.  Uniform ``u[i, j]``, the
-    ``i * s_k + j``-th of the fill, is thresholded into node j of sample i,
-    and the plane is stored node-major, as its (s_k, n) transpose.  Decoding
-    and transposing go in blocks of samples small enough to stay in cache.
+    Every plane of :func:`_planes` is one ``rng.random`` fill of (n, s_k)
+    uniforms, through one buffer sized for the widest level, the leaves.
+    Uniform ``u[i, j]``, the ``i * s_k + j``-th of the fill, is thresholded
+    into node j of sample i, and the plane is stored node-major, as its
+    (s_k, n) transpose.  Decoding and transposing go in blocks of samples
+    small enough to stay in cache.
+
+    With ``windows`` > 1 the samples are split into up to that many windows
+    (see :func:`_window_count`).  Window j fills and decodes its samples'
+    rows of every plane, through its own stretch of the buffer, from a
+    generator set to their position in ``rng``'s stream; the windows after
+    the first run on ``pool`` (in turn on the calling thread without one).
+    ``rng`` then ends where the serial draw leaves it, so the world and the
+    rest of the stream do not depend on the window count.
     """
-    d = vec.depth
-    buf = np.empty(n * len(vec.level_vertices(d)))
+    layout = _planes(vec, params.eps > 0.0)
+    widest = max(width for *_, width in layout)
+    per_sample = sum(width for *_, width in layout)
+    buf = np.empty(n * widest)
+    planes = [np.empty((width, n), np.uint8 if field.startswith("fault") else bool)
+              for field, _, width in layout]
+    loss, half = (lambda u: u < params.eta), (lambda u: u < 0.5)
+    decode = {"det_a": loss, "det_b": loss, "coin": half, "tie_pair": half,
+              "tie_side_a": half, "tie_side_b": half,
+              "fault_a": lambda u: _faults(u, params.eps_d),
+              "fault_b": lambda u: _faults(u, params.eps_d)}
+    windows = _window_count(n, per_sample, windows)
 
-    def plane(s: int, decode: Callable[[np.ndarray], np.ndarray], dtype=bool) -> np.ndarray:
-        u = buf[:n * s].reshape(n, s)
-        rng.random(out=u)
-        out = np.empty((s, n), dtype)
-        for i in range(0, n, _BLOCK):
-            out[:, i:i + _BLOCK] = decode(u[i:i + _BLOCK]).T
-        return out
+    def fill(j: int) -> None:
+        lo, hi = j * n // windows, (j + 1) * n // windows
+        offset = 0  # uniforms of the chunk before this plane
+        for (field, _, width), plane in zip(layout, planes):
+            u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
+            (rng if windows == 1 else _stream_at(rng, offset + lo * width)).random(out=u)
+            rows = plane[:, lo:hi]
+            for i in range(0, hi - lo, _BLOCK):
+                rows[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
+            offset += n * width
 
-    def per_level(decode: Callable[[np.ndarray], np.ndarray], dtype=bool) -> list[np.ndarray]:
-        return [None] + [plane(len(vec.level_vertices(k)), decode, dtype) for k in range(1, d + 1)]
-
-    det_a = per_level(lambda u: u < params.eta)
-    det_b = per_level(lambda u: u < params.eta)
-    coin = per_level(lambda u: u < 0.5)
-    world = World(det_a=det_a, det_b=det_b, coin=coin)
-
-    if params.eps > 0.0:
-        world.fault_a = per_level(lambda u: _faults(u, params.eps_d), np.uint8)
-        world.fault_b = per_level(lambda u: _faults(u, params.eps_d), np.uint8)
-        world.tie_pair = per_level(lambda u: u < 0.5)
-        world.tie_side_a = per_level(lambda u: u < 0.5)
-        world.tie_side_b = per_level(lambda u: u < 0.5)
-        world.tie_pair[0] = plane(1, lambda u: u < 0.5)
-    return world
+    if windows == 1:
+        fill(0)
+    else:
+        rest = (map if pool is None else pool.map)(fill, range(1, windows))
+        fill(0)
+        list(rest)
+        rng.bit_generator.state = _stream_at(rng, n * per_sample).bit_generator.state
+    world: dict[str, list] = {}
+    for (field, k, _), plane in zip(layout, planes):
+        world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
+    return World(**world)
 
 
 # A fault flips a single-qubit Z readout when it has an X letter (X or Y),
@@ -550,14 +622,16 @@ def _usable_cpus() -> int:
 
 
 def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
-                  evaluator) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw, evaluate and tally one world, which is released on return.
+                  evaluator, windows: int = 1,
+                  pool: ThreadPoolExecutor | None = None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Draw (in up to ``windows`` windows on ``pool``), evaluate and tally one world,
+    which is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
-    seconds spent drawing and evaluating it.
+    seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, rng)
+    world = draw_world(vec, params, n, rng, windows, pool)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -575,12 +649,19 @@ def run(cfg: SampleConfig) -> McEstimate:
     params = cfg.params
     evaluator = _EVALUATORS[cfg.protocol]
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), want_errors=cfg.eps > 0.0)
+    largest = min(_CHUNK, base + (rem > 0))
+    chunk = chunk_bytes(vec, largest, faults=cfg.eps > 0.0)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
             f"({photon_count(vec) - 1} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
         )
+    # Each worker thread draws its chunks in windows over its share of the CPUs.
+    cpus = _usable_cpus()
+    threads = min(cfg.n_workers, cpus)
+    windows = cpus // threads
+    per_sample = sum(width for *_, width in _planes(vec, cfg.eps > 0.0))
+    split = _window_count(largest, per_sample, windows) > 1
 
     def worker(w: int) -> tuple[np.ndarray, int, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
@@ -588,24 +669,29 @@ def run(cfg: SampleConfig) -> McEstimate:
         totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
         for done in range(0, quota, _CHUNK):
             counts, nbytes, took = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng,
-                                                 evaluator)
+                                                 evaluator, windows, window_pool)
             totals += counts
             world_bytes = max(world_bytes, nbytes)
             seconds += took
         return totals, world_bytes, seconds
 
     t0 = time.perf_counter()
-    if cfg.n_workers == 1:
-        results = [worker(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(cfg.n_workers, _usable_cpus())) as pool:
+    with ExitStack() as pools:
+        # The windows get their own executor: a worker waits on its windows,
+        # and a wait on the executor it runs on could starve.
+        window_pool = (pools.enter_context(ThreadPoolExecutor(max_workers=threads * (windows - 1)))
+                       if split else None)
+        if cfg.n_workers == 1:
+            results = [worker(0)]
+        else:
+            pool = pools.enter_context(ThreadPoolExecutor(max_workers=threads))
             results = list(pool.map(worker, range(cfg.n_workers)))
-        # Each worker thread allocates from its own malloc arena, which keeps
-        # the chunk's freed pages; how much it keeps depends on how the threads
-        # interleaved, and later threads reuse the arenas.  Release them here so
-        # every call starts from the same state and returns its memory.
-        if _malloc_trim is not None:
-            _malloc_trim(0)
+    # Each pool thread allocates from its own malloc arena, which keeps the
+    # chunk's freed pages; how much it keeps depends on how the threads
+    # interleaved, and later threads reuse the arenas.  Release them here so
+    # every call starts from the same state and returns its memory.
+    if (cfg.n_workers > 1 or split) and _malloc_trim is not None:
+        _malloc_trim(0)
     n_success, n_zz, n_xx, n_joint = (int(c) for c in sum(r[0] for r in results))
     draw_s, eval_s = (float(t) for t in sum(r[2] for r in results))
     return McEstimate(

@@ -164,10 +164,6 @@ class StabilizerTableau:
         t._check_consistency()
         return t
 
-    @classmethod
-    def all_plus(cls, n: int) -> "StabilizerTableau":
-        return cls.from_generators([PauliString.single(n, q, "X") for q in range(n)])
-
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau(self.n)
         t.xs = self.xs.copy()
@@ -406,11 +402,6 @@ class StabilizerTableau:
             )
             lines.append(("+" if sign == 1 else "-") + body)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StabilizerTableau":
-        rows = [PauliString.from_label(line) for line in text.strip().splitlines()]
-        return cls.from_generators(rows)
 
 
 def _gf2_solve(a: np.ndarray, rhs: np.ndarray, n_vars: int) -> np.ndarray | None:

@@ -19,9 +19,11 @@ from treebsm.analytic import (
     static_layer_recursion,
     static_logical_bsm,
 )
-from treebsm.analytic import _complete_bsm_closed, _complete_bsm_sum
+from treebsm.analytic import _complete_bsm_closed
 from treebsm import families
 from treebsm.trees import BranchingVector, ChannelParams, build_tree, photon_count
+
+from reference_exact import complete_bsm_sum
 
 
 def _random_trees(rng, count, max_depth=4, max_branch=6):
@@ -223,7 +225,7 @@ class TestStaticLogical:
             i1 = float(stats.pr_i[1])
             x = float(stats.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
             m1, s0 = eta**2 + (1 - eta**2) * i1, eta**2 * x / 2
-            assert _complete_bsm_sum(vec[0], eta, i1, x) == pytest.approx(
+            assert complete_bsm_sum(vec[0], eta, i1, x) == pytest.approx(
                 _complete_bsm_closed(vec[0], m1, s0), abs=1e-13
             )
 

@@ -1,17 +1,23 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from treebsm import cli
 from treebsm.genseq import (
+    MAX_TABLEAU_BYTES,
     Instruction,
     InstructionSequence,
     compile_bell_pair,
     execute_sequence,
     logical_bell_tableau,
+    tableau_bytes,
     verify_bell_pair,
 )
 from treebsm.trees import photon_count
+
+from builders import instruction_from_line
 
 
 class TestCompile:
@@ -59,7 +65,7 @@ class TestCompile:
         seq = compile_bell_pair("2,2")
         text = seq.to_text()
         assert text.splitlines()[0] == "E 2 0"
-        again = [Instruction.from_line(line) for line in text.splitlines()]
+        again = [instruction_from_line(line) for line in text.splitlines()]
         assert again == seq.instructions
 
     def test_golden_program_for_two_leaves(self):
@@ -121,7 +127,7 @@ class TestProgramChecks:
     """Hand-built programs with indices outside their declared counts."""
 
     def _program(self, lines, n_registers=2, n_photons=2):
-        ins = [Instruction.from_line(line) for line in lines]
+        ins = [instruction_from_line(line) for line in lines]
         return InstructionSequence((1,), n_registers, n_photons, ins, {0: (1, 1), 1: (0, 1)})
 
     GOOD = ["E 1 0", "E 0 1", "CZ 0 1", "MX 1", "MX 0"]
@@ -168,3 +174,55 @@ class TestTarget:
         labels = {g.to_label() for g in t.generators()}
         assert "+XIZZ" in labels   # logical X of one tree with logical Z of the other
         assert "+ZZXI" in labels
+
+
+class TestSizeCap:
+    TOWER = (120, 89, 15, 1)  # 331,201 vertices per tree, under the tree vertex cap
+
+    def _refused_with_small_peak(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GB"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_tower_program_is_refused_before_anything_is_allocated(self):
+        # A stand-in with the tower's counts: compiling the real program
+        # would itself take hundreds of MB.
+        seq = InstructionSequence(self.TOWER, len(self.TOWER) + 1,
+                                  2 * (photon_count(self.TOWER) - 1), [])
+        self._refused_with_small_peak(lambda: execute_sequence(seq))
+        self._refused_with_small_peak(lambda: verify_bell_pair(seq, self.TOWER))
+
+    def test_verify_generation_exits_1_without_compiling(self, monkeypatch, capsys):
+        def no_compile(b):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(cli, "compile_bell_pair", no_compile)
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify-generation", "--b", ",".join(map(str, self.TOWER))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 1e6
+        assert "GB" in capsys.readouterr().err
+
+    def test_estimate_bounds_the_traced_peak(self):
+        b = (10, 10, 2)
+        seq = compile_bell_pair(b)
+        tracemalloc.start()
+        try:
+            assert verify_bell_pair(seq, b, rng=np.random.default_rng(1)).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tableau_bytes(b) <= 2 * peak
+
+    def test_reference_shapes_fit(self):
+        for b in ((15, 15, 2), (74, 15), (10, 10, 2)):
+            assert tableau_bytes(b) < MAX_TABLEAU_BYTES
+        assert tableau_bytes(self.TOWER) > 1000 * MAX_TABLEAU_BYTES

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,6 +19,8 @@ from treebsm.montecarlo import (
     World,
     _faults,
     _pair_flips,
+    _sample_chunk,
+    _stream_at,
     chunk_bytes,
     draw_world,
     eval_dynamic,
@@ -364,6 +367,110 @@ class TestConcurrency:
         assert events == ["pool closed", "trim 0"]
         run(replace(cfg, n_workers=1))
         assert events == ["pool closed", "trim 0"]
+
+
+@pytest.fixture
+def small_windows(monkeypatch):
+    """Let chunks of small trees split into windows; returns the calls made to position a window."""
+    calls = []
+
+    def spy(rng, k):
+        calls.append(k)
+        return _stream_at(rng, k)
+
+    monkeypatch.setattr(montecarlo, "_MIN_WINDOW", 1)
+    monkeypatch.setattr(montecarlo, "_stream_at", spy)
+    return calls
+
+
+class TestWindowedDraw:
+    @pytest.mark.parametrize("pre", range(6))
+    def test_positioning_matches_the_raw_stream(self, pre):
+        want = np.random.Philox(key=[8, 1]).random_raw(pre + 50)
+        rng = np.random.Generator(np.random.Philox(key=[8, 1]))
+        rng.random(pre)
+        state = rng.bit_generator.state
+        for k in range(41):
+            got = _stream_at(rng, k).bit_generator.random_raw(9)
+            np.testing.assert_array_equal(got, want[pre + k:pre + k + 9], err_msg=f"k={k}")
+        assert repr(rng.bit_generator.state) == repr(state)  # rng is left where it was
+
+    @pytest.mark.parametrize("windows", [2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_windowed_world_equals_the_serial_world(self, small_windows, windows, eps):
+        vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
+        rngs = [np.random.Generator(np.random.Philox(key=[9, 0])) for _ in range(2)]
+        for rng in rngs:
+            rng.random(7)
+        serial = draw_world(vec, params, n, rngs[0])
+        assert not small_windows
+        with ThreadPoolExecutor(max_workers=windows - 1) as pool:
+            split = draw_world(vec, params, n, rngs[1], windows, pool)
+        assert small_windows  # the windows were positioned in the stream
+        for name in (f.name for f in fields(World)):
+            want, got = getattr(serial, name), getattr(split, name)
+            if want is None:
+                assert got is None and eps == 0.0
+                continue
+            for k, (w, g) in enumerate(zip(want, got)):
+                if w is None:
+                    assert g is None
+                else:
+                    assert g.flags.c_contiguous
+                    np.testing.assert_array_equal(g, w, err_msg=f"{name}[{k}]")
+        np.testing.assert_array_equal(rngs[1].random(9), rngs[0].random(9))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_counters_do_not_depend_on_windows(self, small_windows, monkeypatch, cpus, n_workers):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                           n_samples=20003, seed=31, n_workers=n_workers)
+        vec = BranchingVector(cfg.b)
+        want = np.zeros(4, dtype=np.int64)
+        base, rem = divmod(cfg.n_samples, n_workers)
+        for w in range(n_workers):
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
+            left = base + (1 if w < rem else 0)
+            while left:
+                n = min(8192, left)
+                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng))
+                want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
+                left -= n
+        assert not small_windows
+        est = run(cfg)
+        assert bool(small_windows) == (cpus // min(n_workers, cpus) > 1)
+        got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
+        assert got == want.tolist()
+
+    def test_window_arenas_are_released_after_the_pool(self, small_windows, monkeypatch):
+        events = []
+
+        class Pool(montecarlo.ThreadPoolExecutor):
+            def __exit__(self, *exc):
+                events.append("pool closed")
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_malloc_trim", lambda pad: events.append(f"trim {pad}"))
+        run(SampleConfig(b=(3, 2), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                         n_samples=100, seed=4))
+        assert small_windows and events == ["pool closed", "trim 0"]
+
+    def test_windows_add_no_memory(self):
+        vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
+        peaks = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for windows in (1, 2):
+                rng = np.random.Generator(np.random.Philox(key=[1, 0]))
+                tracemalloc.start()
+                try:
+                    _sample_chunk(vec, params, 8192, rng, eval_dynamic, windows, pool)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1e6
 
 
 class TestMemoryBudget:

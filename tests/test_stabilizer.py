@@ -14,6 +14,8 @@ from treebsm.stabilizer import (
 )
 from treebsm.trees import build_tree
 
+from builders import all_plus, tableau_from_text
+
 
 def from_labels(*labels):
     return StabilizerTableau.from_generators([PauliString.from_label(x) for x in labels])
@@ -61,11 +63,11 @@ class TestMeasurementRules:
         assert tableau_equal(t, expect)
 
     def test_plus_state_x_deterministic(self):
-        t = StabilizerTableau.all_plus(1)
+        t = all_plus(1)
         assert t.measure(0, "X") == 1
 
     def test_forcing_deterministic_outcome_conflicts(self):
-        t = StabilizerTableau.all_plus(1)
+        t = all_plus(1)
         with pytest.raises(MeasurementContradictionError):
             t.measure(0, "X", outcome=-1)
 
@@ -78,14 +80,14 @@ class TestMeasurementRules:
         assert t.to_text() == f"{sign}Z\n"
 
     def test_measuring_dead_qubit_rejected(self):
-        t = StabilizerTableau.all_plus(2)
+        t = all_plus(2)
         t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
         with pytest.raises(ValueError):
             t.measure(0, "X", rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("letter,want", [("X", "+X"), ("-Z", "-Z"), ("+Y", "+Y")])
     def test_prepare_brings_a_retired_qubit_back(self, letter, want):
-        t = StabilizerTableau.all_plus(2)
+        t = all_plus(2)
         t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
         t.prepare(0, letter)
         assert t.alive == [0, 1]
@@ -98,7 +100,7 @@ class TestMeasurementRules:
 
     @pytest.mark.parametrize("letter", ["I", "XX", "+"])
     def test_prepare_needs_a_one_qubit_pauli(self, letter):
-        t = StabilizerTableau.all_plus(2)
+        t = all_plus(2)
         t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
         with pytest.raises(ValueError, match="one-qubit Pauli"):
             t.prepare(0, letter)
@@ -152,7 +154,7 @@ class TestCanonicalForm:
 
     def test_serialization_roundtrip(self):
         t = graph_state_tableau(build_tree("2,2"))
-        again = StabilizerTableau.from_text(t.to_text())
+        again = tableau_from_text(t.to_text())
         assert tableau_equal(t, again)
 
     def test_text_format_is_one_generator_per_line(self):
