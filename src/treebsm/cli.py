@@ -34,7 +34,7 @@ from .analytic import (
     find_threshold,
     logical_bsm,
 )
-from .genseq import check_tableau_size, compile_bell_pair, verify_bell_pair
+from .genseq import check_tableau_size, compile_bell_pair, program_qubits, verify_bell_pair
 from .montecarlo import SampleConfig, run as run_mc, z_score
 from .search import SearchBounds, front_to_csv, pareto_front
 from .trees import BranchingVector, ChannelParams
@@ -206,7 +206,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_generation(args: argparse.Namespace) -> int:
     b = BranchingVector.parse(args.b)
-    check_tableau_size(b)  # before compiling a program too large to verify
+    check_tableau_size(program_qubits(b))  # before compiling a program too large to verify
     seq = compile_bell_pair(b)
     if args.seed is not None:
         rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))

@@ -201,27 +201,33 @@ class VerifyResult:
         return self.ok
 
 
-def tableau_bytes(b: BranchingVectorLike) -> int:
-    """Estimated peak bytes of running the Bell-pair program of shape ``b`` and verifying it.
-
-    The program runs on one tableau qubit per photon (2 (n - 1) of them)
-    and per register (d + 1).  A tableau holds about one generator per
-    qubit as two bool planes, and the verifier holds the executed state,
-    the target and their canonical forms at once: about 14 bytes per qubit
-    squared measured on (10,10,2) and (15,15,2), taken here as 16.
-    """
+def program_qubits(b: BranchingVectorLike) -> int:
+    """Tableau qubits of shape ``b``'s Bell-pair program: one per photon,
+    2 (n - 1) of them, and one per register, d + 1."""
     vec = as_branching_vector(b)
-    qubits = 2 * (photon_count(vec) - 1) + vec.depth + 1
+    return 2 * (photon_count(vec) - 1) + vec.depth + 1
+
+
+def tableau_bytes(qubits: int) -> int:
+    """Estimated peak bytes of running a Bell-pair program on ``qubits`` tableau qubits
+    and verifying it.
+
+    A tableau holds about one generator per qubit as two bool planes, and
+    the verifier holds the executed state, the target and their canonical
+    forms at once: about 14 bytes per qubit squared measured on (10,10,2)
+    and (15,15,2), taken here as 16.
+    """
     return 16 * qubits**2
 
 
-def check_tableau_size(b: BranchingVectorLike) -> None:
-    """Raise ``ValueError`` with the estimate if shape ``b``'s tableau would not fit the cap."""
-    need = tableau_bytes(b)
+def check_tableau_size(qubits: int) -> None:
+    """Raise ``ValueError`` with the estimate if a program on ``qubits`` tableau qubits
+    would not fit the cap."""
+    need = tableau_bytes(qubits)
     if need > MAX_TABLEAU_BYTES:
         raise ValueError(
-            f"verifying the Bell-pair program of {tuple(as_branching_vector(b))} on the tableau "
-            f"needs about {need / 1e9:.3g} GB, above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
+            f"verifying a program of {qubits} qubits on the tableau needs about "
+            f"{need / 1e9:.3g} GB, above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
         )
 
 
@@ -236,10 +242,10 @@ def execute_sequence(
     A register is prepared in ``|+>`` on first use and again on every use
     after a measurement; a complete program destructively measures every
     register out.  The deferred leaf rotation (H on each leaf photon) is
-    applied before returning.  A program whose shape's tableau would not fit
+    applied before returning.  A program whose tableau would not fit
     :data:`MAX_TABLEAU_BYTES` is refused before anything is allocated.
     """
-    check_tableau_size(seq.branching)
+    check_tableau_size(seq.n_photons + seq.n_registers)
     vec = as_branching_vector(seq.branching)
     n_p = seq.n_photons
     unmapped = set(range(n_p)) - seq.photon_vertex.keys()
@@ -308,13 +314,12 @@ def verify_bell_pair(
     group must match the target up to signs; the verifier solves for the
     Pauli correction realizing the sign pattern, applies it, and then
     requires exact signed equality.  On mismatch, the first differing
-    canonical generator is reported.  Shapes whose tableau would not fit
-    :data:`MAX_TABLEAU_BYTES` are refused first.
+    canonical generator is reported.  :func:`execute_sequence` refuses
+    programs whose tableau would not fit :data:`MAX_TABLEAU_BYTES`.
     """
     vec = as_branching_vector(b)
     if tuple(vec) != tuple(seq.branching):
         raise ValueError("sequence was compiled for a different tree shape")
-    check_tableau_size(vec)
     if rng is None and forced_outcomes is None:
         forced_outcomes = [1] * seq.n_measurements
 

@@ -44,13 +44,13 @@ When there are more CPUs than worker threads, a worker draws each large
 chunk in sample windows, one per CPU it may use, at the same time.  Philox
 is counter-based, so any stretch of a worker's stream can be drawn on its
 own: window j fills its samples' rows of every plane from a generator set
-to their exact position in the stream (:func:`_stream_at`), and the
-worker's generator then continues where a serial draw would leave it.
-Worlds, and so counters, are the same for every window and thread count.
-Evaluation stays on the worker's own thread.  A chunk is split only while
-every window holds at least :data:`_MIN_WINDOW` uniforms: on smaller
-chunks the per-window bookkeeping, which holds the interpreter lock,
-cancels the gain.
+to their exact position in the stream (:func:`_seek`), and the worker's
+generator then continues where one sequential draw would leave it.  Every
+chunk, split or not, is drawn this way, so worlds, and counters, are the
+same for every window and thread count.  Evaluation stays on the worker's
+own thread.  A chunk is split only while every window holds at least
+:data:`_MIN_WINDOW` uniforms: on smaller chunks the per-window bookkeeping,
+which holds the interpreter lock, is a larger share of the draw.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ MAX_CHUNK_BYTES = 2 * 10**9
 _BLOCK = 512
 
 # Fewest uniforms a sample window of a chunk may hold; a chunk too small to
-# give every window this many is drawn in fewer windows, or serially.
+# give every window this many is drawn in fewer windows, down to one.
 _MIN_WINDOW = 2**20
 
 
@@ -313,22 +313,28 @@ def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
     return f
 
 
-def _stream_at(rng: np.random.Generator, k: int) -> np.random.Generator:
-    """A new generator at ``rng``'s k-th next uniform, with ``rng`` left untouched.
+def _raw_index(bits: np.random.Philox) -> int:
+    """Index in ``bits``'s stream of the raw uint64 it hands out next.
 
-    ``Generator.random`` turns one raw uint64 into one float64.  Philox
-    makes its raws four at a time, the block of counter q being raws
+    Philox makes its raws four at a time, the block of counter q being raws
     4(q - 1) .. 4q - 1, and a generator at counter c with ``buffer_pos`` p
-    hands out raw 4c - (4 - p) next.  So raw ``4c - (4 - p) + k = 4q + r``
-    is the r-th raw of a fresh generator started at counter q.
+    hands out raw 4c - (4 - p) next.  ``Generator.random`` turns one raw
+    into one float64.
     """
-    state = rng.bit_generator.state
+    state = bits.state
     counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
-    q, r = divmod(4 * counter - (4 - state["buffer_pos"]) + k, 4)
-    bits = np.random.Philox(key=state["state"]["key"], counter=q % 2**256)
+    return 4 * counter - (4 - state["buffer_pos"])
+
+
+def _seek(bits: np.random.Philox, raw: int) -> None:
+    """Set ``bits`` to hand out raw ``raw`` of its key's stream next: raw 4q + r
+    is the r-th after counter q with an empty buffer (the counter wraps at 2^256)."""
+    q, r = divmod(raw, 4)
+    state = bits.state
+    state["state"]["counter"] = np.array([q >> 64 * i & 2**64 - 1 for i in range(4)], np.uint64)
+    state["buffer_pos"] = 4
+    bits.state = state
     bits.random_raw(r)
-    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
-    return np.random.Generator(bits)
 
 
 def _window_count(n: int, per_sample: int, windows: int) -> int:
@@ -343,20 +349,21 @@ def draw_world(
 ) -> World:
     """Sample a world batch; the draw order here is part of the stream contract.
 
-    Every plane of :func:`_planes` is one ``rng.random`` fill of (n, s_k)
-    uniforms, through one buffer sized for the widest level, the leaves.
-    Uniform ``u[i, j]``, the ``i * s_k + j``-th of the fill, is thresholded
-    into node j of sample i, and the plane is stored node-major, as its
-    (s_k, n) transpose.  Decoding and transposing go in blocks of samples
-    small enough to stay in cache.
+    The planes of :func:`_planes` take consecutive stretches of ``rng``'s
+    stream, n * s_k uniforms each, in that order.  Uniform ``u[i, j]``, the
+    ``i * s_k + j``-th of a plane's stretch, is thresholded into node j of
+    sample i, and the plane is stored node-major, as its (s_k, n) transpose.
 
-    With ``windows`` > 1 the samples are split into up to that many windows
-    (see :func:`_window_count`).  Window j fills and decodes its samples'
-    rows of every plane, through its own stretch of the buffer, from a
-    generator set to their position in ``rng``'s stream; the windows after
-    the first run on ``pool`` (in turn on the calling thread without one).
-    ``rng`` then ends where the serial draw leaves it, so the world and the
-    rest of the stream do not depend on the window count.
+    The samples are drawn in up to ``windows`` windows (see
+    :func:`_window_count`; one unless the chunk is large), the windows after
+    the first on ``pool`` (in turn on the calling thread without one).
+    Window j fills its samples' rows of every plane from a generator (``rng``
+    itself for window 0, a new one with its key for the others) set to
+    their position in the stream by :func:`_seek`, through its own stretch
+    of one buffer sized for the widest level, and decodes and transposes
+    them in blocks of samples small enough to stay in cache.  ``rng`` is
+    then set to the end of the chunk's uniforms, so the world and the rest
+    of the stream do not depend on the window count.
     """
     layout = _planes(vec, params.eps > 0.0)
     widest = max(width for *_, width in layout)
@@ -370,25 +377,25 @@ def draw_world(
               "fault_a": lambda u: _faults(u, params.eps_d),
               "fault_b": lambda u: _faults(u, params.eps_d)}
     windows = _window_count(n, per_sample, windows)
+    key, start = rng.bit_generator.state["state"]["key"], _raw_index(rng.bit_generator)
 
     def fill(j: int) -> None:
+        gen = rng if j == 0 else np.random.Generator(np.random.Philox(key=key))
         lo, hi = j * n // windows, (j + 1) * n // windows
-        offset = 0  # uniforms of the chunk before this plane
+        offset = start  # stream index of this plane's first uniform
         for (field, _, width), plane in zip(layout, planes):
             u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
-            (rng if windows == 1 else _stream_at(rng, offset + lo * width)).random(out=u)
+            _seek(gen.bit_generator, offset + lo * width)
+            gen.random(out=u)
             rows = plane[:, lo:hi]
             for i in range(0, hi - lo, _BLOCK):
                 rows[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
             offset += n * width
 
-    if windows == 1:
-        fill(0)
-    else:
-        rest = (map if pool is None else pool.map)(fill, range(1, windows))
-        fill(0)
-        list(rest)
-        rng.bit_generator.state = _stream_at(rng, n * per_sample).bit_generator.state
+    rest = (map if pool is None else pool.map)(fill, range(1, windows))
+    fill(0)
+    list(rest)
+    _seek(rng.bit_generator, start + n * per_sample)
     world: dict[str, list] = {}
     for (field, k, _), plane in zip(layout, planes):
         world.setdefault(field, [None] * (vec.depth + 1))[k] = plane

@@ -12,6 +12,7 @@ from treebsm.genseq import (
     compile_bell_pair,
     execute_sequence,
     logical_bell_tableau,
+    program_qubits,
     tableau_bytes,
     verify_bell_pair,
 )
@@ -220,9 +221,9 @@ class TestSizeCap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tableau_bytes(b) <= 2 * peak
+        assert peak <= tableau_bytes(program_qubits(b)) <= 2 * peak
 
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15), (10, 10, 2)):
-            assert tableau_bytes(b) < MAX_TABLEAU_BYTES
-        assert tableau_bytes(self.TOWER) > 1000 * MAX_TABLEAU_BYTES
+            assert tableau_bytes(program_qubits(b)) < MAX_TABLEAU_BYTES
+        assert tableau_bytes(program_qubits(self.TOWER)) > 1000 * MAX_TABLEAU_BYTES

@@ -19,8 +19,10 @@ from treebsm.montecarlo import (
     World,
     _faults,
     _pair_flips,
+    _planes,
+    _raw_index,
     _sample_chunk,
-    _stream_at,
+    _seek,
     chunk_bytes,
     draw_world,
     eval_dynamic,
@@ -371,16 +373,17 @@ class TestConcurrency:
 
 @pytest.fixture
 def small_windows(monkeypatch):
-    """Let chunks of small trees split into windows; returns the calls made to position a window."""
-    calls = []
+    """Let chunks of small trees split into windows; returns the window count of each chunk drawn."""
+    counts = []
+    window_count = montecarlo._window_count
 
-    def spy(rng, k):
-        calls.append(k)
-        return _stream_at(rng, k)
+    def spy(*args):
+        counts.append(window_count(*args))
+        return counts[-1]
 
     monkeypatch.setattr(montecarlo, "_MIN_WINDOW", 1)
-    monkeypatch.setattr(montecarlo, "_stream_at", spy)
-    return calls
+    monkeypatch.setattr(montecarlo, "_window_count", spy)
+    return counts
 
 
 class TestWindowedDraw:
@@ -389,11 +392,16 @@ class TestWindowedDraw:
         want = np.random.Philox(key=[8, 1]).random_raw(pre + 50)
         rng = np.random.Generator(np.random.Philox(key=[8, 1]))
         rng.random(pre)
-        state = rng.bit_generator.state
+        assert _raw_index(rng.bit_generator) == pre
         for k in range(41):
-            got = _stream_at(rng, k).bit_generator.random_raw(9)
+            bits = np.random.Philox(key=[8, 1])
+            _seek(bits, _raw_index(rng.bit_generator) + k)
+            got = bits.random_raw(9)
             np.testing.assert_array_equal(got, want[pre + k:pre + k + 9], err_msg=f"k={k}")
-        assert repr(rng.bit_generator.state) == repr(state)  # rng is left where it was
+            _seek(bits, pre)  # backwards too
+            assert _raw_index(bits) == pre and bits.random_raw() == want[pre]
+            _seek(bits, 4 * 2**256 + pre + k)  # the counter wraps
+            assert bits.random_raw() == want[pre + k]
 
     @pytest.mark.parametrize("windows", [2, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -403,10 +411,9 @@ class TestWindowedDraw:
         for rng in rngs:
             rng.random(7)
         serial = draw_world(vec, params, n, rngs[0])
-        assert not small_windows
         with ThreadPoolExecutor(max_workers=windows - 1) as pool:
             split = draw_world(vec, params, n, rngs[1], windows, pool)
-        assert small_windows  # the windows were positioned in the stream
+        assert small_windows == [1, windows]
         for name in (f.name for f in fields(World)):
             want, got = getattr(serial, name), getattr(split, name)
             if want is None:
@@ -418,7 +425,11 @@ class TestWindowedDraw:
                 else:
                     assert g.flags.c_contiguous
                     np.testing.assert_array_equal(g, w, err_msg=f"{name}[{k}]")
-        np.testing.assert_array_equal(rngs[1].random(9), rngs[0].random(9))
+        plain = np.random.Generator(np.random.Philox(key=[9, 0]))
+        plain.random(7 + n * sum(width for *_, width in _planes(vec, eps > 0.0)))
+        want = plain.random(9)
+        for rng in rngs:  # both end where a plain draw of the chunk's uniforms does
+            np.testing.assert_array_equal(rng.random(9), want)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -437,9 +448,9 @@ class TestWindowedDraw:
                 success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng))
                 want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
                 left -= n
-        assert not small_windows
+        small_windows.clear()
         est = run(cfg)
-        assert bool(small_windows) == (cpus // min(n_workers, cpus) > 1)
+        assert (max(small_windows) > 1) == (cpus // min(n_workers, cpus) > 1)
         got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
         assert got == want.tolist()
 
@@ -456,7 +467,7 @@ class TestWindowedDraw:
         monkeypatch.setattr(montecarlo, "_malloc_trim", lambda pad: events.append(f"trim {pad}"))
         run(SampleConfig(b=(3, 2), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
                          n_samples=100, seed=4))
-        assert small_windows and events == ["pool closed", "trim 0"]
+        assert small_windows[-1] == 2 and events == ["pool closed", "trim 0"]
 
     def test_windows_add_no_memory(self):
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
