@@ -32,25 +32,27 @@ whenever either parity flips, since the X readout is decoded assuming the
 Z parity.
 
 Streams come from counter-based Philox generators keyed by
-``(seed, worker_index)``.  Workers run at the same time, on at most one
-thread per CPU this process may use (numpy releases the interpreter lock
-in its draws and array operations); totals are order-independent sums, so
-results are bit-identical for a fixed (seed, config, worker count)
-whatever the thread count.  Each worker keeps one chunk's world alive at a
+``(seed, worker_index)``.  A worker's samples are drawn in chunks, and the
+chunk of samples ``first .. first + n - 1`` starts at raw
+``first * per_sample`` of its worker's stream (a sample draws
+``per_sample`` uniforms): its uniforms are a pure function of (seed,
+worker, first sample, n), and no generator continues from one chunk to the
+next.  Chunks run at the same time, on at most one thread per CPU this
+process may use (numpy releases the interpreter lock in its draws and
+array operations); totals are order-independent sums, so results are
+bit-identical for a fixed (seed, config, worker count) whatever the thread
+count and chunk order.  Each thread keeps one chunk's world alive at a
 time, and a configuration whose chunk would not fit in
 :data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
 
-When there are more CPUs than worker threads, a worker draws each large
-chunk in sample windows, one per CPU it may use, at the same time.  Philox
-is counter-based, so any stretch of a worker's stream can be drawn on its
-own: window j fills its samples' rows of every plane from a generator set
-to their exact position in the stream (:func:`_seek`), and the worker's
-generator then continues where one sequential draw would leave it.  Every
-chunk, split or not, is drawn this way, so worlds, and counters, are the
-same for every window and thread count.  Evaluation stays on the worker's
-own thread.  A chunk is split only while every window holds at least
-:data:`_MIN_WINDOW` uniforms: on smaller chunks the per-window bookkeeping,
-which holds the interpreter lock, is a larger share of the draw.
+When there are more CPUs than threads, each large chunk is drawn in sample
+windows, one per CPU its thread may use, at the same time, each from its
+own generator set to its samples' position in the stream (:func:`_seek`).
+A chunk that is not split is one window, so counters are the same for
+every window and thread count.  A chunk is split only while every window
+holds at least :data:`_MIN_WINDOW` uniforms: on smaller chunks the
+per-window bookkeeping, which holds the interpreter lock, is a larger
+share of the draw.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from typing import Callable
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,6 +96,10 @@ _BLOCK = 512
 # give every window this many is drawn in fewer windows, down to one.
 _MIN_WINDOW = 2**20
 
+# Most workers a configuration may ask for: far more workers than CPUs only add
+# chunks, and a run loops over every worker, 10^9 of them for minutes.
+MAX_WORKERS = 4096
+
 
 class UnsupportedConfigurationError(ValueError):
     """Configuration outside a protocol's supported envelope."""
@@ -116,8 +123,8 @@ class SampleConfig:
         object.__setattr__(self, "b", tuple(as_branching_vector(self.b)))
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.n_workers < 1:
-            raise ValueError("need at least one worker")
+        if not 1 <= self.n_workers <= MAX_WORKERS:
+            raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {self.n_workers}")
 
     @property
     def params(self) -> ChannelParams:
@@ -313,19 +320,6 @@ def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
     return f
 
 
-def _raw_index(bits: np.random.Philox) -> int:
-    """Index in ``bits``'s stream of the raw uint64 it hands out next.
-
-    Philox makes its raws four at a time, the block of counter q being raws
-    4(q - 1) .. 4q - 1, and a generator at counter c with ``buffer_pos`` p
-    hands out raw 4c - (4 - p) next.  ``Generator.random`` turns one raw
-    into one float64.
-    """
-    state = bits.state
-    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
-    return 4 * counter - (4 - state["buffer_pos"])
-
-
 def _seek(bits: np.random.Philox, raw: int) -> None:
     """Set ``bits`` to hand out raw ``raw`` of its key's stream next: raw 4q + r
     is the r-th after counter q with an empty buffer (the counter wraps at 2^256)."""
@@ -344,26 +338,27 @@ def _window_count(n: int, per_sample: int, windows: int) -> int:
 
 
 def draw_world(
-    vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
+    vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int], first: int = 0,
     windows: int = 1, pool: ThreadPoolExecutor | None = None,
 ) -> World:
-    """Sample a world batch; the draw order here is part of the stream contract.
+    """Sample samples ``first .. first + n - 1`` of the Philox stream keyed by ``key``.
 
-    The planes of :func:`_planes` take consecutive stretches of ``rng``'s
-    stream, n * s_k uniforms each, in that order.  Uniform ``u[i, j]``, the
-    ``i * s_k + j``-th of a plane's stretch, is thresholded into node j of
-    sample i, and the plane is stored node-major, as its (s_k, n) transpose.
+    The draw order here is part of the stream contract.  A sample draws one
+    uniform (one raw of the stream) per column of each plane of
+    :func:`_planes`, ``per_sample`` in all, so the chunk's uniforms start at
+    raw ``first * per_sample`` and depend on nothing else.  The planes take
+    consecutive stretches of them, n * s_k uniforms each, in that order.
+    Uniform ``u[i, j]``, the ``i * s_k + j``-th of a plane's stretch, is
+    thresholded into node j of sample i, and the plane is stored node-major,
+    as its (s_k, n) transpose.
 
     The samples are drawn in up to ``windows`` windows (see
     :func:`_window_count`; one unless the chunk is large), the windows after
     the first on ``pool`` (in turn on the calling thread without one).
-    Window j fills its samples' rows of every plane from a generator (``rng``
-    itself for window 0, a new one with its key for the others) set to
-    their position in the stream by :func:`_seek`, through its own stretch
-    of one buffer sized for the widest level, and decodes and transposes
-    them in blocks of samples small enough to stay in cache.  ``rng`` is
-    then set to the end of the chunk's uniforms, so the world and the rest
-    of the stream do not depend on the window count.
+    Window j fills its samples' rows of every plane from its own generator,
+    set to their position in the stream by :func:`_seek`, through its own
+    stretch of one buffer sized for the widest level, and decodes and
+    transposes them in blocks of samples small enough to stay in cache.
     """
     layout = _planes(vec, params.eps > 0.0)
     widest = max(width for *_, width in layout)
@@ -377,12 +372,11 @@ def draw_world(
               "fault_a": lambda u: _faults(u, params.eps_d),
               "fault_b": lambda u: _faults(u, params.eps_d)}
     windows = _window_count(n, per_sample, windows)
-    key, start = rng.bit_generator.state["state"]["key"], _raw_index(rng.bit_generator)
 
     def fill(j: int) -> None:
-        gen = rng if j == 0 else np.random.Generator(np.random.Philox(key=key))
+        gen = np.random.Generator(np.random.Philox(key=key))
         lo, hi = j * n // windows, (j + 1) * n // windows
-        offset = start  # stream index of this plane's first uniform
+        offset = first * per_sample  # stream index of this plane's first uniform
         for (field, _, width), plane in zip(layout, planes):
             u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
             _seek(gen.bit_generator, offset + lo * width)
@@ -395,7 +389,6 @@ def draw_world(
     rest = (map if pool is None else pool.map)(fill, range(1, windows))
     fill(0)
     list(rest)
-    _seek(rng.bit_generator, start + n * per_sample)
     world: dict[str, list] = {}
     for (field, k, _), plane in zip(layout, planes):
         world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
@@ -628,17 +621,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, rng: np.random.Generator,
-                  evaluator, windows: int = 1,
+def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
+                  first: int, evaluator, windows: int = 1,
                   pool: ThreadPoolExecutor | None = None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw (in up to ``windows`` windows on ``pool``), evaluate and tally one world,
-    which is released on return.
+    """Draw samples ``first .. first + n - 1`` of stream ``key`` (in up to ``windows``
+    windows on ``pool``), evaluate and tally them; the world is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, rng, windows, pool)
+    world = draw_world(vec, params, n, key, first, windows, pool)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -663,44 +656,45 @@ def run(cfg: SampleConfig) -> McEstimate:
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
             f"({photon_count(vec) - 1} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
         )
-    # Each worker thread draws its chunks in windows over its share of the CPUs.
+    # Each thread draws its chunks in windows over its share of the CPUs.
     cpus = _usable_cpus()
     threads = min(cfg.n_workers, cpus)
     windows = cpus // threads
     per_sample = sum(width for *_, width in _planes(vec, cfg.eps > 0.0))
     split = _window_count(largest, per_sample, windows) > 1
 
-    def worker(w: int) -> tuple[np.ndarray, int, np.ndarray]:
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
-        quota = base + (1 if w < rem else 0)
-        totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
-        for done in range(0, quota, _CHUNK):
-            counts, nbytes, took = _sample_chunk(vec, params, min(_CHUNK, quota - done), rng,
-                                                 evaluator, windows, window_pool)
-            totals += counts
-            world_bytes = max(world_bytes, nbytes)
-            seconds += took
-        return totals, world_bytes, seconds
+    # (worker, first sample, samples) of every chunk, worker by worker
+    tasks = ((w, first, min(_CHUNK, base + (w < rem) - first))
+             for w in range(cfg.n_workers) for first in range(0, base + (w < rem), _CHUNK))
 
+    def sample(task: tuple[int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
+        w, first, n = task
+        return _sample_chunk(vec, params, n, [cfg.seed, w], first, evaluator, windows, window_pool)
+
+    totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
     t0 = time.perf_counter()
     with ExitStack() as pools:
-        # The windows get their own executor: a worker waits on its windows,
+        # The windows get their own executor: a chunk waits on its windows,
         # and a wait on the executor it runs on could starve.
         window_pool = (pools.enter_context(ThreadPoolExecutor(max_workers=threads * (windows - 1)))
                        if split else None)
-        if cfg.n_workers == 1:
-            results = [worker(0)]
-        else:
-            pool = pools.enter_context(ThreadPoolExecutor(max_workers=threads))
-            results = list(pool.map(worker, range(cfg.n_workers)))
+        mapper = (map if cfg.n_workers == 1
+                  else pools.enter_context(ThreadPoolExecutor(max_workers=threads)).map)
+        # A pool's map submits all its tasks at once, about 1.8 KB each, and
+        # 10^10 samples are 1.2 million chunks: hand it a few per thread at a time.
+        while batch := list(islice(tasks, 64 * threads)):
+            for counts, nbytes, took in mapper(sample, batch):
+                totals += counts
+                world_bytes = max(world_bytes, nbytes)
+                seconds += took
     # Each pool thread allocates from its own malloc arena, which keeps the
     # chunk's freed pages; how much it keeps depends on how the threads
     # interleaved, and later threads reuse the arenas.  Release them here so
     # every call starts from the same state and returns its memory.
     if (cfg.n_workers > 1 or split) and _malloc_trim is not None:
         _malloc_trim(0)
-    n_success, n_zz, n_xx, n_joint = (int(c) for c in sum(r[0] for r in results))
-    draw_s, eval_s = (float(t) for t in sum(r[2] for r in results))
+    n_success, n_zz, n_xx, n_joint = (int(c) for c in totals)
+    draw_s, eval_s = (float(t) for t in seconds)
     return McEstimate(
         config=cfg,
         n_samples=cfg.n_samples,
@@ -709,7 +703,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         n_xx_error=n_xx,
         n_joint_error=n_joint,
         wall_time_s=time.perf_counter() - t0,
-        world_bytes=max(r[1] for r in results),
+        world_bytes=world_bytes,
         draw_s=draw_s,
         eval_s=eval_s,
     )
@@ -726,7 +720,7 @@ def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], 
     """
     vec = as_branching_vector(b)
     n_pairs = photon_count(vec) - 1
-    if len(atoms) ** n_pairs > 4_000_000:
+    if n_pairs * math.log(len(atoms)) > math.log(4_000_000):  # atoms^pairs, without the power
         raise ValueError(f"{n_pairs} pairs is too many for enumeration")
     digits = np.array(
         np.meshgrid(*([np.arange(len(atoms))] * n_pairs), indexing="ij")

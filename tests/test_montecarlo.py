@@ -1,4 +1,5 @@
 import os
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from treebsm import montecarlo
+from treebsm import cli, montecarlo
 from treebsm.analytic import (
     Protocol,
     dynamic_logical_bsm,
@@ -14,13 +15,13 @@ from treebsm.analytic import (
 )
 from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
+    MAX_WORKERS,
     SampleConfig,
     UnsupportedConfigurationError,
     World,
     _faults,
     _pair_flips,
     _planes,
-    _raw_index,
     _sample_chunk,
     _seek,
     chunk_bytes,
@@ -82,6 +83,19 @@ class TestExhaustiveAgainstAnalytic:
         with pytest.raises(ValueError):
             exhaustive_static((15, 15, 2), ChannelParams(eta=0.9))
 
+    def test_enumeration_cap_needs_no_power(self):
+        # 3^(10^9) is never formed: the refusal is immediate and small.
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="1001001000 pairs is too many for enumeration"):
+                exhaustive_static((1000, 1000, 1000), ChannelParams(eta=0.9))
+            seconds = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 1e6
+
 
 class TestVectorizedAgainstReference:
     @pytest.mark.parametrize(
@@ -92,8 +106,7 @@ class TestVectorizedAgainstReference:
     )
     def test_dynamic_flags_match(self, b, eta, eps, seed):
         vec = BranchingVector(b)
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), 250, rng)
+        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), 250, [seed, 0])
         success, zz_err, xx_err = eval_dynamic(vec, world)
         for i in range(250):
             assert (
@@ -104,8 +117,7 @@ class TestVectorizedAgainstReference:
     def test_leaf_tie_planes_are_never_read(self, b):
         # A leaf has no chains below it, so no vote at level d can tie.
         vec = BranchingVector(b)
-        rng = np.random.Generator(np.random.Philox(key=[7, 0]))
-        world = draw_world(vec, ChannelParams(eta=0.7, eps=0.05), 200, rng)
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=0.05), 200, [7, 0])
         want = [eval_static(vec, world), eval_dynamic(vec, world)]
         for ties in (world.tie_pair, world.tie_side_a, world.tie_side_b):
             ties[vec.depth] = None
@@ -118,8 +130,7 @@ class TestVectorizedAgainstReference:
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
         # virtual root: one row; the single-qubit sides have no level 0.
-        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 50,
-                           np.random.Generator(np.random.Philox(key=[7, 0])))
+        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 50, [7, 0])
         assert world.tie_pair[0].shape == (1, 50)
         assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
 
@@ -127,10 +138,7 @@ class TestVectorizedAgainstReference:
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.
         vec = BranchingVector((2, 2, 2))
-        world = draw_world(
-            vec, ChannelParams(eta=0.5, eps=0.1), 100,
-            np.random.Generator(np.random.Philox(key=[3, 0])),
-        )
+        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 100, [3, 0])
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
 
@@ -139,8 +147,7 @@ class TestNodeMajorLayout:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_planes_are_contiguous_nodes_by_samples(self, eps):
         vec = BranchingVector((3, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 37,
-                           np.random.Generator(np.random.Philox(key=[5, 0])))
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 37, [5, 0])
         drawn = 0
         for name in (f.name for f in fields(World)):
             planes = getattr(world, name)
@@ -154,23 +161,31 @@ class TestNodeMajorLayout:
         assert drawn == (8 if eps else 3) * vec.depth
 
     def test_planes_are_transposed_draws_of_the_same_stream(self):
-        # Same stream, new layout: each plane is one (n, s_k) fill of uniforms,
-        # thresholded, in the documented order, stored as its transpose.  n is
-        # above and not a multiple of the draw's block of samples.
+        # Each plane is one (n, s_k) fill of uniforms, thresholded, in the
+        # documented order, stored as its transpose; the chunk of samples
+        # first.. starts where a plain generator of the key is after drawing
+        # the uniforms of samples 0..first-1.  A (3, 2) sample with faults
+        # draws 73 uniforms, so these chunks start at raw 0, 73, 146 and
+        # 598,235: 0, 1, 2 and 3 mod 4, every offset into Philox's blocks of
+        # four raws.  n is above and not a multiple of the draw's block of samples.
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
-        world = draw_world(vec, params, n, np.random.Generator(np.random.Philox(key=[9, 0])))
-        rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+        assert sum(width for *_, width in _planes(vec, True)) == 73
         decoders = [("det_a", lambda u: u < params.eta), ("det_b", lambda u: u < params.eta),
                     ("coin", lambda u: u < 0.5),
                     ("fault_a", lambda u: _faults(u, params.eps_d)),
                     ("fault_b", lambda u: _faults(u, params.eps_d)),
                     ("tie_pair", lambda u: u < 0.5), ("tie_side_a", lambda u: u < 0.5),
                     ("tie_side_b", lambda u: u < 0.5)]
-        for name, decode in decoders:
-            for k in range(1, vec.depth + 1):
-                want = decode(rng.random((n, len(vec.level_vertices(k))))).T
-                np.testing.assert_array_equal(getattr(world, name)[k], want, err_msg=f"{name}[{k}]")
-        np.testing.assert_array_equal(world.tie_pair[0], (rng.random((n, 1)) < 0.5).T)
+        for first in (0, 1, 2, 8195):
+            world = draw_world(vec, params, n, [9, 0], first)
+            rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+            rng.random(first * 73)
+            for name, decode in decoders:
+                for k in range(1, vec.depth + 1):
+                    want = decode(rng.random((n, len(vec.level_vertices(k))))).T
+                    np.testing.assert_array_equal(getattr(world, name)[k], want,
+                                                  err_msg=f"{name}[{k}], first={first}")
+            np.testing.assert_array_equal(world.tie_pair[0], (rng.random((n, 1)) < 0.5).T)
 
 
 class TestSampling:
@@ -328,13 +343,13 @@ class TestConcurrency:
         want = np.zeros(4, dtype=np.int64)
         base, rem = divmod(cfg.n_samples, n_workers)
         for w in range(n_workers):
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
+            first = 0
             left = base + (1 if w < rem else 0)
             while left:
                 n = min(8192, left)
-                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng))
+                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
                 want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
-                left -= n
+                left, first = left - n, first + n
         est = run(cfg)
         got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
         assert got == want.tolist()
@@ -371,6 +386,66 @@ class TestConcurrency:
         assert events == ["pool closed", "trim 0"]
 
 
+class TestChunkTasks:
+    def test_counters_do_not_depend_on_chunk_order(self, monkeypatch):
+        # Every chunk is drawn from its own (worker, first sample) position of
+        # the streams, so running the chunk tasks backwards changes no counter.
+        order = []
+
+        class ReversePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)[::-1]
+                order.extend(items)
+                return [fn(item) for item in items]
+
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                           n_samples=50003, seed=31, n_workers=3)
+        want = run(cfg)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", ReversePool)
+        got = run(cfg)
+        tasks = [(w, first, min(8192, quota - first))
+                 for w, quota in enumerate((16668, 16668, 16667)) for first in (0, 8192, 16384)]
+        assert order == tasks[::-1]
+        assert (got.n_success, got.n_zz_error, got.n_xx_error, got.n_joint_error) == (
+            want.n_success, want.n_zz_error, want.n_xx_error, want.n_joint_error)
+
+
+class TestWorkerCap:
+    def test_huge_worker_count_is_refused_before_anything_runs(self, monkeypatch, capsys):
+        def no_run(cfg):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(cli, "run_mc", no_run)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"1 to {MAX_WORKERS} workers"):
+                SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                             n_samples=10**5, seed=1, n_workers=10**9)
+            code = cli.main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                             "--workers", "1000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "1000000000" in capsys.readouterr().err
+        assert peak < 1e6
+
+    def test_cap_bounds(self):
+        kw = dict(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC, n_samples=10, seed=1)
+        assert SampleConfig(n_workers=MAX_WORKERS, **kw).n_workers == MAX_WORKERS
+        for bad in (0, MAX_WORKERS + 1):
+            with pytest.raises(ValueError):
+                SampleConfig(n_workers=bad, **kw)
+
+
 @pytest.fixture
 def small_windows(monkeypatch):
     """Let chunks of small trees split into windows; returns the window count of each chunk drawn."""
@@ -390,16 +465,13 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("pre", range(6))
     def test_positioning_matches_the_raw_stream(self, pre):
         want = np.random.Philox(key=[8, 1]).random_raw(pre + 50)
-        rng = np.random.Generator(np.random.Philox(key=[8, 1]))
-        rng.random(pre)
-        assert _raw_index(rng.bit_generator) == pre
+        bits = np.random.Philox(key=[8, 1])
         for k in range(41):
-            bits = np.random.Philox(key=[8, 1])
-            _seek(bits, _raw_index(rng.bit_generator) + k)
+            _seek(bits, pre + k)
             got = bits.random_raw(9)
             np.testing.assert_array_equal(got, want[pre + k:pre + k + 9], err_msg=f"k={k}")
             _seek(bits, pre)  # backwards too
-            assert _raw_index(bits) == pre and bits.random_raw() == want[pre]
+            assert bits.random_raw() == want[pre]
             _seek(bits, 4 * 2**256 + pre + k)  # the counter wraps
             assert bits.random_raw() == want[pre + k]
 
@@ -407,12 +479,9 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_windowed_world_equals_the_serial_world(self, small_windows, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
-        rngs = [np.random.Generator(np.random.Philox(key=[9, 0])) for _ in range(2)]
-        for rng in rngs:
-            rng.random(7)
-        serial = draw_world(vec, params, n, rngs[0])
+        serial = draw_world(vec, params, n, [9, 0], 7)
         with ThreadPoolExecutor(max_workers=windows - 1) as pool:
-            split = draw_world(vec, params, n, rngs[1], windows, pool)
+            split = draw_world(vec, params, n, [9, 0], 7, windows, pool)
         assert small_windows == [1, windows]
         for name in (f.name for f in fields(World)):
             want, got = getattr(serial, name), getattr(split, name)
@@ -425,11 +494,6 @@ class TestWindowedDraw:
                 else:
                     assert g.flags.c_contiguous
                     np.testing.assert_array_equal(g, w, err_msg=f"{name}[{k}]")
-        plain = np.random.Generator(np.random.Philox(key=[9, 0]))
-        plain.random(7 + n * sum(width for *_, width in _planes(vec, eps > 0.0)))
-        want = plain.random(9)
-        for rng in rngs:  # both end where a plain draw of the chunk's uniforms does
-            np.testing.assert_array_equal(rng.random(9), want)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -441,13 +505,13 @@ class TestWindowedDraw:
         want = np.zeros(4, dtype=np.int64)
         base, rem = divmod(cfg.n_samples, n_workers)
         for w in range(n_workers):
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, w]))
+            first = 0
             left = base + (1 if w < rem else 0)
             while left:
                 n = min(8192, left)
-                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, rng))
+                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
                 want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
-                left -= n
+                left, first = left - n, first + n
         small_windows.clear()
         est = run(cfg)
         assert (max(small_windows) > 1) == (cpus // min(n_workers, cpus) > 1)
@@ -474,10 +538,9 @@ class TestWindowedDraw:
         peaks = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             for windows in (1, 2):
-                rng = np.random.Generator(np.random.Philox(key=[1, 0]))
                 tracemalloc.start()
                 try:
-                    _sample_chunk(vec, params, 8192, rng, eval_dynamic, windows, pool)
+                    _sample_chunk(vec, params, 8192, [1, 0], 0, eval_dynamic, windows, pool)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -487,10 +550,9 @@ class TestWindowedDraw:
 class TestMemoryBudget:
     def test_one_chunk_of_the_reference_tree(self):
         vec = BranchingVector((15, 15, 2))
-        rng = np.random.Generator(np.random.Philox(key=[1, 0]))
         tracemalloc.start()
         try:
-            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 8192, rng)
+            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 8192, [1, 0])
             eval_dynamic(vec, world)
             _, peak = tracemalloc.get_traced_memory()
         finally:
