@@ -16,6 +16,7 @@ Four engines over one tree shape language:
 
 from .analytic import (
     Basis,
+    BsmRates,
     LayerStats,
     LogicalBsmResult,
     Protocol,
@@ -26,6 +27,7 @@ from .analytic import (
     dynamic_logical_bsm,
     find_threshold,
     logical_bsm,
+    logical_bsm_batch,
     parity_error,
     static_layer_recursion,
     static_logical_bsm,

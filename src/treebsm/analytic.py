@@ -30,6 +30,13 @@ Level-``d`` photons have no chains below them, so their indirect rate is 0
 and the value rule reads them directly.  An exponent over the children of
 a leaf is an empty product (1).
 
+The walk runs over a batch axis: each level handles one entry per row of
+(shape, eta, eps), and a shape shallower than the batch is padded with
+zero branch counts, since a node with no children is a leaf.
+:func:`logical_bsm_batch` takes a batch through the walk in blocks of
+bounded memory; :func:`logical_bsm` and the layer recursions are batches
+of one.
+
 Error rates are conditional on success.  Even-sized votes drop one result
 at random, which is equivalent to voting over one fewer sample.
 Conditional errors whose conditioning probability is zero are defined as
@@ -42,10 +49,9 @@ rates and branch counts in the thousands stay accurate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -81,15 +87,30 @@ class Basis(Enum):
 # Elementary combinators
 # ---------------------------------------------------------------------------
 
-def parity_error(per_slot: Sequence[float], counts: Sequence[int]) -> float:
+# A batch goes through the level walk in blocks of rows.  A row counts one
+# float per vote column (its widest branch count) plus _LEVEL_FLOATS per
+# level for the level arrays of the walks, and a block holds at most
+# _BLOCK floats of rows; a row wider than that takes its vote sum in column
+# chunks of _BLOCK.  Each temporary of a block is then at most 128 KB.
+_BLOCK = 2**14
+_LEVEL_FLOATS = 16
+# Largest branch count the exact engine accepts.  Time grows with the
+# branch count (the vote sum has one term per possible number of
+# successful chains); a million chains per node is far beyond any
+# buildable tree, and larger counts are refused before anything is allocated.
+MAX_CHAINS = 10**6
+
+
+def parity_error(per_slot: Sequence, counts: Sequence) -> float | np.ndarray:
     """P(odd number of errors) over independent slots.
 
     ``per_slot[i]`` is the error rate of each of ``counts[i]`` independent
-    results whose product forms the measured parity.
+    results whose product forms the measured parity; rates and counts may
+    be arrays of rows.
     """
     prod = 1.0
     for e, n in zip(per_slot, counts):
-        prod *= (1.0 - 2.0 * e) ** n
+        prod = prod * (1.0 - 2.0 * e) ** n
     return 0.5 * (1.0 - prod)
 
 
@@ -101,48 +122,81 @@ def _vote_tail(m, e):
     return special.betainc(k0, m_eff - k0 + 1, e)
 
 
-def _vote_error_mix(n_chains: int, p_chain: float, e_chain: float) -> float:
-    """Majority-vote error averaged over how many of ``n_chains`` succeeded.
-
-    Conditional on at least one success: the binomial weights of 1..n
-    successes are formed in log space and divided by their own sum, which
-    avoids both overflowing coefficients and the cancellation in
-    ``1 - (1 - p)**n`` at tiny chain rates.  0 when no chain can succeed.
-    """
-    if n_chains <= 0 or p_chain <= 0.0:
-        return 0.0
-    m = np.arange(1, n_chains + 1)
-    log_w = (
-        special.gammaln(n_chains + 1) - special.gammaln(m + 1) - special.gammaln(n_chains - m + 1)
-        + m * math.log(p_chain) + special.xlog1py(n_chains - m, -p_chain)
+def _log_binom(n, m, p):
+    """Log of the Binom(n, p) probability of m successes, for p > 0."""
+    return (
+        special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
+        + m * np.log(p) + special.xlog1py(n - m, -p)
     )
-    w = np.exp(log_w - log_w.max())
-    return float(w @ _vote_tail(m, e_chain) / w.sum())
+
+
+def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarray) -> np.ndarray:
+    """Majority-vote error averaged over how many of ``n_chains`` succeeded, per row.
+
+    Conditional on at least one success: the binomial weights ``w_m`` of
+    1..n successes are formed in log space relative to the weight at the
+    mode, the largest one, which avoids both overflowing coefficients and
+    the cancellation in ``1 - (1 - p)**n`` at tiny chain rates.  The vote
+    tail falls by ``(1 - 2e) C(2j+1, j) (e(1-e))**(j+1)`` from ``m = 2j+2``
+    to ``2j+3``, so with ``W_i = w_1 + ... + w_i``::
+
+        sum_m w_m tail(m) = tail(n) W_n + sum_{i<n} W_i (tail(i) - tail(i+1))
+
+    which needs one incomplete beta per row and sums terms of one sign.
+    0 where no chain can succeed or no chain errs.  The sums run in order
+    of ``m`` over column chunks of at most ``_BLOCK`` row-times-column
+    elements, so a wide row costs time, not memory, and a row's result does
+    not depend on the rows beside it.
+    """
+    out = np.zeros(len(n_chains))
+    live = (n_chains > 0) & (p_chain > 0.0) & (e_chain > 0.0)
+    if not live.any():
+        return out
+    n, p, e = n_chains[live], p_chain[live], e_chain[live]
+    log_mode = _log_binom(n, np.clip(np.floor((n + 1) * p), 1, n), p)
+    with np.errstate(divide="ignore"):  # e = 1 (at eps = 1): the tail never falls
+        log_ee = np.log(e * (1.0 - e))
+    weight = drop = 0.0
+    top = int(n.max()) + 1
+    step = max(2, _BLOCK // len(n)) // 2 * 2  # even, so chunks start at odd m
+    for lo in range(1, top, step):
+        m = np.arange(lo, lo + min(step, top - lo + 1) // 2 * 2)[:, None]
+        w = np.exp(_log_binom(n, np.minimum(m, n), p) - log_mode) * (m <= n)
+        cum_w = weight + np.cumsum(w, axis=0)
+        weight = cum_w[-1]
+        j = m[1::2] // 2 - 1  # the even counts i = 2j + 2
+        log_fall = special.gammaln(2 * j + 2) - special.gammaln(j + 1) - special.gammaln(j + 2)
+        fall = np.exp(log_fall + (j + 1) * log_ee) * (m[1::2] < n)
+        drop = drop + np.cumsum(fall * cum_w[1::2], axis=0)[-1]
+    out[live] = _vote_tail(n, e) + (1.0 - 2.0 * e) * drop / weight
+    return out
 
 
 def _chain_step(
-    n_chains: int, n_grand: int, opener: tuple[float, float], grand: tuple[float, float]
-) -> tuple[float, float, float, float]:
-    """The recovery rule for one node: ``(pr_s, err_s, pr_i, err_i)``.
+    n_chains: np.ndarray, n_grand: np.ndarray, opener: tuple, grand: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The recovery rule for one node per row: ``(pr_s, err_s, pr_i, err_i)``.
 
     Each of ``n_chains`` children opens a chain (success and error rates
     ``opener``) that needs all ``n_grand`` of its own children readable
     (rates ``grand``).  A chain errs on the odd parity of its opener and
-    grandchild results; the successful chains vote by majority.
+    grandchild results; the successful chains vote by majority.  A row
+    with no chains (a leaf) has zero rates.
     """
-    pr_s = opener[0] * grand[0] ** n_grand
-    err_s = parity_error([opener[1], grand[1]], [1, n_grand])
-    pr_i = 1.0 if pr_s >= 1.0 else -math.expm1(n_chains * math.log1p(-pr_s))
+    has_chains = n_chains > 0
+    pr_s = np.where(has_chains, opener[0] * grand[0] ** n_grand, 0.0)
+    err_s = np.where(has_chains, parity_error([opener[1], grand[1]], [1, n_grand]), 0.0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a sure chain
+        pr_i = -np.expm1(n_chains * np.log1p(-np.minimum(pr_s, 1.0)))
     return pr_s, err_s, pr_i, _vote_error_mix(n_chains, pr_s, err_s)
 
 
-def _prefer_indirect(pr_i: float, err_i: float, pr_d: float, err_d: float) -> tuple[float, float]:
+def _prefer_indirect(pr_i, err_i, pr_d, err_d) -> tuple[np.ndarray, np.ndarray]:
     """Rate and conditional error of a value read indirectly when possible, else directly."""
     pr_m = pr_d + (1.0 - pr_d) * pr_i
-    if pr_m <= 0.0:
-        return 0.0, 0.0
-    w_ind = pr_i / pr_m
-    return pr_m, w_ind * err_i + (1.0 - w_ind) * err_d
+    got = pr_m > 0.0
+    w_ind = np.divide(pr_i, pr_m, out=np.zeros_like(pr_m), where=got)
+    return pr_m, np.where(got, w_ind * err_i + (1.0 - w_ind) * err_d, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +207,9 @@ def _prefer_indirect(pr_i: float, err_i: float, pr_d: float, err_d: float) -> tu
 class LayerStats:
     """Per-level success and conditional-error rates of one measured value.
 
-    Arrays are indexed by level ``k = 0..d``; level 0 is the virtual root
-    slot whose indirect entry feeds the logical X-parity.  Events:
+    Arrays are indexed by level ``k = 0..d`` (then by row, inside the
+    batched walk); level 0 is the virtual root slot whose indirect entry
+    feeds the logical X-parity.  Events:
 
     * ``pr_s[k]``: one specific chain through one child succeeds,
     * ``pr_i[k]``: at least one chain succeeds (indirect),
@@ -174,30 +229,93 @@ class LayerStats:
 
 
 def _levels(
-    vec: BranchingVector,
-    opener: tuple[float, float],
-    value: Callable[[int, float, float], tuple[float, float]],
+    branches: np.ndarray,
+    opener: tuple[np.ndarray, np.ndarray],
+    value: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> LayerStats:
-    """Walk the levels of ``vec`` from the leaves to the virtual root.
+    """Walk the levels of a block of rows from the leaves to the virtual root.
 
-    At level ``k`` each of the ``b[k]`` children opens a chain (success and
-    error rates ``opener``) through the ``b[k+1]`` values at level ``k+2``::
+    ``branches`` is ``(rows, d)``; a row shallower than ``d`` is padded with
+    zero branch counts, and a node with no children is a leaf.  At level
+    ``k`` each of the ``b[k]`` children opens a chain (success and error
+    rates ``opener``) through the ``b[k+1]`` values at level ``k+2``::
 
-        pr_s[k] = pr_opener * pr_m[k+2]**b[k+1]    (empty product if k+1 == d)
-        pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at level d)
+        pr_s[k] = pr_opener * pr_m[k+2]**b[k+1]    (empty product if b[k+1] == 0)
+        pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at a leaf)
 
     and ``value(k, pr_i[k], err_i[k])`` turns the vote into
     ``(pr_m[k], err_m[k])``.
     """
-    d = vec.depth
-    pr_s, pr_i, pr_m, err_s, err_i, err_m = np.zeros((6, d + 1))
+    rows, d = branches.shape
+    pr_s, pr_i, pr_m, err_s, err_i, err_m = np.zeros((6, d + 1, rows))
     for k in range(d, -1, -1):
         if k < d:
-            n_grand = vec[k + 1] if k + 1 < d else 0
-            grand = (pr_m[k + 2], err_m[k + 2]) if n_grand else (1.0, 0.0)
-            pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(vec[k], n_grand, opener, grand)
+            if k + 1 < d:
+                n_grand, grand = branches[:, k + 1], (pr_m[k + 2], err_m[k + 2])
+            else:
+                n_grand, grand = 0, (1.0, 0.0)
+            pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(
+                branches[:, k], n_grand, opener, grand)
         pr_m[k], err_m[k] = value(k, pr_i[k], err_i[k])
     return LayerStats(pr_s, pr_i, pr_m, err_s, err_i, err_m)
+
+
+def _static_walk(branches: np.ndarray, params: ChannelParams, basis: Basis) -> LayerStats:
+    eta = params.eta
+    if basis is Basis.Z:
+        direct = opener = (eta, params.eps)
+    else:
+        direct, opener = (eta**2, params.err_dzz), (0.5 * eta**2, params.err_dxx)
+    return _levels(branches, opener, lambda k, pr_i, err_i: _prefer_indirect(pr_i, err_i, *direct))
+
+
+def _dynamic_walk(branches: np.ndarray, params: ChannelParams) -> LayerStats:
+    eta2, err_dzz = params.eta**2, params.err_dzz
+    z = _static_walk(branches, params, Basis.Z)
+    pr_u = z.pr_i**2
+    err_u = 2.0 * z.err_i - 2.0 * z.err_i**2
+
+    def value(k: int, pr_i, err_i):
+        err_c = _prefer_indirect(pr_i, err_i, 1.0, err_dzz)[1]
+        err_p = _prefer_indirect(pr_u[k], err_u[k], 1.0, err_dzz)[1]
+        pr_f, err_f = _prefer_indirect(pr_u[k], err_u[k], 0.0, 0.0)
+        pr_m = eta2 + (1.0 - eta2) * pr_f
+        err = 0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f
+        return pr_m, np.divide(err, pr_m, out=np.zeros_like(pr_m), where=pr_m > 0.0)
+
+    return _levels(branches, (0.5 * eta2, params.err_dxx), value)
+
+
+def _branch_array(shapes: Iterable[BranchingVectorLike]) -> np.ndarray:
+    """``(rows, depth)`` branch counts, shallower rows padded with zeros."""
+    rows = [as_branching_vector(s).branches for s in shapes]
+    widest = max(map(max, rows), default=1)
+    if widest > MAX_CHAINS:
+        raise ValueError(f"branch count {widest} is above the cap of {MAX_CHAINS}")
+    branches = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=np.int32)
+    for row, r in zip(branches, rows):
+        row[:len(r)] = r
+    return branches
+
+
+def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
+    """Row indices in blocks whose row count times widest row ``width`` stays within ``_BLOCK``.
+
+    Rows are taken in order of width, widest first, so narrow rows share
+    large blocks and a few wide rows do not shrink every block.
+    """
+    order = np.argsort(width, kind="stable")
+    stop = len(order)
+    while stop > 0:
+        start = max(0, stop - max(1, _BLOCK // int(width[order[stop - 1]])))
+        yield order[start:stop]
+        stop = start
+
+
+def _batch_of_one(walk: Callable[..., LayerStats], b, params: ChannelParams, *args) -> LayerStats:
+    row = ChannelParams(np.array([params.eta]), np.array([params.eps]))
+    stats = walk(_branch_array([b]), row, *args)
+    return LayerStats(**{name: a[:, 0] for name, a in vars(stats).items()})
 
 
 def static_layer_recursion(
@@ -214,16 +332,7 @@ def static_layer_recursion(
     (``eta`` for Z, ``eta**2 / 2`` for ZZ).  The vote is preferred to the
     direct result whenever it is available.
     """
-    eta = params.eta
-    if basis is Basis.Z:
-        direct = opener = (eta, params.eps)
-    else:
-        direct, opener = (eta**2, params.err_dzz), (0.5 * eta**2, params.err_dxx)
-
-    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float]:
-        return _prefer_indirect(pr_i, err_i, *direct)
-
-    return _levels(as_branching_vector(b), opener, value)
+    return _batch_of_one(_static_walk, b, params, basis)
 
 
 def dynamic_layer_recursion(b: BranchingVectorLike, params: ChannelParams) -> LayerStats:
@@ -242,22 +351,7 @@ def dynamic_layer_recursion(b: BranchingVectorLike, params: ChannelParams) -> La
     mixture: complete (eta^2/2, prefers its chain vote), partial (eta^2/2,
     prefers the upgrade) and failed (1 - eta^2, upgrade only).
     """
-    vec = as_branching_vector(b)
-    eta2 = params.eta**2
-    z = static_layer_recursion(vec, params, Basis.Z)
-    pr_u = z.pr_i**2
-    err_u = 2.0 * z.err_i - 2.0 * z.err_i**2
-
-    def value(k: int, pr_i: float, err_i: float) -> tuple[float, float]:
-        err_c = _prefer_indirect(pr_i, err_i, 1.0, params.err_dzz)[1]
-        err_p = _prefer_indirect(pr_u[k], err_u[k], 1.0, params.err_dzz)[1]
-        pr_f, err_f = _prefer_indirect(pr_u[k], err_u[k], 0.0, 0.0)
-        pr_m = eta2 + (1.0 - eta2) * pr_f
-        if pr_m <= 0.0:
-            return 0.0, 0.0
-        return pr_m, (0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f) / pr_m
-
-    return _levels(vec, (0.5 * eta2, params.err_dxx), value)
+    return _batch_of_one(_dynamic_walk, b, params)
 
 
 # ---------------------------------------------------------------------------
@@ -279,64 +373,98 @@ class LogicalBsmResult:
     err_complete: float
 
 
-def _complete_bsm_closed(b0: int, m1: float, s0: float) -> float:
+class BsmRates(NamedTuple):
+    """The rates of :class:`LogicalBsmResult` for a batch, one array entry per row."""
+
+    pr_xx: np.ndarray
+    pr_zz: np.ndarray
+    pr_complete: np.ndarray
+    err_xx: np.ndarray
+    err_zz: np.ndarray
+    err_complete: np.ndarray
+
+
+def _complete_bsm_closed(b0, m1, s0):
     """Complete-BSM rate at the virtual root, in closed form by the multinomial theorem.
 
     Each of the ``b0`` first-level pairs is readable with rate ``m1`` and
     carries a chain with rate ``s0`` (a chain implies readable), so a
     complete BSM -- every pair readable, at least one chain -- has rate
-    ``m1**b0 - (m1 - s0)**b0``, evaluated here without the cancellation of
-    that difference.  ``complete_bsm_sum`` in ``tests/reference_exact.py``
-    sums the same event over the first-level outcome counts; the tests
-    check this form against it.
+    ``m1**b0 - (m1 - s0)**b0``, evaluated here per row without the
+    cancellation of that difference.  ``complete_bsm_sum`` in
+    ``tests/reference_exact.py`` sums the same event over the first-level
+    outcome counts; the tests check this form against it.
     """
-    if m1 <= 0.0:
-        return 0.0
-    return m1**b0 * -math.expm1(b0 * math.log1p(-s0 / m1))
+    got = m1 > 0.0
+    ratio = np.divide(s0, m1, out=np.zeros_like(m1), where=got)
+    return np.where(got, m1**b0 * -np.expm1(b0 * np.log1p(-ratio)), 0.0)
 
 
-def _logical_result(
-    protocol: Protocol, vec: BranchingVector, params: ChannelParams, zz: LayerStats
-) -> LogicalBsmResult:
-    """Logical rates at the virtual root from the pair recursion ``zz``.
+def _logical_rows(
+    protocol: Protocol, branches: np.ndarray, params: ChannelParams
+) -> tuple[np.ndarray, ...]:
+    """Logical rates of one block at the virtual root, in :class:`BsmRates` order.
 
     The level-0 vote is the logical X-parity and the ``b0`` level-1 values
     form the logical Z-parity; a complete BSM needs every first-level pair
     readable (``pr_m[1]``) and at least one first-level chain (``pr_s[0]``).
     """
-    pr_zz = float(zz.pr_m[1] ** vec[0])
-    err_zz = parity_error([float(zz.err_m[1])], [vec[0]])
-    err_xx = float(zz.err_i[0])
-    return LogicalBsmResult(
-        protocol=protocol, b=vec, params=params,
-        pr_xx=float(zz.pr_i[0]), pr_zz=pr_zz,
-        pr_complete=_complete_bsm_closed(vec[0], float(zz.pr_m[1]), float(zz.pr_s[0])),
-        err_xx=err_xx, err_zz=err_zz,
-        err_complete=err_zz + (1.0 - err_zz) * err_xx,
-    )
+    if protocol is Protocol.STATIC:
+        zz = _static_walk(branches, params, Basis.ZZ)
+    else:
+        zz = _dynamic_walk(branches, params)
+    b0, m1 = branches[:, 0], zz.pr_m[1]
+    err_zz = parity_error([zz.err_m[1]], [b0])
+    err_xx = zz.err_i[0]
+    return (zz.pr_i[0], m1**b0, _complete_bsm_closed(b0, m1, zz.pr_s[0]),
+            err_xx, err_zz, err_zz + (1.0 - err_zz) * err_xx)
 
 
-def static_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
-    """Evaluate the static protocol exactly on tree shape ``b``."""
-    vec = as_branching_vector(b)
-    return _logical_result(Protocol.STATIC, vec, params,
-                           static_layer_recursion(vec, params, Basis.ZZ))
+def logical_bsm_batch(
+    shapes: Iterable[BranchingVectorLike], eta, eps, protocol: Protocol
+) -> BsmRates:
+    """Evaluate ``protocol`` exactly on every row of a batch of (shape, eta, eps).
 
-
-def dynamic_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
-    """Evaluate the adaptive protocol exactly on tree shape ``b``."""
-    vec = as_branching_vector(b)
-    return _logical_result(Protocol.DYNAMIC, vec, params, dynamic_layer_recursion(vec, params))
+    ``eta`` and ``eps`` are scalars or sequences broadcast to one value per
+    shape.  Shapes of different depths may share a batch: shallower rows
+    are padded with zero branch counts, which the walk reads as leaves.
+    Rows go through the one level walk in blocks of at most ``_BLOCK``
+    floats (see there), so memory does not grow with the batch beyond the
+    returned arrays and the branch array.  Branch counts above
+    ``MAX_CHAINS`` are refused with a ``ValueError`` before anything is
+    allocated.
+    """
+    if protocol not in (Protocol.STATIC, Protocol.DYNAMIC):
+        raise ValueError(f"no closed-form evaluation for protocol {protocol}")
+    branches = _branch_array(shapes)
+    rows = len(branches)
+    eta, eps = (np.broadcast_to(np.asarray(v, dtype=float), (rows,)) for v in (eta, eps))
+    ChannelParams(eta, eps)  # refuses a value outside [0, 1] before any work
+    out = np.empty((6, rows))
+    width = branches.max(axis=1) + _LEVEL_FLOATS * (branches.shape[1] + 1)
+    for block in _blocks(width):
+        out[:, block] = _logical_rows(
+            protocol, branches[block], ChannelParams(eta[block], eps[block]))
+    return BsmRates(*out)
 
 
 def logical_bsm(
     b: BranchingVectorLike, params: ChannelParams, protocol: Protocol
 ) -> LogicalBsmResult:
-    if protocol is Protocol.STATIC:
-        return static_logical_bsm(b, params)
-    if protocol is Protocol.DYNAMIC:
-        return dynamic_logical_bsm(b, params)
-    raise ValueError(f"no closed-form evaluation for protocol {protocol}")
+    """Evaluate ``protocol`` exactly on tree shape ``b``: a batch of one."""
+    vec = as_branching_vector(b)
+    rates = logical_bsm_batch([vec], params.eta, params.eps, protocol)
+    return LogicalBsmResult(protocol, vec, params, *(float(r[0]) for r in rates))
+
+
+def static_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
+    """Evaluate the static protocol exactly on tree shape ``b``."""
+    return logical_bsm(b, params, Protocol.STATIC)
+
+
+def dynamic_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
+    """Evaluate the adaptive protocol exactly on tree shape ``b``."""
+    return logical_bsm(b, params, Protocol.DYNAMIC)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +521,8 @@ def find_threshold(
         )
 
     def best_witness(eta: float) -> BranchingVector | None:
-        params = ChannelParams(eta=eta, eps=0.0)
-        for vec in vectors:
-            if logical_bsm(vec, params, protocol).pr_complete >= target:
-                return vec
-        return None
+        hits = logical_bsm_batch(vectors, eta, 0.0, protocol).pr_complete >= target
+        return vectors[int(hits.argmax())] if hits.any() else None
 
     witness = best_witness(1.0)
     if witness is None:

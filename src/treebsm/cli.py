@@ -33,6 +33,7 @@ from .analytic import (
     UnreachableTargetError,
     find_threshold,
     logical_bsm,
+    logical_bsm_batch,
 )
 from .genseq import check_tableau_size, compile_bell_pair, program_qubits, verify_bell_pair
 from .montecarlo import SampleConfig, run as run_mc, z_score
@@ -116,15 +117,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     etas = _parse_range(args.eta)
     epss = _parse_range(args.eps, geometric=True)
 
+    # The eta x eps grid, eta-major, as one batch of rows.
+    grid = ChannelParams(eta=np.repeat(etas, len(epss)), eps=np.tile(epss, len(etas)))
+    rates = logical_bsm_batch([b] * len(grid.eta), grid.eta, grid.eps, proto)
+    columns = (grid.eta, grid.eps, rates.pr_complete, rates.err_complete,
+               grid.eta * grid.eta, grid.eps_bsm)
     lines = ["eta,eps,pr_complete,err_complete,eta_sq,eps_bsm"]
-    for eta in map(float, etas):
-        for eps in map(float, epss):
-            params = ChannelParams(eta=eta, eps=eps)
-            res = logical_bsm(b, params, proto)
-            lines.append(
-                f"{eta!r},{eps!r},{res.pr_complete!r},{res.err_complete!r},"
-                f"{eta * eta!r},{params.eps_bsm!r}"
-            )
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     _write(args.output, "\n".join(lines) + "\n", "sweep", {
         "protocol": proto.value, "b": str(b), "eta": args.eta, "eps": args.eps,
     }, t0)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterator
 
-from .analytic import LogicalBsmResult, Protocol, logical_bsm
+from .analytic import Protocol, logical_bsm_batch
 from .trees import BranchingVector, ChannelParams, photon_count
 
 
@@ -52,7 +53,8 @@ class SearchBounds:
 
 def enumerate_trees(bounds: SearchBounds) -> Iterator[BranchingVector]:
     """Yield every in-bounds vector, depth first then lexicographic."""
-    def rec(prefix: list[int], depth: int) -> Iterator[BranchingVector]:
+    def rec(prefix: list[int], depth: int, width: int, photons: int) -> Iterator[BranchingVector]:
+        # width: vertices on the last level of prefix; photons: its photon_count
         if len(prefix) == depth:
             yield BranchingVector.of(*prefix)
             return
@@ -60,13 +62,12 @@ def enumerate_trees(bounds: SearchBounds) -> Iterator[BranchingVector]:
         if bounds.monotone and prefix:
             hi = min(hi, prefix[-1])
         for nxt in range(bounds.min_branch, hi + 1):
-            cand = prefix + [nxt]
-            if photon_count(cand) > bounds.max_photons:
+            if photons + width * nxt > bounds.max_photons:
                 break  # the photon count grows with nxt
-            yield from rec(cand, depth)
+            yield from rec(prefix + [nxt], depth, width * nxt, photons + width * nxt)
 
     for depth in range(bounds.min_depth, bounds.max_depth + 1):
-        yield from rec([], depth)
+        yield from rec([], depth, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -85,29 +86,37 @@ class ParetoEntry:
     improves_error: bool = False     # beat every smaller tree's error
 
 
-def _entry(res: LogicalBsmResult) -> ParetoEntry:
-    params = res.params
+def _entry(
+    b: BranchingVector, params: ChannelParams, protocol: Protocol,
+    pr_complete: float, err_complete: float,
+) -> ParetoEntry:
     return ParetoEntry(
-        b=res.b,
-        n_photons=photon_count(res.b),
-        protocol=res.protocol,
+        b=b,
+        n_photons=photon_count(b),
+        protocol=protocol,
         eta=params.eta,
         eps=params.eps,
-        pr_complete=res.pr_complete,
-        err_complete=res.err_complete,
-        loss_tolerant=res.pr_complete > params.eta**2,
-        beats_physical=res.pr_complete > 0.5 * params.eta**2,
-        error_correcting=(params.eps > 0.0 and res.err_complete < params.eps_bsm),
+        pr_complete=pr_complete,
+        err_complete=err_complete,
+        loss_tolerant=pr_complete > params.eta**2,
+        beats_physical=pr_complete > 0.5 * params.eta**2,
+        error_correcting=(params.eps > 0.0 and err_complete < params.eps_bsm),
     )
 
 
 def evaluate_all(
     bounds: SearchBounds, params: ChannelParams, protocol: Protocol
 ) -> list[ParetoEntry]:
-    """Score every enumerated shape, sorted by photon count then shape."""
-    entries = [
-        _entry(logical_bsm(vec, params, protocol)) for vec in enumerate_trees(bounds)
-    ]
+    """Score every enumerated shape, sorted by photon count then shape.
+
+    The shapes of each depth are scored as one batch of the exact engine.
+    """
+    entries = []
+    for _, group in groupby(enumerate_trees(bounds), key=len):
+        vecs = list(group)
+        rates = logical_bsm_batch(vecs, params.eta, params.eps, protocol)
+        scores = zip(vecs, rates.pr_complete.tolist(), rates.err_complete.tolist())
+        entries += [_entry(vec, params, protocol, pr, err) for vec, pr, err in scores]
     entries.sort(key=lambda e: (e.n_photons, e.b.branches))
     return entries
 
@@ -122,8 +131,6 @@ def pareto_front(
     error rate; with eps = 0 all errors vanish and the front is the
     success staircase alone.
     """
-    from dataclasses import replace
-
     front: list[ParetoEntry] = []
     best_pr = -1.0
     best_err = float("inf")

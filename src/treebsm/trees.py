@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 # build_tree refuses to materialize trees above this vertex count; the
 # analytic recursions do not have this limit since they never build the tree.
 DEFAULT_VERTEX_CAP = 10**6
@@ -190,6 +192,9 @@ def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
 class ChannelParams:
     """Single-photon detection probability and measurement error rate.
 
+    The exact engine's batches hold one array of ``eta`` and one of ``eps``,
+    with one entry per row; the derived rates below are then arrays too.
+
     ``eta`` is the probability that one photon is detected.  ``eps`` is the
     single-qubit measurement error rate; it corresponds to a depolarizing
     channel of strength ``eps_d = 3*eps/2`` applied to each photon.  The
@@ -207,10 +212,13 @@ class ChannelParams:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must be in [0, 1], got {self.eps}")
+        for name in ("eta", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):  # check its first bad entry, if any
+                bad = value[~((value >= 0.0) & (value <= 1.0))]
+                value = bad[0] if bad.size else 0.0
+            if not 0.0 <= value <= 1.0:  # NaN is out of range too
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     @property
     def eps_d(self) -> float:

@@ -80,6 +80,11 @@ def _exact_vote_mix(n, p, e):
     return Fraction(sum(wm * tail(m) for m, wm in enumerate(w, start=1)), sum(w) * den_e**n)
 
 
+def _mix(n, p, e):
+    """The batched vote mix on one row."""
+    return float(_vote_error_mix(np.array([n]), np.array([p]), np.array([e]))[0])
+
+
 class TestVoteErrorMix:
     @pytest.mark.parametrize("n,p,e", [
         (1, 0.5, 0.2), (2, 0.3, 0.1), (64, 0.5, 0.01), (100, 1e-3, 0.25),
@@ -87,7 +92,7 @@ class TestVoteErrorMix:
         (130, 1.0, 0.3), (130, 0.37, 0.4999), (129, 0.999, 0.45),
     ])
     def test_matches_exact_binomial_sum(self, n, p, e):
-        assert abs(_vote_error_mix(n, p, e) - float(_exact_vote_mix(n, p, e))) <= 1e-12
+        assert abs(_mix(n, p, e) - float(_exact_vote_mix(n, p, e))) <= 1e-12
 
     def test_random_points_match_exact_sum(self):
         rng = np.random.default_rng(29)
@@ -96,7 +101,7 @@ class TestVoteErrorMix:
             p = float(10.0 ** rng.uniform(-20, 0))
             e = float(rng.uniform(0, 0.5))
             exact = float(_exact_vote_mix(n, p, e))
-            assert abs(_vote_error_mix(n, p, e) - exact) <= 1e-12, (n, p, e)
+            assert abs(_mix(n, p, e) - exact) <= 1e-12, (n, p, e)
 
     @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
     def test_tiny_chain_rate_at_42_42(self, f):

@@ -1,0 +1,177 @@
+"""The batched exact engine against the scalar oracle, block by block and within its memory bounds.
+
+``reference_exact.reference_logical_bsm`` is the engine as it was before
+the batch axis: one shape at one point, one level at a time, with a vote
+sum over every possible number of successful chains.  The batched walk
+must agree with it to 1e-12 on every default-bounds shape and give the
+same search fronts; each row of a batch must equal its batch of one; and
+neither a long batch nor a wide node may hold more than a few MB.
+"""
+
+import math
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from treebsm import analytic
+from treebsm.analytic import MAX_CHAINS, Protocol, logical_bsm, logical_bsm_batch
+from treebsm.cli import main
+from treebsm.search import SearchBounds, enumerate_trees, pareto_front
+from treebsm.trees import BranchingVector, ChannelParams, photon_count
+
+from reference_exact import FIELDS, reference_logical_bsm, vote_error_mix
+from test_golden_exact import POINTS
+
+TOL = 1e-12
+PROTOCOLS = [Protocol.STATIC, Protocol.DYNAMIC]
+DEFAULT_SHAPES = tuple(enumerate_trees(SearchBounds()))
+# Shapes of depth 1 to 5 with unit branches and increasing profiles, so a
+# batch of them pads shallow rows with zero branch counts.
+LOOSE_SHAPES = tuple(enumerate_trees(SearchBounds(
+    max_depth=5, max_branch=30, max_photons=400, min_branch=1, min_depth=1, monotone=False)))
+
+
+@lru_cache(maxsize=None)
+def _oracle(shape: BranchingVector, eta: float, eps: float, protocol: Protocol) -> dict:
+    return reference_logical_bsm(shape, ChannelParams(eta=eta, eps=eps), protocol)
+
+
+def _worst(shapes, eta, eps, protocol) -> float:
+    got = logical_bsm_batch(shapes, eta, eps, protocol)
+    return max(
+        abs(float(getattr(got, f)[i]) - _oracle(vec, eta, eps, protocol)[f])
+        for i, vec in enumerate(shapes) for f in FIELDS
+    )
+
+
+class TestOracle:
+    def test_default_bounds_size(self):
+        assert len(DEFAULT_SHAPES) == 6294
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_every_default_shape_at_the_reference_point(self, protocol):
+        assert _worst(DEFAULT_SHAPES, *POINTS[0], protocol) <= TOL
+
+    @pytest.mark.parametrize("point", POINTS[1:], ids=str)
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_sampled_shapes_at_the_other_points(self, point, protocol):
+        rng = np.random.default_rng(41)
+        picks = [DEFAULT_SHAPES[i] for i in rng.choice(len(DEFAULT_SHAPES), 300, replace=False)]
+        picks += [LOOSE_SHAPES[i] for i in rng.choice(len(LOOSE_SHAPES), 200, replace=False)]
+        assert {v.depth for v in picks} == {1, 2, 3, 4, 5}
+        assert _worst(picks, *point, protocol) <= TOL
+
+
+def _oracle_front(bounds: SearchBounds, params: ChannelParams, protocol: Protocol):
+    """``pareto_front``'s scan, over oracle values."""
+    scored = sorted(
+        (photon_count(v), v.branches, _oracle(v, params.eta, params.eps, protocol))
+        for v in enumerate_trees(bounds)
+    )
+    front, best_pr, best_err = [], -1.0, math.inf
+    for n, b, res in scored:
+        improves_pr = res["pr_complete"] > best_pr
+        improves_err = params.eps > 0.0 and res["err_complete"] < best_err
+        if improves_pr or improves_err:
+            front.append((b, n, improves_pr, improves_err))
+            best_pr = max(best_pr, res["pr_complete"])
+            best_err = min(best_err, res["err_complete"])
+    return front
+
+
+@pytest.mark.parametrize("point,bounds", [
+    ((0.95, 1e-5), SearchBounds()),
+    ((0.8, 1e-3), SearchBounds(max_photons=700)),
+    ((0.6, 0.0), SearchBounds(max_photons=700)),
+    ((0.9, 1e-4), SearchBounds(max_photons=700)),
+], ids=["0.95-1e-5-default", "0.8-1e-3-700", "0.6-0-700", "0.9-1e-4-700"])
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+def test_front_matches_the_oracle_front(point, bounds, protocol):
+    params = ChannelParams(*point)
+    got = [(e.b.branches, e.n_photons, e.improves_success, e.improves_error)
+           for e in pareto_front(bounds, params, protocol)]
+    assert got == _oracle_front(bounds, params, protocol)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_each_row_equals_its_batch_of_one(self, protocol, monkeypatch):
+        rng = np.random.default_rng(5)
+        wide = [BranchingVector.of(2, 2), BranchingVector.of(1100, 2), BranchingVector.of(2, 1100)]
+        shapes = [LOOSE_SHAPES[i] for i in rng.choice(len(LOOSE_SHAPES), 240)]
+        for i in rng.choice(len(shapes), 24, replace=False):
+            shapes[i] = wide[i % 3]
+        eta = rng.uniform(0.5, 1.0, len(shapes))
+        eps = rng.uniform(0.0, 0.05, len(shapes))
+        blocks = []
+        real = analytic._logical_rows
+        monkeypatch.setattr(analytic, "_logical_rows",
+                            lambda *args: blocks.append(args[1].shape) or real(*args))
+        got = logical_bsm_batch(shapes, eta, eps, protocol)
+        monkeypatch.undo()
+
+        assert len(blocks) > 3 and len({shape[0] for shape in blocks}) > 1
+        for i, vec in enumerate(shapes):
+            one = logical_bsm(vec, ChannelParams(eta=eta[i], eps=eps[i]), protocol)
+            for f in FIELDS:
+                assert abs(float(getattr(got, f)[i]) - getattr(one, f)) <= TOL, (str(vec), f)
+
+    def test_long_batch_holds_a_few_mb(self):
+        rng = np.random.default_rng(9)
+        small = [BranchingVector.parse(s) for s in ("2", "3,2", "2,2", "4,2,1", "5,3", "3,3,3")]
+        shapes = [small[i] for i in rng.integers(0, len(small), 10**5)]
+        for k in range(0, len(shapes), 5000):
+            shapes[k] = BranchingVector.of(1100, 2) if k % 10000 else BranchingVector.of(2, 1100)
+        eta = rng.uniform(0.5, 1.0, len(shapes))
+        eps = rng.uniform(0.0, 1e-3, len(shapes))
+        tracemalloc.start()
+        try:
+            got = logical_bsm_batch(shapes, eta, eps, Protocol.DYNAMIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(a.nbytes for a in got) < 4e6
+
+
+def test_a_point_outside_the_unit_interval_is_refused():
+    with pytest.raises(ValueError, match="eta must be in \\[0, 1\\], got 1.5"):
+        logical_bsm_batch(["2,2"] * 3, [0.5, 1.5, 0.7], 0.0, Protocol.STATIC)
+    with pytest.raises(ValueError, match="eps must be in \\[0, 1\\], got nan"):
+        logical_bsm_batch(["2,2", "3"], 0.9, [0.0, float("nan")], Protocol.DYNAMIC)
+
+
+class TestChainCap:
+    def test_cap_is_refused_before_anything_is_allocated(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap of {MAX_CHAINS}"):
+                logical_bsm((10**9, 2), ChannelParams(eta=0.9, eps=1e-3), Protocol.STATIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_sweep_over_the_cap_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "huge.csv"
+        assert main(["sweep", "--protocol", "static", "--b", "1000000000,2",
+                     "--output", str(out)]) == 1
+        assert f"cap of {MAX_CHAINS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_widest_node_at_the_cap_holds_a_few_mb(self):
+        tracemalloc.start()
+        try:
+            res = logical_bsm((MAX_CHAINS, 2), ChannelParams(eta=0.9, eps=1e-3), Protocol.STATIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= res.err_complete <= 0.75
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("p,e", [(0.3, 0.49), (1e-4, 0.3), (0.999, 0.45), (1.0, 0.4999)])
+    def test_vote_sum_in_column_chunks_matches_the_full_sum(self, p, e):
+        n = 3 * analytic._BLOCK + 7  # one row takes four column chunks
+        got = analytic._vote_error_mix(np.array([n]), np.array([p]), np.array([e]))[0]
+        assert abs(got - vote_error_mix(n, p, e)) <= TOL
