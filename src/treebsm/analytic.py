@@ -106,12 +106,22 @@ def parity_error(per_slot: Sequence, counts: Sequence) -> float | np.ndarray:
 
     ``per_slot[i]`` is the error rate of each of ``counts[i]`` independent
     results whose product forms the measured parity; rates and counts may
-    be arrays of rows.
+    be arrays of rows.  The rate ``0.5 * (1 - prod (1 - 2e)**n)`` is formed
+    from ``sum n * log|1 - 2e|`` and the sign of the product, with
+    ``expm1`` where the product is positive, so a small parity error keeps
+    its relative precision.  A slot with zero count (a padded row) adds
+    nothing, and one with ``e = 1/2`` makes the parity a fair coin.
     """
-    prod = 1.0
+    log_abs, negative = 0.0, False
     for e, n in zip(per_slot, counts):
-        prod = prod * (1.0 - 2.0 * e) ** n
-    return 0.5 * (1.0 - prod)
+        e, n = np.asarray(e, dtype=float), np.asarray(n)
+        with np.errstate(divide="ignore"):  # log(0) = -inf at e = 1/2
+            log_base = np.log1p(-2.0 * np.minimum(e, 1.0 - e))  # log|1 - 2e|
+        term = np.zeros(np.broadcast(e, n).shape)
+        log_abs = log_abs + np.multiply(n, log_base, out=term, where=n > 0)
+        negative = negative ^ ((e > 0.5) & (n % 2 == 1))
+    # 0 - expm1 rather than -expm1, which would give -0.0 for an error-free parity.
+    return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), 0.5 * (0.0 - np.expm1(log_abs)))[()]
 
 
 def _vote_tail(m, e):
@@ -154,7 +164,7 @@ def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarr
         return out
     n, p, e = n_chains[live], p_chain[live], e_chain[live]
     log_mode = _log_binom(n, np.clip(np.floor((n + 1) * p), 1, n), p)
-    with np.errstate(divide="ignore"):  # e = 1 (at eps = 1): the tail never falls
+    with np.errstate(divide="ignore"):  # a chain that always errs (e = 1): the tail never falls
         log_ee = np.log(e * (1.0 - e))
     weight = drop = 0.0
     top = int(n.max()) + 1

@@ -53,6 +53,13 @@ every window and thread count.  A chunk is split only while every window
 holds at least :data:`_MIN_WINDOW` uniforms: on smaller chunks the
 per-window bookkeeping, which holds the interpreter lock, is a larger
 share of the draw.
+
+A run draws only the planes its protocol reads (:data:`_READS`): the static
+rules read no single-qubit tie planes and, like the adaptive rules, no tie
+plane at the leaves, where no vote can tie; the loss-only rules read the
+coin of first-level pairs only.  A plane that is not drawn is None in the
+world, and its stretch of the stream is passed over, not drawn, so every
+other plane keeps its position in the stream and the counters do not change.
 """
 
 from __future__ import annotations
@@ -125,6 +132,7 @@ class SampleConfig:
             raise ValueError("need at least one sample")
         if not 1 <= self.n_workers <= MAX_WORKERS:
             raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {self.n_workers}")
+        ChannelParams(eta=self.eta, eps=self.eps)  # refuses a point that is no channel
 
     @property
     def params(self) -> ChannelParams:
@@ -271,14 +279,25 @@ def _planes(vec: BranchingVector, faults: bool) -> list[tuple[str, int, int]]:
     return layout + [("tie_pair", 0, 1)] if faults else layout
 
 
-def chunk_bytes(vec: BranchingVector, n: int, faults: bool) -> int:
+# Which planes of a world an evaluator reads, as a predicate on (field,
+# level, depth); None reads (and draws) every plane.
+Reads = Callable[[str, int, int], bool]
+
+
+def _drawn_widths(vec: BranchingVector, faults: bool, reads: Reads | None = None) -> list[int]:
+    """Widths of the planes of :func:`_planes` that ``reads`` accepts, in draw order."""
+    return [width for field, k, width in _planes(vec, faults)
+            if reads is None or reads(field, k, vec.depth)]
+
+
+def chunk_bytes(vec: BranchingVector, n: int, faults: bool, reads: Reads | None = None) -> int:
     """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
 
-    One byte per sample for each column of each plane of :func:`_planes`,
-    and 8 bytes per sample for the widest plane's float64 uniforms (the
-    leaves).
+    One byte per sample for each column of each plane of :func:`_planes`
+    that ``reads`` accepts (every plane without it), and 8 bytes per sample
+    for the widest of those planes' float64 uniforms (the leaves).
     """
-    widths = [width for *_, width in _planes(vec, faults)]
+    widths = _drawn_widths(vec, faults, reads)
     return n * (sum(widths) + 8 * max(widths))
 
 
@@ -289,7 +308,10 @@ class World:
     Loss flags, coins and tie-breaks are bool (a tie plane is True where an
     even vote drops a wrong member); faults are uint8 Pauli codes.  Level 0
     is the virtual root: it holds only the pair tie-break of the logical
-    X-parity vote, a (1, N) plane, and None in every other list.
+    X-parity vote, a (1, N) plane, and None in every other list.  Faults
+    and tie-breaks are None at eps = 0.  A world drawn for one protocol
+    holds None for every plane that protocol does not read (see
+    :data:`_READS`); its other planes equal those of a world drawn whole.
     """
 
     det_a: list[np.ndarray]
@@ -333,17 +355,17 @@ def _seek(bits: np.random.Philox, raw: int) -> None:
 
 def _window_count(n: int, per_sample: int, windows: int) -> int:
     """Sample windows of an ``n``-sample chunk: at most ``windows``, each of at least
-    :data:`_MIN_WINDOW` uniforms (``per_sample`` per sample), and at least one."""
+    :data:`_MIN_WINDOW` drawn uniforms (``per_sample`` per sample), and at least one."""
     return max(1, min(windows, n, n * per_sample // _MIN_WINDOW))
 
 
 def draw_world(
     vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int], first: int = 0,
-    windows: int = 1, pool: ThreadPoolExecutor | None = None,
+    windows: int = 1, pool: ThreadPoolExecutor | None = None, reads: Reads | None = None,
 ) -> World:
     """Sample samples ``first .. first + n - 1`` of the Philox stream keyed by ``key``.
 
-    The draw order here is part of the stream contract.  A sample draws one
+    The draw order here is part of the stream contract.  A sample owns one
     uniform (one raw of the stream) per column of each plane of
     :func:`_planes`, ``per_sample`` in all, so the chunk's uniforms start at
     raw ``first * per_sample`` and depend on nothing else.  The planes take
@@ -351,6 +373,10 @@ def draw_world(
     Uniform ``u[i, j]``, the ``i * s_k + j``-th of a plane's stretch, is
     thresholded into node j of sample i, and the plane is stored node-major,
     as its (s_k, n) transpose.
+
+    With ``reads``, only the planes it accepts are drawn; each other plane
+    is None, and its stretch of uniforms is passed over without being
+    generated, so the drawn planes are those of a world drawn whole.
 
     The samples are drawn in up to ``windows`` windows (see
     :func:`_window_count`; one unless the chunk is large), the windows after
@@ -361,29 +387,32 @@ def draw_world(
     transposes them in blocks of samples small enough to stay in cache.
     """
     layout = _planes(vec, params.eps > 0.0)
-    widest = max(width for *_, width in layout)
     per_sample = sum(width for *_, width in layout)
-    buf = np.empty(n * widest)
     planes = [np.empty((width, n), np.uint8 if field.startswith("fault") else bool)
-              for field, _, width in layout]
+              if reads is None or reads(field, k, vec.depth) else None
+              for field, k, width in layout]
+    widths = [len(plane) for plane in planes if plane is not None]
+    widest = max(widths)
+    buf = np.empty(n * widest)
     loss, half = (lambda u: u < params.eta), (lambda u: u < 0.5)
     decode = {"det_a": loss, "det_b": loss, "coin": half, "tie_pair": half,
               "tie_side_a": half, "tie_side_b": half,
               "fault_a": lambda u: _faults(u, params.eps_d),
               "fault_b": lambda u: _faults(u, params.eps_d)}
-    windows = _window_count(n, per_sample, windows)
+    windows = _window_count(n, sum(widths), windows)
 
     def fill(j: int) -> None:
         gen = np.random.Generator(np.random.Philox(key=key))
         lo, hi = j * n // windows, (j + 1) * n // windows
         offset = first * per_sample  # stream index of this plane's first uniform
         for (field, _, width), plane in zip(layout, planes):
-            u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
-            _seek(gen.bit_generator, offset + lo * width)
-            gen.random(out=u)
-            rows = plane[:, lo:hi]
-            for i in range(0, hi - lo, _BLOCK):
-                rows[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
+            if plane is not None:
+                u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
+                _seek(gen.bit_generator, offset + lo * width)
+                gen.random(out=u)
+                rows = plane[:, lo:hi]
+                for i in range(0, hi - lo, _BLOCK):
+                    rows[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
             offset += n * width
 
     rest = (map if pool is None else pool.map)(fill, range(1, windows))
@@ -607,6 +636,17 @@ _EVALUATORS = {
     Protocol.LOSS_ONLY: eval_loss_only,
 }
 
+# The planes each evaluator reads; a run draws no other.  No vote can tie
+# at the leaves (level d), which have no chains below them; the static
+# rules measure no photon on its own, so they break no single-qubit tie;
+# the loss-only rules measure every pair below level 1 photon by photon.
+_READS: dict[Protocol, Reads] = {
+    Protocol.STATIC: lambda field, k, d: not (
+        field.startswith("tie_side") or (field == "tie_pair" and k == d)),
+    Protocol.DYNAMIC: lambda field, k, d: not (field.startswith("tie") and k == d),
+    Protocol.LOSS_ONLY: lambda field, k, d: field != "coin" or k == 1,
+}
+
 
 try:  # glibc: hands the free pages of every malloc arena back to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -623,15 +663,17 @@ def _usable_cpus() -> int:
 
 def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
                   first: int, evaluator, windows: int = 1,
-                  pool: ThreadPoolExecutor | None = None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw samples ``first .. first + n - 1`` of stream ``key`` (in up to ``windows``
-    windows on ``pool``), evaluate and tally them; the world is released on return.
+                  pool: ThreadPoolExecutor | None = None,
+                  reads: Reads | None = None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Draw the planes ``reads`` accepts of samples ``first .. first + n - 1`` of stream
+    ``key`` (in up to ``windows`` windows on ``pool``), evaluate and tally them; the
+    world is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, key, first, windows, pool)
+    world = draw_world(vec, params, n, key, first, windows, pool, reads)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -647,10 +689,11 @@ def run(cfg: SampleConfig) -> McEstimate:
         )
     vec = as_branching_vector(cfg.b)
     params = cfg.params
-    evaluator = _EVALUATORS[cfg.protocol]
+    evaluator, reads = _EVALUATORS[cfg.protocol], _READS[cfg.protocol]
+    faults = cfg.eps > 0.0
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
     largest = min(_CHUNK, base + (rem > 0))
-    chunk = chunk_bytes(vec, largest, faults=cfg.eps > 0.0)
+    chunk = chunk_bytes(vec, largest, faults, reads)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
@@ -660,8 +703,7 @@ def run(cfg: SampleConfig) -> McEstimate:
     cpus = _usable_cpus()
     threads = min(cfg.n_workers, cpus)
     windows = cpus // threads
-    per_sample = sum(width for *_, width in _planes(vec, cfg.eps > 0.0))
-    split = _window_count(largest, per_sample, windows) > 1
+    split = _window_count(largest, sum(_drawn_widths(vec, faults, reads)), windows) > 1
 
     # (worker, first sample, samples) of every chunk, worker by worker
     tasks = ((w, first, min(_CHUNK, base + (w < rem) - first))
@@ -669,7 +711,8 @@ def run(cfg: SampleConfig) -> McEstimate:
 
     def sample(task: tuple[int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
         w, first, n = task
-        return _sample_chunk(vec, params, n, [cfg.seed, w], first, evaluator, windows, window_pool)
+        return _sample_chunk(vec, params, n, [cfg.seed, w], first, evaluator, windows,
+                             window_pool, reads)
 
     totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
     t0 = time.perf_counter()

@@ -188,6 +188,21 @@ def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
 # Channel parameters
 # ---------------------------------------------------------------------------
 
+# Largest single-qubit error rate: the depolarizing strength 3*eps/2 of a
+# photon is a probability, so it reaches 1 here; a larger eps is no channel.
+EPS_MAX = 2.0 / 3.0
+
+
+def _first_outside(value, top: float):
+    """The first entry of ``value`` (a number or an array) outside [0, top], else None.
+
+    NaN is outside.
+    """
+    values = np.atleast_1d(value)
+    bad = values[~((values >= 0.0) & (values <= top))]
+    return bad[0] if bad.size else None
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Single-photon detection probability and measurement error rate.
@@ -197,7 +212,8 @@ class ChannelParams:
 
     ``eta`` is the probability that one photon is detected.  ``eps`` is the
     single-qubit measurement error rate; it corresponds to a depolarizing
-    channel of strength ``eps_d = 3*eps/2`` applied to each photon.  The
+    channel of strength ``eps_d = 3*eps/2`` applied to each photon, so it is
+    at most :data:`EPS_MAX` = 2/3.  The
     derived two-photon rates follow from how a linear-optical BSM reads the
     two parities:
 
@@ -213,12 +229,13 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("eta", "eps"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):  # check its first bad entry, if any
-                bad = value[~((value >= 0.0) & (value <= 1.0))]
-                value = bad[0] if bad.size else 0.0
-            if not 0.0 <= value <= 1.0:  # NaN is out of range too
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            bad = _first_outside(getattr(self, name), 1.0)
+            if bad is not None:
+                raise ValueError(f"{name} must be in [0, 1], got {bad}")
+        bad = _first_outside(self.eps, EPS_MAX)
+        if bad is not None:
+            raise ValueError(f"eps must be at most 2/3, where the depolarizing strength "
+                             f"3*eps/2 reaches 1, got {bad}")
 
     @property
     def eps_d(self) -> float:

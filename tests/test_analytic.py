@@ -145,6 +145,34 @@ class TestParityError:
                     brute += w
         assert parity_error([a, b], [1, n]) == pytest.approx(brute, abs=1e-14)
 
+    def test_small_parity_keeps_relative_precision(self):
+        # err_zz of the static (63,30) tree at (0.95, 1e-5) is about 1e-8,
+        # where 1 - prod (1 - 2e)**n cancels; compare with the exact rational
+        # value of the same float input.
+        params = ChannelParams(eta=0.95, eps=1e-5)
+        e = Fraction(float(static_layer_recursion((63, 30), params, Basis.ZZ).err_m[1]))
+        exact = (1 - (1 - 2 * e) ** 63) / 2
+        got = static_logical_bsm((63, 30), params).err_zz
+        assert abs(Fraction(got) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("rates,counts", [
+        ([0.7], [1]), ([0.7], [2]), ([0.7, 0.2], [1, 3]), ([0.75, 0.9], [3, 2]),
+        ([1e-9], [5]), ([0.0, 0.3], [4, 1])])
+    def test_matches_the_exact_product_on_either_side_of_one_half(self, rates, counts):
+        exact = Fraction(1)
+        for e, n in zip(rates, counts):
+            exact *= (1 - 2 * Fraction(e)) ** n
+        exact = (1 - exact) / 2
+        assert abs(Fraction(float(parity_error(rates, counts))) - exact) <= 1e-15 * exact
+
+    def test_zero_counts_and_fair_slots(self):
+        # A padded row has a zero count, even where its rate is 1/2; a slot
+        # at rate 1/2 with a positive count makes the parity a fair coin.
+        got = parity_error([np.array([0.5, 0.5, 0.5, 0.1]), np.array([0.2, 0.5, 0.7, 0.5])],
+                           [np.array([0, 0, 2, 0]), np.array([0, 1, 1, 0])])
+        np.testing.assert_array_equal(got, [0.0, 0.5, 0.5, 0.0])
+        assert np.signbit(got).sum() == 0
+
 
 # ---------------------------------------------------------------------------
 # Static recursion

@@ -142,6 +142,14 @@ def test_a_point_outside_the_unit_interval_is_refused():
         logical_bsm_batch(["2,2", "3"], 0.9, [0.0, float("nan")], Protocol.DYNAMIC)
 
 
+def test_eps_beyond_a_channel_is_refused():
+    # The depolarizing strength 3 eps / 2 reaches 1 at eps = 2/3.
+    with pytest.raises(ValueError, match="eps must be at most 2/3.*got 0.8"):
+        logical_bsm_batch(["2,2"] * 3, 0.9, [0.1, 0.8, 0.0], Protocol.DYNAMIC)
+    with pytest.raises(ValueError, match="eps must be at most 2/3.*got 0.9"):
+        logical_bsm("2,2", ChannelParams(eta=0.9, eps=0.9), Protocol.STATIC)
+
+
 class TestChainCap:
     def test_cap_is_refused_before_anything_is_allocated(self):
         tracemalloc.start()

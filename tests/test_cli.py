@@ -137,6 +137,22 @@ def test_closed_form_commands_refuse_loss_only(tmp_path, capsys, command):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--protocol", "static", "--b", "2,2", "--eps", "0.1:0.8:3"],
+    ["search", "--protocol", "dynamic", "--eta", "0.9", "--eps", "0.7", "--max-n", "20"],
+    ["validate", "--protocol", "dynamic", "--b", "2,2", "--eta", "0.9", "--eps", "0.9",
+     "--n", "100", "--seed", "1"],
+    ["validate", "--protocol", "loss-only", "--b", "2,2", "--eta", "0.9", "--eps", "0.9",
+     "--n", "100", "--seed", "1"],
+])
+def test_eps_beyond_a_channel_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    extra = ["--output", str(out)] if command[0] != "validate" else []
+    assert main(command + extra) == 1
+    assert "eps must be at most 2/3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestThreshold:
     def test_static_defaults(self, capsys):
         assert main(["threshold", "--protocol", "static"]) == 0

@@ -28,7 +28,6 @@ from treebsm.montecarlo import (
     draw_world,
     eval_dynamic,
     eval_loss_only,
-    eval_static,
     exhaustive_dynamic,
     exhaustive_static,
     run,
@@ -113,20 +112,6 @@ class TestVectorizedAgainstReference:
                 bool(success[i]), bool(zz_err[i]), bool(xx_err[i])
             ) == reference_dynamic_sample(vec, world, i)
 
-    @pytest.mark.parametrize("b", [(2, 2), (3, 2, 2), (4, 2, 1)])
-    def test_leaf_tie_planes_are_never_read(self, b):
-        # A leaf has no chains below it, so no vote at level d can tie.
-        vec = BranchingVector(b)
-        world = draw_world(vec, ChannelParams(eta=0.7, eps=0.05), 200, [7, 0])
-        want = [eval_static(vec, world), eval_dynamic(vec, world)]
-        for ties in (world.tie_pair, world.tie_side_a, world.tie_side_b):
-            ties[vec.depth] = None
-        for before, after in zip(want, [eval_static(vec, world), eval_dynamic(vec, world)]):
-            for w, g in zip(before, after):
-                np.testing.assert_array_equal(g, w)
-        for i in range(200):
-            reference_dynamic_sample(vec, world, i)
-
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
         # virtual root: one row; the single-qubit sides have no level 0.
@@ -141,6 +126,54 @@ class TestVectorizedAgainstReference:
         world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 100, [3, 0])
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
+
+
+def _unread(protocol, d, eps):
+    """The (field, level) planes a protocol never reads, written out by hand."""
+    if protocol is Protocol.LOSS_ONLY:  # pairs below level 1 are measured photon by photon
+        return {("coin", k) for k in range(2, d + 1)}
+    if eps == 0.0:  # no faults, no ties
+        return set()
+    leaves = {(field, d) for field in ("tie_pair", "tie_side_a", "tie_side_b")}
+    if protocol is Protocol.DYNAMIC:
+        return leaves
+    return leaves | {(field, k) for field in ("tie_side_a", "tie_side_b") for k in range(1, d)}
+
+
+READ_CASES = [(p, b, eps) for p in Protocol for b in ((2, 2), (3, 2, 2), (4, 2, 1))
+              for eps in ((0.0,) if p is Protocol.LOSS_ONLY else (0.0, 0.05))]
+
+
+class TestReadSets:
+    @pytest.mark.parametrize("protocol,b,eps", READ_CASES,
+                             ids=[f"{p.value}-{','.join(map(str, b))}-{eps}" for p, b, eps in READ_CASES])
+    def test_unread_planes_are_not_drawn(self, small_windows, protocol, b, eps):
+        # A run draws only the planes its evaluator reads; a skipped plane
+        # moves no other plane in the stream, and the flags do not change.
+        vec, params, n = BranchingVector(b), ChannelParams(eta=0.7, eps=eps), 300
+        reads, evaluator = montecarlo._READS[protocol], montecarlo._EVALUATORS[protocol]
+        unread = _unread(protocol, vec.depth, eps)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for first in (0, 1, 2, 8195):
+                whole = draw_world(vec, params, n, [7, 0], first)
+                want = evaluator(vec, whole)
+                for windows in (1, 2):
+                    world = draw_world(vec, params, n, [7, 0], first, windows, pool, reads)
+                    for field, k, _ in _planes(vec, eps > 0.0):
+                        plane = getattr(world, field)[k]
+                        where = f"{field}[{k}], first={first}, windows={windows}"
+                        assert (plane is None) == ((field, k) in unread), where
+                        if plane is not None:
+                            np.testing.assert_array_equal(plane, getattr(whole, field)[k],
+                                                          err_msg=where)
+                    for w, g in zip(want, evaluator(vec, world)):
+                        np.testing.assert_array_equal(g, w)
+        assert small_windows[-2:] == [1, 2]
+        if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
+            success, zz_err, xx_err = want
+            for i in range(n):
+                assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
+                    == reference_dynamic_sample(vec, world, i)
 
 
 class TestNodeMajorLayout:
@@ -269,6 +302,15 @@ class TestFaultModel:
         rates = sample_bsm_error_rates(0.01, 10**6, seed=7)
         assert abs(z_score(rates["zz_flip_rate"], 0.0198, rates["n"])) <= 3
         assert abs(z_score(rates["xx_error_rate"], 0.0297, rates["n"])) <= 3
+
+
+@pytest.mark.parametrize("eps", [0.8, 0.9])
+def test_eps_beyond_a_channel_is_refused(eps):
+    # Above 2/3 the per-photon fault rate 3 eps / 2 would exceed 1.
+    with pytest.raises(ValueError, match=f"eps must be at most 2/3.*got {eps}"):
+        SampleConfig(b=(2,), eta=0.9, eps=eps, protocol=Protocol.STATIC, n_samples=10, seed=1)
+    with pytest.raises(ValueError, match=f"eps must be at most 2/3.*got {eps}"):
+        sample_bsm_error_rates(eps, 1000, 1)
 
 
 class TestEstimate:
@@ -561,6 +603,26 @@ class TestMemoryBudget:
         assert peak <= 130e6
         # The size estimate is the world plus a float64 buffer for the widest level.
         assert chunk_bytes(vec, 8192, True) == world.nbytes + 8 * 8192 * 450
+
+    def test_a_chunk_holds_only_the_planes_its_protocol_reads(self):
+        # Of the 5521 uniforms a (15,15,2) sample with faults owns, the
+        # adaptive rules read 4171: all but the three leaf tie planes.
+        vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
+        reads = montecarlo._READS[Protocol.DYNAMIC]
+        _, nbytes, _ = _sample_chunk(vec, params, 8192, [1, 0], 0, eval_dynamic, reads=reads)
+        assert nbytes == 4171 * 8192
+        assert chunk_bytes(vec, 8192, True, reads) == nbytes + 8 * 8192 * 450
+
+    @pytest.mark.parametrize("protocol,eps,per_sample", [
+        (Protocol.STATIC, 1e-3, 3691), (Protocol.DYNAMIC, 1e-3, 4171),
+        (Protocol.STATIC, 0.0, 2070), (Protocol.DYNAMIC, 0.0, 2070), (Protocol.LOSS_ONLY, 0.0, 1395)])
+    def test_run_sizes_and_reports_the_drawn_world(self, protocol, eps, per_sample):
+        vec = BranchingVector((15, 15, 2))
+        reads = montecarlo._READS[protocol]
+        assert chunk_bytes(vec, 8192, eps > 0.0, reads) == 8192 * (per_sample + 8 * 450)
+        est = run(SampleConfig(b=vec.branches, eta=0.8, eps=eps, protocol=protocol,
+                               n_samples=300, seed=3))
+        assert est.world_bytes == 300 * per_sample
 
 
 class TestSizeCap:

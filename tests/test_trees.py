@@ -117,7 +117,7 @@ class TestChannelParams:
         )
 
     def test_error_ordering(self):
-        for eps in (0.0, 0.01, 0.3, 1.0):
+        for eps in (0.0, 0.01, 0.3, 2 / 3):
             p = ChannelParams(eta=0.5, eps=eps)
             assert 0.0 <= p.err_dzz <= p.err_dxx <= 1.0
 
@@ -125,4 +125,13 @@ class TestChannelParams:
     def test_rejects_out_of_range(self, eta, eps):
         with pytest.raises(ValueError):
             ChannelParams(eta=eta, eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.7, 0.8, 0.9, 1.0])
+    def test_eps_beyond_a_channel_is_refused(self, eps):
+        # eps_d = 3 eps / 2 is a probability, so eps stops at 2/3.
+        assert ChannelParams(eta=0.5, eps=2 / 3).eps_d == 1.0
+        with pytest.raises(ValueError, match=f"eps must be at most 2/3.*got {eps}"):
+            ChannelParams(eta=0.5, eps=eps)
+        with pytest.raises(ValueError, match=f"eps must be at most 2/3.*got {eps}"):
+            ChannelParams(eta=np.full(3, 0.5), eps=np.array([0.1, eps, 2 / 3]))
 
