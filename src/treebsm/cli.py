@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import secrets
 import sys
 import time
@@ -36,7 +35,7 @@ from .analytic import (
     logical_bsm_batch,
 )
 from .genseq import check_tableau_size, compile_bell_pair, program_qubits, verify_bell_pair
-from .montecarlo import SampleConfig, run as run_mc, z_score
+from .montecarlo import SampleConfig, check_seed, run as run_mc, z_score
 from .search import SearchBounds, front_to_csv, pareto_front
 from .trees import BranchingVector, ChannelParams
 
@@ -96,14 +95,6 @@ def _write(output: str, text: str, command: str, params: dict, t0: float) -> Non
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     Path(output + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("TREEBSM_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TREEBSM_WORKERS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +192,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_generation(args: argparse.Namespace) -> int:
     b = BranchingVector.parse(args.b)
+    if args.seed is not None:
+        check_seed(args.seed)  # before anything is compiled
     check_tableau_size(program_qubits(b))  # before compiling a program too large to verify
     seq = compile_bell_pair(b)
     if args.seed is not None:
-        rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], np.uint64)))
         result = verify_bell_pair(seq, b, rng=rng)
         seed_note = f"seed={args.seed}"
     else:
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--n", type=int, default=10**5)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("verify-generation", help="compile and check a Bell-pair program")

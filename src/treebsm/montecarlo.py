@@ -37,22 +37,20 @@ chunk of samples ``first .. first + n - 1`` starts at raw
 ``first * per_sample`` of its worker's stream (a sample draws
 ``per_sample`` uniforms): its uniforms are a pure function of (seed,
 worker, first sample, n), and no generator continues from one chunk to the
-next.  Chunks run at the same time, on at most one thread per CPU this
-process may use (numpy releases the interpreter lock in its draws and
-array operations); totals are order-independent sums, so results are
-bit-identical for a fixed (seed, config, worker count) whatever the thread
-count and chunk order.  Each thread keeps one chunk's world alive at a
-time, and a configuration whose chunk would not fit in
-:data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
+next.
 
-When there are more CPUs than threads, each large chunk is drawn in sample
-windows, one per CPU its thread may use, at the same time, each from its
-own generator set to its samples' position in the stream (:func:`_seek`).
-A chunk that is not split is one window, so counters are the same for
-every window and thread count.  A chunk is split only while every window
-holds at least :data:`_MIN_WINDOW` uniforms: on smaller chunks the
-per-window bookkeeping, which holds the interpreter lock, is a larger
-share of the draw.
+The unit of parallel work is a sample window: samples ``lo .. hi - 1`` of
+one chunk, drawn from its own generator set to their position in the
+stream (:func:`_seek`), then evaluated and tallied on the same thread.  A
+chunk is cut into the fewest equal windows of at most :data:`_WINDOW`
+drawn uniforms each (:func:`_windows`), a split that depends on the chunk
+alone.  Every window of every worker goes to one pool of one thread per
+CPU this process may use (numpy releases the interpreter lock in its draws
+and array operations), so at most that many windows are alive at once.
+Totals are order-independent sums, so results are bit-identical for a
+fixed (seed, config, worker count) whatever the window size, thread count
+and window order.  A configuration whose whole chunk would not fit in
+:data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
 
 A run draws only the planes its protocol reads (:data:`_READS`): the static
 rules read no single-qubit tie planes and, like the adaptive rules, no tie
@@ -70,7 +68,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Callable, Sequence
@@ -86,9 +83,10 @@ from .trees import (
     photon_count,
 )
 
-# Samples per world.  Part of the stream contract: a world draws each plane
-# for all of its samples at once, so another chunk size gives other counters.
-# It is also the unit of memory, since each worker holds one world at a time.
+# Samples per chunk.  Part of the stream contract: a chunk's planes take
+# consecutive stretches of its worker's stream, n * s_k uniforms each, so
+# another chunk size gives other counters.  The unit of memory is the sample
+# window (:data:`_WINDOW`), not the chunk.
 _CHUNK = 8192
 
 # Refuse a configuration whose chunk (world plus draw buffer) would need more
@@ -99,17 +97,26 @@ MAX_CHUNK_BYTES = 2 * 10**9
 # Samples per block when a drawn plane is decoded and transposed to node-major.
 _BLOCK = 512
 
-# Fewest uniforms a sample window of a chunk may hold; a chunk too small to
-# give every window this many is drawn in fewer windows, down to one.
-_MIN_WINDOW = 2**20
+# Most drawn uniforms a sample window holds, unless it is a single sample:
+# the unit of memory, since each thread holds one window's world at a time.
+_WINDOW = 2**21
 
 # Most workers a configuration may ask for: far more workers than CPUs only add
 # chunks, and a run loops over every worker, 10^9 of them for minutes.
 MAX_WORKERS = 4096
 
+# Largest seed: a seed is one 64-bit word of a Philox key.
+MAX_SEED = 2**64 - 1
+
 
 class UnsupportedConfigurationError(ValueError):
     """Configuration outside a protocol's supported envelope."""
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is no 64-bit Philox key word."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in 0 to 2^64 - 1 ({MAX_SEED}), got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +139,7 @@ class SampleConfig:
             raise ValueError("need at least one sample")
         if not 1 <= self.n_workers <= MAX_WORKERS:
             raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {self.n_workers}")
+        check_seed(self.seed)
         ChannelParams(eta=self.eta, eps=self.eps)  # refuses a point that is no channel
 
     @property
@@ -151,9 +159,10 @@ class McEstimate:
     pair can corrupt both parities at once.
 
     ``draw_s`` and ``eval_s`` split the sampling time into world draws and
-    level evaluation (with the tally).  They are worker-seconds, summed per
-    chunk over all workers, so with several workers they can exceed
-    ``wall_time_s``, but not ``wall_time_s`` times the worker count.
+    level evaluation (with the tally).  They are thread-seconds, summed per
+    sample window over the pool's threads, so they can exceed
+    ``wall_time_s``, but not ``wall_time_s`` times the pool's thread count,
+    one per usable CPU.
     """
 
     config: SampleConfig
@@ -163,9 +172,9 @@ class McEstimate:
     n_xx_error: int
     n_joint_error: int
     wall_time_s: float
-    world_bytes: int  # the largest chunk world, in bytes
-    draw_s: float  # worker-seconds drawing worlds
-    eval_s: float  # worker-seconds evaluating and tallying them
+    world_bytes: int  # the largest window world, in bytes
+    draw_s: float  # thread-seconds drawing worlds
+    eval_s: float  # thread-seconds evaluating and tallying them
 
     @property
     def success(self) -> float:
@@ -353,17 +362,20 @@ def _seek(bits: np.random.Philox, raw: int) -> None:
     bits.random_raw(r)
 
 
-def _window_count(n: int, per_sample: int, windows: int) -> int:
-    """Sample windows of an ``n``-sample chunk: at most ``windows``, each of at least
-    :data:`_MIN_WINDOW` drawn uniforms (``per_sample`` per sample), and at least one."""
-    return max(1, min(windows, n, n * per_sample // _MIN_WINDOW))
+def _windows(n: int, per_sample: int) -> list[tuple[int, int]]:
+    """Sample windows ``(lo, hi)`` of an ``n``-sample chunk: the fewest equal ones
+    that each hold at most :data:`_WINDOW` drawn uniforms (``per_sample`` per
+    sample), or one sample."""
+    count = -(-n // max(1, _WINDOW // per_sample))
+    return [(j * n // count, (j + 1) * n // count) for j in range(count)]
 
 
 def draw_world(
     vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int], first: int = 0,
-    windows: int = 1, pool: ThreadPoolExecutor | None = None, reads: Reads | None = None,
+    reads: Reads | None = None, lo: int = 0, hi: int | None = None,
 ) -> World:
-    """Sample samples ``first .. first + n - 1`` of the Philox stream keyed by ``key``.
+    """Sample samples ``first + lo .. first + hi - 1`` of the chunk of ``n`` samples from
+    ``first`` of the Philox stream keyed by ``key`` (the whole chunk by default).
 
     The draw order here is part of the stream contract.  A sample owns one
     uniform (one raw of the stream) per column of each plane of
@@ -372,55 +384,43 @@ def draw_world(
     consecutive stretches of them, n * s_k uniforms each, in that order.
     Uniform ``u[i, j]``, the ``i * s_k + j``-th of a plane's stretch, is
     thresholded into node j of sample i, and the plane is stored node-major,
-    as its (s_k, n) transpose.
+    as its (s_k, samples) transpose.
 
     With ``reads``, only the planes it accepts are drawn; each other plane
     is None, and its stretch of uniforms is passed over without being
     generated, so the drawn planes are those of a world drawn whole.
 
-    The samples are drawn in up to ``windows`` windows (see
-    :func:`_window_count`; one unless the chunk is large), the windows after
-    the first on ``pool`` (in turn on the calling thread without one).
-    Window j fills its samples' rows of every plane from its own generator,
-    set to their position in the stream by :func:`_seek`, through its own
-    stretch of one buffer sized for the widest level, and decodes and
-    transposes them in blocks of samples small enough to stay in cache.
+    A window's planes are columns ``lo:hi`` of the chunk's.  One generator
+    is set to each drawn plane's rows ``lo .. hi - 1`` by :func:`_seek`,
+    fills them through one buffer sized for the widest drawn plane, and
+    they are decoded and transposed in blocks of samples small enough to
+    stay in cache.
     """
-    layout = _planes(vec, params.eps > 0.0)
+    hi = n if hi is None else hi
+    faults = params.eps > 0.0
+    layout = _planes(vec, faults)
     per_sample = sum(width for *_, width in layout)
-    planes = [np.empty((width, n), np.uint8 if field.startswith("fault") else bool)
-              if reads is None or reads(field, k, vec.depth) else None
-              for field, k, width in layout]
-    widths = [len(plane) for plane in planes if plane is not None]
-    widest = max(widths)
-    buf = np.empty(n * widest)
+    buf = np.empty((hi - lo) * max(_drawn_widths(vec, faults, reads)))
+    # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
     loss, half = (lambda u: u < params.eta), (lambda u: u < 0.5)
     decode = {"det_a": loss, "det_b": loss, "coin": half, "tie_pair": half,
               "tie_side_a": half, "tie_side_b": half,
               "fault_a": lambda u: _faults(u, params.eps_d),
               "fault_b": lambda u: _faults(u, params.eps_d)}
-    windows = _window_count(n, sum(widths), windows)
-
-    def fill(j: int) -> None:
-        gen = np.random.Generator(np.random.Philox(key=key))
-        lo, hi = j * n // windows, (j + 1) * n // windows
-        offset = first * per_sample  # stream index of this plane's first uniform
-        for (field, _, width), plane in zip(layout, planes):
-            if plane is not None:
-                u = buf[lo * widest:lo * widest + (hi - lo) * width].reshape(hi - lo, width)
-                _seek(gen.bit_generator, offset + lo * width)
-                gen.random(out=u)
-                rows = plane[:, lo:hi]
-                for i in range(0, hi - lo, _BLOCK):
-                    rows[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
-            offset += n * width
-
-    rest = (map if pool is None else pool.map)(fill, range(1, windows))
-    fill(0)
-    list(rest)
     world: dict[str, list] = {}
-    for (field, k, _), plane in zip(layout, planes):
+    offset = first * per_sample  # stream index of this plane's first uniform
+    for field, k, width in layout:
+        plane = None
+        if reads is None or reads(field, k, vec.depth):
+            plane = np.empty((width, hi - lo), np.uint8 if field.startswith("fault") else bool)
+            u = buf[:(hi - lo) * width].reshape(hi - lo, width)
+            _seek(gen.bit_generator, offset + lo * width)
+            gen.random(out=u)
+            for i in range(0, hi - lo, _BLOCK):
+                plane[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
         world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
+        offset += n * width
     return World(**world)
 
 
@@ -661,19 +661,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_chunk(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
-                  first: int, evaluator, windows: int = 1,
-                  pool: ThreadPoolExecutor | None = None,
-                  reads: Reads | None = None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw the planes ``reads`` accepts of samples ``first .. first + n - 1`` of stream
-    ``key`` (in up to ``windows`` windows on ``pool``), evaluate and tally them; the
-    world is released on return.
+def _sample_window(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
+                   first: int, evaluator, reads: Reads | None, lo: int,
+                   hi: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the chunk of ``n``
+    samples from ``first`` of stream ``key``, evaluate and tally them; the world
+    is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, key, first, windows, pool, reads)
+    world = draw_world(vec, params, n, key, first, reads, lo, hi)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -692,49 +691,41 @@ def run(cfg: SampleConfig) -> McEstimate:
     evaluator, reads = _EVALUATORS[cfg.protocol], _READS[cfg.protocol]
     faults = cfg.eps > 0.0
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    largest = min(_CHUNK, base + (rem > 0))
-    chunk = chunk_bytes(vec, largest, faults, reads)
+    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), faults, reads)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
             f"({photon_count(vec) - 1} photons per side), above the {MAX_CHUNK_BYTES / 1e9:g} GB cap"
         )
-    # Each thread draws its chunks in windows over its share of the CPUs.
-    cpus = _usable_cpus()
-    threads = min(cfg.n_workers, cpus)
-    windows = cpus // threads
-    split = _window_count(largest, sum(_drawn_widths(vec, faults, reads)), windows) > 1
+    per_sample = sum(_drawn_widths(vec, faults, reads))
 
-    # (worker, first sample, samples) of every chunk, worker by worker
-    tasks = ((w, first, min(_CHUNK, base + (w < rem) - first))
-             for w in range(cfg.n_workers) for first in range(0, base + (w < rem), _CHUNK))
+    # (worker, first sample, samples, window start, window end) of every
+    # window, chunk by chunk, worker by worker
+    tasks = ((w, first, n, lo, hi)
+             for w in range(cfg.n_workers) for first in range(0, base + (w < rem), _CHUNK)
+             for n in [min(_CHUNK, base + (w < rem) - first)]
+             for lo, hi in _windows(n, per_sample))
 
-    def sample(task: tuple[int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
-        w, first, n = task
-        return _sample_chunk(vec, params, n, [cfg.seed, w], first, evaluator, windows,
-                             window_pool, reads)
+    def sample(task: tuple[int, int, int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
+        w, first, n, lo, hi = task
+        return _sample_window(vec, params, n, [cfg.seed, w], first, evaluator, reads, lo, hi)
 
     totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
+    threads = _usable_cpus()
     t0 = time.perf_counter()
-    with ExitStack() as pools:
-        # The windows get their own executor: a chunk waits on its windows,
-        # and a wait on the executor it runs on could starve.
-        window_pool = (pools.enter_context(ThreadPoolExecutor(max_workers=threads * (windows - 1)))
-                       if split else None)
-        mapper = (map if cfg.n_workers == 1
-                  else pools.enter_context(ThreadPoolExecutor(max_workers=threads)).map)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         # A pool's map submits all its tasks at once, about 1.8 KB each, and
-        # 10^10 samples are 1.2 million chunks: hand it a few per thread at a time.
+        # 10^10 samples are over a million windows: hand it a few per thread at a time.
         while batch := list(islice(tasks, 64 * threads)):
-            for counts, nbytes, took in mapper(sample, batch):
+            for counts, nbytes, took in pool.map(sample, batch):
                 totals += counts
                 world_bytes = max(world_bytes, nbytes)
                 seconds += took
     # Each pool thread allocates from its own malloc arena, which keeps the
-    # chunk's freed pages; how much it keeps depends on how the threads
+    # window's freed pages; how much it keeps depends on how the threads
     # interleaved, and later threads reuse the arenas.  Release them here so
     # every call starts from the same state and returns its memory.
-    if (cfg.n_workers > 1 or split) and _malloc_trim is not None:
+    if _malloc_trim is not None:
         _malloc_trim(0)
     n_success, n_zz, n_xx, n_joint = (int(c) for c in totals)
     draw_s, eval_s = (float(t) for t in seconds)

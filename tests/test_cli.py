@@ -98,13 +98,6 @@ class TestSweep:
             assert 0.0 <= float(row["pr_complete"]) <= 1.0
             assert 0.0 <= float(row["err_complete"]) <= 0.75
 
-    def test_malformed_worker_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TREEBSM_WORKERS", "two")
-        rc = main(["sweep", "--protocol", "static", "--b", "2",
-                   "--output", str(tmp_path / "x.csv")])
-        assert rc == 1
-        assert "TREEBSM_WORKERS" in capsys.readouterr().err
-
     def test_manifest_keys(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--protocol", "static", "--b", "2", "--output", str(out)]) == 0
@@ -228,6 +221,19 @@ class TestValidate:
         assert rc == 0
         assert "sampled only" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        rc = main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                   "--n", "1000", "--seed", seed])
+        assert rc == 1
+        assert f"seed must be in 0 to 2^64 - 1 (18446744073709551615), got {seed}" \
+            in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                     "--n", "1000", "--seed", "18446744073709551615"]) == 0
+        assert "seed=18446744073709551615" in capsys.readouterr().out
+
 
 class TestVerifyGeneration:
     def test_pass_and_report(self, capsys):
@@ -237,6 +243,15 @@ class TestVerifyGeneration:
 
     def test_seeded_random_outcomes(self, capsys):
         assert main(["verify-generation", "--b", "3,2", "--seed", "4"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        assert main(["verify-generation", "--b", "2,2", "--seed", seed]) == 1
+        assert "seed must be in 0 to 2^64 - 1" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["verify-generation", "--b", "2,2", "--seed", "18446744073709551615"]) == 0
         assert "PASS" in capsys.readouterr().out
 
 

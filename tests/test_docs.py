@@ -25,7 +25,7 @@ def cited_names() -> list[str]:
 
 def test_readme_cites_code():
     names = cited_names()
-    assert {"montecarlo._seek", "montecarlo._MIN_WINDOW", "cli.MAX_RANGE_COUNT",
+    assert {"montecarlo._seek", "montecarlo._WINDOW", "cli.MAX_RANGE_COUNT",
             "genseq.tableau_bytes"} <= set(names)
     assert "pyproject.toml" not in names
 

@@ -1,7 +1,6 @@
 import os
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,8 +21,9 @@ from treebsm.montecarlo import (
     _faults,
     _pair_flips,
     _planes,
-    _sample_chunk,
+    _sample_window,
     _seek,
+    _windows,
     chunk_bytes,
     draw_world,
     eval_dynamic,
@@ -147,30 +147,30 @@ READ_CASES = [(p, b, eps) for p in Protocol for b in ((2, 2), (3, 2, 2), (4, 2, 
 class TestReadSets:
     @pytest.mark.parametrize("protocol,b,eps", READ_CASES,
                              ids=[f"{p.value}-{','.join(map(str, b))}-{eps}" for p, b, eps in READ_CASES])
-    def test_unread_planes_are_not_drawn(self, small_windows, protocol, b, eps):
+    def test_unread_planes_are_not_drawn(self, protocol, b, eps):
         # A run draws only the planes its evaluator reads; a skipped plane
         # moves no other plane in the stream, and the flags do not change.
+        # A window's planes and flags are columns lo:hi of the whole chunk's.
         vec, params, n = BranchingVector(b), ChannelParams(eta=0.7, eps=eps), 300
         reads, evaluator = montecarlo._READS[protocol], montecarlo._EVALUATORS[protocol]
         unread = _unread(protocol, vec.depth, eps)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for first in (0, 1, 2, 8195):
-                whole = draw_world(vec, params, n, [7, 0], first)
-                want = evaluator(vec, whole)
-                for windows in (1, 2):
-                    world = draw_world(vec, params, n, [7, 0], first, windows, pool, reads)
-                    for field, k, _ in _planes(vec, eps > 0.0):
-                        plane = getattr(world, field)[k]
-                        where = f"{field}[{k}], first={first}, windows={windows}"
-                        assert (plane is None) == ((field, k) in unread), where
-                        if plane is not None:
-                            np.testing.assert_array_equal(plane, getattr(whole, field)[k],
-                                                          err_msg=where)
-                    for w, g in zip(want, evaluator(vec, world)):
-                        np.testing.assert_array_equal(g, w)
-        assert small_windows[-2:] == [1, 2]
+        for first in (0, 1, 2, 7, 8195):
+            whole = draw_world(vec, params, n, [7, 0], first)
+            want = evaluator(vec, whole)
+            for lo, hi in ((0, n), (0, 1), (1, 150), (150, n - 1), (n - 1, n)):
+                world = draw_world(vec, params, n, [7, 0], first, reads, lo, hi)
+                for field, k, _ in _planes(vec, eps > 0.0):
+                    plane = getattr(world, field)[k]
+                    where = f"{field}[{k}], first={first}, window={lo}:{hi}"
+                    assert (plane is None) == ((field, k) in unread), where
+                    if plane is not None:
+                        np.testing.assert_array_equal(plane, getattr(whole, field)[k][:, lo:hi],
+                                                      err_msg=where)
+                for w, g in zip(want, evaluator(vec, world)):
+                    np.testing.assert_array_equal(g, w[lo:hi])
         if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
-            success, zz_err, xx_err = want
+            world = draw_world(vec, params, n, [7, 0], 8195, reads)
+            success, zz_err, xx_err = evaluator(vec, world)
             for i in range(n):
                 assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
                     == reference_dynamic_sample(vec, world, i)
@@ -334,8 +334,9 @@ class TestEstimate:
                            n_samples=20000, seed=3, n_workers=n_workers)
         est = run(cfg)
         assert est.draw_s >= 0 and est.eval_s >= 0
-        # Each worker draws and evaluates inside the run's wall time.
-        assert est.draw_s + est.eval_s <= est.wall_time_s * n_workers + 1e-3
+        # Each pool thread, one per usable CPU, draws and evaluates inside
+        # the run's wall time; one worker's windows run at the same time too.
+        assert est.draw_s + est.eval_s <= est.wall_time_s * montecarlo._usable_cpus() + 1e-3
         blob = est.to_dict()
         assert (blob["draw_s"], blob["eval_s"]) == (est.draw_s, est.eval_s)
 
@@ -350,6 +351,22 @@ class TestEstimate:
                                protocol=Protocol.DYNAMIC, n_samples=20000, seed=2))
         wrong_ref = static_logical_bsm((15, 15, 2), ChannelParams(eta=0.6)).pr_complete
         assert abs(z_score(est.success, wrong_ref, est.n_samples)) > 3
+
+
+def serial_counters(cfg: SampleConfig) -> list[int]:
+    """Dynamic-protocol run counters from one whole-chunk draw at a time, stream by stream."""
+    vec = BranchingVector(cfg.b)
+    want = np.zeros(4, dtype=np.int64)
+    base, rem = divmod(cfg.n_samples, cfg.n_workers)
+    for w in range(cfg.n_workers):
+        first = 0
+        left = base + (1 if w < rem else 0)
+        while left:
+            n = min(8192, left)
+            success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
+            want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
+            left, first = left - n, first + n
+    return want.tolist()
 
 
 @pytest.fixture
@@ -381,20 +398,9 @@ class TestConcurrency:
         # more workers than this machine is likely to have CPUs.
         cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
                            n_samples=20003, seed=31, n_workers=n_workers)
-        vec = BranchingVector(cfg.b)
-        want = np.zeros(4, dtype=np.int64)
-        base, rem = divmod(cfg.n_samples, n_workers)
-        for w in range(n_workers):
-            first = 0
-            left = base + (1 if w < rem else 0)
-            while left:
-                n = min(8192, left)
-                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
-                want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
-                left, first = left - n, first + n
         est = run(cfg)
         got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
-        assert got == want.tolist()
+        assert got == serial_counters(cfg)
 
     def test_pool_is_never_larger_than_the_cpu_count(self, pool_sizes):
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
@@ -404,13 +410,15 @@ class TestConcurrency:
         assert 1 <= pool_sizes[0] <= min(64, os.cpu_count())
         assert est.n_samples == 6400 and 0 < est.n_success < 6400
 
-    def test_one_worker_runs_without_a_pool(self, pool_sizes):
+    def test_one_worker_run_maps_on_the_one_pool(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
         run(SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
                          n_samples=100, seed=4))
-        assert pool_sizes == []
+        assert pool_sizes == [3]
 
     def test_worker_arenas_are_released_after_the_pool(self, monkeypatch):
-        # The trim must follow the pool's shutdown, when no worker allocates.
+        # Every run closes its pool, then trims: the trim must follow the
+        # pool's shutdown, when no thread allocates.
         events = []
 
         class Pool(montecarlo.ThreadPoolExecutor):
@@ -425,13 +433,15 @@ class TestConcurrency:
         run(cfg)
         assert events == ["pool closed", "trim 0"]
         run(replace(cfg, n_workers=1))
-        assert events == ["pool closed", "trim 0"]
+        assert events == ["pool closed", "trim 0"] * 2
 
 
 class TestChunkTasks:
     def test_counters_do_not_depend_on_chunk_order(self, monkeypatch):
-        # Every chunk is drawn from its own (worker, first sample) position of
-        # the streams, so running the chunk tasks backwards changes no counter.
+        # Every window is drawn from its own (worker, first sample, window)
+        # position of the streams, so running the tasks backwards changes no
+        # counter.  A (3, 2) dynamic sample draws 55 uniforms, so each chunk
+        # is one window.
         order = []
 
         class ReversePool:
@@ -454,8 +464,9 @@ class TestChunkTasks:
         want = run(cfg)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", ReversePool)
         got = run(cfg)
-        tasks = [(w, first, min(8192, quota - first))
-                 for w, quota in enumerate((16668, 16668, 16667)) for first in (0, 8192, 16384)]
+        tasks = [(w, first, n, 0, n)
+                 for w, quota in enumerate((16668, 16668, 16667)) for first in (0, 8192, 16384)
+                 for n in [min(8192, quota - first)]]
         assert order == tasks[::-1]
         assert (got.n_success, got.n_zz_error, got.n_xx_error, got.n_joint_error) == (
             want.n_success, want.n_zz_error, want.n_xx_error, want.n_joint_error)
@@ -488,19 +499,22 @@ class TestWorkerCap:
                 SampleConfig(n_workers=bad, **kw)
 
 
-@pytest.fixture
-def small_windows(monkeypatch):
-    """Let chunks of small trees split into windows; returns the window count of each chunk drawn."""
-    counts = []
-    window_count = montecarlo._window_count
+class TestSeed:
+    def test_seed_outside_64_bits_is_refused(self):
+        kw = dict(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC, n_samples=10)
+        assert SampleConfig(seed=2**64 - 1, **kw).seed == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in 0 to 2\^64 - 1"):
+                SampleConfig(seed=bad, **kw)
 
-    def spy(*args):
-        counts.append(window_count(*args))
-        return counts[-1]
-
-    monkeypatch.setattr(montecarlo, "_MIN_WINDOW", 1)
-    monkeypatch.setattr(montecarlo, "_window_count", spy)
-    return counts
+    @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1])
+    def test_high_seeds_are_their_own_keys(self, seed):
+        # numpy reads a key list holding a word of 2^63 or more through
+        # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
+        vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
+        bits = np.random.Philox(key=np.array([seed, 0], np.uint64))
+        want = np.random.Generator(bits).random((64, 2)).T < 0.5
+        np.testing.assert_array_equal(draw_world(vec, params, 64, [seed, 0]).det_a[1], want)
 
 
 class TestWindowedDraw:
@@ -517,76 +531,69 @@ class TestWindowedDraw:
             _seek(bits, 4 * 2**256 + pre + k)  # the counter wraps
             assert bits.random_raw() == want[pre + k]
 
+    @pytest.mark.parametrize("n", [1, 2, 1100, 8192])
+    @pytest.mark.parametrize("per_sample", [1, 18, 4171, 3 * 10**6])
+    def test_windows_are_the_fewest_that_fit(self, n, per_sample):
+        windows = _windows(n, per_sample)
+        assert windows[0][0] == 0 and windows[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+        sizes = [hi - lo for lo, hi in windows]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        assert all(size == 1 or size * per_sample <= montecarlo._WINDOW for size in sizes)
+        if len(windows) > 1:  # one window fewer, the largest would not fit
+            largest = -(-n // (len(windows) - 1))
+            assert largest > 1 and largest * per_sample > montecarlo._WINDOW
+
     @pytest.mark.parametrize("windows", [2, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_windowed_world_equals_the_serial_world(self, small_windows, windows, eps):
+    def test_windowed_world_equals_the_serial_world(self, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
         serial = draw_world(vec, params, n, [9, 0], 7)
-        with ThreadPoolExecutor(max_workers=windows - 1) as pool:
-            split = draw_world(vec, params, n, [9, 0], 7, windows, pool)
-        assert small_windows == [1, windows]
-        for name in (f.name for f in fields(World)):
-            want, got = getattr(serial, name), getattr(split, name)
-            if want is None:
-                assert got is None and eps == 0.0
-                continue
-            for k, (w, g) in enumerate(zip(want, got)):
-                if w is None:
-                    assert g is None
-                else:
-                    assert g.flags.c_contiguous
-                    np.testing.assert_array_equal(g, w, err_msg=f"{name}[{k}]")
+        for j in range(windows):
+            lo, hi = j * n // windows, (j + 1) * n // windows
+            split = draw_world(vec, params, n, [9, 0], 7, None, lo, hi)
+            for name in (f.name for f in fields(World)):
+                want, got = getattr(serial, name), getattr(split, name)
+                if want is None:
+                    assert got is None and eps == 0.0
+                    continue
+                for k, (w, g) in enumerate(zip(want, got)):
+                    if w is None:
+                        assert g is None
+                    else:
+                        assert g.flags.c_contiguous
+                        np.testing.assert_array_equal(g, w[:, lo:hi], err_msg=f"{name}[{k}]")
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_counters_do_not_depend_on_windows(self, small_windows, monkeypatch, cpus, n_workers):
+    def test_counters_do_not_depend_on_windows(self, monkeypatch, cpus, n_workers):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
-                           n_samples=20003, seed=31, n_workers=n_workers)
-        vec = BranchingVector(cfg.b)
-        want = np.zeros(4, dtype=np.int64)
-        base, rem = divmod(cfg.n_samples, n_workers)
-        for w in range(n_workers):
-            first = 0
-            left = base + (1 if w < rem else 0)
-            while left:
-                n = min(8192, left)
-                success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
-                want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
-                left, first = left - n, first + n
-        small_windows.clear()
-        est = run(cfg)
-        assert (max(small_windows) > 1) == (cpus // min(n_workers, cpus) > 1)
-        got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
-        assert got == want.tolist()
-
-    def test_window_arenas_are_released_after_the_pool(self, small_windows, monkeypatch):
-        events = []
-
-        class Pool(montecarlo.ThreadPoolExecutor):
-            def __exit__(self, *exc):
-                events.append("pool closed")
-                return super().__exit__(*exc)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_malloc_trim", lambda pad: events.append(f"trim {pad}"))
-        run(SampleConfig(b=(3, 2), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
-                         n_samples=100, seed=4))
-        assert small_windows[-1] == 2 and events == ["pool closed", "trim 0"]
+        # Whole chunks, two per worker; and windows of one sample each, on
+        # fewer samples, since each window costs about a millisecond.
+        for window, n_samples in ((2**40, 20003), (1, 1003)):
+            monkeypatch.setattr(montecarlo, "_WINDOW", window)
+            cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                               n_samples=n_samples, seed=31, n_workers=n_workers)
+            est = run(cfg)
+            got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
+            assert got == serial_counters(cfg), window
 
     def test_windows_add_no_memory(self):
+        # Drawing a chunk window by window holds no more than drawing it whole.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
+        reads = montecarlo._READS[Protocol.DYNAMIC]
+        windows = _windows(8192, sum(montecarlo._drawn_widths(vec, True, reads)))
+        assert len(windows) > 1
         peaks = []
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for windows in (1, 2):
-                tracemalloc.start()
-                try:
-                    _sample_chunk(vec, params, 8192, [1, 0], 0, eval_dynamic, windows, pool)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 1e6
+        for cuts in ([(0, 8192)], windows):
+            tracemalloc.start()
+            try:
+                for lo, hi in cuts:
+                    _sample_window(vec, params, 8192, [1, 0], 0, eval_dynamic, reads, lo, hi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestMemoryBudget:
@@ -609,9 +616,23 @@ class TestMemoryBudget:
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
-        _, nbytes, _ = _sample_chunk(vec, params, 8192, [1, 0], 0, eval_dynamic, reads=reads)
+        _, nbytes, _ = _sample_window(vec, params, 8192, [1, 0], 0, eval_dynamic, reads, 0, 8192)
         assert nbytes == 4171 * 8192
         assert chunk_bytes(vec, 8192, True, reads) == nbytes + 8 * 8192 * 450
+
+    def test_a_two_worker_run_holds_windows_not_chunks(self, monkeypatch):
+        # Each of two threads holds one window's world and buffer at a time,
+        # about 3.7 MB, where an 8192-sample chunk would hold 63.7 MB.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = SampleConfig(b=(15, 15, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
+                           n_samples=16384, seed=1, n_workers=2)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     @pytest.mark.parametrize("protocol,eps,per_sample", [
         (Protocol.STATIC, 1e-3, 3691), (Protocol.DYNAMIC, 1e-3, 4171),
