@@ -1,8 +1,8 @@
 """Command-line interface: sweeps, thresholds, validation, search, generation.
 
 Every command that writes a data file drops a ``<output>.manifest.json``
-sidecar echoing the full parameter set, the package version and the wall
-time; rerunning with the same parameters reproduces the data file byte for
+sidecar echoing the full parameter set, the package version, the sampler's
+stream version and the wall time; rerunning with the same parameters reproduces the data file byte for
 byte.  Exit codes: 0 success, 1 usage or I/O problem, 2 the requested
 target is analytically unreachable, 3 a validation or verification
 mismatch.
@@ -35,7 +35,7 @@ from .analytic import (
     logical_bsm_batch,
 )
 from .genseq import check_tableau_size, compile_bell_pair, program_qubits, verify_bell_pair
-from .montecarlo import SampleConfig, check_seed, run as run_mc, z_score
+from .montecarlo import STREAM_VERSION, SampleConfig, check_seed, run as run_mc, z_score
 from .search import SearchBounds, front_to_csv, pareto_front
 from .trees import BranchingVector, ChannelParams
 
@@ -91,6 +91,7 @@ def _write(output: str, text: str, command: str, params: dict, t0: float) -> Non
         "command": command,
         "params": params,
         "version": _version(),
+        "stream_version": STREAM_VERSION,
         "outputs": [output],
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -155,12 +156,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     proto = Protocol(args.protocol)
     seed = args.seed if args.seed is not None else secrets.randbelow(2**31)
-    workers = args.workers
     b = BranchingVector.parse(args.b)
-    cfg = SampleConfig(
-        b=tuple(b), eta=args.eta, eps=args.eps, protocol=proto,
-        n_samples=args.n, seed=seed, n_workers=workers,
-    )
+    cfg = SampleConfig(b=tuple(b), eta=args.eta, eps=args.eps, protocol=proto,
+                       n_samples=args.n, seed=seed)
     est = run_mc(cfg)
 
     if proto is Protocol.LOSS_ONLY:
@@ -184,7 +182,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{name}: sampled {got:.6g}  exact {want:.6g}  sigma={sigma:.2e}  "
             f"z={z:+.2f}  [{status}]"
         )
-    print(f"# N={args.n} seed={seed} workers={workers} n_success={est.n_success} "
+    print(f"# N={args.n} seed={seed} stream_version={STREAM_VERSION} n_success={est.n_success} "
           f"world_bytes={est.world_bytes} samples_per_s={est.samples_per_s:.4g} "
           f"draw_s={est.draw_s:.3g} eval_s={est.eval_s:.3g}")
     return 0 if ok else 3
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--n", type=int, default=10**5)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("verify-generation", help="compile and check a Bell-pair program")

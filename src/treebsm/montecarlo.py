@@ -31,12 +31,12 @@ has an odd number of X/Y letters; the X-parity readout is corrupted
 whenever either parity flips, since the X readout is decoded assuming the
 Z parity.
 
-Streams come from counter-based Philox generators keyed by
-``(seed, worker_index)``.  A worker's samples are drawn in chunks, and the
-chunk of samples ``first .. first + n - 1`` starts at raw
-``first * per_sample`` of its worker's stream (a sample draws
-``per_sample`` uniforms): its uniforms are a pure function of (seed,
-worker, first sample, n), and no generator continues from one chunk to the
+Streams come from counter-based Philox generators, one per chunk: chunk c
+holds samples ``c * _CHUNK .. min((c + 1) * _CHUNK, N) - 1`` and draws them
+from raw 0 of the stream keyed by ``(seed, c)``, whose counter carries
+:data:`STREAM_VERSION` in its top word.  A chunk's uniforms are a pure
+function of (seed, c, chunk size), so the counters depend on the seed and
+the configuration alone, and no generator continues from one chunk to the
 next.
 
 The unit of parallel work is a sample window: samples ``lo .. hi - 1`` of
@@ -44,13 +44,13 @@ one chunk, drawn from its own generator set to their position in the
 stream (:func:`_seek`), then evaluated and tallied on the same thread.  A
 chunk is cut into the fewest equal windows of at most :data:`_WINDOW`
 drawn uniforms each (:func:`_windows`), a split that depends on the chunk
-alone.  Every window of every worker goes to one pool of one thread per
-CPU this process may use (numpy releases the interpreter lock in its draws
-and array operations), so at most that many windows are alive at once.
-Totals are order-independent sums, so results are bit-identical for a
-fixed (seed, config, worker count) whatever the window size, thread count
-and window order.  A configuration whose whole chunk would not fit in
-:data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
+alone.  Every window goes to one pool of one thread per CPU this process
+may use (numpy releases the interpreter lock in its draws and array
+operations), so at most that many windows are alive at once.  Totals are
+order-independent sums, so results are bit-identical for a fixed (seed,
+config) whatever the window size, thread count and window order.  A
+configuration whose whole chunk would not fit in :data:`MAX_CHUNK_BYTES`
+is refused before anything is drawn.
 
 A run draws only the planes its protocol reads (:data:`_READS`): the static
 rules read no single-qubit tie planes and, like the adaptive rules, no tie
@@ -84,7 +84,7 @@ from .trees import (
 )
 
 # Samples per chunk.  Part of the stream contract: a chunk's planes take
-# consecutive stretches of its worker's stream, n * s_k uniforms each, so
+# consecutive stretches of its own stream, n * s_k uniforms each, so
 # another chunk size gives other counters.  The unit of memory is the sample
 # window (:data:`_WINDOW`), not the chunk.
 _CHUNK = 8192
@@ -101,9 +101,10 @@ _BLOCK = 512
 # the unit of memory, since each thread holds one window's world at a time.
 _WINDOW = 2**21
 
-# Most workers a configuration may ask for: far more workers than CPUs only add
-# chunks, and a run loops over every worker, 10^9 of them for minutes.
-MAX_WORKERS = 4096
+# Version of the stream contract (draw order, chunk size, stream keys), held
+# in the top word of every chunk's Philox counter and stamped on every result,
+# so a changed counter can be traced to a changed contract.
+STREAM_VERSION = 2
 
 # Largest seed: a seed is one 64-bit word of a Philox key.
 MAX_SEED = 2**64 - 1
@@ -131,14 +132,14 @@ class SampleConfig:
     protocol: Protocol
     n_samples: int
     seed: int
+    # Has no effect, since every chunk is keyed by its own index; it stays
+    # only because the mc-errors workload of perfbench/ still passes it.
     n_workers: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(as_branching_vector(self.b)))
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if not 1 <= self.n_workers <= MAX_WORKERS:
-            raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {self.n_workers}")
         check_seed(self.seed)
         ChannelParams(eta=self.eta, eps=self.eps)  # refuses a point that is no channel
 
@@ -226,8 +227,8 @@ class McEstimate:
                 "protocol": self.config.protocol.value,
                 "n_samples": self.config.n_samples,
                 "seed": self.config.seed,
-                "n_workers": self.config.n_workers,
             },
+            "stream_version": STREAM_VERSION,
             "success": self.success,
             "success_stderr": self.success_stderr,
             "error_rate": self.error_rate,
@@ -353,8 +354,10 @@ def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
 
 def _seek(bits: np.random.Philox, raw: int) -> None:
     """Set ``bits`` to hand out raw ``raw`` of its key's stream next: raw 4q + r
-    is the r-th after counter q with an empty buffer (the counter wraps at 2^256)."""
+    is the r-th after counter q + STREAM_VERSION * 2^192 with an empty buffer
+    (the counter wraps at 2^256)."""
     q, r = divmod(raw, 4)
+    q += STREAM_VERSION << 192
     state = bits.state
     state["state"]["counter"] = np.array([q >> 64 * i & 2**64 - 1 for i in range(4)], np.uint64)
     state["buffer_pos"] = 4
@@ -371,17 +374,17 @@ def _windows(n: int, per_sample: int) -> list[tuple[int, int]]:
 
 
 def draw_world(
-    vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int], first: int = 0,
+    vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
     reads: Reads | None = None, lo: int = 0, hi: int | None = None,
 ) -> World:
-    """Sample samples ``first + lo .. first + hi - 1`` of the chunk of ``n`` samples from
-    ``first`` of the Philox stream keyed by ``key`` (the whole chunk by default).
+    """Sample samples ``lo .. hi - 1`` of the chunk of ``n`` samples drawn from the
+    Philox stream keyed by ``key`` (the whole chunk by default).
 
     The draw order here is part of the stream contract.  A sample owns one
     uniform (one raw of the stream) per column of each plane of
-    :func:`_planes`, ``per_sample`` in all, so the chunk's uniforms start at
-    raw ``first * per_sample`` and depend on nothing else.  The planes take
-    consecutive stretches of them, n * s_k uniforms each, in that order.
+    :func:`_planes`; the chunk's uniforms start at raw 0 of its stream and
+    depend on nothing else.  The planes take consecutive stretches of them,
+    n * s_k uniforms each, in that order.
     Uniform ``u[i, j]``, the ``i * s_k + j``-th of a plane's stretch, is
     thresholded into node j of sample i, and the plane is stored node-major,
     as its (s_k, samples) transpose.
@@ -398,8 +401,6 @@ def draw_world(
     """
     hi = n if hi is None else hi
     faults = params.eps > 0.0
-    layout = _planes(vec, faults)
-    per_sample = sum(width for *_, width in layout)
     buf = np.empty((hi - lo) * max(_drawn_widths(vec, faults, reads)))
     # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
     gen = np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
@@ -409,8 +410,8 @@ def draw_world(
               "fault_a": lambda u: _faults(u, params.eps_d),
               "fault_b": lambda u: _faults(u, params.eps_d)}
     world: dict[str, list] = {}
-    offset = first * per_sample  # stream index of this plane's first uniform
-    for field, k, width in layout:
+    offset = 0  # stream index of this plane's first uniform
+    for field, k, width in _planes(vec, faults):
         plane = None
         if reads is None or reads(field, k, vec.depth):
             plane = np.empty((width, hi - lo), np.uint8 if field.startswith("fault") else bool)
@@ -662,17 +663,17 @@ def _usable_cpus() -> int:
 
 
 def _sample_window(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
-                   first: int, evaluator, reads: Reads | None, lo: int,
+                   evaluator, reads: Reads | None, lo: int,
                    hi: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the chunk of ``n``
-    samples from ``first`` of stream ``key``, evaluate and tally them; the world
-    is released on return.
+    samples of stream ``key``, evaluate and tally them; the world is released
+    on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, key, first, reads, lo, hi)
+    world = draw_world(vec, params, n, key, reads, lo, hi)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -690,8 +691,7 @@ def run(cfg: SampleConfig) -> McEstimate:
     params = cfg.params
     evaluator, reads = _EVALUATORS[cfg.protocol], _READS[cfg.protocol]
     faults = cfg.eps > 0.0
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    chunk = chunk_bytes(vec, min(_CHUNK, base + (rem > 0)), faults, reads)
+    chunk = chunk_bytes(vec, min(_CHUNK, cfg.n_samples), faults, reads)
     if chunk > MAX_CHUNK_BYTES:
         raise UnsupportedConfigurationError(
             f"one sampling chunk of {cfg.b} needs about {chunk / 1e9:.3g} GB "
@@ -699,16 +699,15 @@ def run(cfg: SampleConfig) -> McEstimate:
         )
     per_sample = sum(_drawn_widths(vec, faults, reads))
 
-    # (worker, first sample, samples, window start, window end) of every
-    # window, chunk by chunk, worker by worker
-    tasks = ((w, first, n, lo, hi)
-             for w in range(cfg.n_workers) for first in range(0, base + (w < rem), _CHUNK)
-             for n in [min(_CHUNK, base + (w < rem) - first)]
+    # (chunk, samples, window start, window end) of every window, chunk by chunk
+    tasks = ((c, n, lo, hi)
+             for c in range(-(-cfg.n_samples // _CHUNK))
+             for n in [min(_CHUNK, cfg.n_samples - c * _CHUNK)]
              for lo, hi in _windows(n, per_sample))
 
-    def sample(task: tuple[int, int, int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
-        w, first, n, lo, hi = task
-        return _sample_window(vec, params, n, [cfg.seed, w], first, evaluator, reads, lo, hi)
+    def sample(task: tuple[int, int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
+        c, n, lo, hi = task
+        return _sample_window(vec, params, n, [cfg.seed, c], evaluator, reads, lo, hi)
 
     totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
     threads = _usable_cpus()
@@ -806,7 +805,8 @@ def sample_bsm_error_rates(
     ``3*eps/2``.  Returns the Z-parity flip rate and the X-readout error
     rate with their standard errors.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    check_seed(seed)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
     eps_d = ChannelParams(eta=1.0, eps=eps).eps_d
     fa = _faults(rng.random(n_samples), eps_d)
     fb = _faults(rng.random(n_samples), eps_d)

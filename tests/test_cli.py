@@ -6,6 +6,7 @@ import pytest
 
 from treebsm import cli
 from treebsm.cli import main
+from treebsm.montecarlo import STREAM_VERSION
 
 
 def read_csv(path):
@@ -102,8 +103,10 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert main(["sweep", "--protocol", "static", "--b", "2", "--output", str(out)]) == 0
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert set(manifest) == {"command", "params", "version", "outputs", "wall_time_s"}
+        assert set(manifest) == {"command", "params", "version", "stream_version", "outputs",
+                                 "wall_time_s"}
         assert manifest["outputs"] == [str(out)]
+        assert manifest["stream_version"] == STREAM_VERSION == 2
 
 
 @pytest.mark.parametrize("command", [
@@ -180,6 +183,7 @@ class TestThreshold:
                      "--family", "2,2;4,2", "--output", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
         assert manifest["wall_time_s"] >= 0.2
+        assert manifest["stream_version"] == STREAM_VERSION
 
     def test_explicit_family(self, capsys):
         assert main([
@@ -214,6 +218,7 @@ class TestValidate:
         footer = capsys.readouterr().out.strip().splitlines()[-1]
         assert "world_bytes=" in footer and "samples_per_s=" in footer
         assert "draw_s=" in footer and "eval_s=" in footer
+        assert f"stream_version={STREAM_VERSION}" in footer and "workers=" not in footer
 
     def test_loss_only_reports_sample_only(self, capsys):
         rc = main(["validate", "--protocol", "loss-only", "--b", "2,2", "--eta", "0.8",
@@ -276,6 +281,7 @@ class TestSearch:
                          "--max-depth", "2", "--max-n", "60", "--output", str(out)] + extra) == 0
             manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
         assert [m["params"]["bounds"]["min_depth"] for m in manifests] == [2, 1]
+        assert [m["stream_version"] for m in manifests] == [STREAM_VERSION] * 2
 
     def test_static_small_bound_has_no_error_correction(self, tmp_path):
         out = tmp_path / "front.csv"

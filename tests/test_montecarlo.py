@@ -14,7 +14,7 @@ from treebsm.analytic import (
 )
 from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
-    MAX_WORKERS,
+    STREAM_VERSION,
     SampleConfig,
     UnsupportedConfigurationError,
     World,
@@ -151,17 +151,19 @@ class TestReadSets:
         # A run draws only the planes its evaluator reads; a skipped plane
         # moves no other plane in the stream, and the flags do not change.
         # A window's planes and flags are columns lo:hi of the whole chunk's.
-        vec, params, n = BranchingVector(b), ChannelParams(eta=0.7, eps=eps), 300
+        # An odd n starts the planes of odd width off Philox's blocks of four
+        # raws.
+        vec, params = BranchingVector(b), ChannelParams(eta=0.7, eps=eps)
         reads, evaluator = montecarlo._READS[protocol], montecarlo._EVALUATORS[protocol]
         unread = _unread(protocol, vec.depth, eps)
-        for first in (0, 1, 2, 7, 8195):
-            whole = draw_world(vec, params, n, [7, 0], first)
+        for n, key in ((300, [7, 0]), (301, [7, 1]), (303, [7, 8195])):
+            whole = draw_world(vec, params, n, key)
             want = evaluator(vec, whole)
             for lo, hi in ((0, n), (0, 1), (1, 150), (150, n - 1), (n - 1, n)):
-                world = draw_world(vec, params, n, [7, 0], first, reads, lo, hi)
+                world = draw_world(vec, params, n, key, reads, lo, hi)
                 for field, k, _ in _planes(vec, eps > 0.0):
                     plane = getattr(world, field)[k]
-                    where = f"{field}[{k}], first={first}, window={lo}:{hi}"
+                    where = f"{field}[{k}], n={n}, window={lo}:{hi}"
                     assert (plane is None) == ((field, k) in unread), where
                     if plane is not None:
                         np.testing.assert_array_equal(plane, getattr(whole, field)[k][:, lo:hi],
@@ -169,7 +171,7 @@ class TestReadSets:
                 for w, g in zip(want, evaluator(vec, world)):
                     np.testing.assert_array_equal(g, w[lo:hi])
         if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
-            world = draw_world(vec, params, n, [7, 0], 8195, reads)
+            world = draw_world(vec, params, n, [7, 8195], reads)
             success, zz_err, xx_err = evaluator(vec, world)
             for i in range(n):
                 assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
@@ -195,45 +197,51 @@ class TestNodeMajorLayout:
 
     def test_planes_are_transposed_draws_of_the_same_stream(self):
         # Each plane is one (n, s_k) fill of uniforms, thresholded, in the
-        # documented order, stored as its transpose; the chunk of samples
-        # first.. starts where a plain generator of the key is after drawing
-        # the uniforms of samples 0..first-1.  A (3, 2) sample with faults
-        # draws 73 uniforms, so these chunks start at raw 0, 73, 146 and
-        # 598,235: 0, 1, 2 and 3 mod 4, every offset into Philox's blocks of
-        # four raws.  n is above and not a multiple of the draw's block of samples.
-        vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
-        assert sum(width for *_, width in _planes(vec, True)) == 73
+        # documented order, stored as its transpose; a chunk starts where a
+        # plain generator of its key starts at counter STREAM_VERSION * 2^192.
+        # A (3, 2) world with faults has planes of 3 and 6 columns, so with
+        # n = 1101 they start at raw 0, 3303, 9909, ...: 0, 3, 1, ... mod 4,
+        # every offset into Philox's blocks of four raws.  n is above and not
+        # a multiple of the draw's block of samples.
+        vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05)
+        assert STREAM_VERSION == 2
         decoders = [("det_a", lambda u: u < params.eta), ("det_b", lambda u: u < params.eta),
                     ("coin", lambda u: u < 0.5),
                     ("fault_a", lambda u: _faults(u, params.eps_d)),
                     ("fault_b", lambda u: _faults(u, params.eps_d)),
                     ("tie_pair", lambda u: u < 0.5), ("tie_side_a", lambda u: u < 0.5),
                     ("tie_side_b", lambda u: u < 0.5)]
-        for first in (0, 1, 2, 8195):
-            world = draw_world(vec, params, n, [9, 0], first)
-            rng = np.random.Generator(np.random.Philox(key=[9, 0]))
-            rng.random(first * 73)
+        for n, key in ((1100, [9, 0]), (1101, [9, 8195])):
+            world = draw_world(vec, params, n, key)
+            rng = np.random.Generator(np.random.Philox(key=key, counter=2 << 192))
             for name, decode in decoders:
                 for k in range(1, vec.depth + 1):
                     want = decode(rng.random((n, len(vec.level_vertices(k))))).T
                     np.testing.assert_array_equal(getattr(world, name)[k], want,
-                                                  err_msg=f"{name}[{k}], first={first}")
+                                                  err_msg=f"{name}[{k}], n={n}")
             np.testing.assert_array_equal(world.tie_pair[0], (rng.random((n, 1)) < 0.5).T)
 
 
 class TestSampling:
     def test_reproducible_counters(self):
         cfg = SampleConfig(b=(2, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
-                           n_samples=20000, seed=123, n_workers=3)
+                           n_samples=20000, seed=123)
         a, b = run(cfg), run(cfg)
         assert (a.n_success, a.n_zz_error, a.n_xx_error) == (
             b.n_success, b.n_zz_error, b.n_xx_error
         )
 
     def test_worker_split_covers_all_samples(self):
+        # 10007 samples are one whole chunk and a partial one; every sample is
+        # drawn once, and the worker count the configuration carries moves no
+        # counter.
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
                            n_samples=10007, seed=1, n_workers=4)
-        assert run(cfg).n_samples == 10007
+        est, one = run(cfg), run(replace(cfg, n_workers=1))
+        assert est.n_samples == one.n_samples == 10007
+        assert (est.n_success, est.n_zz_error, est.n_xx_error) == (
+            one.n_success, one.n_zz_error, one.n_xx_error
+        )
 
     def test_static_known_value(self):
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
@@ -327,16 +335,19 @@ class TestEstimate:
         assert blob["wall_time_s"] >= 0
         assert blob["world_bytes"] == est.world_bytes > 0
         assert blob["samples_per_s"] == pytest.approx(20000 / blob["wall_time_s"])
+        assert blob["stream_version"] == STREAM_VERSION == 2
+        assert "n_workers" not in blob["config"]
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_stage_times_are_worker_seconds(self, n_workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stage_times_are_worker_seconds(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         cfg = SampleConfig(b=(3, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
-                           n_samples=20000, seed=3, n_workers=n_workers)
+                           n_samples=20000, seed=3)
         est = run(cfg)
         assert est.draw_s >= 0 and est.eval_s >= 0
         # Each pool thread, one per usable CPU, draws and evaluates inside
-        # the run's wall time; one worker's windows run at the same time too.
-        assert est.draw_s + est.eval_s <= est.wall_time_s * montecarlo._usable_cpus() + 1e-3
+        # the run's wall time.
+        assert est.draw_s + est.eval_s <= est.wall_time_s * cpus + 1e-3
         blob = est.to_dict()
         assert (blob["draw_s"], blob["eval_s"]) == (est.draw_s, est.eval_s)
 
@@ -354,18 +365,14 @@ class TestEstimate:
 
 
 def serial_counters(cfg: SampleConfig) -> list[int]:
-    """Dynamic-protocol run counters from one whole-chunk draw at a time, stream by stream."""
+    """Dynamic-protocol run counters from a serial loop that draws chunk c whole from
+    stream ``[seed, c]``."""
     vec = BranchingVector(cfg.b)
     want = np.zeros(4, dtype=np.int64)
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    for w in range(cfg.n_workers):
-        first = 0
-        left = base + (1 if w < rem else 0)
-        while left:
-            n = min(8192, left)
-            success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, w], first))
-            want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
-            left, first = left - n, first + n
+    for c, first in enumerate(range(0, cfg.n_samples, montecarlo._CHUNK)):
+        n = min(montecarlo._CHUNK, cfg.n_samples - first)
+        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, c]))
+        want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
     return want.tolist()
 
 
@@ -392,10 +399,11 @@ def pool_sizes(monkeypatch):
 
 
 class TestConcurrency:
-    @pytest.mark.parametrize("n_workers", [2, 5])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
     def test_counters_equal_a_serial_loop_over_streams(self, n_workers):
-        # 20003 samples give two workers two chunks each, and five workers
-        # more workers than this machine is likely to have CPUs.
+        # 20003 samples are two whole chunks and a partial one.  The counters
+        # are those of one stream per chunk, whatever worker count the
+        # configuration still carries.
         cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
                            n_samples=20003, seed=31, n_workers=n_workers)
         est = run(cfg)
@@ -404,10 +412,10 @@ class TestConcurrency:
 
     def test_pool_is_never_larger_than_the_cpu_count(self, pool_sizes):
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
-                           n_samples=6400, seed=4, n_workers=64)
+                           n_samples=6400, seed=4)
         est = run(cfg)
         assert len(pool_sizes) == 1
-        assert 1 <= pool_sizes[0] <= min(64, os.cpu_count())
+        assert 1 <= pool_sizes[0] <= os.cpu_count()
         assert est.n_samples == 6400 and 0 < est.n_success < 6400
 
     def test_one_worker_run_maps_on_the_one_pool(self, pool_sizes, monkeypatch):
@@ -429,19 +437,19 @@ class TestConcurrency:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(montecarlo, "_malloc_trim", lambda pad: events.append(f"trim {pad}"))
         cfg = SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
-                           n_samples=100, seed=4, n_workers=2)
+                           n_samples=100, seed=4)
         run(cfg)
         assert events == ["pool closed", "trim 0"]
-        run(replace(cfg, n_workers=1))
+        run(replace(cfg, seed=5))
         assert events == ["pool closed", "trim 0"] * 2
 
 
 class TestChunkTasks:
     def test_counters_do_not_depend_on_chunk_order(self, monkeypatch):
-        # Every window is drawn from its own (worker, first sample, window)
-        # position of the streams, so running the tasks backwards changes no
-        # counter.  A (3, 2) dynamic sample draws 55 uniforms, so each chunk
-        # is one window.
+        # Every window is drawn from its own position in its chunk's stream,
+        # so running the tasks backwards changes no counter.  50003 samples
+        # are six whole chunks and one of 851 samples, and a (3, 2) dynamic
+        # sample draws 55 uniforms, so each chunk is one window.
         order = []
 
         class ReversePool:
@@ -460,43 +468,35 @@ class TestChunkTasks:
                 return [fn(item) for item in items]
 
         cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
-                           n_samples=50003, seed=31, n_workers=3)
+                           n_samples=50003, seed=31)
         want = run(cfg)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", ReversePool)
         got = run(cfg)
-        tasks = [(w, first, n, 0, n)
-                 for w, quota in enumerate((16668, 16668, 16667)) for first in (0, 8192, 16384)
-                 for n in [min(8192, quota - first)]]
+        tasks = [(c, 8192, 0, 8192) for c in range(6)] + [(6, 851, 0, 851)]
         assert order == tasks[::-1]
-        assert (got.n_success, got.n_zz_error, got.n_xx_error, got.n_joint_error) == (
-            want.n_success, want.n_zz_error, want.n_xx_error, want.n_joint_error)
+        for est in (want, got):
+            assert [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error] \
+                == serial_counters(cfg)
 
 
 class TestWorkerCap:
     def test_huge_worker_count_is_refused_before_anything_runs(self, monkeypatch, capsys):
+        # validate has no worker count: any --workers is a usage error.
         def no_run(cfg):
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr(cli, "run_mc", no_run)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"1 to {MAX_WORKERS} workers"):
-                SampleConfig(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
-                             n_samples=10**5, seed=1, n_workers=10**9)
-            code = cli.main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
-                             "--workers", "1000000000"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 1 and "1000000000" in capsys.readouterr().err
-        assert peak < 1e6
-
-    def test_cap_bounds(self):
-        kw = dict(b=(2,), eta=0.9, eps=0.0, protocol=Protocol.STATIC, n_samples=10, seed=1)
-        assert SampleConfig(n_workers=MAX_WORKERS, **kw).n_workers == MAX_WORKERS
-        for bad in (0, MAX_WORKERS + 1):
-            with pytest.raises(ValueError):
-                SampleConfig(n_workers=bad, **kw)
+        for workers in ("2", "1000000000"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                              "--workers", workers])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert exc.value.code == 1 and f"--workers {workers}" in capsys.readouterr().err
+            assert peak < 1e6
 
 
 class TestSeed:
@@ -512,15 +512,21 @@ class TestSeed:
         # numpy reads a key list holding a word of 2^63 or more through
         # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
         vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
-        bits = np.random.Philox(key=np.array([seed, 0], np.uint64))
+        bits = np.random.Philox(key=np.array([seed, 0], np.uint64), counter=2 << 192)
         want = np.random.Generator(bits).random((64, 2)).T < 0.5
         np.testing.assert_array_equal(draw_world(vec, params, 64, [seed, 0]).det_a[1], want)
+
+    def test_bsm_error_rates_take_every_64_bit_seed(self):
+        rates = [sample_bsm_error_rates(0.3, 1000, seed) for seed in (2**63, 2**63 + 1)]
+        assert rates[0] != rates[1]
+        with pytest.raises(ValueError, match=r"seed must be in 0 to 2\^64 - 1"):
+            sample_bsm_error_rates(0.3, 1000, 2**64)
 
 
 class TestWindowedDraw:
     @pytest.mark.parametrize("pre", range(6))
     def test_positioning_matches_the_raw_stream(self, pre):
-        want = np.random.Philox(key=[8, 1]).random_raw(pre + 50)
+        want = np.random.Philox(key=[8, 1], counter=2 << 192).random_raw(pre + 50)
         bits = np.random.Philox(key=[8, 1])
         for k in range(41):
             _seek(bits, pre + k)
@@ -548,10 +554,10 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_windowed_world_equals_the_serial_world(self, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
-        serial = draw_world(vec, params, n, [9, 0], 7)
+        serial = draw_world(vec, params, n, [9, 7])
         for j in range(windows):
             lo, hi = j * n // windows, (j + 1) * n // windows
-            split = draw_world(vec, params, n, [9, 0], 7, None, lo, hi)
+            split = draw_world(vec, params, n, [9, 7], None, lo, hi)
             for name in (f.name for f in fields(World)):
                 want, got = getattr(serial, name), getattr(split, name)
                 if want is None:
@@ -568,10 +574,12 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_counters_do_not_depend_on_windows(self, monkeypatch, cpus, n_workers):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        # Whole chunks, two per worker; and windows of one sample each, on
-        # fewer samples, since each window costs about a millisecond.
-        for window, n_samples in ((2**40, 20003), (1, 1003)):
+        # Whole chunks, two and a part; and windows of one sample each, on
+        # chunks of 400 samples, two and a part again, since each window
+        # costs about a millisecond.
+        for window, chunk, n_samples in ((2**40, 8192, 20003), (1, 400, 1003)):
             monkeypatch.setattr(montecarlo, "_WINDOW", window)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
                                n_samples=n_samples, seed=31, n_workers=n_workers)
             est = run(cfg)
@@ -589,7 +597,7 @@ class TestWindowedDraw:
             tracemalloc.start()
             try:
                 for lo, hi in cuts:
-                    _sample_window(vec, params, 8192, [1, 0], 0, eval_dynamic, reads, lo, hi)
+                    _sample_window(vec, params, 8192, [1, 0], eval_dynamic, reads, lo, hi)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -616,7 +624,7 @@ class TestMemoryBudget:
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
-        _, nbytes, _ = _sample_window(vec, params, 8192, [1, 0], 0, eval_dynamic, reads, 0, 8192)
+        _, nbytes, _ = _sample_window(vec, params, 8192, [1, 0], eval_dynamic, reads, 0, 8192)
         assert nbytes == 4171 * 8192
         assert chunk_bytes(vec, 8192, True, reads) == nbytes + 8 * 8192 * 450
 
@@ -625,7 +633,7 @@ class TestMemoryBudget:
         # about 3.7 MB, where an 8192-sample chunk would hold 63.7 MB.
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = SampleConfig(b=(15, 15, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
-                           n_samples=16384, seed=1, n_workers=2)
+                           n_samples=16384, seed=1)
         tracemalloc.start()
         try:
             run(cfg)
