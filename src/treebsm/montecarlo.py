@@ -31,22 +31,24 @@ has an odd number of X/Y letters; the X-parity readout is corrupted
 whenever either parity flips, since the X readout is decoded assuming the
 Z parity.
 
-Streams come from counter-based Philox generators, one per chunk: chunk c
-holds samples ``c * _CHUNK .. min((c + 1) * _CHUNK, N) - 1`` and draws them
-from raw 0 of the stream keyed by ``(seed, c)``, whose counter carries
-:data:`STREAM_VERSION` in its top word.  A chunk's uniforms are a pure
-function of (seed, c, chunk size), so the counters depend on the seed and
-the configuration alone, and no generator continues from one chunk to the
-next.
+Streams come from counter-based Philox generators, one key per chunk:
+chunk c holds samples ``c * _CHUNK .. min((c + 1) * _CHUNK, N) - 1`` and
+draws them from the key ``(seed, c)``.  Each plane of the world has a lane
+of its own, the stream from counter ``(0, 0, p, STREAM_VERSION)`` for the
+p-th plane of :func:`_planes`, and spends only the bits each decision
+needs: a loss flag or a Pauli fault is one 32-bit word, a coin or a tie
+one bit (:func:`draw_world`).  A plane is a pure function of (seed, c, p),
+so the counters depend on the seed and the configuration alone, and no
+generator continues from one chunk or plane to the next.
 
 The unit of parallel work is a sample window: samples ``lo .. hi - 1`` of
-one chunk, drawn from its own generator set to their position in the
-stream (:func:`_seek`), then evaluated and tallied on the same thread.  A
-chunk is cut into the fewest equal windows of at most :data:`_WINDOW`
-drawn uniforms each (:func:`_windows`), a split that depends on the chunk
-alone.  Every window goes to one pool of one thread per CPU this process
-may use (numpy releases the interpreter lock in its draws and array
-operations), so at most that many windows are alive at once.  Totals are
+one chunk, each plane drawn from its lane set to their cells
+(:func:`_lane`), then evaluated and tallied on the same thread.  A chunk
+is cut into the fewest equal windows of at most :data:`_WINDOW` drawn
+cells each (:func:`_windows`), a split that depends on the chunk alone.
+Every window goes to one pool of one thread per CPU this process may use
+(numpy releases the interpreter lock in its draws and array operations),
+so at most that many windows are alive at once.  Totals are
 order-independent sums, so results are bit-identical for a fixed (seed,
 config) whatever the window size, thread count and window order.  A
 configuration whose whole chunk would not fit in :data:`MAX_CHUNK_BYTES`
@@ -56,8 +58,7 @@ A run draws only the planes its protocol reads (:data:`_READS`): the static
 rules read no single-qubit tie planes and, like the adaptive rules, no tie
 plane at the leaves, where no vote can tie; the loss-only rules read the
 coin of first-level pairs only.  A plane that is not drawn is None in the
-world, and its stretch of the stream is passed over, not drawn, so every
-other plane keeps its position in the stream and the counters do not change.
+world and its lane is never touched, so the other planes do not change.
 """
 
 from __future__ import annotations
@@ -83,10 +84,9 @@ from .trees import (
     photon_count,
 )
 
-# Samples per chunk.  Part of the stream contract: a chunk's planes take
-# consecutive stretches of its own stream, n * s_k uniforms each, so
-# another chunk size gives other counters.  The unit of memory is the sample
-# window (:data:`_WINDOW`), not the chunk.
+# Samples per chunk.  Part of the stream contract: each chunk has a key of its
+# own, so another chunk size gives other counters.  The unit of memory is
+# the sample window (:data:`_WINDOW`), not the chunk.
 _CHUNK = 8192
 
 # Refuse a configuration whose chunk (world plus draw buffer) would need more
@@ -97,14 +97,19 @@ MAX_CHUNK_BYTES = 2 * 10**9
 # Samples per block when a drawn plane is decoded and transposed to node-major.
 _BLOCK = 512
 
-# Most drawn uniforms a sample window holds, unless it is a single sample:
+# Most drawn cells a sample window holds, unless it is a single sample:
 # the unit of memory, since each thread holds one window's world at a time.
 _WINDOW = 2**21
 
-# Version of the stream contract (draw order, chunk size, stream keys), held
-# in the top word of every chunk's Philox counter and stamped on every result,
-# so a changed counter can be traced to a changed contract.
-STREAM_VERSION = 2
+# Version of the stream contract (lanes, cell widths and decoding, chunk size,
+# stream keys), held in the top word of every lane's Philox counter and
+# stamped on every result, so a changed counter can be traced to a changed
+# contract.
+STREAM_VERSION = 3
+
+# Smallest eps > 0 the sampler can draw faults at: a fault is a 32-bit word
+# below 3 * (int(eps_d * 2^32) // 3), which is 0 unless eps_d * 2^32 >= 3.
+MIN_EPS = 2.0**-31
 
 # Largest seed: a seed is one 64-bit word of a Philox key.
 MAX_SEED = 2**64 - 1
@@ -275,12 +280,14 @@ def _group(arr: np.ndarray, bk: int) -> np.ndarray:
 
 
 def _planes(vec: BranchingVector, faults: bool) -> list[tuple[str, int, int]]:
-    """The stream layout of a world: its planes as (field, level, width), in draw order.
+    """The planes of a world as (field, level, width); the p-th is drawn from lane p.
 
     Loss on both sides and the coin, then, when the world carries faults,
     both sides' faults and the three tie planes; each field has one plane
     per level 1..d, of one column per node.  A world with faults ends with
-    the virtual root's tie plane (level 0, width 1).
+    the virtual root's tie plane (level 0, width 1).  The planes without
+    faults are the first of those with faults, so they keep their lanes at
+    every eps.
     """
     names = ("det_a", "det_b", "coin")
     if faults:
@@ -295,20 +302,22 @@ Reads = Callable[[str, int, int], bool]
 
 
 def _drawn_widths(vec: BranchingVector, faults: bool, reads: Reads | None = None) -> list[int]:
-    """Widths of the planes of :func:`_planes` that ``reads`` accepts, in draw order."""
+    """Widths of the planes of :func:`_planes` that ``reads`` accepts, in lane order."""
     return [width for field, k, width in _planes(vec, faults)
             if reads is None or reads(field, k, vec.depth)]
 
 
 def chunk_bytes(vec: BranchingVector, n: int, faults: bool, reads: Reads | None = None) -> int:
-    """Bytes of one ``n``-sample world plus the uniform buffer it is drawn through.
+    """Bytes of one ``n``-sample world plus the raws it is drawn through.
 
     One byte per sample for each column of each plane of :func:`_planes`
-    that ``reads`` accepts (every plane without it), and 8 bytes per sample
-    for the widest of those planes' float64 uniforms (the leaves).
+    that ``reads`` accepts (every plane without it), and 4 bytes per sample
+    for the widest of those planes' cells: every protocol reads the loss
+    planes, so the widest is a plane of 32-bit words (the leaves), and a
+    plane of one-bit cells needs less, 1/8 byte of raws and one unpacked.
     """
     widths = _drawn_widths(vec, faults, reads)
-    return n * (sum(widths) + 8 * max(widths))
+    return n * (sum(widths) + 4 * max(widths))
 
 
 @dataclass
@@ -343,31 +352,62 @@ class World:
         return total
 
 
-def _faults(u: np.ndarray, eps_d: float) -> np.ndarray:
-    """Per-photon Pauli fault (0 none, 1 X, 2 Y, 3 Z) of total rate ``eps_d`` from uniforms."""
-    f = np.zeros(u.shape, dtype=np.uint8)
-    hit = u < eps_d
-    # Uniform over X, Y, Z given a fault.
-    f[hit] = 1 + np.minimum((3.0 * u[hit] / eps_d).astype(np.uint8), 2)
+def _fault_third(params: ChannelParams) -> int:
+    """Width of each Pauli letter's share of the 32-bit words, ``int(eps_d * 2^32) // 3``.
+
+    Refuses an eps > 0 whose share is empty, which would draw no fault at all.
+    """
+    third = int(params.eps_d * 2**32) // 3
+    if params.eps > 0.0 and third == 0:
+        raise UnsupportedConfigurationError(
+            f"eps {params.eps:g} is below {MIN_EPS:.4g} (2^-31), the smallest eps whose "
+            "faults the sampler's 32-bit words can draw"
+        )
+    return third
+
+
+def _faults(w: np.ndarray, third: int) -> np.ndarray:
+    """Per-photon Pauli faults (0 none, 1 X, 2 Y, 3 Z) of 32-bit words ``w``.
+
+    A word below ``3 * third`` is a fault, of code ``1 + w // third``, so the
+    rate is ``3 * third / 2^32`` and the split over X, Y and Z exactly uniform.
+    """
+    f = np.zeros(w.shape, dtype=np.uint8)
+    hit = w < 3 * third
+    f[hit] = 1 + w[hit] // third
     return f
 
 
-def _seek(bits: np.random.Philox, raw: int) -> None:
-    """Set ``bits`` to hand out raw ``raw`` of its key's stream next: raw 4q + r
-    is the r-th after counter q + STREAM_VERSION * 2^192 with an empty buffer
-    (the counter wraps at 2^256)."""
-    q, r = divmod(raw, 4)
-    q += STREAM_VERSION << 192
-    state = bits.state
-    state["state"]["counter"] = np.array([q >> 64 * i & 2**64 - 1 for i in range(4)], np.uint64)
-    state["buffer_pos"] = 4
-    bits.state = state
-    bits.random_raw(r)
+def _lane(bits: np.random.Philox, key: np.ndarray, p: int, first: int, count: int,
+          cell_bits: int) -> np.ndarray:
+    """Cells ``first .. first + count - 1`` of lane ``p`` of the stream keyed by ``key``.
+
+    Lane p's raws are those of a Philox generator started at counter
+    ``(0, 0, p, STREAM_VERSION)``, so raw r is the (r mod 4)-th after counter
+    ``(r // 4, 0, p, STREAM_VERSION)``; ``bits`` is set there and draws only
+    the raws that hold the cells.  A 32-bit cell t (``cell_bits`` 32) is the
+    little-endian half t mod 2 of raw t // 2, returned as uint32; a one-bit
+    cell t is bit t mod 64 of raw t // 64, least significant first, returned
+    as bool.
+    """
+    per_raw = 64 // cell_bits
+    start, stop = first // per_raw, -(-(first + count) // per_raw)
+    block, skip = divmod(start, 4)
+    bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0,
+                  "state": {"counter": np.array([block, 0, p, STREAM_VERSION], np.uint64), "key": key}}
+    raws = bits.random_raw(skip + stop - start)[skip:].astype("<u8", copy=False)
+    if cell_bits == 32:
+        cells = raws.view("<u4")
+    else:
+        cells = np.unpackbits(raws.view(np.uint8), bitorder="little").view(bool)
+    first -= start * per_raw
+    return cells[first:first + count]
 
 
 def _windows(n: int, per_sample: int) -> list[tuple[int, int]]:
     """Sample windows ``(lo, hi)`` of an ``n``-sample chunk: the fewest equal ones
-    that each hold at most :data:`_WINDOW` drawn uniforms (``per_sample`` per
+    that each hold at most :data:`_WINDOW` drawn cells (``per_sample`` per
     sample), or one sample."""
     count = -(-n // max(1, _WINDOW // per_sample))
     return [(j * n // count, (j + 1) * n // count) for j in range(count)]
@@ -380,48 +420,45 @@ def draw_world(
     """Sample samples ``lo .. hi - 1`` of the chunk of ``n`` samples drawn from the
     Philox stream keyed by ``key`` (the whole chunk by default).
 
-    The draw order here is part of the stream contract.  A sample owns one
-    uniform (one raw of the stream) per column of each plane of
-    :func:`_planes`; the chunk's uniforms start at raw 0 of its stream and
-    depend on nothing else.  The planes take consecutive stretches of them,
-    n * s_k uniforms each, in that order.
-    Uniform ``u[i, j]``, the ``i * s_k + j``-th of a plane's stretch, is
-    thresholded into node j of sample i, and the plane is stored node-major,
-    as its (s_k, samples) transpose.
+    The lanes and cell widths here are the stream contract.  Plane p of
+    :func:`_planes` (numbered with faults, so loss and coin planes have the
+    same lanes at every eps) is drawn from lane p of the key (:func:`_lane`),
+    one cell per column per sample: cell ``t = i * s_k + j`` decides node j
+    of sample i, and the plane is stored node-major, as its (s_k, samples)
+    transpose.  Loss and fault cells are 32-bit words w: a photon is
+    detected iff ``w < int(eta * 2^32)``, and faulted as :func:`_faults`
+    decodes w at ``third = int(eps_d * 2^32) // 3``.  Coin and tie cells are
+    single bits, True when set.  A chunk's planes depend on (key, p) alone,
+    not on n or on which other planes are drawn.
 
     With ``reads``, only the planes it accepts are drawn; each other plane
-    is None, and its stretch of uniforms is passed over without being
-    generated, so the drawn planes are those of a world drawn whole.
+    is None, and its lane is never touched.
 
-    A window's planes are columns ``lo:hi`` of the chunk's.  One generator
-    is set to each drawn plane's rows ``lo .. hi - 1`` by :func:`_seek`,
-    fills them through one buffer sized for the widest drawn plane, and
-    they are decoded and transposed in blocks of samples small enough to
-    stay in cache.
+    A window's planes are columns ``lo:hi`` of the chunk's: each drawn
+    plane's lane is set to its cells ``lo * s_k .. hi * s_k - 1``, and they
+    are decoded and transposed in blocks of samples small enough to stay in
+    cache.
     """
     hi = n if hi is None else hi
-    faults = params.eps > 0.0
-    buf = np.empty((hi - lo) * max(_drawn_widths(vec, faults, reads)))
     # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
-    gen = np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
-    loss, half = (lambda u: u < params.eta), (lambda u: u < 0.5)
-    decode = {"det_a": loss, "det_b": loss, "coin": half, "tie_pair": half,
-              "tie_side_a": half, "tie_side_b": half,
-              "fault_a": lambda u: _faults(u, params.eps_d),
-              "fault_b": lambda u: _faults(u, params.eps_d)}
+    key = np.array(key, np.uint64)
+    bits = np.random.Philox(key=key)
+    detect, third = int(params.eta * 2**32), _fault_third(params)
+    # Decoders of the planes of 32-bit cells; the others are one-bit cells, kept as drawn.
+    loss, fault = (lambda w: w < detect), (lambda w: _faults(w, third))
+    words = {"det_a": loss, "det_b": loss, "fault_a": fault, "fault_b": fault}
     world: dict[str, list] = {}
-    offset = 0  # stream index of this plane's first uniform
-    for field, k, width in _planes(vec, faults):
+    for p, (field, k, width) in enumerate(_planes(vec, params.eps > 0.0)):
         plane = None
         if reads is None or reads(field, k, vec.depth):
+            decode = words.get(field)
+            cells = _lane(bits, key, p, lo * width, (hi - lo) * width, 32 if decode else 1)
+            cells = cells.reshape(hi - lo, width)
             plane = np.empty((width, hi - lo), np.uint8 if field.startswith("fault") else bool)
-            u = buf[:(hi - lo) * width].reshape(hi - lo, width)
-            _seek(gen.bit_generator, offset + lo * width)
-            gen.random(out=u)
             for i in range(0, hi - lo, _BLOCK):
-                plane[:, i:i + _BLOCK] = decode[field](u[i:i + _BLOCK]).T
+                block = cells[i:i + _BLOCK]
+                plane[:, i:i + _BLOCK] = (decode(block) if decode else block).T
         world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
-        offset += n * width
     return World(**world)
 
 
@@ -689,6 +726,7 @@ def run(cfg: SampleConfig) -> McEstimate:
         )
     vec = as_branching_vector(cfg.b)
     params = cfg.params
+    _fault_third(params)  # refuses an eps too small to draw
     evaluator, reads = _EVALUATORS[cfg.protocol], _READS[cfg.protocol]
     faults = cfg.eps > 0.0
     chunk = chunk_bytes(vec, min(_CHUNK, cfg.n_samples), faults, reads)
@@ -802,14 +840,16 @@ def sample_bsm_error_rates(
     """Monte-Carlo readout error rates of a single two-photon BSM.
 
     Each photon suffers a uniform Pauli fault with total probability
-    ``3*eps/2``.  Returns the Z-parity flip rate and the X-readout error
+    ``3*eps/2``, drawn and decoded as the sampler draws faults (in steps of
+    3 * 2^-32).  Returns the Z-parity flip rate and the X-readout error
     rate with their standard errors.
     """
     check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-    eps_d = ChannelParams(eta=1.0, eps=eps).eps_d
-    fa = _faults(rng.random(n_samples), eps_d)
-    fb = _faults(rng.random(n_samples), eps_d)
+    key = np.array([seed, 0], np.uint64)
+    bits = np.random.Philox(key=key)
+    third = _fault_third(ChannelParams(eta=1.0, eps=eps))
+    # The two photons' 32-bit words come from lanes 0 and 1, decoded as the sampler does.
+    fa, fb = (_faults(_lane(bits, key, p, 0, n_samples, 32), third) for p in (0, 1))
     zz, xx = _pair_flips(fa, fb)
     pz = float(zz.mean())
     px = float(xx.mean())

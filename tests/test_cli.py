@@ -106,7 +106,7 @@ class TestSweep:
         assert set(manifest) == {"command", "params", "version", "stream_version", "outputs",
                                  "wall_time_s"}
         assert manifest["outputs"] == [str(out)]
-        assert manifest["stream_version"] == STREAM_VERSION == 2
+        assert manifest["stream_version"] == STREAM_VERSION == 3
 
 
 @pytest.mark.parametrize("command", [
@@ -219,6 +219,14 @@ class TestValidate:
         assert "world_bytes=" in footer and "samples_per_s=" in footer
         assert "draw_s=" in footer and "eval_s=" in footer
         assert f"stream_version={STREAM_VERSION}" in footer and "workers=" not in footer
+
+    def test_eps_too_small_to_draw_is_usage_error(self, capsys):
+        # Below 2^-31 no 32-bit word would be a fault: a fault-free run
+        # would pass for one with faults.
+        rc = main(["validate", "--protocol", "static", "--b", "2", "--eta", "0.9",
+                   "--eps", "1e-10", "--n", "1000", "--seed", "5"])
+        assert rc == 1
+        assert "eps 1e-10 is below 4.657e-10 (2^-31)" in capsys.readouterr().err
 
     def test_loss_only_reports_sample_only(self, capsys):
         rc = main(["validate", "--protocol", "loss-only", "--b", "2,2", "--eta", "0.8",

@@ -1,9 +1,10 @@
 """The README's code references name code that exists.
 
 Every backticked dotted name in README.md whose first part is a module of
-``treebsm`` or a name it exports (``montecarlo._seek``,
+``treebsm`` or a name it exports (``montecarlo._lane``,
 ``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
-cannot linger in the docs.
+cannot linger in the docs, and the stream version the README states is the
+sampler's.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 import treebsm
+from treebsm import montecarlo
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = {m.name for m in pkgutil.iter_modules(treebsm.__path__)}
@@ -25,7 +27,7 @@ def cited_names() -> list[str]:
 
 def test_readme_cites_code():
     names = cited_names()
-    assert {"montecarlo._seek", "montecarlo._WINDOW", "cli.MAX_RANGE_COUNT",
+    assert {"montecarlo._lane", "montecarlo._WINDOW", "cli.MAX_RANGE_COUNT",
             "genseq.tableau_bytes"} <= set(names)
     assert "pyproject.toml" not in names
 
@@ -41,3 +43,8 @@ def test_every_cited_name_resolves():
                 break
             obj = getattr(obj, part)
     assert missing == []
+
+
+def test_stated_stream_version_is_current():
+    stated = re.findall(r"`montecarlo\.STREAM_VERSION` \(now (\d+)\)", README.read_text())
+    assert stated == [str(montecarlo.STREAM_VERSION)]

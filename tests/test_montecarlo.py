@@ -14,15 +14,17 @@ from treebsm.analytic import (
 )
 from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
+    MIN_EPS,
     STREAM_VERSION,
     SampleConfig,
     UnsupportedConfigurationError,
     World,
+    _fault_third,
     _faults,
+    _lane,
     _pair_flips,
     _planes,
     _sample_window,
-    _seek,
     _windows,
     chunk_bytes,
     draw_world,
@@ -34,7 +36,7 @@ from treebsm.montecarlo import (
     sample_bsm_error_rates,
     z_score,
 )
-from treebsm.trees import BranchingVector, ChannelParams, photon_count
+from treebsm.trees import EPS_MAX, BranchingVector, ChannelParams, photon_count
 
 from reference_sampler import reference_dynamic_sample
 
@@ -195,31 +197,99 @@ class TestNodeMajorLayout:
                 drawn += 1
         assert drawn == (8 if eps else 3) * vec.depth
 
-    def test_planes_are_transposed_draws_of_the_same_stream(self):
-        # Each plane is one (n, s_k) fill of uniforms, thresholded, in the
-        # documented order, stored as its transpose; a chunk starts where a
-        # plain generator of its key starts at counter STREAM_VERSION * 2^192.
-        # A (3, 2) world with faults has planes of 3 and 6 columns, so with
-        # n = 1101 they start at raw 0, 3303, 9909, ...: 0, 3, 1, ... mod 4,
-        # every offset into Philox's blocks of four raws.  n is above and not
-        # a multiple of the draw's block of samples.
+    def test_every_plane_is_its_own_lane(self):
+        # Plane p of _planes is rebuilt from an independent Philox generator
+        # started at counter (0, 0, p, 3), its cells taken from the raws with
+        # shifts and masks and decoded here.  A (3, 2) world with faults has
+        # planes of 1, 3 and 6 columns, so with n = 1101 the 32-bit planes end
+        # mid-raw and the bit planes mid-raw and mid-block; n is above and
+        # not a multiple of the draw's block of samples.
         vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05)
-        assert STREAM_VERSION == 2
-        decoders = [("det_a", lambda u: u < params.eta), ("det_b", lambda u: u < params.eta),
-                    ("coin", lambda u: u < 0.5),
-                    ("fault_a", lambda u: _faults(u, params.eps_d)),
-                    ("fault_b", lambda u: _faults(u, params.eps_d)),
-                    ("tie_pair", lambda u: u < 0.5), ("tie_side_a", lambda u: u < 0.5),
-                    ("tie_side_b", lambda u: u < 0.5)]
+        assert STREAM_VERSION == 3
+        third = int(1.5 * 0.05 * 2**32) // 3
+        decoders = {"det": lambda w: w < int(0.7 * 2**32),
+                    "fault": lambda w: np.where(w < 3 * third, 1 + w // third, 0),
+                    "coin": lambda c: c == 1, "tie": lambda c: c == 1}
         for n, key in ((1100, [9, 0]), (1101, [9, 8195])):
             world = draw_world(vec, params, n, key)
-            rng = np.random.Generator(np.random.Philox(key=key, counter=2 << 192))
-            for name, decode in decoders:
-                for k in range(1, vec.depth + 1):
-                    want = decode(rng.random((n, len(vec.level_vertices(k))))).T
-                    np.testing.assert_array_equal(getattr(world, name)[k], want,
-                                                  err_msg=f"{name}[{k}], n={n}")
-            np.testing.assert_array_equal(world.tie_pair[0], (rng.random((n, 1)) < 0.5).T)
+            for p, (field, k, width) in enumerate(_planes(vec, True)):
+                cell_bits = 32 if field.startswith(("det", "fault")) else 1
+                cells = lane_cells(key, p, 0, n * width, cell_bits).reshape(n, width)
+                want = decoders[field.split("_")[0]](cells).T
+                np.testing.assert_array_equal(getattr(world, field)[k], want,
+                                              err_msg=f"{field}[{k}], n={n}")
+
+
+def lane_cells(key, p, first, count, cell_bits):
+    """Cells ``first .. first + count - 1`` of lane ``p`` of ``key``, from a fresh
+    generator at counter (0, 0, p, STREAM_VERSION), by shifts and masks."""
+    t = np.arange(first, first + count, dtype=np.uint64)
+    per_raw = np.uint64(64 // cell_bits)
+    bits = np.random.Philox(key=np.array(key, np.uint64), counter=[0, 0, p, STREAM_VERSION])
+    raws = bits.random_raw(int(t[-1] // per_raw) + 1)
+    mask = np.uint64(2**cell_bits - 1)
+    return (raws[t // per_raw] >> (t % per_raw) * np.uint64(cell_bits)) & mask
+
+
+class TestStreamV3:
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_eta_0_and_1_are_exact(self, eta):
+        # At eta 1 the threshold is 2^32, above every word: no photon is lost.
+        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), 500, [2, 0])
+        for plane in world.det_a[1:] + world.det_b[1:]:
+            assert plane.all() if eta == 1.0 else not plane.any()
+
+    def test_at_eps_max_one_word_in_2_to_32_is_unfaulted(self):
+        third = _fault_third(ChannelParams(eta=1.0, eps=EPS_MAX))
+        assert 3 * third >= 2**32 - 1
+        words = np.array([0, third - 1, third, 2 * third, 2**32 - 2, 2**32 - 1], np.uint32)
+        assert _faults(words, third).tolist() == [1, 1, 2, 3, 3, 0]
+        world = draw_world(BranchingVector((50, 20)), ChannelParams(eta=1.0, eps=EPS_MAX),
+                           1000, [3, 0])
+        for plane in world.fault_a[1:] + world.fault_b[1:]:
+            assert plane.all() and plane.max() == 3
+
+    def test_marginal_rates_are_within_5_sigma(self):
+        # 10^6 cells per plane: loss at eta 0.7, the first-level coins, and the
+        # three Pauli codes at eps 0.1 (eps_d 0.15, each letter 0.05).
+        vec, n = BranchingVector((1000,)), 1000
+        params = ChannelParams(eta=0.7, eps=0.1)
+        world = draw_world(vec, params, n, [11, 4])
+        third = _fault_third(params)
+        cases = [(world.det_a[1], int(0.7 * 2**32) / 2**32), (world.coin[1], 0.5)]
+        cases += [(world.fault_b[1] == code, third / 2**32) for code in (1, 2, 3)]
+        for flags, p in cases:
+            assert flags.size >= 10**6
+            assert abs(z_score(flags.mean(), p, flags.size)) <= 5, p
+
+    def test_neighbouring_planes_share_no_lane(self):
+        # det_a and det_b at one level, and the coins of adjacent levels, draw
+        # from distinct lanes: at eta 1/2 each pair disagrees on half its
+        # cells, where a shared lane would make it agree everywhere.
+        vec, n = BranchingVector((30, 30)), 400
+        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.05), n, [5, 2])
+        pairs = [(world.det_a[k], world.det_b[k]) for k in (1, 2)]
+        pairs += [(world.coin[1], world.coin[2][:30]), (world.coin[1], world.coin[2][::30])]
+        for a, b in pairs:
+            assert abs(z_score((a != b).mean(), 0.5, a.size)) <= 5
+
+    @pytest.mark.parametrize("protocol", [Protocol.STATIC, Protocol.DYNAMIC])
+    def test_success_does_not_depend_on_eps(self, protocol):
+        # Loss and coin lanes come before the fault lanes, so faults move no
+        # success: the counters at eps 0 and 1e-3 count the same worlds.
+        kw = dict(b=(3, 2, 2), eta=0.8, protocol=protocol, n_samples=20003, seed=17)
+        clean, faulty = run(SampleConfig(eps=0.0, **kw)), run(SampleConfig(eps=1e-3, **kw))
+        assert clean.n_success == faulty.n_success
+        assert faulty.n_zz_error + faulty.n_xx_error > 0
+
+    def test_eps_too_small_to_draw_is_refused(self):
+        kw = dict(b=(2, 2), eta=0.9, protocol=Protocol.STATIC, n_samples=100, seed=1)
+        assert run(SampleConfig(eps=MIN_EPS, **kw)).n_samples == 100
+        for eps in (1e-10, MIN_EPS * (1 - 2**-40)):
+            with pytest.raises(UnsupportedConfigurationError, match=r"below 4\.657e-10 \(2\^-31\)"):
+                run(SampleConfig(eps=eps, **kw))
+            with pytest.raises(UnsupportedConfigurationError, match="4.657e-10"):
+                sample_bsm_error_rates(eps, 100, 1)
 
 
 class TestSampling:
@@ -335,7 +405,7 @@ class TestEstimate:
         assert blob["wall_time_s"] >= 0
         assert blob["world_bytes"] == est.world_bytes > 0
         assert blob["samples_per_s"] == pytest.approx(20000 / blob["wall_time_s"])
-        assert blob["stream_version"] == STREAM_VERSION == 2
+        assert blob["stream_version"] == STREAM_VERSION == 3
         assert "n_workers" not in blob["config"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -449,7 +519,7 @@ class TestChunkTasks:
         # Every window is drawn from its own position in its chunk's stream,
         # so running the tasks backwards changes no counter.  50003 samples
         # are six whole chunks and one of 851 samples, and a (3, 2) dynamic
-        # sample draws 55 uniforms, so each chunk is one window.
+        # sample draws 55 cells, so each chunk is one window.
         order = []
 
         class ReversePool:
@@ -512,8 +582,7 @@ class TestSeed:
         # numpy reads a key list holding a word of 2^63 or more through
         # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
         vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
-        bits = np.random.Philox(key=np.array([seed, 0], np.uint64), counter=2 << 192)
-        want = np.random.Generator(bits).random((64, 2)).T < 0.5
+        want = lane_cells([seed, 0], 0, 0, 128, 32).reshape(64, 2).T < 2**31
         np.testing.assert_array_equal(draw_world(vec, params, 64, [seed, 0]).det_a[1], want)
 
     def test_bsm_error_rates_take_every_64_bit_seed(self):
@@ -526,16 +595,35 @@ class TestSeed:
 class TestWindowedDraw:
     @pytest.mark.parametrize("pre", range(6))
     def test_positioning_matches_the_raw_stream(self, pre):
-        want = np.random.Philox(key=[8, 1], counter=2 << 192).random_raw(pre + 50)
-        bits = np.random.Philox(key=[8, 1])
-        for k in range(41):
-            _seek(bits, pre + k)
-            got = bits.random_raw(9)
-            np.testing.assert_array_equal(got, want[pre + k:pre + k + 9], err_msg=f"k={k}")
-            _seek(bits, pre)  # backwards too
-            assert bits.random_raw() == want[pre]
-            _seek(bits, 4 * 2**256 + pre + k)  # the counter wraps
-            assert bits.random_raw() == want[pre + k]
+        # A lane is set straight to any cell: 32-bit cells at every offset
+        # into a raw and into Philox's blocks of four raws, bit cells at
+        # offsets that are no multiple of 64, crossing raws and blocks, and
+        # back again; one generator serves every lane.
+        key = np.array([8, 1], np.uint64)
+        bits = np.random.Philox(key=key)
+        for cell_bits, step in ((32, 1), (1, 61)):
+            want = lane_cells(key, 5, 0, pre + 41 * step + 300, cell_bits)
+            for k in range(41):
+                first = pre + k * step
+                for count in (1, 9, 300):
+                    got = _lane(bits, key, 5, first, count, cell_bits)
+                    np.testing.assert_array_equal(got, want[first:first + count],
+                                                  err_msg=f"{cell_bits}-bit, first={first}")
+                assert _lane(bits, key, 5, pre, 1, cell_bits)[0] == want[pre]  # backwards
+                assert _lane(bits, key, 6, pre, 1, cell_bits)[0] == lane_cells(key, 6, pre, 1, cell_bits)
+
+    @pytest.mark.parametrize("lo", [1, 7, 21, 367])
+    def test_windows_start_mid_raw(self, lo):
+        # The width-3 32-bit planes of a (3, 2) world start the window at an
+        # odd cell, and every bit plane at a cell that is no multiple of 64.
+        vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
+        assert (lo * 3) % 2 == 1 and all(lo * w % 64 for w in (1, 3, 6))
+        whole = draw_world(vec, params, n, [4, 2])
+        window = draw_world(vec, params, n, [4, 2], None, lo, lo + 100)
+        for field, k, _ in _planes(vec, True):
+            np.testing.assert_array_equal(getattr(window, field)[k],
+                                          getattr(whole, field)[k][:, lo:lo + 100],
+                                          err_msg=f"{field}[{k}]")
 
     @pytest.mark.parametrize("n", [1, 2, 1100, 8192])
     @pytest.mark.parametrize("per_sample", [1, 18, 4171, 3 * 10**6])
@@ -616,21 +704,21 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert world.nbytes <= 46e6
         assert peak <= 130e6
-        # The size estimate is the world plus a float64 buffer for the widest level.
-        assert chunk_bytes(vec, 8192, True) == world.nbytes + 8 * 8192 * 450
+        # The size estimate is the world plus the 32-bit words of the widest level.
+        assert chunk_bytes(vec, 8192, True) == world.nbytes + 4 * 8192 * 450
 
     def test_a_chunk_holds_only_the_planes_its_protocol_reads(self):
-        # Of the 5521 uniforms a (15,15,2) sample with faults owns, the
+        # Of the 5521 cells a (15,15,2) sample with faults owns, the
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
         _, nbytes, _ = _sample_window(vec, params, 8192, [1, 0], eval_dynamic, reads, 0, 8192)
         assert nbytes == 4171 * 8192
-        assert chunk_bytes(vec, 8192, True, reads) == nbytes + 8 * 8192 * 450
+        assert chunk_bytes(vec, 8192, True, reads) == nbytes + 4 * 8192 * 450
 
     def test_a_two_worker_run_holds_windows_not_chunks(self, monkeypatch):
         # Each of two threads holds one window's world and buffer at a time,
-        # about 3.7 MB, where an 8192-sample chunk would hold 63.7 MB.
+        # about 2.9 MB, where an 8192-sample chunk would hold 48.9 MB.
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = SampleConfig(b=(15, 15, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
                            n_samples=16384, seed=1)
@@ -648,7 +736,7 @@ class TestMemoryBudget:
     def test_run_sizes_and_reports_the_drawn_world(self, protocol, eps, per_sample):
         vec = BranchingVector((15, 15, 2))
         reads = montecarlo._READS[protocol]
-        assert chunk_bytes(vec, 8192, eps > 0.0, reads) == 8192 * (per_sample + 8 * 450)
+        assert chunk_bytes(vec, 8192, eps > 0.0, reads) == 8192 * (per_sample + 4 * 450)
         est = run(SampleConfig(b=vec.branches, eta=0.8, eps=eps, protocol=protocol,
                                n_samples=300, seed=3))
         assert est.world_bytes == 300 * per_sample
