@@ -9,22 +9,22 @@ smallest such trees are (74, 15) for the static rules (1185 photons) and
 
 import numpy as np
 
-from treebsm import ChannelParams, dynamic_logical_bsm, static_logical_bsm
+from treebsm import ChannelParams, Protocol, logical_bsm
 
 print("logical error vs single-qubit error rate, tree (15,15,2), eta = 0.95")
 print(f"{'eps':>9} {'static':>11} {'dynamic':>11} {'raw pair':>11}")
 for eps in np.geomspace(1e-6, 1e-3, 7):
     p = ChannelParams(eta=0.95, eps=float(eps))
-    print(f"{eps:9.1e} {static_logical_bsm('15,15,2', p).err_complete:11.3e} "
-          f"{dynamic_logical_bsm('15,15,2', p).err_complete:11.3e} {p.eps_bsm:11.3e}")
+    print(f"{eps:9.1e} {logical_bsm('15,15,2', p, Protocol.STATIC).err_complete:11.3e} "
+          f"{logical_bsm('15,15,2', p, Protocol.DYNAMIC).err_complete:11.3e} {p.eps_bsm:11.3e}")
 
 print()
 p = ChannelParams(eta=0.95, eps=1e-5)
-for name, b, f in (
-    ("static ", "74,15", static_logical_bsm),
-    ("dynamic", "15,15,2", dynamic_logical_bsm),
+for name, b, protocol in (
+    ("static ", "74,15", Protocol.STATIC),
+    ("dynamic", "15,15,2", Protocol.DYNAMIC),
 ):
-    res = f(b, p)
+    res = logical_bsm(b, p, protocol)
     verdict = "error-correcting" if res.err_complete < p.eps_bsm else "not correcting"
     print(f"{name} milestone {b:8s}: err {res.err_complete:.3e} vs raw {p.eps_bsm:.3e}"
           f"  -> {verdict}")

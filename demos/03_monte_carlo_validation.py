@@ -10,27 +10,23 @@ from treebsm import (
     ChannelParams,
     Protocol,
     SampleConfig,
-    dynamic_logical_bsm,
     exhaustive_static,
+    logical_bsm,
     run,
-    static_logical_bsm,
     z_score,
 )
 
 # Exhaustive enumeration reproduces the closed form to machine precision.
 params = ChannelParams(eta=0.9)
 exact = exhaustive_static("2,2", params)
-closed = static_logical_bsm("2,2", params).pr_complete
+closed = logical_bsm("2,2", params, Protocol.STATIC).pr_complete
 print(f"(2,2) at eta=0.9: enumeration {exact:.15f} vs closed form {closed:.15f}")
 
 print()
 print("sampled agreement at N = 10^5 (seed 1):")
-for proto, engine in (
-    (Protocol.STATIC, static_logical_bsm),
-    (Protocol.DYNAMIC, dynamic_logical_bsm),
-):
+for proto in (Protocol.STATIC, Protocol.DYNAMIC):
     for b, eta, eps in ((("3,2"), 0.8, 1e-3), (("15,15,2"), 0.95, 1e-3)):
-        ref = engine(b, ChannelParams(eta=eta, eps=eps))
+        ref = logical_bsm(b, ChannelParams(eta=eta, eps=eps), proto)
         est = run(SampleConfig(b=b, eta=eta, eps=eps, protocol=proto,
                                n_samples=10**5, seed=1))
         zs = z_score(est.success, ref.pr_complete, est.n_samples)

@@ -1,6 +1,7 @@
 """Loss-tolerant logical Bell measurements on tree-encoded photonic qubits.
 
-Four engines over one tree shape language:
+Four engines over one tree shape language, the branching vector of
+:mod:`treebsm.trees`, which answers vertex queries without building a tree:
 
 * :mod:`treebsm.analytic` -- exact success and error rates of the static
   and adaptive measurement protocols, plus threshold bisection.
@@ -24,13 +25,11 @@ from .analytic import (
     UnreachableTargetError,
     ConfigurationError,
     dynamic_layer_recursion,
-    dynamic_logical_bsm,
     find_threshold,
     logical_bsm,
     logical_bsm_batch,
     parity_error,
     static_layer_recursion,
-    static_logical_bsm,
 )
 from .genseq import (
     Instruction,
@@ -72,9 +71,7 @@ from .stabilizer import (
 from .trees import (
     BranchingVector,
     ChannelParams,
-    TreeGraph,
     TreeTooLargeError,
-    build_tree,
     photon_count,
 )
 

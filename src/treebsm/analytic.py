@@ -467,19 +467,13 @@ def logical_bsm(
     return LogicalBsmResult(protocol, vec, params, *(float(r[0]) for r in rates))
 
 
-def static_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
-    """Evaluate the static protocol exactly on tree shape ``b``."""
-    return logical_bsm(b, params, Protocol.STATIC)
-
-
-def dynamic_logical_bsm(b: BranchingVectorLike, params: ChannelParams) -> LogicalBsmResult:
-    """Evaluate the adaptive protocol exactly on tree shape ``b``."""
-    return logical_bsm(b, params, Protocol.DYNAMIC)
-
-
 # ---------------------------------------------------------------------------
 # Threshold finding
 # ---------------------------------------------------------------------------
+
+# Most halvings find_threshold takes: 60 halve the unit bracket below 1e-18.
+_MAX_HALVINGS = 60
+
 
 class UnreachableTargetError(RuntimeError):
     """The target success probability is not reached even at eta = 1."""
@@ -506,7 +500,6 @@ def find_threshold(
     family: Iterable[BranchingVectorLike],
     target: float = 0.99,
     tol: float = 1e-3,
-    max_iter: int = 60,
 ) -> ThresholdResult:
     """Bisect the smallest eta at which some family member reaches ``target``.
 
@@ -515,7 +508,7 @@ def find_threshold(
     bisection brackets the family threshold.  Family thresholds decrease
     toward the asymptotic protocol thresholds as the family grows.  It stops
     once the bracket is no wider than ``tol`` (which must be below 1) or
-    after ``max_iter`` halvings.
+    after :data:`_MAX_HALVINGS` halvings.
     """
     vectors = [as_branching_vector(v) for v in family]
     if not vectors:
@@ -542,7 +535,7 @@ def find_threshold(
 
     lo, hi = 0.0, 1.0
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol and iterations < _MAX_HALVINGS:
         mid = 0.5 * (lo + hi)
         w = best_witness(mid)
         if w is not None:

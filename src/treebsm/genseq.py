@@ -48,7 +48,7 @@ from .stabilizer import (
     restricted_to,
     _gf2_solve,
 )
-from .trees import BranchingVectorLike, as_branching_vector, build_tree, photon_count
+from .trees import BranchingVectorLike, as_branching_vector, photon_count
 
 # Refuse to run or verify a program whose tableau work would need more bytes
 # than this; like montecarlo.MAX_CHUNK_BYTES, it stops paper-scale towers,
@@ -120,7 +120,7 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
     first, then the two roots are bonded and measured in X.
     """
     vec = as_branching_vector(b)
-    tree = build_tree(vec)
+    vec.check_vertices()
     ins: list[Instruction] = []
     photon_vertex: dict[int, tuple[int, int]] = {}
 
@@ -129,22 +129,21 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
         photon_vertex[p] = (tree_id, vertex)
         ins.append(Instruction("E", (reg, p)))
 
-    def grow(reg: int, vertex: int, tree_id: int) -> None:
-        # Attach every child subtree of `vertex` (held on register `reg`).
-        level = tree.level[vertex]
+    def grow(reg: int, vertex: int, level: int, tree_id: int) -> None:
+        # Attach every child subtree of `vertex` (at `level`, held on register `reg`).
         child_reg = 2 + level  # ladder register holding level-(level+1) nodes
-        for child in tree.children[vertex]:
-            if tree.level[child] == tree.depth:
+        for child in vec.children(vertex):
+            if level + 1 == vec.depth:
                 emit(reg, tree_id, child)
             else:
-                grow(child_reg, child, tree_id)
+                grow(child_reg, child, level + 1, tree_id)
                 ins.append(Instruction("CZ", (reg, child_reg)))
                 emit(child_reg, tree_id, child)
                 ins.append(Instruction("H", (child_reg,)))
                 ins.append(Instruction("MZ", (child_reg,)))
 
-    grow(1, 0, 1)
-    grow(0, 0, 0)
+    grow(1, 0, 0, 1)
+    grow(0, 0, 0, 0)
     ins.append(Instruction("CZ", (0, 1)))
     ins.append(Instruction("MX", (1,)))
     ins.append(Instruction("MX", (0,)))
@@ -172,20 +171,20 @@ def logical_bell_tableau(b: BranchingVectorLike) -> StabilizerTableau:
     (X_L Z_L'), (Z_L X_L').
     """
     vec = as_branching_vector(b)
-    tree = build_tree(vec)
-    n = 2 * (tree.n_vertices - 1)
+    n_tree = vec.check_vertices()
+    n = 2 * (n_tree - 1)
     # Vertex v of tree t sits in column offsets[t] + v; the root would sit at offsets[t].
     offsets = [vec.photon_column(tree_id, 0) for tree_id in (0, 1)]
-    lead, *others = tree.children[0]
+    level1 = vec.level_vertices(1)
+    lead, *others = level1
 
     gens: list[PauliString] = []
     for off in offsets:
-        gens += [graph_generator(tree, u, n, off)
-                 for u in range(tree.n_vertices) if tree.level[u] >= 2]
-        gens += [logical_x_string(tree, n, off, lead) * logical_x_string(tree, n, off, v)
+        gens += [graph_generator(vec, u, n, off) for u in range(level1.stop, n_tree)]
+        gens += [logical_x_string(vec, n, off, lead) * logical_x_string(vec, n, off, v)
                  for v in others]
     for x_off, z_off in (offsets, offsets[::-1]):
-        gens.append(logical_x_string(tree, n, x_off) * logical_z_string(tree, n, z_off))
+        gens.append(logical_x_string(vec, n, x_off) * logical_z_string(vec, n, z_off))
     return StabilizerTableau.from_generators(gens)
 
 
@@ -348,8 +347,10 @@ def verify_bell_pair(
     if sol is None:
         return result(False, "no Pauli correction realizes the sign pattern")
     corr = PauliString(sol[: state.n].astype(bool), sol[state.n:].astype(bool), 1)
-    state.apply_pauli(corr)
+    # A Pauli frame commutes with row products, so correcting the canonical
+    # form gives the canonical form of the corrected state.
+    cs.apply_pauli(corr)
 
-    if np.array_equal(state.canonical().phase, ct.phase):
+    if np.array_equal(cs.phase, ct.phase):
         return result(True, "ok", corr)
     return result(False, "sign mismatch after correction", corr)

@@ -90,7 +90,7 @@ from .trees import (
 _CHUNK = 8192
 
 # Refuse a configuration whose chunk (world plus draw buffer) would need more
-# bytes than this; like trees.DEFAULT_VERTEX_CAP, it stops towers of 10^8
+# bytes than this; like trees.MAX_VERTICES, it stops towers of 10^8
 # photons per side from being attempted.
 MAX_CHUNK_BYTES = 2 * 10**9
 
@@ -414,11 +414,11 @@ def _windows(n: int, per_sample: int) -> list[tuple[int, int]]:
 
 
 def draw_world(
-    vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
-    reads: Reads | None = None, lo: int = 0, hi: int | None = None,
+    vec: BranchingVector, params: ChannelParams, key: Sequence[int], lo: int, hi: int,
+    reads: Reads | None = None,
 ) -> World:
-    """Sample samples ``lo .. hi - 1`` of the chunk of ``n`` samples drawn from the
-    Philox stream keyed by ``key`` (the whole chunk by default).
+    """Sample samples ``lo .. hi - 1`` of the chunk drawn from the Philox stream
+    keyed by ``key``.
 
     The lanes and cell widths here are the stream contract.  Plane p of
     :func:`_planes` (numbered with faults, so loss and coin planes have the
@@ -429,7 +429,7 @@ def draw_world(
     detected iff ``w < int(eta * 2^32)``, and faulted as :func:`_faults`
     decodes w at ``third = int(eps_d * 2^32) // 3``.  Coin and tie cells are
     single bits, True when set.  A chunk's planes depend on (key, p) alone,
-    not on n or on which other planes are drawn.
+    not on the chunk's size or on which other planes are drawn.
 
     With ``reads``, only the planes it accepts are drawn; each other plane
     is None, and its lane is never touched.
@@ -439,7 +439,6 @@ def draw_world(
     are decoded and transposed in blocks of samples small enough to stay in
     cache.
     """
-    hi = n if hi is None else hi
     # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
     key = np.array(key, np.uint64)
     bits = np.random.Philox(key=key)
@@ -699,18 +698,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_window(vec: BranchingVector, params: ChannelParams, n: int, key: Sequence[int],
-                   evaluator, reads: Reads | None, lo: int,
-                   hi: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the chunk of ``n``
-    samples of stream ``key``, evaluate and tally them; the world is released
-    on return.
+def _sample_window(vec: BranchingVector, params: ChannelParams, key: Sequence[int],
+                   lo: int, hi: int, evaluator,
+                   reads: Reads | None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the chunk of
+    stream ``key``, evaluate and tally them; the world is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, n, key, reads, lo, hi)
+    world = draw_world(vec, params, key, lo, hi, reads)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -737,15 +735,14 @@ def run(cfg: SampleConfig) -> McEstimate:
         )
     per_sample = sum(_drawn_widths(vec, faults, reads))
 
-    # (chunk, samples, window start, window end) of every window, chunk by chunk
-    tasks = ((c, n, lo, hi)
+    # (chunk, window start, window end) of every window, chunk by chunk
+    tasks = ((c, lo, hi)
              for c in range(-(-cfg.n_samples // _CHUNK))
-             for n in [min(_CHUNK, cfg.n_samples - c * _CHUNK)]
-             for lo, hi in _windows(n, per_sample))
+             for lo, hi in _windows(min(_CHUNK, cfg.n_samples - c * _CHUNK), per_sample))
 
-    def sample(task: tuple[int, int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
-        c, n, lo, hi = task
-        return _sample_window(vec, params, n, [cfg.seed, c], evaluator, reads, lo, hi)
+    def sample(task: tuple[int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
+        c, lo, hi = task
+        return _sample_window(vec, params, [cfg.seed, c], lo, hi, evaluator, reads)
 
     totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
     threads = _usable_cpus()

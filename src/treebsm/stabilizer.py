@@ -2,7 +2,8 @@
 
 Ground truth for small instances: graph-state construction, the logical
 encoding carved out of a tree, single-qubit Pauli measurements and
-canonical-form comparison of tableaux.
+canonical-form comparison of tableaux.  Graph states are read off a
+branching vector, and a tree above ``trees.MAX_VERTICES`` is refused first.
 
 Every generator update goes through one row primitive, ``_row_mult``,
 which multiplies one generator into a set of others.  A pivot step
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trees import TreeGraph
+from .trees import BranchingVectorLike, as_branching_vector
 
 
 class MeasurementContradictionError(RuntimeError):
@@ -445,41 +446,41 @@ def tableau_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
 # Graph states and the tree-code encoding
 # ---------------------------------------------------------------------------
 
-def graph_generator(tree: TreeGraph, v: int, n: int, offset: int = 0) -> PauliString:
+def graph_generator(b: BranchingVectorLike, v: int, n: int, offset: int = 0) -> PauliString:
     """X on vertex ``v``, Z on every neighbor (vertex ids offset), on ``n`` qubits."""
     p = PauliString.identity(n)
     p.xs[offset + v] = True
-    for w in tree.neighbors(v):
+    for w in as_branching_vector(b).neighbors(v):
         p.zs[offset + w] = True
     return p
 
 
-def graph_state_tableau(tree: TreeGraph) -> StabilizerTableau:
+def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:
     """One generator per vertex: X there, Z on every neighbor, sign +."""
-    n = tree.n_vertices
-    return StabilizerTableau.from_generators(graph_generator(tree, v, n) for v in range(n))
+    vec = as_branching_vector(b)
+    n = vec.check_vertices()
+    return StabilizerTableau.from_generators(graph_generator(vec, v, n) for v in range(n))
 
 
-def logical_x_string(tree: TreeGraph, n: int, offset: int = 0, level1_vertex: int | None = None) -> PauliString:
+def logical_x_string(b: BranchingVectorLike, n: int, offset: int = 0,
+                     level1_vertex: int = 1) -> PauliString:
     """X on one first-level vertex, Z on its children (vertex ids offset)."""
-    v = level1_vertex if level1_vertex is not None else tree.children[0][0]
     p = PauliString.identity(n)
-    p.xs[offset + v] = True
-    for w in tree.children[v]:
-        p.zs[offset + w] = True
+    p.xs[offset + level1_vertex] = True
+    kids = as_branching_vector(b).children(level1_vertex)
+    p.zs[offset + kids.start:offset + kids.stop] = True
     return p
 
 
-def logical_z_string(tree: TreeGraph, n: int, offset: int = 0) -> PauliString:
+def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliString:
     """Z on every first-level vertex (vertex ids offset)."""
     p = PauliString.identity(n)
-    for v in tree.children[0]:
-        p.zs[offset + v] = True
+    p.zs[offset + 1:offset + 1 + as_branching_vector(b)[0]] = True
     return p
 
 
 def encode_logical(
-    tree: TreeGraph,
+    b: BranchingVectorLike,
     state_prep: str = "+X",
     rng: np.random.Generator | None = None,
     outcomes: tuple[int, int] | None = None,
@@ -494,8 +495,9 @@ def encode_logical(
     the code tableau on the remaining ``n - 1`` qubits with the logical
     operators designated.
     """
-    n = tree.n_vertices
-    t = StabilizerTableau.from_generators(graph_generator(tree, v, n + 1) for v in range(n))
+    vec = as_branching_vector(b)
+    n = vec.check_vertices()
+    t = StabilizerTableau.from_generators(graph_generator(vec, v, n + 1) for v in range(n))
     inp = n
     t.prepare(inp, state_prep)
     t.apply_cz(inp, 0)
@@ -504,14 +506,14 @@ def encode_logical(
     m_root = t.measure(0, "X", outcome=forced[1], rng=rng, destructive=True)
 
     if m_root == -1:
-        t.apply_pauli(logical_x_string(tree, n + 1))
+        t.apply_pauli(logical_x_string(vec, n + 1))
     if m_in == -1:
-        t.apply_pauli(logical_z_string(tree, n + 1))
+        t.apply_pauli(logical_z_string(vec, n + 1))
 
     # Dropping the root shifts every vertex id down by one.
     code = restricted_to(t, range(1, n))
-    code.x_logical = logical_x_string(tree, n - 1, offset=-1)
-    code.z_logical = logical_z_string(tree, n - 1, offset=-1)
+    code.x_logical = logical_x_string(vec, n - 1, offset=-1)
+    code.z_logical = logical_z_string(vec, n - 1, offset=-1)
     return code
 
 
@@ -529,7 +531,7 @@ def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTabl
 
 
 def verify_indirect_z(
-    tree: TreeGraph,
+    b: BranchingVectorLike,
     target: int,
     rng: np.random.Generator,
     trials: int = 4,
@@ -540,15 +542,15 @@ def verify_indirect_z(
     Z on that child's children; the product of those outcomes must
     reproduce the fixed value every time.
     """
-    if not tree.children[target]:
+    vec = as_branching_vector(b)
+    if not (kids := vec.children(target)):
         raise ValueError(f"vertex {target} is a leaf; it has no recovery chain")
     for forced in (1, -1):
         for _ in range(trials):
-            t = graph_state_tableau(tree)
+            t = graph_state_tableau(vec)
             m_target = t.measure(target, "Z", outcome=forced, rng=rng, destructive=True)
-            w = tree.children[target][0]
-            prod = t.measure(w, "X", rng=rng, destructive=True)
-            for s in tree.children[w]:
+            prod = t.measure(kids[0], "X", rng=rng, destructive=True)
+            for s in vec.children(kids[0]):
                 prod *= t.measure(s, "Z", rng=rng, destructive=True)
             if prod != m_target:
                 return False

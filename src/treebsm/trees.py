@@ -5,8 +5,9 @@ verification, tree search) is driven by a *branching vector*
 ``b = (b_0, ..., b_{d-1})``: a rooted tree of depth ``d`` in which every
 vertex at level ``k < d`` has exactly ``b_k`` children.  This module owns
 that type and the tree layout every engine reads from it (the vertex ids
-of each level and the photon columns left when the root is dropped), the
-materialized :class:`TreeGraph`, and the photon-channel parameters.
+of each level, each vertex's parent and children, and the photon columns
+left when the root is dropped), and the photon-channel parameters.  The
+tree is never materialized: each vertex query is one pass over the levels.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# build_tree refuses to materialize trees above this vertex count; the
-# analytic recursions do not have this limit since they never build the tree.
-DEFAULT_VERTEX_CAP = 10**6
+# Largest tree the stabilizer engines build a state of; the analytic
+# recursions do not have this limit since they never build the tree.
+MAX_VERTICES = 10**6
 
 
 class TreeTooLargeError(ValueError):
-    """Raised when a tree would exceed the configured vertex cap."""
+    """Raised when a tree has more than :data:`MAX_VERTICES` vertices."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,42 @@ class BranchingVector:
             size *= bk
         return range(start, start + size)
 
+    def _locate(self, v: int) -> tuple[int, int | None, range]:
+        """Level, parent (None for the root) and children of vertex ``v``.
+
+        One pass over the level starts of :meth:`level_vertices`: vertex i
+        of level k has parent ``i // b_{k-1}`` of level k - 1 and children
+        ``i * b_k .. (i + 1) * b_k - 1`` of level k + 1.
+        """
+        above, start, size = 0, 0, 1  # above: start of level k - 1
+        for k, bk in enumerate(self.branches + (0,)):
+            if start <= v < start + size:
+                i = v - start
+                first = start + size + i * bk
+                parent = above + i // self.branches[k - 1] if k else None
+                return k, parent, range(first, first + bk)
+            above, start, size = start, start + size, size * bk
+        raise IndexError(f"vertex {v} outside 0..{start - 1}")
+
+    def level_of(self, v: int) -> int:
+        return self._locate(v)[0]
+
+    def children(self, v: int) -> range:
+        """The children of vertex ``v``, contiguous; empty at a leaf."""
+        return self._locate(v)[2]
+
+    def neighbors(self, v: int) -> list[int]:
+        """The parent of vertex ``v`` first (none for the root), then its children."""
+        _, parent, kids = self._locate(v)
+        return ([] if parent is None else [parent]) + list(kids)
+
+    def check_vertices(self) -> int:
+        """The vertex count; raises :class:`TreeTooLargeError` above :data:`MAX_VERTICES`."""
+        n = self.level_vertices(self.depth).stop
+        if n > MAX_VERTICES:
+            raise TreeTooLargeError(f"tree {self} has {n} vertices, above the cap of {MAX_VERTICES}")
+        return n
+
     def photon_column(self, tree_id: int, vertex: int) -> int:
         """Column of a vertex among the photons of trees laid side by side.
 
@@ -125,63 +162,6 @@ def photon_count(b: BranchingVectorLike) -> int:
     """
     vec = as_branching_vector(b)
     return vec.level_vertices(vec.depth).stop
-
-
-# ---------------------------------------------------------------------------
-# Materialized trees
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TreeGraph:
-    """A rooted tree with breadth-first vertex numbering.
-
-    Vertex 0 is the root; level-(k+1) vertices follow all level-k vertices,
-    and the children of each vertex are contiguous.  The numbering is the
-    one :meth:`BranchingVector.level_vertices` fixes.
-    """
-
-    branching: BranchingVector
-    n_vertices: int
-    parent: list[int]           # parent[v]; -1 for the root
-    children: list[list[int]]   # children[v] in increasing vertex order
-    level: list[int]            # level[v]; 0 for the root
-
-    @property
-    def depth(self) -> int:
-        return self.branching.depth
-
-    def neighbors(self, v: int) -> list[int]:
-        if v == 0:
-            return list(self.children[v])
-        return [self.parent[v]] + list(self.children[v])
-
-
-def build_tree(b: BranchingVectorLike, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TreeGraph:
-    """Materialize the tree for ``b`` with deterministic breadth-first numbering."""
-    vec = as_branching_vector(b)
-    n = photon_count(vec)
-    if n > vertex_cap:
-        raise TreeTooLargeError(
-            f"tree {vec} has {n} vertices, above the cap of {vertex_cap}"
-        )
-    parent = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    level = [0] * n
-    for k, bk in enumerate(vec.branches):
-        first_child = vec.level_vertices(k + 1).start
-        for i, p in enumerate(vec.level_vertices(k)):
-            kids = list(range(first_child + i * bk, first_child + (i + 1) * bk))
-            children[p] = kids
-            for c in kids:
-                parent[c] = p
-                level[c] = k + 1
-    return TreeGraph(
-        branching=vec,
-        n_vertices=n,
-        parent=parent,
-        children=children,
-        level=level,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from treebsm import families
-from treebsm.analytic import (
-    Protocol,
-    dynamic_logical_bsm,
-    find_threshold,
-    static_logical_bsm,
-)
+from treebsm.analytic import Protocol, find_threshold, logical_bsm
 from treebsm.genseq import compile_bell_pair, verify_bell_pair
 from treebsm.montecarlo import (
     SampleConfig,
@@ -42,8 +37,8 @@ def test_criterion_01_loss_free_closed_form():
             b = (b0, *suffix)
             want = 1 - 2.0**-b0
             p = ChannelParams(eta=1.0, eps=0.0)
-            assert static_logical_bsm(b, p).pr_complete == pytest.approx(want, abs=1e-12)
-            assert dynamic_logical_bsm(b, p).pr_complete == pytest.approx(want, abs=1e-12)
+            assert logical_bsm(b, p, Protocol.STATIC).pr_complete == pytest.approx(want, abs=1e-12)
+            assert logical_bsm(b, p, Protocol.DYNAMIC).pr_complete == pytest.approx(want, abs=1e-12)
     report(1, "pr_complete = 1 - 2^-b0 at eta=1 for b0 <= 20, both protocols, 1e-12")
 
 
@@ -83,7 +78,7 @@ def test_criterion_04_static_oracle_equivalence():
         for eta in (0.3, 0.7, 0.9):
             params = ChannelParams(eta=eta)
             gap = abs(
-                exhaustive_static(b, params) - static_logical_bsm(b, params).pr_complete
+                exhaustive_static(b, params) - logical_bsm(b, params, Protocol.STATIC).pr_complete
             )
             worst = max(worst, gap)
     assert worst < 1e-10
@@ -93,14 +88,11 @@ def test_criterion_04_static_oracle_equivalence():
 def test_criterion_05_analytic_monte_carlo_grid():
     trees = [(2,), (2, 2), (3, 2), (4, 2, 1), (15, 15, 2)]
     checked = 0
-    for proto, engine in (
-        (Protocol.STATIC, static_logical_bsm),
-        (Protocol.DYNAMIC, dynamic_logical_bsm),
-    ):
+    for proto in (Protocol.STATIC, Protocol.DYNAMIC):
         for b in trees:
             for eta in (0.6, 0.8, 0.95):
                 for eps in (0.0, 1e-3):
-                    ref = engine(b, ChannelParams(eta=eta, eps=eps))
+                    ref = logical_bsm(b, ChannelParams(eta=eta, eps=eps), proto)
                     est = run(SampleConfig(b=b, eta=eta, eps=eps, protocol=proto,
                                            n_samples=10**5, seed=SEED))
                     zs = z_score(est.success, ref.pr_complete, est.n_samples)
@@ -119,18 +111,19 @@ def test_criterion_06_success_curve_properties():
     # while any finite tree saturates at 1 - 2^-b0.
     for eta in np.linspace(0.90, 0.999, 12):
         p = ChannelParams(eta=float(eta))
-        assert static_logical_bsm(b, p).pr_complete > eta**2
-        assert dynamic_logical_bsm(b, p).pr_complete > eta**2
+        assert logical_bsm(b, p, Protocol.STATIC).pr_complete > eta**2
+        assert logical_bsm(b, p, Protocol.DYNAMIC).pr_complete > eta**2
     for eta in np.linspace(0.5, 1.0, 51):
         p = ChannelParams(eta=float(eta))
         assert (
-            dynamic_logical_bsm(b, p).pr_complete
-            >= static_logical_bsm(b, p).pr_complete - 1e-12
+            logical_bsm(b, p, Protocol.DYNAMIC).pr_complete
+            >= logical_bsm(b, p, Protocol.STATIC).pr_complete - 1e-12
         )
-    stat_082 = static_logical_bsm(b, ChannelParams(eta=0.82)).pr_complete
+    stat_082 = logical_bsm(b, ChannelParams(eta=0.82), Protocol.STATIC).pr_complete
     assert stat_082 < 0.9
     p06 = ChannelParams(eta=0.60)
-    gap = dynamic_logical_bsm(b, p06).pr_complete - static_logical_bsm(b, p06).pr_complete
+    gap = (logical_bsm(b, p06, Protocol.DYNAMIC).pr_complete
+           - logical_bsm(b, p06, Protocol.STATIC).pr_complete)
     assert gap >= 0.05
     report(6, f"curves beat eta^2 above 0.90; static(0.82)={stat_082:.3f}; "
               f"adaptive gain at 0.60 = {gap:.3f}")
@@ -155,8 +148,8 @@ def test_criterion_07_threshold_brackets():
 
 def test_criterion_08_error_correction_milestones():
     params = ChannelParams(eta=0.95, eps=1e-5)
-    assert static_logical_bsm("74,15", params).err_complete < params.eps_bsm
-    assert dynamic_logical_bsm("15,15,2", params).err_complete < params.eps_bsm
+    assert logical_bsm("74,15", params, Protocol.STATIC).err_complete < params.eps_bsm
+    assert logical_bsm("15,15,2", params, Protocol.DYNAMIC).err_complete < params.eps_bsm
 
     bounds = SearchBounds()  # defaults: depth 2..4, branches 2..80 non-increasing
     st = smallest_error_correcting(bounds, params, Protocol.STATIC)

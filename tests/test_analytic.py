@@ -12,18 +12,22 @@ from treebsm.analytic import (
     ConfigurationError,
     _vote_error_mix,
     _vote_tail,
-    dynamic_logical_bsm,
     find_threshold,
     logical_bsm,
     parity_error,
     static_layer_recursion,
-    static_logical_bsm,
 )
 from treebsm.analytic import _complete_bsm_closed
 from treebsm import families
-from treebsm.trees import BranchingVector, ChannelParams, build_tree, photon_count
+from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
 from reference_exact import complete_bsm_sum
+
+
+# Parametrizes a test over the two exact protocols, with ids that name each
+# protocol's logical BSM.
+PROTOCOLS = pytest.mark.parametrize(
+    "protocol", [Protocol.STATIC, Protocol.DYNAMIC], ids=lambda p: f"{p.value}_logical_bsm")
 
 
 def _random_trees(rng, count, max_depth=4, max_branch=6):
@@ -103,28 +107,28 @@ class TestVoteErrorMix:
             exact = float(_exact_vote_mix(n, p, e))
             assert abs(_mix(n, p, e) - exact) <= 1e-12, (n, p, e)
 
-    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
-    def test_tiny_chain_rate_at_42_42(self, f):
+    @PROTOCOLS
+    def test_tiny_chain_rate_at_42_42(self, protocol):
         # The level-0 chain rate here is ~2e-9, where 1 - (1 - p)**42
         # cancels to ~1e-9 relative; err_xx must be the exact vote mix.
         params = ChannelParams(eta=0.8, eps=1e-3)
         stats = static_layer_recursion("42,42", params, Basis.ZZ)
         exact = float(_exact_vote_mix(42, stats.pr_s[0], stats.err_s[0]))
-        assert abs(f("42,42", params).err_xx - exact) <= 1e-12
+        assert abs(logical_bsm("42,42", params, protocol).err_xx - exact) <= 1e-12
 
 
 class TestRange:
     @pytest.mark.parametrize("eps", [4e-4, 5e-4, 6e-4, 8e-4, 1e-3])
     def test_static_tower_errors_stay_in_range(self, eps):
-        res = static_logical_bsm("120,120,24,11,8,4,1", ChannelParams(eta=0.77, eps=eps))
+        res = logical_bsm("120,120,24,11,8,4,1", ChannelParams(eta=0.77, eps=eps), Protocol.STATIC)
         assert 0.0 <= res.err_xx <= 0.5
         assert 0.0 <= res.err_complete <= 0.75
 
     @pytest.mark.parametrize("b", ["1100,2", "2,1100", "2000"])
-    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
+    @PROTOCOLS
     @pytest.mark.parametrize("eta,eps", [(0.9, 1e-3), (0.6, 0.0), (1.0, 1e-2)])
-    def test_thousand_branch_shapes_evaluate(self, b, f, eta, eps):
-        res = f(b, ChannelParams(eta=eta, eps=eps))
+    def test_thousand_branch_shapes_evaluate(self, b, protocol, eta, eps):
+        res = logical_bsm(b, ChannelParams(eta=eta, eps=eps), protocol)
         for pr in (res.pr_xx, res.pr_zz, res.pr_complete):
             assert 0.0 <= pr <= 1.0
         assert 0.0 <= res.err_xx <= 0.5 and 0.0 <= res.err_zz <= 0.5
@@ -152,7 +156,7 @@ class TestParityError:
         params = ChannelParams(eta=0.95, eps=1e-5)
         e = Fraction(float(static_layer_recursion((63, 30), params, Basis.ZZ).err_m[1]))
         exact = (1 - (1 - 2 * e) ** 63) / 2
-        got = static_logical_bsm((63, 30), params).err_zz
+        got = logical_bsm((63, 30), params, Protocol.STATIC).err_zz
         assert abs(Fraction(got) - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("rates,counts", [
@@ -194,14 +198,14 @@ class TestStaticLayers:
         # basis, against brute force over every loss pattern of its subtree
         # extended with the recovery chain semantics.
         eta = 0.9
-        tree = build_tree("2,2")
+        vec = BranchingVector.of(2, 2)
 
         def readable(v, lost):
             if v not in lost:
                 return True
             return any(
-                w not in lost and all(readable(u, lost) for u in tree.children[w])
-                for w in tree.children[v]
+                w not in lost and all(readable(u, lost) for u in vec.children(w))
+                for w in vec.children(v)
             )
 
         subtree = [1, 3, 4]  # a level-1 vertex and its leaves
@@ -233,20 +237,20 @@ class TestStaticLayers:
 
 class TestStaticLogical:
     def test_no_loss_closed_form(self):
-        res = static_logical_bsm("2", ChannelParams(eta=1.0))
+        res = logical_bsm("2", ChannelParams(eta=1.0), Protocol.STATIC)
         assert res.pr_complete == pytest.approx(0.75, abs=1e-14)
 
     def test_zero_detection_zero_success(self):
-        assert static_logical_bsm("2", ChannelParams(eta=0.0)).pr_complete == 0.0
+        assert logical_bsm("2", ChannelParams(eta=0.0), Protocol.STATIC).pr_complete == 0.0
 
     def test_depth1_closed_form_at_eta_09(self):
         # Equals (3/4) eta^4 for this shape; cross-checked by enumeration
         # in the sampling tests.
-        res = static_logical_bsm("2", ChannelParams(eta=0.9))
+        res = logical_bsm("2", ChannelParams(eta=0.9), Protocol.STATIC)
         assert res.pr_complete == pytest.approx(0.492075, abs=1e-12)
 
     def test_beats_bare_pair_bound_at_high_eta(self):
-        res = static_logical_bsm("15,15,2", ChannelParams(eta=0.95))
+        res = logical_bsm("15,15,2", ChannelParams(eta=0.95), Protocol.STATIC)
         assert res.pr_complete > 0.95**2
 
     def test_partition_sum_equals_closed_form(self):
@@ -265,12 +269,12 @@ class TestStaticLogical:
     def test_complete_below_both_parities(self):
         rng = np.random.default_rng(5)
         for b in _random_trees(rng, 20):
-            res = static_logical_bsm(b, ChannelParams(eta=float(rng.uniform())))
+            res = logical_bsm(b, ChannelParams(eta=float(rng.uniform())), Protocol.STATIC)
             assert res.pr_complete <= min(res.pr_xx, res.pr_zz) + 1e-12
 
     def test_depth1_single_child_never_beats_bare_pairs(self):
         for eta in np.linspace(0.0, 1.0, 21):
-            res = static_logical_bsm("1", ChannelParams(eta=float(eta)))
+            res = logical_bsm("1", ChannelParams(eta=float(eta)), Protocol.STATIC)
             assert res.pr_complete <= eta**2 + 1e-12
 
 
@@ -278,39 +282,39 @@ class TestErrors:
     def test_zero_eps_means_zero_errors(self):
         rng = np.random.default_rng(7)
         for b in _random_trees(rng, 10):
-            for f in (static_logical_bsm, dynamic_logical_bsm):
-                res = f(b, ChannelParams(eta=0.8, eps=0.0))
+            for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
+                res = logical_bsm(b, ChannelParams(eta=0.8, eps=0.0), protocol)
                 assert res.err_xx == res.err_zz == res.err_complete == 0.0
 
     @pytest.mark.parametrize("b", ["1", "2", "3", "2,2"])
-    @pytest.mark.parametrize("f", [static_logical_bsm, dynamic_logical_bsm])
-    def test_parity_that_never_succeeds_has_zero_error(self, b, f):
+    @PROTOCOLS
+    def test_parity_that_never_succeeds_has_zero_error(self, b, protocol):
         # At eta = 0 no parity is ever obtained, so every conditional error is 0.
-        res = f(b, ChannelParams(eta=0.0, eps=1e-3))
+        res = logical_bsm(b, ChannelParams(eta=0.0, eps=1e-3), protocol)
         assert res.pr_xx == res.pr_zz == res.pr_complete == 0.0
         assert res.err_xx == res.err_zz == res.err_complete == 0.0
 
     def test_error_monotone_in_eps(self):
         for b in ("2,2", "4,2", "3,2,2"):
-            for f in (static_logical_bsm, dynamic_logical_bsm):
+            for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
                 errs = [
-                    f(b, ChannelParams(eta=0.9, eps=float(e))).err_complete
+                    logical_bsm(b, ChannelParams(eta=0.9, eps=float(e)), protocol).err_complete
                     for e in np.linspace(0.0, 0.05, 11)
                 ]
                 assert all(a <= b_ + 1e-12 for a, b_ in zip(errs, errs[1:]))
 
     def test_static_error_correction_operating_point(self):
         p = ChannelParams(eta=0.95, eps=1e-5)
-        assert static_logical_bsm("74,15", p).err_complete < p.eps_bsm
+        assert logical_bsm("74,15", p, Protocol.STATIC).err_complete < p.eps_bsm
 
     def test_dynamic_error_correction_operating_point(self):
         p = ChannelParams(eta=0.95, eps=1e-5)
-        assert dynamic_logical_bsm("15,15,2", p).err_complete < p.eps_bsm
+        assert logical_bsm("15,15,2", p, Protocol.DYNAMIC).err_complete < p.eps_bsm
 
 
 class TestDynamic:
     def test_no_loss_matches_static(self):
-        res = dynamic_logical_bsm("2", ChannelParams(eta=1.0, eps=0.0))
+        res = logical_bsm("2", ChannelParams(eta=1.0, eps=0.0), Protocol.DYNAMIC)
         assert res.pr_complete == pytest.approx(0.75, abs=1e-14)
 
     def test_loss_free_identity_both_protocols(self):
@@ -318,8 +322,8 @@ class TestDynamic:
         for b in _random_trees(rng, 15):
             want = 1 - 2.0 ** -b[0]
             p = ChannelParams(eta=1.0)
-            assert static_logical_bsm(b, p).pr_complete == pytest.approx(want, abs=1e-12)
-            assert dynamic_logical_bsm(b, p).pr_complete == pytest.approx(want, abs=1e-12)
+            assert logical_bsm(b, p, Protocol.STATIC).pr_complete == pytest.approx(want, abs=1e-12)
+            assert logical_bsm(b, p, Protocol.DYNAMIC).pr_complete == pytest.approx(want, abs=1e-12)
 
     def test_dominates_static(self):
         rng = np.random.default_rng(17)
@@ -329,16 +333,16 @@ class TestDynamic:
             for eta in etas:
                 p = ChannelParams(eta=float(eta))
                 assert (
-                    dynamic_logical_bsm(b, p).pr_complete
-                    >= static_logical_bsm(b, p).pr_complete - 1e-10
+                    logical_bsm(b, p, Protocol.DYNAMIC).pr_complete
+                    >= logical_bsm(b, p, Protocol.STATIC).pr_complete - 1e-10
                 )
 
     def test_monotone_in_eta(self):
         rng = np.random.default_rng(19)
         for b in _random_trees(rng, 10):
-            for f in (static_logical_bsm, dynamic_logical_bsm):
+            for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
                 vals = [
-                    f(b, ChannelParams(eta=float(e))).pr_complete
+                    logical_bsm(b, ChannelParams(eta=float(e)), protocol).pr_complete
                     for e in np.linspace(0.0, 1.0, 50)
                 ]
                 assert all(a <= c + 1e-12 for a, c in zip(vals, vals[1:]))
@@ -346,8 +350,8 @@ class TestDynamic:
     def test_outperforms_at_moderate_loss(self):
         p = ChannelParams(eta=0.6)
         assert (
-            dynamic_logical_bsm("15,15,2", p).pr_complete
-            > static_logical_bsm("15,15,2", p).pr_complete
+            logical_bsm("15,15,2", p, Protocol.DYNAMIC).pr_complete
+            > logical_bsm("15,15,2", p, Protocol.STATIC).pr_complete
         )
 
 

@@ -4,7 +4,7 @@ The digests below were recorded before the tree layout was given a single
 owner.  ``TARGET`` holds the sha256 of
 ``logical_bell_tableau(b).canonical().to_text()``, the stabilizer group the
 Bell-pair verifier compares against.  ``ENCODED`` holds the sha256 of the
-canonical text of ``encode_logical(build_tree(b), prep, outcomes)``; the
+canonical text of ``encode_logical(b, prep, outcomes)``; the
 outcome-dependent frame fix makes it the same for all four outcome pairs,
 and every pair is checked against it.  ``LOGICALS`` holds the designated
 logical X and Z labels of each code.  Any change to a generator, a sign, a
@@ -18,7 +18,6 @@ import pytest
 
 from treebsm.genseq import logical_bell_tableau
 from treebsm.stabilizer import encode_logical
-from treebsm.trees import build_tree
 
 TARGET = {
     "2": "4aab639d9c90a0c3f5a3d6a74645d52b17de804378ca7399d4a499b20659b0ae",
@@ -68,8 +67,7 @@ def test_logical_bell_target(b):
 
 @pytest.mark.parametrize("b,prep", sorted(ENCODED))
 def test_encoded_code_and_logicals(b, prep):
-    tree = build_tree(b)
     for outcomes in itertools.product((1, -1), repeat=2):
-        code = encode_logical(tree, prep, outcomes=outcomes)
+        code = encode_logical(b, prep, outcomes=outcomes)
         assert _sha(code.canonical().to_text()) == ENCODED[(b, prep)], outcomes
         assert (code.x_logical.to_label(), code.z_logical.to_label()) == LOGICALS[b]

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from treebsm import cli, montecarlo
-from treebsm.analytic import (
-    Protocol,
-    dynamic_logical_bsm,
-    static_logical_bsm,
-)
+from treebsm.analytic import Protocol, logical_bsm
 from treebsm.montecarlo import (
     MAX_CHUNK_BYTES,
     MIN_EPS,
@@ -62,7 +58,7 @@ class TestExhaustiveAgainstAnalytic:
         params = ChannelParams(eta=eta)
         for b in all_trees_up_to(8):
             exact = exhaustive_static(b, params)
-            closed = static_logical_bsm(b, params).pr_complete
+            closed = logical_bsm(b, params, Protocol.STATIC).pr_complete
             assert exact == pytest.approx(closed, abs=1e-10), b
 
     @pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
@@ -70,14 +66,14 @@ class TestExhaustiveAgainstAnalytic:
         params = ChannelParams(eta=eta)
         for b in [(2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1)]:
             exact = exhaustive_dynamic(b, params)
-            closed = dynamic_logical_bsm(b, params).pr_complete
+            closed = logical_bsm(b, params, Protocol.DYNAMIC).pr_complete
             assert exact == pytest.approx(closed, abs=1e-10), b
 
     def test_static_midsize_tree(self):
         params = ChannelParams(eta=0.55)
         b = (2, 2, 1)  # 11 photons per tree
         assert exhaustive_static(b, params) == pytest.approx(
-            static_logical_bsm(b, params).pr_complete, abs=1e-10
+            logical_bsm(b, params, Protocol.STATIC).pr_complete, abs=1e-10
         )
 
     def test_enumeration_cap(self):
@@ -107,7 +103,7 @@ class TestVectorizedAgainstReference:
     )
     def test_dynamic_flags_match(self, b, eta, eps, seed):
         vec = BranchingVector(b)
-        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), 250, [seed, 0])
+        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), [seed, 0], 0, 250)
         success, zz_err, xx_err = eval_dynamic(vec, world)
         for i in range(250):
             assert (
@@ -117,7 +113,7 @@ class TestVectorizedAgainstReference:
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
         # virtual root: one row; the single-qubit sides have no level 0.
-        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 50, [7, 0])
+        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), [7, 0], 0, 50)
         assert world.tie_pair[0].shape == (1, 50)
         assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
 
@@ -125,7 +121,7 @@ class TestVectorizedAgainstReference:
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.
         vec = BranchingVector((2, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 100, [3, 0])
+        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), [3, 0], 0, 100)
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
 
@@ -159,10 +155,10 @@ class TestReadSets:
         reads, evaluator = montecarlo._READS[protocol], montecarlo._EVALUATORS[protocol]
         unread = _unread(protocol, vec.depth, eps)
         for n, key in ((300, [7, 0]), (301, [7, 1]), (303, [7, 8195])):
-            whole = draw_world(vec, params, n, key)
+            whole = draw_world(vec, params, key, 0, n)
             want = evaluator(vec, whole)
             for lo, hi in ((0, n), (0, 1), (1, 150), (150, n - 1), (n - 1, n)):
-                world = draw_world(vec, params, n, key, reads, lo, hi)
+                world = draw_world(vec, params, key, lo, hi, reads)
                 for field, k, _ in _planes(vec, eps > 0.0):
                     plane = getattr(world, field)[k]
                     where = f"{field}[{k}], n={n}, window={lo}:{hi}"
@@ -173,7 +169,7 @@ class TestReadSets:
                 for w, g in zip(want, evaluator(vec, world)):
                     np.testing.assert_array_equal(g, w[lo:hi])
         if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
-            world = draw_world(vec, params, n, [7, 8195], reads)
+            world = draw_world(vec, params, [7, 8195], 0, n, reads)
             success, zz_err, xx_err = evaluator(vec, world)
             for i in range(n):
                 assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
@@ -184,7 +180,7 @@ class TestNodeMajorLayout:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_planes_are_contiguous_nodes_by_samples(self, eps):
         vec = BranchingVector((3, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 37, [5, 0])
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), [5, 0], 0, 37)
         drawn = 0
         for name in (f.name for f in fields(World)):
             planes = getattr(world, name)
@@ -211,7 +207,7 @@ class TestNodeMajorLayout:
                     "fault": lambda w: np.where(w < 3 * third, 1 + w // third, 0),
                     "coin": lambda c: c == 1, "tie": lambda c: c == 1}
         for n, key in ((1100, [9, 0]), (1101, [9, 8195])):
-            world = draw_world(vec, params, n, key)
+            world = draw_world(vec, params, key, 0, n)
             for p, (field, k, width) in enumerate(_planes(vec, True)):
                 cell_bits = 32 if field.startswith(("det", "fault")) else 1
                 cells = lane_cells(key, p, 0, n * width, cell_bits).reshape(n, width)
@@ -235,7 +231,7 @@ class TestStreamV3:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_eta_0_and_1_are_exact(self, eta):
         # At eta 1 the threshold is 2^32, above every word: no photon is lost.
-        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), 500, [2, 0])
+        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), [2, 0], 0, 500)
         for plane in world.det_a[1:] + world.det_b[1:]:
             assert plane.all() if eta == 1.0 else not plane.any()
 
@@ -245,7 +241,7 @@ class TestStreamV3:
         words = np.array([0, third - 1, third, 2 * third, 2**32 - 2, 2**32 - 1], np.uint32)
         assert _faults(words, third).tolist() == [1, 1, 2, 3, 3, 0]
         world = draw_world(BranchingVector((50, 20)), ChannelParams(eta=1.0, eps=EPS_MAX),
-                           1000, [3, 0])
+                           [3, 0], 0, 1000)
         for plane in world.fault_a[1:] + world.fault_b[1:]:
             assert plane.all() and plane.max() == 3
 
@@ -254,7 +250,7 @@ class TestStreamV3:
         # three Pauli codes at eps 0.1 (eps_d 0.15, each letter 0.05).
         vec, n = BranchingVector((1000,)), 1000
         params = ChannelParams(eta=0.7, eps=0.1)
-        world = draw_world(vec, params, n, [11, 4])
+        world = draw_world(vec, params, [11, 4], 0, n)
         third = _fault_third(params)
         cases = [(world.det_a[1], int(0.7 * 2**32) / 2**32), (world.coin[1], 0.5)]
         cases += [(world.fault_b[1] == code, third / 2**32) for code in (1, 2, 3)]
@@ -267,7 +263,7 @@ class TestStreamV3:
         # from distinct lanes: at eta 1/2 each pair disagrees on half its
         # cells, where a shared lane would make it agree everywhere.
         vec, n = BranchingVector((30, 30)), 400
-        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.05), n, [5, 2])
+        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.05), [5, 2], 0, n)
         pairs = [(world.det_a[k], world.det_b[k]) for k in (1, 2)]
         pairs += [(world.coin[1], world.coin[2][:30]), (world.coin[1], world.coin[2][::30])]
         for a, b in pairs:
@@ -430,7 +426,7 @@ class TestEstimate:
         # must be flagged loudly.
         est = run(SampleConfig(b=(15, 15, 2), eta=0.6, eps=0.0,
                                protocol=Protocol.DYNAMIC, n_samples=20000, seed=2))
-        wrong_ref = static_logical_bsm((15, 15, 2), ChannelParams(eta=0.6)).pr_complete
+        wrong_ref = logical_bsm((15, 15, 2), ChannelParams(eta=0.6), Protocol.STATIC).pr_complete
         assert abs(z_score(est.success, wrong_ref, est.n_samples)) > 3
 
 
@@ -441,7 +437,7 @@ def serial_counters(cfg: SampleConfig) -> list[int]:
     want = np.zeros(4, dtype=np.int64)
     for c, first in enumerate(range(0, cfg.n_samples, montecarlo._CHUNK)):
         n = min(montecarlo._CHUNK, cfg.n_samples - first)
-        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, n, [cfg.seed, c]))
+        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, [cfg.seed, c], 0, n))
         want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
     return want.tolist()
 
@@ -542,7 +538,7 @@ class TestChunkTasks:
         want = run(cfg)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", ReversePool)
         got = run(cfg)
-        tasks = [(c, 8192, 0, 8192) for c in range(6)] + [(6, 851, 0, 851)]
+        tasks = [(c, 0, 8192) for c in range(6)] + [(6, 0, 851)]
         assert order == tasks[::-1]
         for est in (want, got):
             assert [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error] \
@@ -583,7 +579,7 @@ class TestSeed:
         # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
         vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
         want = lane_cells([seed, 0], 0, 0, 128, 32).reshape(64, 2).T < 2**31
-        np.testing.assert_array_equal(draw_world(vec, params, 64, [seed, 0]).det_a[1], want)
+        np.testing.assert_array_equal(draw_world(vec, params, [seed, 0], 0, 64).det_a[1], want)
 
     def test_bsm_error_rates_take_every_64_bit_seed(self):
         rates = [sample_bsm_error_rates(0.3, 1000, seed) for seed in (2**63, 2**63 + 1)]
@@ -618,8 +614,8 @@ class TestWindowedDraw:
         # odd cell, and every bit plane at a cell that is no multiple of 64.
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
         assert (lo * 3) % 2 == 1 and all(lo * w % 64 for w in (1, 3, 6))
-        whole = draw_world(vec, params, n, [4, 2])
-        window = draw_world(vec, params, n, [4, 2], None, lo, lo + 100)
+        whole = draw_world(vec, params, [4, 2], 0, n)
+        window = draw_world(vec, params, [4, 2], lo, lo + 100)
         for field, k, _ in _planes(vec, True):
             np.testing.assert_array_equal(getattr(window, field)[k],
                                           getattr(whole, field)[k][:, lo:lo + 100],
@@ -642,10 +638,10 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_windowed_world_equals_the_serial_world(self, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
-        serial = draw_world(vec, params, n, [9, 7])
+        serial = draw_world(vec, params, [9, 7], 0, n)
         for j in range(windows):
             lo, hi = j * n // windows, (j + 1) * n // windows
-            split = draw_world(vec, params, n, [9, 7], None, lo, hi)
+            split = draw_world(vec, params, [9, 7], lo, hi)
             for name in (f.name for f in fields(World)):
                 want, got = getattr(serial, name), getattr(split, name)
                 if want is None:
@@ -685,7 +681,7 @@ class TestWindowedDraw:
             tracemalloc.start()
             try:
                 for lo, hi in cuts:
-                    _sample_window(vec, params, 8192, [1, 0], eval_dynamic, reads, lo, hi)
+                    _sample_window(vec, params, [1, 0], lo, hi, eval_dynamic, reads)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -697,7 +693,7 @@ class TestMemoryBudget:
         vec = BranchingVector((15, 15, 2))
         tracemalloc.start()
         try:
-            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 8192, [1, 0])
+            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), [1, 0], 0, 8192)
             eval_dynamic(vec, world)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -712,7 +708,7 @@ class TestMemoryBudget:
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
-        _, nbytes, _ = _sample_window(vec, params, 8192, [1, 0], eval_dynamic, reads, 0, 8192)
+        _, nbytes, _ = _sample_window(vec, params, [1, 0], 0, 8192, eval_dynamic, reads)
         assert nbytes == 4171 * 8192
         assert chunk_bytes(vec, 8192, True, reads) == nbytes + 4 * 8192 * 450
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsm.analytic import dynamic_logical_bsm, static_logical_bsm
+from treebsm.analytic import Protocol, logical_bsm
 from treebsm.trees import ChannelParams
 
 shapes = st.lists(st.integers(1, 130), min_size=1, max_size=4).map(tuple)
@@ -15,25 +15,25 @@ EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True)
 @EXAMPLES
 @given(b=shapes, eta=etas, eps=epss)
 def test_error_rates_in_range(b, eta, eps):
-    for f in (static_logical_bsm, dynamic_logical_bsm):
-        res = f(b, ChannelParams(eta=eta, eps=eps))
-        assert 0.0 <= res.err_zz <= 0.5 and 0.0 <= res.err_xx <= 0.5, (f.__name__, res)
-        assert 0.0 <= res.err_complete <= 0.75, (f.__name__, res)
+    for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
+        res = logical_bsm(b, ChannelParams(eta=eta, eps=eps), protocol)
+        assert 0.0 <= res.err_zz <= 0.5 and 0.0 <= res.err_xx <= 0.5, (protocol, res)
+        assert 0.0 <= res.err_complete <= 0.75, (protocol, res)
 
 
 @EXAMPLES
 @given(b=shapes, eta=etas, eps=epss)
 def test_dynamic_dominates_static(b, eta, eps):
     params = ChannelParams(eta=eta, eps=eps)
-    assert (dynamic_logical_bsm(b, params).pr_complete
-            >= static_logical_bsm(b, params).pr_complete - 1e-12)
+    assert (logical_bsm(b, params, Protocol.DYNAMIC).pr_complete
+            >= logical_bsm(b, params, Protocol.STATIC).pr_complete - 1e-12)
 
 
 @EXAMPLES
 @given(b=shapes, eta=etas, step=st.floats(0.0, 0.7), eps=epss)
 def test_success_monotone_in_eta(b, eta, step, eps):
     higher = min(1.0, eta + step)
-    for f in (static_logical_bsm, dynamic_logical_bsm):
-        lo = f(b, ChannelParams(eta=eta, eps=eps)).pr_complete
-        hi = f(b, ChannelParams(eta=higher, eps=eps)).pr_complete
-        assert hi >= lo - 1e-12, (f.__name__, eta, higher)
+    for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
+        lo = logical_bsm(b, ChannelParams(eta=eta, eps=eps), protocol).pr_complete
+        hi = logical_bsm(b, ChannelParams(eta=higher, eps=eps), protocol).pr_complete
+        assert hi >= lo - 1e-12, (protocol, eta, higher)

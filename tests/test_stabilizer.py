@@ -12,7 +12,7 @@ from treebsm.stabilizer import (
     tableau_equal,
     verify_indirect_z,
 )
-from treebsm.trees import build_tree
+from treebsm.trees import BranchingVector, photon_count
 
 from builders import all_plus, tableau_from_text
 
@@ -107,7 +107,7 @@ class TestMeasurementRules:
 
     def test_generators_commute_after_random_circuit(self):
         rng = np.random.default_rng(9)
-        t = graph_state_tableau(build_tree("3,2"))
+        t = graph_state_tableau("3,2")
         for _ in range(30):
             op = rng.integers(0, 3)
             q = int(rng.integers(0, t.n))
@@ -123,16 +123,16 @@ class TestMeasurementRules:
 
 class TestGraphStates:
     def test_three_vertex_path(self):
-        path = build_tree("1,1")  # 0-1-2 is a path
+        path = "1,1"  # 0-1-2 is a path
         assert tableau_equal(graph_state_tableau(path), from_labels(*THREE_CHAIN))
 
     def test_single_vertex(self):
-        t = graph_state_tableau(build_tree("1"))
+        t = graph_state_tableau("1")
         # root plus one child: two vertices, X-Z pair generators
         assert t.n_generators == 2
 
     def test_star_of_two_leaves(self):
-        t = graph_state_tableau(build_tree("2"))
+        t = graph_state_tableau("2")
         assert tableau_equal(t, from_labels("+XZZ", "+ZXI", "+ZIX"))
 
 
@@ -146,14 +146,14 @@ class TestCanonicalForm:
         assert not tableau_equal(from_labels("+X"), from_labels("-X"))
 
     def test_row_products_preserve_group(self):
-        t = graph_state_tableau(build_tree("2,2"))
+        t = graph_state_tableau("2,2")
         mixed = t.copy()
         mixed._row_mult(0, 1)
         mixed._row_mult(3, 5)
         assert tableau_equal(t, mixed)
 
     def test_serialization_roundtrip(self):
-        t = graph_state_tableau(build_tree("2,2"))
+        t = graph_state_tableau("2,2")
         again = tableau_from_text(t.to_text())
         assert tableau_equal(t, again)
 
@@ -185,19 +185,19 @@ class TestExpectation:
 
 class TestEncoding:
     def test_plus_state_gives_product_of_pluses(self):
-        code = encode_logical(build_tree("2"), "+X", outcomes=(1, 1))
+        code = encode_logical("2", "+X", outcomes=(1, 1))
         assert tableau_equal(code, from_labels("+XI", "+IX"))
         assert code.x_logical.to_label() == "+XI"
         assert code.z_logical.to_label() == "+ZZ"
 
     def test_zero_state_gives_even_superposition(self):
-        code = encode_logical(build_tree("2"), "+Z", outcomes=(1, 1))
+        code = encode_logical("2", "+Z", outcomes=(1, 1))
         assert tableau_equal(code, from_labels("+XX", "+ZZ"))
 
     @pytest.mark.parametrize("o1", [1, -1])
     @pytest.mark.parametrize("o2", [1, -1])
     def test_outcome_independence(self, o1, o2):
-        code = encode_logical(build_tree("2"), "+X", outcomes=(o1, o2))
+        code = encode_logical("2", "+X", outcomes=(o1, o2))
         assert tableau_equal(code, from_labels("+XI", "+IX"))
 
     @pytest.mark.parametrize("prep,want", [("+Z", 1), ("-Z", -1)])
@@ -206,46 +206,44 @@ class TestEncoding:
         # state yields the encoded value as the product of outcomes.
         rng = np.random.default_rng(21)
         for b in ("2", "3", "2,2"):
-            tree = build_tree(b)
-            code = encode_logical(tree, prep, outcomes=(1, 1))
+            code = encode_logical(b, prep, outcomes=(1, 1))
             prod = 1
-            for q in range(tree.branching[0]):
+            for q in range(BranchingVector.parse(b)[0]):
                 prod *= code.measure(q, "Z", rng=rng)
             assert prod == want
 
     def test_deep_graph_stabilizers_fix_every_logical_state(self):
         # Any vertex at level 2 or deeper keeps its graph generator in the
         # code group regardless of the encoded state.
-        tree = build_tree("2,2")
+        vec = BranchingVector.of(2, 2)
         for prep in ("+X", "+Z", "-Z", "+Y"):
-            code = encode_logical(tree, prep, outcomes=(1, 1))
+            code = encode_logical(vec, prep, outcomes=(1, 1))
             for v in range(3, 7):  # level-2 vertices, shifted by the root drop
                 gen = PauliString.identity(code.n)
                 gen.xs[v - 1] = True
-                gen.zs[tree.parent[v] - 1] = True
+                gen.zs[vec.neighbors(v)[0] - 1] = True
                 assert code.expectation(gen) == 1
 
 
 class TestIndirectZ:
     def test_level1_vertex_of_2_2(self):
-        assert verify_indirect_z(build_tree("2,2"), 1, np.random.default_rng(3))
+        assert verify_indirect_z("2,2", 1, np.random.default_rng(3))
 
     def test_all_level1_vertices_of_3_2(self):
-        tree = build_tree("3,2")
         for v in (1, 2, 3):
-            assert verify_indirect_z(tree, v, np.random.default_rng(v))
+            assert verify_indirect_z("3,2", v, np.random.default_rng(v))
 
     def test_leaf_target_rejected(self):
         with pytest.raises(ValueError):
-            verify_indirect_z(build_tree("2"), 1, np.random.default_rng(0))
+            verify_indirect_z("2", 1, np.random.default_rng(0))
 
     def test_direct_and_indirect_agree_on_small_trees(self):
         rng = np.random.default_rng(4)
         for b in ("2", "3", "2,2", "3,2", "1,1,2", "2,2,1"):
-            tree = build_tree(b)
-            for v in range(tree.n_vertices):
-                if tree.children[v]:
-                    assert verify_indirect_z(tree, v, rng, trials=2)
+            vec = BranchingVector.parse(b)
+            for v in range(photon_count(vec)):
+                if vec.children(v):
+                    assert verify_indirect_z(vec, v, rng, trials=2)
 
 
 _DENSE = {

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from treebsm.genseq import compile_bell_pair, logical_bell_tableau
+from treebsm.stabilizer import encode_logical, graph_state_tableau
 from treebsm.trees import (
+    MAX_VERTICES,
     BranchingVector,
     ChannelParams,
     TreeTooLargeError,
     as_branching_vector,
-    build_tree,
     photon_count,
 )
 
@@ -57,48 +61,104 @@ class TestPhotonCount:
 
 
 class TestBuildTree:
+    """The tree a branching vector describes, read through its vertex queries."""
+
     def test_three_vertex_star(self):
-        t = build_tree("2")
-        assert t.n_vertices == 3
-        assert t.children[0] == [1, 2]
-        assert t.level == [0, 1, 1]
+        vec = BranchingVector.parse("2")
+        assert vec.check_vertices() == 3
+        assert vec.children(0) == range(1, 3)
+        assert [vec.level_of(v) for v in range(3)] == [0, 1, 1]
 
     def test_fig_shape_3_2(self):
-        t = build_tree("3,2")
-        assert t.n_vertices == 10
-        assert [len(t.branching.level_vertices(k)) for k in range(3)] == [1, 3, 6]
+        vec = BranchingVector.parse("3,2")
+        assert vec.check_vertices() == 10
+        assert [len(vec.level_vertices(k)) for k in range(3)] == [1, 3, 6]
         # children of first level-1 vertex are contiguous
-        assert t.children[1] == [4, 5]
-        assert t.parent[9] == 3
+        assert list(vec.children(1)) == [4, 5]
+        assert vec.neighbors(9) == [3]
 
     def test_levels_of_2_2(self):
-        t = build_tree("2,2")
-        assert t.n_vertices == 7
-        assert [len(t.branching.level_vertices(k)) for k in range(3)] == [1, 2, 4]
+        vec = BranchingVector.parse("2,2")
+        assert vec.check_vertices() == 7
+        assert [len(vec.level_vertices(k)) for k in range(3)] == [1, 2, 4]
 
     def test_neighbor_sets(self):
-        t = build_tree("2,2")
-        assert t.neighbors(0) == [1, 2]
-        assert t.neighbors(1) == [0, 3, 4]
-        assert t.neighbors(3) == [1]
+        vec = BranchingVector.parse("2,2")
+        assert vec.neighbors(0) == [1, 2]
+        assert vec.neighbors(1) == [0, 3, 4]
+        assert vec.neighbors(3) == [1]
 
-    def test_vertex_cap(self):
-        with pytest.raises(TreeTooLargeError):
-            build_tree("100,100,100", vertex_cap=10**5)
+    def test_max_vertices(self):
+        assert BranchingVector.of(MAX_VERTICES - 1).check_vertices() == MAX_VERTICES
+        for b in ("100,100,100", str(MAX_VERTICES)):
+            with pytest.raises(TreeTooLargeError, match=f"cap of {MAX_VERTICES}"):
+                BranchingVector.parse(b).check_vertices()
 
     def test_recount_matches_photon_count(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             d = rng.integers(1, 5)
-            b = [int(x) for x in rng.integers(1, 11, size=d)]
-            tree = build_tree(b)
-            assert tree.n_vertices == photon_count(b)
-            # Each level of the materialized tree is exactly the vector's level range.
-            levels = np.array(tree.level)
+            vec = BranchingVector(tuple(int(x) for x in rng.integers(1, 11, size=d)))
+            assert vec.check_vertices() == photon_count(vec)
+            # Each level's vertices are exactly the vector's level range.
+            levels = np.array([vec.level_of(v) for v in range(photon_count(vec))])
             for k in range(d + 1):
                 got = np.flatnonzero(levels == k)
-                assert got.tolist() == list(tree.branching.level_vertices(k))
-            assert photon_count(b) == tree.branching.level_vertices(d).stop
+                assert got.tolist() == list(vec.level_vertices(k))
+            assert photon_count(vec) == vec.level_vertices(d).stop
+
+
+class TestVertexQueries:
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
+    @example([1])
+    @example([7])
+    @example([1, 1, 1])
+    @example([3, 1, 2])
+    def test_children_partition_the_next_level(self, branches):
+        vec = BranchingVector(tuple(branches))
+        for k in range(vec.depth):
+            below = [c for v in vec.level_vertices(k) for c in vec.children(v)]
+            assert below == list(vec.level_vertices(k + 1))
+        for v in vec.level_vertices(vec.depth):
+            assert vec.children(v) == range(0)
+
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
+    @example([1])
+    @example([2, 1, 1])
+    def test_neighbors_are_parent_then_children(self, branches):
+        vec = BranchingVector(tuple(branches))
+        assert vec.neighbors(0) == list(vec.children(0))
+        for v in range(photon_count(vec)):
+            for c in vec.children(v):
+                assert vec.neighbors(c)[0] == v
+                assert vec.neighbors(c)[1:] == list(vec.children(c))
+
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
+    @example([1])
+    @example([1, 4, 1])
+    def test_level_of_agrees_with_level_vertices(self, branches):
+        vec = BranchingVector(tuple(branches))
+        for k in range(vec.depth + 1):
+            assert all(vec.level_of(v) == k for v in vec.level_vertices(k))
+
+    @pytest.mark.parametrize("v", [-1, 7, 100])
+    def test_vertex_outside_the_tree(self, v):
+        with pytest.raises(IndexError, match="outside 0..6"):
+            BranchingVector.of(2, 2).level_of(v)
+
+    @pytest.mark.parametrize("build", [
+        compile_bell_pair, logical_bell_tableau, graph_state_tableau, encode_logical,
+    ])
+    def test_huge_tree_refused_before_allocating(self, build):
+        # 1,010,101 vertices: refused before any per-vertex work.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeTooLargeError, match="1010101 vertices"):
+                build("100,100,100")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestChannelParams:
