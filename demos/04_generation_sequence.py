@@ -5,7 +5,9 @@ Depth d needs d + 1 matter registers: two tree roots plus a shared ladder.
 Each internal node is grown on a ladder register, bonded to its parent,
 and teleported into a fresh photon; the stabilizer engine then replays
 the program and checks the photons land in the expected entangled state,
-whatever the measurement outcomes were.
+signs included, whatever the measurement outcomes were: every -1 outcome
+leaves a known Pauli byproduct, and the verifier applies the frame the
+record of outcomes implies.
 """
 
 import numpy as np

@@ -34,9 +34,10 @@ from .analytic import (
     logical_bsm,
     logical_bsm_batch,
 )
-from .genseq import check_tableau_size, compile_bell_pair, program_qubits, verify_bell_pair
+from .genseq import compile_bell_pair, program_qubits, verify_bell_pair
 from .montecarlo import STREAM_VERSION, SampleConfig, check_seed, run as run_mc, z_score
 from .search import SearchBounds, front_to_csv, pareto_front
+from .stabilizer import check_tableau_size
 from .trees import BranchingVector, ChannelParams
 
 _DEFAULT_RANGE_COUNT = 25

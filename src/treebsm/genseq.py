@@ -19,6 +19,11 @@ Conventions fixed here and relied on by the verifier:
 * Every photon and every register has one fixed tableau qubit: photon p
   is qubit p, register r is qubit ``n_photons + r``.  A register starts in
   ``|+>`` and, once measured, is prepared in ``|+>`` again on its next use.
+* Measurement byproducts are a Pauli frame that the record fixes.  ``MZ r``
+  reading -1, where register r last emitted photon p (the teleport
+  ``E r p; H r; MZ r``), leaves Z on p's target column; a root ``MX r``
+  (r = 0, 1) reading -1 leaves tree r's logical X.  The verifier applies
+  that frame; no other -1 outcome has a known byproduct.
 * Photon columns of the target state come from
   :meth:`~treebsm.trees.BranchingVector.photon_column`: tree 0's
   vertices 1..n-1 in breadth-first order, then tree 1's.
@@ -42,18 +47,15 @@ import numpy as np
 from .stabilizer import (
     PauliString,
     StabilizerTableau,
+    canonical_mismatch,
+    check_tableau_size,
+    draw_outcome,
     graph_generator,
     logical_x_string,
     logical_z_string,
     restricted_to,
-    _gf2_solve,
 )
 from .trees import BranchingVectorLike, as_branching_vector, photon_count
-
-# Refuse to run or verify a program whose tableau work would need more bytes
-# than this; like montecarlo.MAX_CHUNK_BYTES, it stops paper-scale towers,
-# whose tableaux would need terabytes, from being attempted.
-MAX_TABLEAU_BYTES = 2 * 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,7 @@ def logical_bell_tableau(b: BranchingVectorLike) -> StabilizerTableau:
     vec = as_branching_vector(b)
     n_tree = vec.check_vertices()
     n = 2 * (n_tree - 1)
+    check_tableau_size(n)
     # Vertex v of tree t sits in column offsets[t] + v; the root would sit at offsets[t].
     offsets = [vec.photon_column(tree_id, 0) for tree_id in (0, 1)]
     level1 = vec.level_vertices(1)
@@ -207,29 +210,6 @@ def program_qubits(b: BranchingVectorLike) -> int:
     return 2 * (photon_count(vec) - 1) + vec.depth + 1
 
 
-def tableau_bytes(qubits: int) -> int:
-    """Estimated peak bytes of running a Bell-pair program on ``qubits`` tableau qubits
-    and verifying it.
-
-    A tableau holds about one generator per qubit as two bool planes, and
-    the verifier holds the executed state, the target and their canonical
-    forms at once: about 14 bytes per qubit squared measured on (10,10,2)
-    and (15,15,2), taken here as 16.
-    """
-    return 16 * qubits**2
-
-
-def check_tableau_size(qubits: int) -> None:
-    """Raise ``ValueError`` with the estimate if a program on ``qubits`` tableau qubits
-    would not fit the cap."""
-    need = tableau_bytes(qubits)
-    if need > MAX_TABLEAU_BYTES:
-        raise ValueError(
-            f"verifying a program of {qubits} qubits on the tableau needs about "
-            f"{need / 1e9:.3g} GB, above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
-        )
-
-
 def execute_sequence(
     seq: InstructionSequence,
     rng: np.random.Generator | None = None,
@@ -242,7 +222,8 @@ def execute_sequence(
     after a measurement; a complete program destructively measures every
     register out.  The deferred leaf rotation (H on each leaf photon) is
     applied before returning.  A program whose tableau would not fit
-    :data:`MAX_TABLEAU_BYTES` is refused before anything is allocated.
+    :data:`~treebsm.stabilizer.MAX_TABLEAU_BYTES` is refused before anything
+    is allocated.
     """
     check_tableau_size(seq.n_photons + seq.n_registers)
     vec = as_branching_vector(seq.branching)
@@ -307,50 +288,44 @@ def verify_bell_pair(
     rng: np.random.Generator | None = None,
     forced_outcomes: list[int] | None = None,
 ) -> VerifyResult:
-    """Execute a sequence and compare against the logical Bell pair.
+    """Execute a sequence and compare against the logical Bell pair, signs included.
 
-    Measurement byproducts are only ever Pauli frames, so the executed
-    group must match the target up to signs; the verifier solves for the
-    Pauli correction realizing the sign pattern, applies it, and then
-    requires exact signed equality.  On mismatch, the first differing
-    canonical generator is reported.  :func:`execute_sequence` refuses
-    programs whose tableau would not fit :data:`MAX_TABLEAU_BYTES`.
+    The record is ``forced_outcomes`` if given, else one
+    :func:`~treebsm.stabilizer.draw_outcome` per measurement from ``rng``
+    (so a seed means the same record as in :func:`execute_sequence`), else
+    all +1.  The program runs with that record, the Pauli frame the record
+    implies (the module's byproduct rule) is applied once, and the state must
+    equal the target; a mismatch names the first differing canonical
+    generator.  A -1 outcome with no known byproduct fails verification.
     """
     vec = as_branching_vector(b)
     if tuple(vec) != tuple(seq.branching):
         raise ValueError("sequence was compiled for a different tree shape")
-    if rng is None and forced_outcomes is None:
-        forced_outcomes = [1] * seq.n_measurements
+    if forced_outcomes is None:
+        forced_outcomes = [1 if rng is None else draw_outcome(None, rng)
+                           for _ in range(seq.n_measurements)]
+    state = execute_sequence(seq, forced_outcomes=forced_outcomes)
 
-    state = execute_sequence(seq, rng=rng, forced_outcomes=forced_outcomes)
-    target = logical_bell_tableau(vec)
+    frame = PauliString.identity(state.n)
+    last_photon: dict[int, int] = {}  # register -> the photon it emitted last
+    outcomes = iter(forced_outcomes)
+    for ins in seq.instructions:
+        if ins.opcode == "E":
+            last_photon[ins.args[0]] = ins.args[1]
+        elif ins.opcode in ("MX", "MY", "MZ"):
+            r, p = ins.args[0], last_photon.pop(ins.args[0], None)
+            if next(outcomes) == 1:
+                continue
+            if ins.opcode == "MZ" and p is not None:
+                frame.zs[vec.photon_column(*seq.photon_vertex[p])] ^= True
+            elif ins.opcode == "MX" and r in (0, 1):
+                lx = logical_x_string(vec, state.n, vec.photon_column(r, 0))
+                frame.xs ^= lx.xs
+                frame.zs ^= lx.zs
+            else:
+                return VerifyResult(False, seq.n_registers, seq.n_photons, None,
+                                    f"{ins.to_line()!r} read -1, which has no known byproduct")
 
-    def result(ok: bool, detail: str, corr: PauliString | None = None) -> VerifyResult:
-        return VerifyResult(ok, seq.n_registers, seq.n_photons, corr, detail)
-
-    if state.n_generators != target.n_generators:
-        return result(False, f"rank mismatch: got {state.n_generators}, "
-                             f"want {target.n_generators}")
-
-    # Unsigned group comparison first.
-    cs, ct = state.canonical(), target.canonical()
-    differ = np.flatnonzero((cs.xs != ct.xs).any(axis=1) | (cs.zs != ct.zs).any(axis=1))
-    if differ.size:
-        i = differ[0]
-        return result(False, f"unsigned group mismatch at canonical row {i}: "
-                             f"got {cs.generator(i).to_label()}, want {ct.generator(i).to_label()}")
-
-    # Solve for the Pauli frame that fixes the sign defects.
-    defects = (cs.phase != ct.phase).astype(np.uint8)
-    a = np.hstack([ct.zs, ct.xs]).astype(np.uint8)  # commutation pairing matrix
-    sol = _gf2_solve(a, defects, 2 * state.n)
-    if sol is None:
-        return result(False, "no Pauli correction realizes the sign pattern")
-    corr = PauliString(sol[: state.n].astype(bool), sol[state.n:].astype(bool), 1)
-    # A Pauli frame commutes with row products, so correcting the canonical
-    # form gives the canonical form of the corrected state.
-    cs.apply_pauli(corr)
-
-    if np.array_equal(cs.phase, ct.phase):
-        return result(True, "ok", corr)
-    return result(False, "sign mismatch after correction", corr)
+    state.apply_pauli(frame)
+    mismatch = canonical_mismatch(state, logical_bell_tableau(vec))
+    return VerifyResult(mismatch is None, seq.n_registers, seq.n_photons, frame, mismatch or "ok")

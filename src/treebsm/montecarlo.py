@@ -841,6 +841,8 @@ def sample_bsm_error_rates(
     3 * 2^-32).  Returns the Z-parity flip rate and the X-readout error
     rate with their standard errors.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     check_seed(seed)
     key = np.array([seed, 0], np.uint64)
     bits = np.random.Philox(key=key)

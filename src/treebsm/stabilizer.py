@@ -3,16 +3,18 @@
 Ground truth for small instances: graph-state construction, the logical
 encoding carved out of a tree, single-qubit Pauli measurements and
 canonical-form comparison of tableaux.  Graph states are read off a
-branching vector, and a tree above ``trees.MAX_VERTICES`` is refused first.
+branching vector; a tree above ``trees.MAX_VERTICES`` is refused first,
+then a tableau above :data:`MAX_TABLEAU_BYTES`.
 
 Every generator update goes through one row primitive, ``_row_mult``,
 which multiplies one generator into a set of others.  A pivot step
 multiplies a pivot generator into every other generator with a bit in a
-given column.  A measurement (Aaronson and Gottesman, PRA 70, 052328) is
-one pivot step: write the signed outcome ``m * P`` into the pivot row and
-clear the measured qubit's column through it; the outcome only decides
-which row is the pivot.  The canonical form is the same step taken
-column by column in row-echelon order.
+given column; it is the engine's one GF(2) elimination.  A measurement
+(Aaronson and Gottesman, PRA 70, 052328) is one pivot step: write the
+signed outcome ``m * P`` into the pivot row and clear the measured qubit's
+column through it; the outcome only decides which row is the pivot.  The
+canonical form is the same step taken column by column in row-echelon
+order, and every membership question and state comparison reads it.
 
 Internally a generator is stored as ``i**phase * prod_q X_q^{x_q} Z_q^{z_q}``
 with X factors written left of Z factors on every qubit.  A Hermitian Pauli
@@ -37,6 +39,33 @@ from .trees import BranchingVectorLike, as_branching_vector
 
 class MeasurementContradictionError(RuntimeError):
     """A forced outcome disagrees with a deterministically fixed value."""
+
+
+# Refuse to build a tableau whose work would need more bytes than this; like
+# montecarlo.MAX_CHUNK_BYTES, it stops paper-scale towers, whose tableaux
+# would need terabytes, from being attempted.
+MAX_TABLEAU_BYTES = 2 * 10**9
+
+
+def tableau_bytes(qubits: int) -> int:
+    """Estimated peak bytes of building and verifying a tableau on ``qubits`` qubits.
+
+    A tableau holds about one generator per qubit as two bool planes, and
+    the verifier holds the executed state, the target and their canonical
+    forms at once: about 14 bytes per qubit squared measured on (10,10,2)
+    and (15,15,2), taken here as 16.
+    """
+    return 16 * qubits**2
+
+
+def check_tableau_size(qubits: int) -> None:
+    """Raise ``ValueError`` with the estimate if ``qubits`` tableau qubits would not fit."""
+    need = tableau_bytes(qubits)
+    if need > MAX_TABLEAU_BYTES:
+        raise ValueError(
+            f"a tableau of {qubits} qubits needs about {need / 1e9:.3g} GB, "
+            f"above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +272,6 @@ class StabilizerTableau:
         anti = np.count_nonzero(self.xs[:, pz], axis=1) + np.count_nonzero(self.zs[:, px], axis=1)
         return anti % 2 == 1
 
-    def _product(self, rows: np.ndarray) -> PauliString:
-        """Signed product of the generators in ``rows``, taken in index order."""
-        xs, zs = self.xs[rows], self.zs[rows]
-        # Each row's X block moves left past the Z block of the product so
-        # far: one sign per overlap, as in _row_mult.
-        zs_before = np.logical_xor.accumulate(zs, axis=0)
-        cross = np.count_nonzero(zs_before[:-1] & xs[1:])
-        phase = (int(self.phase[rows].sum()) + 2 * cross) % 4
-        xs, zs = np.logical_xor.reduce(xs), np.logical_xor.reduce(zs)
-        return PauliString(xs, zs, _sign_from_phase(phase, xs, zs))
-
     # -- Clifford gates ------------------------------------------------------
 
     def _alive_check(self, *qubits: int) -> None:
@@ -288,21 +306,27 @@ class StabilizerTableau:
 
     # -- membership / expectation -------------------------------------------
 
-    def _solve_membership(self, target: PauliString) -> np.ndarray | None:
-        """GF(2) coefficients expressing target's symplectic vector, or None."""
-        m = self.n_generators
-        a = np.hstack([self.xs, self.zs]).astype(np.uint8).T  # (2n, m)
-        rhs = np.concatenate([target.xs, target.zs]).astype(np.uint8)
-        return _gf2_solve(a, rhs, m)
+    def _reduce(self, p: PauliString) -> tuple["StabilizerTableau", np.ndarray, int]:
+        """Read ``p`` off the canonical form: (canonical tableau, support rows, value).
+
+        Each canonical row's pivot is its first bit, X before Z, and no
+        other row has a bit there, so the rows whose product could be
+        ``+-p`` are those where ``p`` has a bit at the pivot.  The residual
+        ``p * (their product)`` is ``+-I`` exactly when ``+-p`` is in the
+        group; value is then its sign, the expectation of ``p``, and 0
+        otherwise.  ``p`` must commute with every generator.
+        """
+        c = self.canonical()
+        q = np.argmax(c.xs | c.zs, axis=1)  # each row's pivot qubit
+        support = np.flatnonzero(np.where(c.xs[np.arange(c.n_generators), q], p.xs[q], p.zs[q]))
+        residual = p
+        for i in support:
+            residual = residual * c.generator(i)
+        return c, support, 0 if residual.xs.any() or residual.zs.any() else residual.sign
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        if self._anticommuting(p.xs, p.zs).any():
-            return 0
-        coeffs = self._solve_membership(p)
-        if coeffs is None:
-            return 0
-        return p.sign * self._product(np.flatnonzero(coeffs)).sign
+        return 0 if self._anticommuting(p.xs, p.zs).any() else self._reduce(p)[2]
 
     # -- measurement ---------------------------------------------------------
 
@@ -320,16 +344,18 @@ class StabilizerTableau:
         the signed outcome ``m * P`` into it and multiply it into every
         other generator touching the qubit.  The pivot is the first
         generator anticommuting with ``P`` once it has been multiplied into
-        the others (random outcome); the first generator of the product
-        that equals ``m * P`` (deterministic outcome, the group is
-        unchanged); or a new row (``P`` commutes with the group without
-        being in it, an undetermined code direction; random outcome).
+        the others (random outcome); a new row (``P`` commutes with the
+        group without being in it, an undetermined code direction; random
+        outcome); or, when ``+-P`` is in the group (deterministic outcome),
+        the first canonical row ``P`` needs, the canonical rows, which
+        generate the same group, replacing the generators.
 
-        ``outcome`` forces the result where it is random; forcing a
-        deterministic measurement to the opposite value raises
-        :class:`MeasurementContradictionError`.  In destructive mode the
-        pivot row, the only generator left on the qubit, is dropped and the
-        qubit retired, matching a photon absorbed by its detector.
+        ``outcome`` forces the result where it is random (else
+        :func:`draw_outcome` draws it); forcing a deterministic measurement
+        to the opposite value raises :class:`MeasurementContradictionError`.
+        In destructive mode the pivot row, the only generator left on the
+        qubit, is dropped and the qubit retired, as a photon absorbed by
+        its detector.
         """
         self._alive_check(qubit)
         op = PauliString.single(self.n, qubit, basis)
@@ -337,34 +363,26 @@ class StabilizerTableau:
         if anti.any():
             pivot = int(np.argmax(anti))
             self._pivot(pivot, anti)
-            m = self._draw_outcome(outcome, rng)
-        elif (coeffs := self._solve_membership(op)) is None:
-            m = self._draw_outcome(outcome, rng)
-            self._append_rows([op])
-            pivot = self.n_generators - 1
+            m = draw_outcome(outcome, rng)
         else:
-            support = np.flatnonzero(coeffs)
-            m = self._product(support).sign
-            if outcome is not None and outcome != m:
+            canon, support, m = self._reduce(op)
+            if not m:
+                m = draw_outcome(outcome, rng)
+                self._append_rows([op])
+                pivot = self.n_generators - 1
+            elif outcome is not None and outcome != m:
                 raise MeasurementContradictionError(
                     f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}"
                 )
-            pivot = int(support[0])
+            else:
+                self.xs, self.zs, self.phase = canon.xs, canon.zs, canon.phase
+                pivot = int(support[0])
         rep = PauliString.single(self.n, qubit, basis, sign=m)
         self.xs[pivot], self.zs[pivot], self.phase[pivot] = rep.xs, rep.zs, _phase_of(rep)
         self._pivot(pivot, self.xs[:, qubit] | self.zs[:, qubit])
         if destructive:
             self._drop_row_and_qubit(pivot, qubit)
         return m
-
-    def _draw_outcome(self, outcome: int | None, rng: np.random.Generator | None) -> int:
-        if outcome is not None:
-            if outcome not in (1, -1):
-                raise ValueError("outcome must be +1 or -1")
-            return outcome
-        if rng is None:
-            raise ValueError("random outcome requested but no rng supplied")
-        return 1 if rng.integers(0, 2) == 0 else -1
 
     def _drop_row_and_qubit(self, row: int, qubit: int) -> None:
         keep = np.arange(self.n_generators) != row
@@ -405,41 +423,38 @@ class StabilizerTableau:
         return "\n".join(lines) + "\n"
 
 
-def _gf2_solve(a: np.ndarray, rhs: np.ndarray, n_vars: int) -> np.ndarray | None:
-    """Solve a @ c = rhs over GF(2); a has shape (rows, n_vars)."""
-    aug = np.hstack([a % 2, (rhs % 2).reshape(-1, 1)]).astype(bool)
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_vars):
-        hits = np.flatnonzero(aug[r:, c])
-        if not hits.size:
-            continue
-        pr = r + hits[0]
-        aug[[r, pr]] = aug[[pr, r]]
-        others = aug[:, c].copy()
-        others[r] = False
-        aug[others] ^= aug[r]
-        pivot_rows.append(r)
-        pivot_cols.append(c)
-        r += 1
-    if aug[r:, -1].any():
-        return None
-    sol = np.zeros(n_vars, dtype=np.uint8)
-    sol[pivot_cols] = aug[pivot_rows, -1]
-    return sol
+def draw_outcome(outcome: int | None, rng: np.random.Generator | None) -> int:
+    """``outcome`` if forced (+1 or -1), else ``rng.integers(0, 2)``, 0 reading +1."""
+    if outcome is not None:
+        if outcome not in (1, -1):
+            raise ValueError("outcome must be +1 or -1")
+        return outcome
+    if rng is None:
+        raise ValueError("random outcome requested but no rng supplied")
+    return 1 if rng.integers(0, 2) == 0 else -1
 
 
 def tableau_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     """Group equality including signs, via identical canonical forms."""
     if sorted(a.alive) != sorted(b.alive) or a.n_generators != b.n_generators:
         raise ValueError("tableaux compare only on equal qubit sets and ranks")
-    ca, cb = a.canonical(), b.canonical()
-    return (
-        np.array_equal(ca.xs[:, ca.alive], cb.xs[:, cb.alive])
-        and np.array_equal(ca.zs[:, ca.alive], cb.zs[:, cb.alive])
-        and np.array_equal(ca.phase, cb.phase)
-    )
+    return canonical_mismatch(a, b) is None
+
+
+def canonical_mismatch(got: StabilizerTableau, want: StabilizerTableau) -> str | None:
+    """None if two tableaux on the same qubits hold the same group, signs included;
+    else what differs: the ranks, or the first differing canonical generator."""
+    if got.n_generators != want.n_generators:
+        return f"rank mismatch: got {got.n_generators}, want {want.n_generators}"
+    cg, cw = got.canonical(), want.canonical()
+    q = cg.alive
+    differ = np.flatnonzero((cg.xs[:, q] != cw.xs[:, q]).any(axis=1)
+                            | (cg.zs[:, q] != cw.zs[:, q]).any(axis=1) | (cg.phase != cw.phase))
+    if not differ.size:
+        return None
+    i = differ[0]
+    return (f"mismatch at canonical row {i}: got {cg.generator(i).to_label()}, "
+            f"want {cw.generator(i).to_label()}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +474,7 @@ def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:
     """One generator per vertex: X there, Z on every neighbor, sign +."""
     vec = as_branching_vector(b)
     n = vec.check_vertices()
+    check_tableau_size(n)
     return StabilizerTableau.from_generators(graph_generator(vec, v, n) for v in range(n))
 
 
@@ -497,6 +513,7 @@ def encode_logical(
     """
     vec = as_branching_vector(b)
     n = vec.check_vertices()
+    check_tableau_size(n + 1)
     t = StabilizerTableau.from_generators(graph_generator(vec, v, n + 1) for v in range(n))
     inp = n
     t.prepare(inp, state_prep)

@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Largest tree the stabilizer engines build a state of; the analytic
-# recursions do not have this limit since they never build the tree.
+# Largest tree the stabilizer builders accept, before their far smaller
+# stabilizer.MAX_TABLEAU_BYTES; the analytic recursions never build the tree.
 MAX_VERTICES = 10**6
 
 

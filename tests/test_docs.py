@@ -35,7 +35,7 @@ def cited_names() -> list[str]:
 def test_readme_cites_code():
     names = cited_names()
     assert {"montecarlo._lane", "montecarlo._WINDOW", "cli.MAX_RANGE_COUNT",
-            "genseq.tableau_bytes"} <= set(names)
+            "stabilizer.tableau_bytes"} <= set(names)
     assert "pyproject.toml" not in names
 
 

@@ -4,19 +4,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treebsm import cli
+from treebsm import cli, genseq
 from treebsm.genseq import (
-    MAX_TABLEAU_BYTES,
     Instruction,
     InstructionSequence,
     compile_bell_pair,
     execute_sequence,
     logical_bell_tableau,
     program_qubits,
-    tableau_bytes,
     verify_bell_pair,
 )
-from treebsm.trees import photon_count
+from treebsm.stabilizer import (
+    MAX_TABLEAU_BYTES,
+    PauliString,
+    StabilizerTableau,
+    encode_logical,
+    graph_state_tableau,
+    tableau_bytes,
+)
+from treebsm.trees import TreeTooLargeError, photon_count
 
 from builders import instruction_from_line
 
@@ -82,12 +88,24 @@ class TestVerify:
         seq = compile_bell_pair(b)
         res = verify_bell_pair(seq, b)
         assert res.ok, res.detail
+        assert res.correction == PauliString.identity(res.correction.n)  # an all-+1 record
 
     def test_all_outcome_patterns_small(self):
-        for b in ("1", "2", "1,1"):
+        for b in ("1", "2", "1,1", "2,1", "1,2", "2,2"):
             seq = compile_bell_pair(b)
             for pattern in itertools.product((1, -1), repeat=seq.n_measurements):
-                assert verify_bell_pair(seq, b, forced_outcomes=list(pattern)).ok
+                res = verify_bell_pair(seq, b, forced_outcomes=list(pattern))
+                assert res.ok, (pattern, res.detail)
+
+    def test_minus_one_without_a_byproduct_fails(self):
+        # Measuring a register that holds no freshly emitted photon: a -1 there
+        # has no byproduct in the frame rule, so no frame is guessed.
+        seq = compile_bell_pair("1")
+        bad = InstructionSequence(seq.branching, seq.n_registers, seq.n_photons,
+                                  [Instruction("MZ", (0,))] + seq.instructions, seq.photon_vertex)
+        res = verify_bell_pair(bad, "1", forced_outcomes=[-1, 1, 1])
+        assert not res.ok and res.detail.startswith("'MZ 0' read -1")
+        assert verify_bell_pair(bad, "1", forced_outcomes=[1, 1, 1]).ok
 
     def test_random_outcomes(self):
         rng = np.random.default_rng(11)
@@ -107,6 +125,38 @@ class TestVerify:
         res = verify_bell_pair(bad, "2,2")
         assert not res.ok
         assert "mismatch" in res.detail
+
+    SIGNED = ["2,2", "3,2,2", "4,4,4"]
+
+    @pytest.mark.parametrize("b", SIGNED)
+    def test_sign_negated_target_fails(self, b, monkeypatch):
+        target = genseq.logical_bell_tableau
+
+        def negated(shape):
+            t = target(shape)
+            t.phase = (t.phase + 2) % 4
+            return t
+
+        monkeypatch.setattr(genseq, "logical_bell_tableau", negated)
+        seq = compile_bell_pair(b)
+        assert not verify_bell_pair(seq, b).ok
+        assert not verify_bell_pair(seq, b, rng=np.random.default_rng(1)).ok
+
+    @pytest.mark.parametrize("b", SIGNED[1:])
+    def test_measurement_recording_the_wrong_sign_fails(self, b, monkeypatch):
+        # The tableau keeps -m while the record says m, so every byproduct
+        # is missing from the frame.  On (2,2) their product, the whole
+        # error, is a stabilizer of the target, so that shape cannot see it.
+        measure = StabilizerTableau.measure
+
+        def lying(self, qubit, basis, outcome=None, rng=None, destructive=False):
+            measure(self, qubit, basis, -outcome, rng, destructive)
+            return outcome
+
+        monkeypatch.setattr(StabilizerTableau, "measure", lying)
+        seq = compile_bell_pair(b)
+        assert not verify_bell_pair(seq, b).ok
+        assert not verify_bell_pair(seq, b, rng=np.random.default_rng(1)).ok
 
     def test_wrong_shape_rejected(self):
         seq = compile_bell_pair("2")
@@ -222,6 +272,15 @@ class TestSizeCap:
         finally:
             tracemalloc.stop()
         assert peak <= tableau_bytes(program_qubits(b)) <= 2 * peak
+
+    @pytest.mark.parametrize("build", [graph_state_tableau, encode_logical, logical_bell_tableau])
+    def test_builders_refuse_a_tableau_over_the_cap(self, build):
+        # 999,001 vertices pass the vertex cap, but the tableau would need terabytes.
+        self._refused_with_small_peak(lambda: build("999,999"))
+        with pytest.raises(ValueError, match=r"needs about [0-9.e+]+ GB, above the 2 GB cap"):
+            build("999,999")
+        with pytest.raises(TreeTooLargeError):
+            build("100,100,100")
 
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15), (10, 10, 2)):

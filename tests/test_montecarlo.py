@@ -287,6 +287,12 @@ class TestStreamV3:
             with pytest.raises(UnsupportedConfigurationError, match="4.657e-10"):
                 sample_bsm_error_rates(eps, 100, 1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bsm_error_rates_need_a_sample(self, n):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sample_bsm_error_rates(1e-3, n, 1)
+        assert sample_bsm_error_rates(1e-3, 1, 1)["n"] == 1
+
 
 class TestSampling:
     def test_reproducible_counters(self):

@@ -177,6 +177,22 @@ class TestExpectation:
             assert t.expectation(p) == 1
             assert t.expectation(PauliString(p.xs, p.zs, -p.sign)) == -1
 
+    def test_rank_deficient_group_against_brute_force(self):
+        # Two generators on three qubits: every signed Pauli reads +1 or -1
+        # exactly when it or its negative is one of the 2^2 group elements.
+        t = from_labels("+XXI", "+ZZI")
+        group = set()
+        for mask in itertools.product([False, True], repeat=t.n_generators):
+            p = PauliString.identity(3)
+            for g, used in zip(t.generators(), mask):
+                p = p * g if used else p
+            group.add(p.to_label())
+        for sign, *letters in itertools.product("+-", *["IXYZ"] * 3):
+            label = sign + "".join(letters)
+            negated = ("-" if sign == "+" else "+") + label[1:]
+            want = 1 if label in group else -1 if negated in group else 0
+            assert t.expectation(PauliString.from_label(label)) == want, label
+
     def test_random_and_undetermined_directions_read_zero(self):
         t = from_labels("+XX")
         assert t.expectation(PauliString.from_label("+ZI")) == 0
@@ -267,7 +283,8 @@ class TestSignedStatevector:
 
     Every signed generator must fix the statevector, g|psi> = +|psi>, so a
     wrong sign anywhere in the tableau's update rules shows up here even
-    where the unsigned stabilizer group is right.
+    where the unsigned stabilizer group is right.  After every step the
+    expectation of a random signed Pauli must equal <psi|P|psi>.
     """
 
     @pytest.mark.parametrize("seed", range(24))
@@ -323,3 +340,8 @@ class TestSignedStatevector:
             assert t.n_generators == len(t.alive)
             for g in t.generators():
                 assert np.allclose(_dense(g) @ psi, psi), (op, g.to_label())
+            letters = rng.choice(list("IXYZ"), size=n)
+            letters[sorted(t.discarded)] = "I"
+            p = PauliString.from_label(str(rng.choice(["+", "-"])) + "".join(letters))
+            want = np.vdot(psi, _dense(p) @ psi).real
+            assert np.isclose(want, round(want)) and t.expectation(p) == round(want), p.to_label()
