@@ -45,16 +45,23 @@ levels 0 and 1 of the walk: every first-level pair readable, minus every
 one readable with no chain (:func:`_complete_bsm_closed`), and every
 ``1 - (1 - p)**n`` is evaluated as ``-expm1(n * log1p(-p))``, so tiny chain
 rates and branch counts in the thousands stay accurate.
+
+The vote mix needs two special functions, and both are numpy kernels of
+this module, so the engine imports nothing beyond numpy:
+:func:`_log_factorial` gives ``log k!`` by the Stirling series of Cephes'
+``lgam`` (the binomial weights), and :func:`_vote_tail` gives the
+majority-vote tail ``P(Binom(m', e) > m'/2)`` as a sum of positive terms
+built by ratio recurrences from the tail's first term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .trees import (
     BranchingVector,
@@ -86,6 +93,12 @@ class Basis(Enum):
 # ---------------------------------------------------------------------------
 # Elementary combinators
 # ---------------------------------------------------------------------------
+
+# Version of the exact engine's numerics, stamped beside the sampler's
+# STREAM_VERSION on every CLI result, so a changed exact value can be traced
+# to a changed engine.  2: log-factorials and vote tails from this module's
+# own kernels (1 took them from scipy.special).
+ENGINE_VERSION = 2
 
 # A batch goes through the level walk in blocks of rows.  A row counts one
 # float per vote column (its widest branch count) plus _LEVEL_FLOATS per
@@ -124,20 +137,118 @@ def parity_error(per_slot: Sequence, counts: Sequence) -> float | np.ndarray:
     return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), 0.5 * (0.0 - np.expm1(log_abs)))[()]
 
 
+# log k! is exact below k = 12 and follows Stirling's series from there, as in
+# Cephes' lgam (the gamma function's log behind scipy.special.gammaln): the
+# series in 1/x**2 has five terms below x = k + 1 = 1000 and three from there.
+_LOG_FACTORIAL_EXACT = np.log([float(math.factorial(k)) for k in range(12)])
+_STIRLING_NEAR = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_STIRLING_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                 0.0833333333333333333333)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(k) -> np.ndarray:
+    """``log k!`` for integers ``k``, an array like ``k``; ``+inf`` for ``k < 0``.
+
+    From ``x = k + 1 = 13`` on, ``(x - 1/2) log x - x + log sqrt(2 pi)``
+    plus Stirling's series in ``1/x**2`` over ``x``, evaluated in Cephes'
+    order, so that it matches ``scipy.special.gammaln(k + 1)`` to a few ulp
+    (bit for bit on most integers).  A negative ``k`` gives ``+inf``: the
+    factorial has a pole there, so a binomial coefficient ``C(n, m)`` with
+    ``m > n`` comes out as ``exp(-inf) = 0``.
+    """
+    k = np.asarray(k)
+    x = np.maximum(k, 0) + 1.0
+    inv_x2 = 1.0 / (x * x)
+    near = far = 0.0
+    for c in _STIRLING_NEAR:
+        near = near * inv_x2 + c
+    for c in _STIRLING_FAR:
+        far = far * inv_x2 + c
+    series = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + np.where(x < 1000.0, near, far) / x
+    out = np.where(x < 13.0, _LOG_FACTORIAL_EXACT[np.minimum(np.maximum(k, 0), 11)], series)
+    return np.where(k < 0, np.inf, out)
+
+
+# log k! for -_BLOCK <= k < _BLOCK, indexed by k itself: a negative k wraps
+# around to the upper half, which holds the +inf of a negative factorial.
+_LOG_FACTORIALS = _log_factorial(np.r_[0:_BLOCK, -_BLOCK:0])
+
+# C(2k, k) / 4**k, exact up to _CENTRAL_EXACT; above it the asymptotic
+# series sqrt(pi k)**-1 * (1 - 1/(8k) + ...), whose first omitted term is
+# below 1e-17 there.
+_CENTRAL_EXACT = 128
+_CENTRAL = np.array([math.comb(2 * k, k) / 4**k for k in range(_CENTRAL_EXACT + 1)])
+_CENTRAL_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304)
+
+
+def _central_binomial(k, k_top: int):
+    """``C(2k, k) / 4**k`` for integers ``0 <= k <= k_top``, an array like ``k``."""
+    if k_top <= _CENTRAL_EXACT:
+        return _CENTRAL[k]
+    series = 0.0
+    for c in _CENTRAL_SERIES[::-1]:
+        series = series / k + c
+    return np.where(k > _CENTRAL_EXACT, series / np.sqrt(np.pi * k),
+                    _CENTRAL[np.minimum(k, _CENTRAL_EXACT)])
+
+
+def _tail_window(k: int, f: float) -> int:
+    """How many terms after the first the vote tail sums, for ``k`` and ``f`` at their largest.
+
+    A term is at most ``(f/q)**j`` and ``exp(-j**2 / 2k)`` times the first,
+    and the window ends where either bound is below ``exp(-45)``.
+    """
+    width = min(k, math.ceil(math.sqrt(90 * k)))
+    if 0.0 < f < 0.5:
+        width = min(width, math.ceil(45 / math.log((1.0 - f) / f)))
+    return width
+
+
 def _vote_tail(m, e):
-    """P(Binom(m', e) > m'/2), where m' is ``m`` rounded down to odd; ``m`` may be an array."""
-    m_eff = m - 1 + m % 2
-    k0 = (m_eff + 1) // 2
-    # P(Binom(m_eff, e) >= k0) via the regularized incomplete beta function.
-    return special.betainc(k0, m_eff - k0 + 1, e)
+    """P(Binom(m', e) > m'/2), where m' is ``m`` rounded down to odd; ``m >= 1`` may be an array.
 
-
-def _log_binom(n, m, p):
-    """Log of the Binom(n, p) probability of m successes, for p > 0."""
-    return (
-        special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
-        + m * np.log(p) + special.xlog1py(n - m, -p)
-    )
+    With ``m' = 2k - 1``, ``f = min(e, 1 - e)`` and ``q = 1 - f``, the
+    first tail term is ``C(2k, k) / 4**k * (4 f q)**k / (2q)``, and each
+    further term is the one before times ``(k - 1 - j) / (k + 1 + j) * f / q``.
+    Those ratios are below 1, so the sum stops after a window of terms
+    (:func:`_tail_window`).  Every step is a product of positive numbers,
+    and ``log(4 f q)`` is taken as ``log1p(-(1 - 2f)**2)`` from ``f = 1/4``
+    on, so a tail far below 1 keeps its relative precision.  For
+    ``e > 1/2`` the tail is the complement of the tail at ``1 - e``.  Two
+    scalars take the same sum in Python floats, without numpy's per-call
+    overhead, which would dominate a vote mix of one row.
+    """
+    if np.isscalar(m) and np.isscalar(e):
+        k, f = (int(m) + 1) // 2, min(float(e), 1.0 - float(e))
+        q = 1.0 - f
+        tail = rest = 0.0
+        if f > 0.0:
+            log_4fq = math.log(4.0 * f * q) if f < 0.25 else math.log1p(-(q - f) * (q - f))
+            term = 1.0
+            for j in range(min(k - 1, _tail_window(k, f))):
+                term *= (k - 1 - j) / (k + 1 + j) * (f / q)
+                rest += term
+            tail = float(_central_binomial(k, k)) * math.exp(k * log_4fq) / (2.0 * q) * (1.0 + rest)
+        return 1.0 - tail if e > 0.5 else tail
+    m, e = np.asarray(m), np.asarray(e, dtype=float)
+    k = (m + 1) >> 1
+    f = np.minimum(e, 1.0 - e)
+    q = 1.0 - f
+    k_top, f_top = int(k.max()), float(f.max())
+    with np.errstate(divide="ignore"):  # f = 0: no tail
+        log_4fq = np.log(4.0 * f * q)
+        if f_top >= 0.25:
+            log_4fq = np.where(f < 0.25, log_4fq, np.log1p(-np.square(q - f)))
+    first = _central_binomial(k, k_top) * np.exp(k * log_4fq) / (2.0 * q)
+    j = np.arange(float(_tail_window(k_top, f_top)))[:, None]
+    ratios = (k - 1.0 - j) / (k + 1.0 + j) * (f / q)
+    tail = first * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0).reshape(np.shape(first)))
+    if e.max() > 0.5:
+        tail = np.where(e > 0.5, 1.0 - tail, tail)
+    return tail[()]
 
 
 def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarray) -> np.ndarray:
@@ -152,33 +263,49 @@ def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarr
 
         sum_m w_m tail(m) = tail(n) W_n + sum_{i<n} W_i (tail(i) - tail(i+1))
 
-    which needs one incomplete beta per row and sums terms of one sign.
-    0 where no chain can succeed or no chain errs.  The sums run in order
-    of ``m`` over column chunks of at most ``_BLOCK`` row-times-column
-    elements, so a wide row costs time, not memory, and a row's result does
-    not depend on the rows beside it.
+    which needs one vote tail per row (:func:`_vote_tail`) and sums terms
+    of one sign.  0 where no chain can succeed or no chain errs.  The sums
+    run in order of ``m`` over column chunks of at most ``_BLOCK``
+    row-times-column elements, so a wide row costs time, not memory, and a
+    row's sums do not depend on the rows beside them (its vote tail sums
+    as many terms as the widest row needs; the extra ones are below
+    ``exp(-45)`` of its first).  Log-factorials come from
+    ``_LOG_FACTORIALS`` while every count fits it, and are computed chunk
+    by chunk for a wider row.
     """
     out = np.zeros(len(n_chains))
     live = (n_chains > 0) & (p_chain > 0.0) & (e_chain > 0.0)
     if not live.any():
         return out
     n, p, e = n_chains[live], p_chain[live], e_chain[live]
-    log_mode = _log_binom(n, np.clip(np.floor((n + 1) * p), 1, n), p)
-    with np.errstate(divide="ignore"):  # a chain that always errs (e = 1): the tail never falls
-        log_ee = np.log(e * (1.0 - e))
-    weight = drop = 0.0
     top = int(n.max()) + 1
+    log_factorial = _LOG_FACTORIALS.take if top < _BLOCK else _log_factorial
+    log_p = np.log(p)
+    with np.errstate(divide="ignore"):
+        # p = 1: no chain fails.  A finite stand-in for log 0 keeps 0 failures at weight 1.
+        log_q = np.maximum(np.log1p(-p), -1e300)
+        # A chain that always errs (e = 1): the tail never falls.
+        log_ee = np.log(e * (1.0 - e))
+    lf_n = log_factorial(n)
+    mode = np.minimum(np.maximum(((n + 1) * p).astype(n.dtype), 1), n)  # floor((n + 1) p)
+    log_mode = (lf_n - log_factorial(mode) - log_factorial(n - mode)
+                + mode * log_p + (n - mode) * log_q)
+    weight = drop = 0.0
     step = max(2, _BLOCK // len(n)) // 2 * 2  # even, so chunks start at odd m
     for lo in range(1, top, step):
         m = np.arange(lo, lo + min(step, top - lo + 1) // 2 * 2)[:, None]
-        w = np.exp(_log_binom(n, np.minimum(m, n), p) - log_mode) * (m <= n)
-        cum_w = weight + np.cumsum(w, axis=0)
+        lf_m = log_factorial(m)
+        rest = n - m  # negative past n, where log_factorial is +inf and the weight 0
+        log_w = lf_n - lf_m - log_factorial(rest) + m * log_p + rest * log_q
+        cum_w = weight + np.cumsum(np.exp(log_w - log_mode), axis=0)
         weight = cum_w[-1]
-        j = m[1::2] // 2 - 1  # the even counts i = 2j + 2
-        log_fall = special.gammaln(2 * j + 2) - special.gammaln(j + 1) - special.gammaln(j + 2)
-        fall = np.exp(log_fall + (j + 1) * log_ee) * (m[1::2] < n)
+        # The even counts i = 2j + 2, where C(2j+1, j) = (i-1)! / ((i/2 - 1)! (i/2)!).
+        half = m[1::2] // 2  # j + 1
+        log_fall = lf_m[0::2] - log_factorial(half - 1) - log_factorial(half)
+        fall = np.exp(log_fall + half * log_ee) * (rest[1::2] > 0)
         drop = drop + np.cumsum(fall * cum_w[1::2], axis=0)[-1]
-    out[live] = _vote_tail(n, e) + (1.0 - 2.0 * e) * drop / weight
+    tail = _vote_tail(n[0], e[0]) if len(n) == 1 else _vote_tail(n, e)
+    out[live] = tail + (1.0 - 2.0 * e) * drop / weight
     return out
 
 

@@ -2,10 +2,10 @@
 
 Every command that writes a data file drops a ``<output>.manifest.json``
 sidecar echoing the full parameter set, the package version, the sampler's
-stream version and the wall time; rerunning with the same parameters reproduces the data file byte for
-byte.  Exit codes: 0 success, 1 usage or I/O problem, 2 the requested
-target is analytically unreachable, 3 a validation or verification
-mismatch.
+stream version, the exact engine's version and the wall time; rerunning
+with the same parameters reproduces the data file byte for byte.  Exit
+codes: 0 success, 1 usage or I/O problem, 2 the requested target is
+analytically unreachable, 3 a validation or verification mismatch.
 
 Ranges are written ``start:stop[:count]`` (count defaults to 25).  Loss
 sweeps are linearly spaced; error-rate sweeps are geometrically spaced
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import families
 from .analytic import (
+    ENGINE_VERSION,
     Protocol,
     UnreachableTargetError,
     find_threshold,
@@ -93,6 +94,7 @@ def _write(output: str, text: str, command: str, params: dict, t0: float) -> Non
         "params": params,
         "version": _version(),
         "stream_version": STREAM_VERSION,
+        "engine_version": ENGINE_VERSION,
         "outputs": [output],
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -183,7 +185,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{name}: sampled {got:.6g}  exact {want:.6g}  sigma={sigma:.2e}  "
             f"z={z:+.2f}  [{status}]"
         )
-    print(f"# N={args.n} seed={seed} stream_version={STREAM_VERSION} n_success={est.n_success} "
+    print(f"# N={args.n} seed={seed} stream_version={STREAM_VERSION} "
+          f"engine_version={ENGINE_VERSION} n_success={est.n_success} "
           f"world_bytes={est.world_bytes} samples_per_s={est.samples_per_s:.4g} "
           f"draw_s={est.draw_s:.3g} eval_s={est.eval_s:.3g}")
     return 0 if ok else 3

@@ -49,7 +49,6 @@ from .stabilizer import (
     StabilizerTableau,
     canonical_mismatch,
     check_tableau_size,
-    draw_outcome,
     graph_generator,
     logical_x_string,
     logical_z_string,
@@ -214,6 +213,7 @@ def execute_sequence(
     seq: InstructionSequence,
     rng: np.random.Generator | None = None,
     forced_outcomes: list[int] | None = None,
+    record: list[int] | None = None,
 ) -> StabilizerTableau:
     """Run a sequence on the tableau engine; returns the photon-only state.
 
@@ -221,7 +221,10 @@ def execute_sequence(
     A register is prepared in ``|+>`` on first use and again on every use
     after a measurement; a complete program destructively measures every
     register out.  The deferred leaf rotation (H on each leaf photon) is
-    applied before returning.  A program whose tableau would not fit
+    applied before returning.  A measurement takes the next of
+    ``forced_outcomes`` if given, else draws from ``rng`` where its outcome
+    is random; ``record``, if given, receives every outcome in program
+    order.  A program whose tableau would not fit
     :data:`~treebsm.stabilizer.MAX_TABLEAU_BYTES` is refused before anything
     is allocated.
     """
@@ -262,8 +265,10 @@ def execute_sequence(
                 outcome = next(outcomes) if outcomes is not None else None
             except StopIteration:
                 raise ValueError(f"{ins.to_line()!r}: no forced outcome left") from None
-            t.measure(reg(ins, ins.args[0]), ins.opcode[1], outcome=outcome, rng=rng,
-                      destructive=True)
+            m = t.measure(reg(ins, ins.args[0]), ins.opcode[1], outcome=outcome, rng=rng,
+                          destructive=True)
+            if record is not None:
+                record.append(m)
             live.remove(ins.args[0])
         else:
             raise ValueError(f"unknown opcode {ins.opcode}")
@@ -290,25 +295,25 @@ def verify_bell_pair(
 ) -> VerifyResult:
     """Execute a sequence and compare against the logical Bell pair, signs included.
 
-    The record is ``forced_outcomes`` if given, else one
-    :func:`~treebsm.stabilizer.draw_outcome` per measurement from ``rng``
-    (so a seed means the same record as in :func:`execute_sequence`), else
-    all +1.  The program runs with that record, the Pauli frame the record
-    implies (the module's byproduct rule) is applied once, and the state must
-    equal the target; a mismatch names the first differing canonical
-    generator.  A -1 outcome with no known byproduct fails verification.
+    The program runs as in :func:`execute_sequence`: with
+    ``forced_outcomes`` if given, else drawing from ``rng`` where an outcome
+    is random (so a seed gives the same state there), else with every
+    outcome +1.  The Pauli frame that the outcomes it reports imply (the
+    module's byproduct rule) is applied once, and the state must equal the
+    target; a mismatch names the first differing canonical generator.  A -1
+    outcome with no known byproduct fails verification.
     """
     vec = as_branching_vector(b)
     if tuple(vec) != tuple(seq.branching):
         raise ValueError("sequence was compiled for a different tree shape")
-    if forced_outcomes is None:
-        forced_outcomes = [1 if rng is None else draw_outcome(None, rng)
-                           for _ in range(seq.n_measurements)]
-    state = execute_sequence(seq, forced_outcomes=forced_outcomes)
+    if forced_outcomes is None and rng is None:
+        forced_outcomes = [1] * seq.n_measurements
+    record: list[int] = []
+    state = execute_sequence(seq, rng=rng, forced_outcomes=forced_outcomes, record=record)
 
     frame = PauliString.identity(state.n)
     last_photon: dict[int, int] = {}  # register -> the photon it emitted last
-    outcomes = iter(forced_outcomes)
+    outcomes = iter(record)
     for ins in seq.instructions:
         if ins.opcode == "E":
             last_photon[ins.args[0]] = ins.args[1]

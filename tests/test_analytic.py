@@ -55,7 +55,7 @@ class TestVoteError:
         assert _vote_tail(1, 0.23) == pytest.approx(0.23)
 
     def test_matches_binomial_tail(self):
-        # The betainc evaluation must agree with the explicit tail sum.
+        # The vote-tail kernel must agree with the explicit tail sum.
         import math
         for m, e in [(5, 0.2), (7, 0.01), (9, 0.45)]:
             k0 = (m + 1) // 2

@@ -6,6 +6,7 @@ import pytest
 
 from treebsm import cli
 from treebsm.cli import main
+from treebsm.analytic import ENGINE_VERSION
 from treebsm.montecarlo import STREAM_VERSION
 
 
@@ -103,10 +104,11 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert main(["sweep", "--protocol", "static", "--b", "2", "--output", str(out)]) == 0
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert set(manifest) == {"command", "params", "version", "stream_version", "outputs",
-                                 "wall_time_s"}
+        assert set(manifest) == {"command", "params", "version", "stream_version",
+                                 "engine_version", "outputs", "wall_time_s"}
         assert manifest["outputs"] == [str(out)]
         assert manifest["stream_version"] == STREAM_VERSION == 3
+        assert manifest["engine_version"] == ENGINE_VERSION == 2
 
 
 @pytest.mark.parametrize("command", [
@@ -184,6 +186,7 @@ class TestThreshold:
         manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
         assert manifest["wall_time_s"] >= 0.2
         assert manifest["stream_version"] == STREAM_VERSION
+        assert manifest["engine_version"] == ENGINE_VERSION
 
     def test_explicit_family(self, capsys):
         assert main([
@@ -219,6 +222,7 @@ class TestValidate:
         assert "world_bytes=" in footer and "samples_per_s=" in footer
         assert "draw_s=" in footer and "eval_s=" in footer
         assert f"stream_version={STREAM_VERSION}" in footer and "workers=" not in footer
+        assert f"engine_version={ENGINE_VERSION}" in footer
 
     def test_eps_too_small_to_draw_is_usage_error(self, capsys):
         # Below 2^-31 no 32-bit word would be a fault: a fault-free run
@@ -290,6 +294,7 @@ class TestSearch:
             manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
         assert [m["params"]["bounds"]["min_depth"] for m in manifests] == [2, 1]
         assert [m["stream_version"] for m in manifests] == [STREAM_VERSION] * 2
+        assert [m["engine_version"] for m in manifests] == [ENGINE_VERSION] * 2
 
     def test_static_small_bound_has_no_error_correction(self, tmp_path):
         out = tmp_path / "front.csv"

@@ -18,6 +18,7 @@ from treebsm.stabilizer import (
     MAX_TABLEAU_BYTES,
     PauliString,
     StabilizerTableau,
+    draw_outcome,
     encode_logical,
     graph_state_tableau,
     tableau_bytes,
@@ -107,6 +108,18 @@ class TestVerify:
         assert not res.ok and res.detail.startswith("'MZ 0' read -1")
         assert verify_bell_pair(bad, "1", forced_outcomes=[1, 1, 1]).ok
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deterministic_measurement_takes_its_own_outcome(self, seed):
+        # A leading MX on a fresh register in |+> reads +1 whatever the rng
+        # holds; only the random measurements after it draw.
+        seq = compile_bell_pair("1")
+        lead = InstructionSequence(seq.branching, seq.n_registers, seq.n_photons,
+                                   [Instruction("MX", (0,))] + seq.instructions, seq.photon_vertex)
+        record = []
+        execute_sequence(lead, rng=np.random.default_rng(seed), record=record)
+        assert record[0] == 1 and len(record) == lead.n_measurements
+        assert verify_bell_pair(lead, "1", rng=np.random.default_rng(seed)).ok
+
     def test_random_outcomes(self):
         rng = np.random.default_rng(11)
         for b in ("2,2", "3,2"):
@@ -150,8 +163,9 @@ class TestVerify:
         measure = StabilizerTableau.measure
 
         def lying(self, qubit, basis, outcome=None, rng=None, destructive=False):
-            measure(self, qubit, basis, -outcome, rng, destructive)
-            return outcome
+            m = draw_outcome(outcome, rng)
+            measure(self, qubit, basis, -m, None, destructive)
+            return m
 
         monkeypatch.setattr(StabilizerTableau, "measure", lying)
         seq = compile_bell_pair(b)
