@@ -9,27 +9,26 @@ Four engines over one tree shape language, the branching vector of
   decision procedures on explicit loss/fault worlds, with exhaustive
   small-instance enumeration.
 * :mod:`treebsm.stabilizer` / :mod:`treebsm.genseq` -- a stabilizer
-  tableau engine verifying the encoding and the matter-qubit program that
-  grows a logical Bell pair.
+  tableau engine verifying the matter-qubit program that grows a logical
+  Bell pair against the pair's target state.
 * :mod:`treebsm.search` -- tree-shape enumeration and the loss/error
   improvement front.
+
+Every function exported here is called from the package, the demos or the
+benchmark; constructors only the tests need live beside the tests.
 """
 
 from .analytic import (
-    Basis,
     BsmRates,
-    LayerStats,
     LogicalBsmResult,
     Protocol,
     ThresholdResult,
     UnreachableTargetError,
     ConfigurationError,
-    dynamic_layer_recursion,
     find_threshold,
     logical_bsm,
     logical_bsm_batch,
     parity_error,
-    static_layer_recursion,
 )
 from .genseq import (
     Instruction,
@@ -47,7 +46,6 @@ from .montecarlo import (
     exhaustive_dynamic,
     exhaustive_static,
     run,
-    sample_bsm_error_rates,
     z_score,
 )
 from .search import (
@@ -57,16 +55,11 @@ from .search import (
     evaluate_all,
     front_to_csv,
     pareto_front,
-    smallest_error_correcting,
 )
 from .stabilizer import (
     MeasurementContradictionError,
     PauliString,
     StabilizerTableau,
-    encode_logical,
-    graph_state_tableau,
-    tableau_equal,
-    verify_indirect_z,
 )
 from .trees import (
     BranchingVector,

@@ -34,8 +34,7 @@ The walk runs over a batch axis: each level handles one entry per row of
 (shape, eta, eps), and a shape shallower than the batch is padded with
 zero branch counts, since a node with no children is a leaf.
 :func:`logical_bsm_batch` takes a batch through the walk in blocks of
-bounded memory; :func:`logical_bsm` and the layer recursions are batches
-of one.
+bounded memory; :func:`logical_bsm` is a batch of one.
 
 Error rates are conditional on success.  Even-sized votes drop one result
 at random, which is equivalent to voting over one fewer sample.
@@ -78,7 +77,7 @@ class Protocol(Enum):
 
 
 class Basis(Enum):
-    """Measurement flavour threaded through the level recursions.
+    """Measurement flavour of the level walk.
 
     Z:  single-qubit Z on one tree (direct succeeds with eta, errs with eps).
     ZZ: joint Z-parity of a photon pair (direct succeeds with eta^2; the
@@ -360,10 +359,6 @@ class LayerStats:
     err_i: np.ndarray
     err_m: np.ndarray
 
-    @property
-    def depth(self) -> int:
-        return len(self.pr_m) - 1
-
 
 def _levels(
     branches: np.ndarray,
@@ -407,6 +402,21 @@ def _static_walk(branches: np.ndarray, params: ChannelParams, basis: Basis) -> L
 
 
 def _dynamic_walk(branches: np.ndarray, params: ChannelParams) -> LayerStats:
+    """Level rates of the pair Z-parity under the adaptive rules.
+
+    A pair with no direct readout is upgraded by two independent
+    single-qubit indirect measurements, one per tree: ``pr_u = pr_i_z**2``,
+    erring with ``2 e (1 - e)``.  Per-pair Z-parity::
+
+        pr_m[k] = eta^2 + (1 - eta^2) * pr_u[k]
+
+    -- a complete or partial BSM reads it directly, a failed one needs the
+    upgrade.  Below a complete pair, a chain opens with a complete child
+    BSM (eta^2/2) and needs the Z-parity of every grandchild pair; given
+    chain success the grandchild classes are iid, so ``err_m`` is the class
+    mixture: complete (eta^2/2, prefers its chain vote), partial (eta^2/2,
+    prefers the upgrade) and failed (1 - eta^2, upgrade only).
+    """
     eta2, err_dzz = params.eta**2, params.err_dzz
     z = _static_walk(branches, params, Basis.Z)
     pr_u = z.pr_i**2
@@ -447,48 +457,6 @@ def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
         start = max(0, stop - max(1, _BLOCK // int(width[order[stop - 1]])))
         yield order[start:stop]
         stop = start
-
-
-def _batch_of_one(walk: Callable[..., LayerStats], b, params: ChannelParams, *args) -> LayerStats:
-    row = ChannelParams(np.array([params.eta]), np.array([params.eps]))
-    stats = walk(_branch_array([b]), row, *args)
-    return LayerStats(**{name: a[:, 0] for name, a in vars(stats).items()})
-
-
-def static_layer_recursion(
-    b: BranchingVectorLike, params: ChannelParams, basis: Basis
-) -> LayerStats:
-    """Level rates of one value under the static rules.
-
-    Success, from level ``d`` down to 0, with the level walk's ``pr_i``::
-
-        pr_m[k] = pr_d + (1 - pr_d) * pr_i[k]
-
-    where the direct rate ``pr_d`` is ``eta`` for Z and ``eta**2`` for ZZ,
-    and the chain opener is the direct conjugate-basis rate on one child
-    (``eta`` for Z, ``eta**2 / 2`` for ZZ).  The vote is preferred to the
-    direct result whenever it is available.
-    """
-    return _batch_of_one(_static_walk, b, params, basis)
-
-
-def dynamic_layer_recursion(b: BranchingVectorLike, params: ChannelParams) -> LayerStats:
-    """Level rates of the pair Z-parity under the adaptive rules.
-
-    A pair with no direct readout is upgraded by two independent
-    single-qubit indirect measurements, one per tree: ``pr_u = pr_i_z**2``,
-    erring with ``2 e (1 - e)``.  Per-pair Z-parity::
-
-        pr_m[k] = eta^2 + (1 - eta^2) * pr_u[k]
-
-    -- a complete or partial BSM reads it directly, a failed one needs the
-    upgrade.  Below a complete pair, a chain opens with a complete child
-    BSM (eta^2/2) and needs the Z-parity of every grandchild pair; given
-    chain success the grandchild classes are iid, so ``err_m`` is the class
-    mixture: complete (eta^2/2, prefers its chain vote), partial (eta^2/2,
-    prefers the upgrade) and failed (1 - eta^2, upgrade only).
-    """
-    return _batch_of_one(_dynamic_walk, b, params)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.family:
         family = [BranchingVector.parse(part) for part in args.family.split(";")]
     else:
-        family = list(families.default_family(proto.value))
+        family = list(families.default_family(proto))
     try:
         res = find_threshold(proto, family, target=args.target, tol=args.tol)
     except UnreachableTargetError as exc:

@@ -18,6 +18,7 @@ family raises the measured threshold and enlarging it lowers it.
 
 from __future__ import annotations
 
+from .analytic import Protocol
 from .trees import BranchingVector
 
 # Shapes from the reference operating points, useful in any family.
@@ -49,9 +50,11 @@ DYNAMIC_FAMILY_DEFAULT = tuple(_COMMON + _DYNAMIC_TOWERS[:2])
 DYNAMIC_FAMILY_LARGE = tuple(_COMMON + _DYNAMIC_TOWERS)
 
 
-def default_family(protocol_name: str) -> tuple[BranchingVector, ...]:
-    if protocol_name in ("static",):
+def default_family(protocol: Protocol | str) -> tuple[BranchingVector, ...]:
+    """The default threshold family of ``protocol``, a :class:`Protocol` or its value."""
+    protocol = Protocol(protocol)
+    if protocol is Protocol.STATIC:
         return STATIC_FAMILY_DEFAULT
-    if protocol_name in ("dynamic",):
+    if protocol is Protocol.DYNAMIC:
         return DYNAMIC_FAMILY_DEFAULT
-    raise ValueError(f"no default threshold family for protocol {protocol_name!r}")
+    raise ValueError(f"no default threshold family for protocol {protocol.value!r}")

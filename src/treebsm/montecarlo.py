@@ -825,37 +825,3 @@ def exhaustive_dynamic(b: BranchingVectorLike, params: ChannelParams) -> float:
              (True, False, False), (False, False, False)]
     probs = [0.5 * eta**2, 0.5 * eta**2, (1 - eta) * eta, eta * (1 - eta), (1 - eta) ** 2]
     return _exhaustive(b, atoms, probs, eval_dynamic)
-
-
-# ---------------------------------------------------------------------------
-# Two-photon fault model check
-# ---------------------------------------------------------------------------
-
-def sample_bsm_error_rates(
-    eps: float, n_samples: int, seed: int
-) -> dict[str, float]:
-    """Monte-Carlo readout error rates of a single two-photon BSM.
-
-    Each photon suffers a uniform Pauli fault with total probability
-    ``3*eps/2``, drawn and decoded as the sampler draws faults (in steps of
-    3 * 2^-32).  Returns the Z-parity flip rate and the X-readout error
-    rate with their standard errors.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    check_seed(seed)
-    key = np.array([seed, 0], np.uint64)
-    bits = np.random.Philox(key=key)
-    third = _fault_third(ChannelParams(eta=1.0, eps=eps))
-    # The two photons' 32-bit words come from lanes 0 and 1, decoded as the sampler does.
-    fa, fb = (_faults(_lane(bits, key, p, 0, n_samples, 32), third) for p in (0, 1))
-    zz, xx = _pair_flips(fa, fb)
-    pz = float(zz.mean())
-    px = float(xx.mean())
-    return {
-        "zz_flip_rate": pz,
-        "zz_stderr": math.sqrt(pz * (1 - pz) / n_samples),
-        "xx_error_rate": px,
-        "xx_stderr": math.sqrt(px * (1 - px) / n_samples),
-        "n": n_samples,
-    }

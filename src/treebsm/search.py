@@ -144,16 +144,6 @@ def pareto_front(
     return front
 
 
-def smallest_error_correcting(
-    bounds: SearchBounds, params: ChannelParams, protocol: Protocol
-) -> ParetoEntry | None:
-    """The in-bounds shape of least photon count whose error beats a raw BSM."""
-    for e in evaluate_all(bounds, params, protocol):
-        if e.error_correcting:
-            return e
-    return None
-
-
 CSV_HEADER = [
     "b", "n", "protocol", "eta", "eps", "pr_complete", "err_complete",
     "loss_tolerant", "error_correcting",

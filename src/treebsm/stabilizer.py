@@ -1,10 +1,11 @@
 """Stabilizer-tableau engine for graph states and destructive Pauli measurements.
 
-Ground truth for small instances: graph-state construction, the logical
-encoding carved out of a tree, single-qubit Pauli measurements and
-canonical-form comparison of tableaux.  Graph states are read off a
-branching vector; a tree above ``trees.MAX_VERTICES`` is refused first,
-then a tableau above :data:`MAX_TABLEAU_BYTES`.
+Ground truth for small instances: the graph-state generators and logical
+operators of a tree, single-qubit Pauli measurements and canonical-form
+comparison of tableaux, which the Bell-pair verifier of
+:mod:`treebsm.genseq` builds on.  Generators are read off a branching
+vector; a tree above ``trees.MAX_VERTICES`` is refused first, then a
+tableau above :data:`MAX_TABLEAU_BYTES`.
 
 Every generator update goes through one row primitive, ``_row_mult``,
 which multiplies one generator into a set of others.  A pivot step
@@ -179,8 +180,6 @@ class StabilizerTableau:
         self.zs = np.zeros((0, n), dtype=bool)
         self.phase = np.zeros(0, dtype=np.uint8)   # i-exponent mod 4
         self.discarded: set[int] = set()
-        self.x_logical: PauliString | None = None
-        self.z_logical: PauliString | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -200,8 +199,6 @@ class StabilizerTableau:
         t.zs = self.zs.copy()
         t.phase = self.phase.copy()
         t.discarded = set(self.discarded)
-        t.x_logical = self.x_logical
-        t.z_logical = self.z_logical
         return t
 
     @property
@@ -434,16 +431,13 @@ def draw_outcome(outcome: int | None, rng: np.random.Generator | None) -> int:
     return 1 if rng.integers(0, 2) == 0 else -1
 
 
-def tableau_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
-    """Group equality including signs, via identical canonical forms."""
-    if sorted(a.alive) != sorted(b.alive) or a.n_generators != b.n_generators:
-        raise ValueError("tableaux compare only on equal qubit sets and ranks")
-    return canonical_mismatch(a, b) is None
-
-
 def canonical_mismatch(got: StabilizerTableau, want: StabilizerTableau) -> str | None:
-    """None if two tableaux on the same qubits hold the same group, signs included;
-    else what differs: the ranks, or the first differing canonical generator."""
+    """None if two tableaux hold the same group on the same alive qubits, signs included;
+    else what differs: the qubits, the ranks, or the first differing canonical generator."""
+    alive_got, alive_want = set(got.alive), set(want.alive)
+    if alive_got != alive_want:
+        return (f"qubit mismatch: alive only in got {sorted(alive_got - alive_want)}, "
+                f"only in want {sorted(alive_want - alive_got)}")
     if got.n_generators != want.n_generators:
         return f"rank mismatch: got {got.n_generators}, want {want.n_generators}"
     cg, cw = got.canonical(), want.canonical()
@@ -458,7 +452,7 @@ def canonical_mismatch(got: StabilizerTableau, want: StabilizerTableau) -> str |
 
 
 # ---------------------------------------------------------------------------
-# Graph states and the tree-code encoding
+# Graph-state generators and logical operators of a tree
 # ---------------------------------------------------------------------------
 
 def graph_generator(b: BranchingVectorLike, v: int, n: int, offset: int = 0) -> PauliString:
@@ -468,14 +462,6 @@ def graph_generator(b: BranchingVectorLike, v: int, n: int, offset: int = 0) -> 
     for w in as_branching_vector(b).neighbors(v):
         p.zs[offset + w] = True
     return p
-
-
-def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:
-    """One generator per vertex: X there, Z on every neighbor, sign +."""
-    vec = as_branching_vector(b)
-    n = vec.check_vertices()
-    check_tableau_size(n)
-    return StabilizerTableau.from_generators(graph_generator(vec, v, n) for v in range(n))
 
 
 def logical_x_string(b: BranchingVectorLike, n: int, offset: int = 0,
@@ -495,45 +481,6 @@ def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliSt
     return p
 
 
-def encode_logical(
-    b: BranchingVectorLike,
-    state_prep: str = "+X",
-    rng: np.random.Generator | None = None,
-    outcomes: tuple[int, int] | None = None,
-) -> StabilizerTableau:
-    """Push a single-qubit stabilizer state into the tree code.
-
-    The input qubit (prepared in the +1 eigenstate of ``state_prep``, e.g.
-    ``"+X"`` for plus, ``"+Z"`` for zero) is attached to the root by a CZ
-    gate, then the input and the root are both measured in X.  The
-    outcome-dependent frame fix applies the logical X for a ``-1`` root
-    outcome, then the logical Z for a ``-1`` input outcome.  The result is
-    the code tableau on the remaining ``n - 1`` qubits with the logical
-    operators designated.
-    """
-    vec = as_branching_vector(b)
-    n = vec.check_vertices()
-    check_tableau_size(n + 1)
-    t = StabilizerTableau.from_generators(graph_generator(vec, v, n + 1) for v in range(n))
-    inp = n
-    t.prepare(inp, state_prep)
-    t.apply_cz(inp, 0)
-    forced = outcomes if outcomes is not None else (None, None)
-    m_in = t.measure(inp, "X", outcome=forced[0], rng=rng, destructive=True)
-    m_root = t.measure(0, "X", outcome=forced[1], rng=rng, destructive=True)
-
-    if m_root == -1:
-        t.apply_pauli(logical_x_string(vec, n + 1))
-    if m_in == -1:
-        t.apply_pauli(logical_z_string(vec, n + 1))
-
-    # Dropping the root shifts every vertex id down by one.
-    code = restricted_to(t, range(1, n))
-    code.x_logical = logical_x_string(vec, n - 1, offset=-1)
-    code.z_logical = logical_z_string(vec, n - 1, offset=-1)
-    return code
-
-
 def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:
     """New tableau on the listed qubits (all generators must live there)."""
     qubits = list(qubits)
@@ -545,30 +492,3 @@ def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTabl
     out.zs = t.zs[:, qubits].copy()
     out.phase = t.phase.copy()
     return out
-
-
-def verify_indirect_z(
-    b: BranchingVectorLike,
-    target: int,
-    rng: np.random.Generator,
-    trials: int = 4,
-) -> bool:
-    """Operationally check counterfactual Z readout of one vertex.
-
-    Fix Z on the target first (both signs), then measure X on one child and
-    Z on that child's children; the product of those outcomes must
-    reproduce the fixed value every time.
-    """
-    vec = as_branching_vector(b)
-    if not (kids := vec.children(target)):
-        raise ValueError(f"vertex {target} is a leaf; it has no recovery chain")
-    for forced in (1, -1):
-        for _ in range(trials):
-            t = graph_state_tableau(vec)
-            m_target = t.measure(target, "Z", outcome=forced, rng=rng, destructive=True)
-            prod = t.measure(kids[0], "X", rng=rng, destructive=True)
-            for s in vec.children(kids[0]):
-                prod *= t.measure(s, "Z", rng=rng, destructive=True)
-            if prod != m_target:
-                return False
-    return True

@@ -1,14 +1,31 @@
-"""Constructors that only the tests use: product states and the text parsers.
+"""Constructors that only the tests use: product and graph states, the
+tree-code encoding, per-level exact rates, search queries and the text parsers.
 
 Tableaux and instruction sequences are written as text by the package
 (``StabilizerTableau.to_text``, ``Instruction.to_line``); reading them back
-is needed only to check those forms.
+is needed only to check those forms.  The package builds the Bell-pair
+target from the same graph generators and logical operators
+(``genseq.logical_bell_tableau``); a lone graph state, an encoded logical
+qubit and a counterfactual Z readout are built here to check those pieces.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from treebsm import analytic
 from treebsm.genseq import Instruction
-from treebsm.stabilizer import PauliString, StabilizerTableau
+from treebsm.search import ParetoEntry, SearchBounds, evaluate_all
+from treebsm.stabilizer import (
+    PauliString,
+    StabilizerTableau,
+    check_tableau_size,
+    graph_generator,
+    logical_x_string,
+    logical_z_string,
+    restricted_to,
+)
+from treebsm.trees import BranchingVectorLike, ChannelParams, as_branching_vector
 
 
 def all_plus(n: int) -> StabilizerTableau:
@@ -27,3 +44,93 @@ def instruction_from_line(line: str) -> Instruction:
     """Parse one line of ``Instruction.to_line``."""
     opcode, *args = line.split()
     return Instruction(opcode, tuple(int(x) for x in args))
+
+
+def level_stats(b: BranchingVectorLike, params: ChannelParams,
+                basis: analytic.Basis) -> analytic.LayerStats:
+    """Per-level rates of one value under the static rules: the level walk on a batch of one."""
+    row = ChannelParams(np.array([params.eta]), np.array([params.eps]))
+    stats = analytic._static_walk(analytic._branch_array([b]), row, basis)
+    return analytic.LayerStats(**{name: a[:, 0] for name, a in vars(stats).items()})
+
+
+def smallest_error_correcting(
+    bounds: SearchBounds, params: ChannelParams, protocol: analytic.Protocol
+) -> ParetoEntry | None:
+    """The in-bounds shape of least photon count whose error beats a raw BSM."""
+    for e in evaluate_all(bounds, params, protocol):
+        if e.error_correcting:
+            return e
+    return None
+
+
+def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:
+    """One generator per vertex: X there, Z on every neighbor, sign +."""
+    vec = as_branching_vector(b)
+    n = vec.check_vertices()
+    check_tableau_size(n)
+    return StabilizerTableau.from_generators(graph_generator(vec, v, n) for v in range(n))
+
+
+def encode_logical(
+    b: BranchingVectorLike,
+    state_prep: str = "+X",
+    rng: np.random.Generator | None = None,
+    outcomes: tuple[int, int] | None = None,
+) -> tuple[StabilizerTableau, PauliString, PauliString]:
+    """Push a single-qubit stabilizer state into the tree code.
+
+    The input qubit (prepared in the +1 eigenstate of ``state_prep``, e.g.
+    ``"+X"`` for plus, ``"+Z"`` for zero) is attached to the root by a CZ
+    gate, then the input and the root are both measured in X.  The
+    outcome-dependent frame fix applies the logical X for a ``-1`` root
+    outcome, then the logical Z for a ``-1`` input outcome.  Returns the
+    code tableau on the remaining ``n - 1`` qubits with its logical X and
+    Z operators.
+    """
+    vec = as_branching_vector(b)
+    n = vec.check_vertices()
+    check_tableau_size(n + 1)
+    t = StabilizerTableau.from_generators(graph_generator(vec, v, n + 1) for v in range(n))
+    inp = n
+    t.prepare(inp, state_prep)
+    t.apply_cz(inp, 0)
+    forced = outcomes if outcomes is not None else (None, None)
+    m_in = t.measure(inp, "X", outcome=forced[0], rng=rng, destructive=True)
+    m_root = t.measure(0, "X", outcome=forced[1], rng=rng, destructive=True)
+
+    if m_root == -1:
+        t.apply_pauli(logical_x_string(vec, n + 1))
+    if m_in == -1:
+        t.apply_pauli(logical_z_string(vec, n + 1))
+
+    # Dropping the root shifts every vertex id down by one.
+    return (restricted_to(t, range(1, n)), logical_x_string(vec, n - 1, offset=-1),
+            logical_z_string(vec, n - 1, offset=-1))
+
+
+def verify_indirect_z(
+    b: BranchingVectorLike,
+    target: int,
+    rng: np.random.Generator,
+    trials: int = 4,
+) -> bool:
+    """Operationally check counterfactual Z readout of one vertex.
+
+    Fix Z on the target first (both signs), then measure X on one child and
+    Z on that child's children; the product of those outcomes must
+    reproduce the fixed value every time.
+    """
+    vec = as_branching_vector(b)
+    if not (kids := vec.children(target)):
+        raise ValueError(f"vertex {target} is a leaf; it has no recovery chain")
+    for forced in (1, -1):
+        for _ in range(trials):
+            t = graph_state_tableau(vec)
+            m_target = t.measure(target, "Z", outcome=forced, rng=rng, destructive=True)
+            prod = t.measure(kids[0], "X", rng=rng, destructive=True)
+            for s in vec.children(kids[0]):
+                prod *= t.measure(s, "Z", rng=rng, destructive=True)
+            if prod != m_target:
+                return False
+    return True

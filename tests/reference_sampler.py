@@ -1,18 +1,52 @@
-"""Reference per-sample evaluator of the adaptive protocol, for tests only.
+"""Reference samplers for tests only: the adaptive protocol per sample, and one BSM's faults.
 
-Slow and recursive: it documents the adaptive procedure photon by photon,
-and audits that no photon is ever wanted in two different bases within one
-sample.  The vectorized ``montecarlo.eval_dynamic`` must reproduce its flags
-bit for bit on the same world.  World planes are node-major, so node ``j``
-of sample ``i`` at level ``k`` is ``plane[k][j, i]``.
+``reference_dynamic_sample`` is slow and recursive: it documents the
+adaptive procedure photon by photon, and audits that no photon is ever
+wanted in two different bases within one sample.  The vectorized
+``montecarlo.eval_dynamic`` must reproduce its flags bit for bit on the
+same world.  World planes are node-major, so node ``j`` of sample ``i`` at
+level ``k`` is ``plane[k][j, i]``.  ``sample_bsm_error_rates`` checks the
+sampler's fault draw and decoding on a single two-photon BSM.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from treebsm.montecarlo import World
-from treebsm.trees import BranchingVector
+from treebsm.montecarlo import World, _fault_third, _faults, _lane, _pair_flips, check_seed
+from treebsm.trees import BranchingVector, ChannelParams
+
+
+def sample_bsm_error_rates(
+    eps: float, n_samples: int, seed: int
+) -> dict[str, float]:
+    """Monte-Carlo readout error rates of a single two-photon BSM.
+
+    Each photon suffers a uniform Pauli fault with total probability
+    ``3*eps/2``, drawn and decoded as the sampler draws faults (in steps of
+    3 * 2^-32).  Returns the Z-parity flip rate and the X-readout error
+    rate with their standard errors.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    check_seed(seed)
+    key = np.array([seed, 0], np.uint64)
+    bits = np.random.Philox(key=key)
+    third = _fault_third(ChannelParams(eta=1.0, eps=eps))
+    # The two photons' 32-bit words come from lanes 0 and 1, decoded as the sampler does.
+    fa, fb = (_faults(_lane(bits, key, p, 0, n_samples, 32), third) for p in (0, 1))
+    zz, xx = _pair_flips(fa, fb)
+    pz = float(zz.mean())
+    px = float(xx.mean())
+    return {
+        "zz_flip_rate": pz,
+        "zz_stderr": math.sqrt(pz * (1 - pz) / n_samples),
+        "xx_error_rate": px,
+        "xx_stderr": math.sqrt(px * (1 - px) / n_samples),
+        "n": n_samples,
+    }
 
 
 class _BasisAudit:

@@ -15,12 +15,12 @@ from treebsm.analytic import (
     find_threshold,
     logical_bsm,
     parity_error,
-    static_layer_recursion,
 )
 from treebsm.analytic import _complete_bsm_closed
 from treebsm import families
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
+from builders import level_stats
 from reference_exact import complete_bsm_sum
 
 
@@ -112,7 +112,7 @@ class TestVoteErrorMix:
         # The level-0 chain rate here is ~2e-9, where 1 - (1 - p)**42
         # cancels to ~1e-9 relative; err_xx must be the exact vote mix.
         params = ChannelParams(eta=0.8, eps=1e-3)
-        stats = static_layer_recursion("42,42", params, Basis.ZZ)
+        stats = level_stats("42,42", params, Basis.ZZ)
         exact = float(_exact_vote_mix(42, stats.pr_s[0], stats.err_s[0]))
         assert abs(logical_bsm("42,42", params, protocol).err_xx - exact) <= 1e-12
 
@@ -154,7 +154,7 @@ class TestParityError:
         # where 1 - prod (1 - 2e)**n cancels; compare with the exact rational
         # value of the same float input.
         params = ChannelParams(eta=0.95, eps=1e-5)
-        e = Fraction(float(static_layer_recursion((63, 30), params, Basis.ZZ).err_m[1]))
+        e = Fraction(float(level_stats((63, 30), params, Basis.ZZ).err_m[1]))
         exact = (1 - (1 - 2 * e) ** 63) / 2
         got = logical_bsm((63, 30), params, Protocol.STATIC).err_zz
         assert abs(Fraction(got) - exact) <= 1e-12 * exact
@@ -184,13 +184,13 @@ class TestParityError:
 
 class TestStaticLayers:
     def test_leaf_level_direct_only(self):
-        stats = static_layer_recursion("2", ChannelParams(eta=1.0), Basis.ZZ)
+        stats = level_stats("2", ChannelParams(eta=1.0), Basis.ZZ)
         assert stats.pr_i[1] == 0.0
         assert stats.pr_m[1] == 1.0
 
     def test_level0_chain_rate_is_half_eta_sq(self):
         for eta in (0.2, 0.6, 0.95):
-            stats = static_layer_recursion("2", ChannelParams(eta=eta), Basis.ZZ)
+            stats = level_stats("2", ChannelParams(eta=eta), Basis.ZZ)
             assert stats.pr_s[0] == pytest.approx(0.5 * eta**2, abs=1e-14)
 
     def test_single_qubit_level1_matches_loss_pattern_enumeration(self):
@@ -217,7 +217,7 @@ class TestStaticLayers:
                 w *= (1 - eta) if flag else eta
             if readable(1, lost):
                 brute += w
-        stats = static_layer_recursion("2,2", ChannelParams(eta=eta), Basis.Z)
+        stats = level_stats("2,2", ChannelParams(eta=eta), Basis.Z)
         assert stats.pr_m[1] == pytest.approx(brute, abs=1e-12)
 
     def test_stats_within_unit_interval_and_m_dominates(self):
@@ -225,14 +225,14 @@ class TestStaticLayers:
         for b in _random_trees(rng, 20):
             for basis in (Basis.Z, Basis.ZZ):
                 params = ChannelParams(eta=float(rng.uniform()), eps=0.01)
-                stats = static_layer_recursion(b, params, basis)
+                stats = level_stats(b, params, basis)
                 pr_d, err_d = ((params.eta, params.eps) if basis is Basis.Z
                                else (params.eta**2, params.err_dzz))
                 for arr in (stats.pr_s, stats.pr_i, stats.pr_m):
                     assert np.all((arr >= 0) & (arr <= 1))
                 assert np.all(stats.pr_m >= stats.pr_i - 1e-15)
                 assert np.all(stats.pr_m >= pr_d - 1e-15)
-                assert stats.err_m[stats.depth] == err_d
+                assert stats.err_m[-1] == err_d
 
 
 class TestStaticLogical:
@@ -258,7 +258,7 @@ class TestStaticLogical:
         for b in _random_trees(rng, 25):
             eta = float(rng.uniform())
             vec = BranchingVector.of(*b)
-            stats = static_layer_recursion(vec, ChannelParams(eta=eta), Basis.ZZ)
+            stats = level_stats(vec, ChannelParams(eta=eta), Basis.ZZ)
             i1 = float(stats.pr_i[1])
             x = float(stats.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
             m1, s0 = eta**2 + (1 - eta**2) * i1, eta**2 * x / 2
@@ -383,6 +383,15 @@ class TestFindThreshold:
         ):
             small, default, large = (find_threshold(proto, f).eta_star for f in fams)
             assert small > default > large
+
+    def test_default_family_takes_a_protocol_or_its_value(self):
+        for protocol, family in ((Protocol.STATIC, families.STATIC_FAMILY_DEFAULT),
+                                 (Protocol.DYNAMIC, families.DYNAMIC_FAMILY_DEFAULT)):
+            assert families.default_family(protocol) is family
+            assert families.default_family(protocol.value) is family
+        for protocol in (Protocol.LOSS_ONLY, "loss-only"):
+            with pytest.raises(ValueError, match="no default threshold family for protocol 'loss-only'"):
+                families.default_family(protocol)
 
     def test_single_child_family_unreachable(self):
         with pytest.raises(UnreachableTargetError):

@@ -1,18 +1,23 @@
-"""The README's and the demos' code references name code that exists.
+"""The docs, demos and benchmark name code that exists, and every exported function is used.
 
 Every backticked dotted name in README.md whose first part is a module of
 ``treebsm`` or a name it exports (``montecarlo._lane``,
 ``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
 cannot linger in the docs, and the stream version the README states is the
-sampler's.  Every name the README's library tour and the demos import from
-``treebsm`` must exist; they are parsed, not run.
+sampler's.  Every name the README's library tour, the demos and the
+benchmark (``perfbench/``) import from ``treebsm`` or read off such an
+import must exist; they are parsed, not run.  In the other direction,
+every function ``treebsm/__init__.py`` exports must be referenced in code
+by the package, a demo or the benchmark: a function only the tests call
+belongs in ``tests/``.
 """
 
 import ast
 import importlib
-import importlib.util
+import inspect
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,9 @@ from treebsm import montecarlo
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "treebsm"
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+BENCH = sorted(f"perfbench/{path.name}" for path in (ROOT / "perfbench").glob("*.py"))
 MODULES = {m.name for m in pkgutil.iter_modules(treebsm.__path__)}
 
 
@@ -61,31 +68,100 @@ def library_tour() -> str:
     return re.search(r"## Library tour\s+```python\n(.*?)```", README.read_text(), re.S).group(1)
 
 
-def treebsm_imports(source: str) -> list[str]:
-    """The dotted names a source imports from treebsm, e.g. ``treebsm.logical_bsm``."""
-    names = []
-    for node in ast.walk(ast.parse(source)):
+def treebsm_names(source: str) -> list[str]:
+    """The dotted treebsm names a source uses: its imports from treebsm
+    (``treebsm.logical_bsm``) and the attributes it reads off them
+    (``treebsm.run``, ``treebsm.families.default_family``)."""
+    tree = ast.parse(source)
+    names, bound = [], {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names if alias.name.split(".")[0] == "treebsm"]
+            for alias in node.names:
+                if alias.name.split(".")[0] == "treebsm":
+                    names.append(alias.name)
+                    bound[alias.asname or "treebsm"] = alias.name if alias.asname else "treebsm"
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "treebsm":
-            names += [f"{node.module}.{alias.name}" for alias in node.names]
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    names += [f"{bound[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
     return names
 
 
 def exists(name: str) -> bool:
-    owner, _, attr = name.rpartition(".")
-    if owner and hasattr(importlib.import_module(owner), attr):
-        return True
-    return importlib.util.find_spec(name) is not None  # a module not imported yet
+    head, *rest = name.split(".")
+    obj = importlib.import_module(head)
+    for part in rest:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif isinstance(obj, types.ModuleType):
+            try:  # a submodule not imported yet
+                obj = importlib.import_module(f"{obj.__name__}.{part}")
+            except ModuleNotFoundError:
+                return False
+        else:
+            return False
+    return True
 
 
 def test_library_tour_is_parsed():
-    assert {"treebsm.logical_bsm", "treebsm.run"} <= set(treebsm_imports(library_tour()))
+    assert {"treebsm.logical_bsm", "treebsm.run"} <= set(treebsm_names(library_tour()))
 
 
-@pytest.mark.parametrize("name", ["README.md", *DEMOS])
+def test_benchmark_is_parsed():
+    used = set(treebsm_names((ROOT / "perfbench" / "workloads.py").read_text()))
+    assert {"treebsm.run", "treebsm.exhaustive_static", "treebsm.cli.main",
+            "treebsm.families.default_family"} <= used
+
+
+@pytest.mark.parametrize("name", ["README.md", *DEMOS, *BENCH])
 def test_every_imported_name_exists(name):
-    source = library_tour() if name == "README.md" else (ROOT / "demos" / name).read_text()
-    imported = treebsm_imports(source)
-    assert imported
-    assert [n for n in imported if not exists(n)] == []
+    if name == "README.md":
+        source = library_tour()
+    else:
+        source = (ROOT / (name if name in BENCH else f"demos/{name}")).read_text()
+    used = treebsm_names(source)
+    assert used or name in BENCH  # not every benchmark file imports treebsm
+    assert [n for n in used if not exists(n)] == []
+
+
+def code_references(source: str) -> set[str]:
+    """Names a source refers to in code: names, attributes and imported names.
+
+    A function's references to itself do not count, and neither do strings
+    (``perfbench/spans.py`` names the functions it traces in strings).
+    """
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def exported_functions() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return sorted(n for n in names if inspect.isfunction(getattr(treebsm, n)))
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    exported = exported_functions()
+    assert {"logical_bsm", "run", "verify_bell_pair"} <= set(exported)
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*(code_references(path.read_text())
+                         for path in sources if path != PACKAGE / "__init__.py"))
+    assert [name for name in exported if name not in used] == []

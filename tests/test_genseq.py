@@ -19,13 +19,11 @@ from treebsm.stabilizer import (
     PauliString,
     StabilizerTableau,
     draw_outcome,
-    encode_logical,
-    graph_state_tableau,
     tableau_bytes,
 )
 from treebsm.trees import TreeTooLargeError, photon_count
 
-from builders import instruction_from_line
+from builders import encode_logical, graph_state_tableau, instruction_from_line
 
 
 class TestCompile:

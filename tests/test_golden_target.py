@@ -17,7 +17,8 @@ import itertools
 import pytest
 
 from treebsm.genseq import logical_bell_tableau
-from treebsm.stabilizer import encode_logical
+
+from builders import encode_logical
 
 TARGET = {
     "2": "4aab639d9c90a0c3f5a3d6a74645d52b17de804378ca7399d4a499b20659b0ae",
@@ -68,6 +69,6 @@ def test_logical_bell_target(b):
 @pytest.mark.parametrize("b,prep", sorted(ENCODED))
 def test_encoded_code_and_logicals(b, prep):
     for outcomes in itertools.product((1, -1), repeat=2):
-        code = encode_logical(b, prep, outcomes=outcomes)
+        code, x_logical, z_logical = encode_logical(b, prep, outcomes=outcomes)
         assert _sha(code.canonical().to_text()) == ENCODED[(b, prep)], outcomes
-        assert (code.x_logical.to_label(), code.z_logical.to_label()) == LOGICALS[b]
+        assert (x_logical.to_label(), z_logical.to_label()) == LOGICALS[b]

@@ -29,12 +29,11 @@ from treebsm.montecarlo import (
     exhaustive_dynamic,
     exhaustive_static,
     run,
-    sample_bsm_error_rates,
     z_score,
 )
 from treebsm.trees import EPS_MAX, BranchingVector, ChannelParams, photon_count
 
-from reference_sampler import reference_dynamic_sample
+from reference_sampler import reference_dynamic_sample, sample_bsm_error_rates
 
 
 def all_trees_up_to(n_max):

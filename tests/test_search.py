@@ -7,9 +7,10 @@ from treebsm.search import (
     evaluate_all,
     front_to_csv,
     pareto_front,
-    smallest_error_correcting,
 )
 from treebsm.trees import ChannelParams, photon_count
+
+from builders import smallest_error_correcting
 
 LOOSE = dict(min_branch=1, min_depth=1, monotone=False)
 

@@ -7,14 +7,17 @@ from treebsm.stabilizer import (
     MeasurementContradictionError,
     PauliString,
     StabilizerTableau,
-    encode_logical,
-    graph_state_tableau,
-    tableau_equal,
-    verify_indirect_z,
+    canonical_mismatch,
 )
 from treebsm.trees import BranchingVector, photon_count
 
-from builders import all_plus, tableau_from_text
+from builders import (
+    all_plus,
+    encode_logical,
+    graph_state_tableau,
+    tableau_from_text,
+    verify_indirect_z,
+)
 
 
 def from_labels(*labels):
@@ -52,7 +55,7 @@ class TestMeasurementRules:
         assert t.measure(1, "Z", outcome=m) == m
         s = "+" if m == 1 else "-"
         expect = from_labels(f"{s}XII", f"{s}IZI", f"{s}IIX")
-        assert tableau_equal(t, expect)
+        assert canonical_mismatch(t, expect) is None
 
     @pytest.mark.parametrize("m", [1, -1])
     def test_x_on_middle(self, m):
@@ -60,7 +63,7 @@ class TestMeasurementRules:
         assert t.measure(1, "X", outcome=m) == m
         s = "+" if m == 1 else "-"
         expect = from_labels(f"{s}ZIZ", "+XIX", f"{s}IXI")
-        assert tableau_equal(t, expect)
+        assert canonical_mismatch(t, expect) is None
 
     def test_plus_state_x_deterministic(self):
         t = all_plus(1)
@@ -91,7 +94,7 @@ class TestMeasurementRules:
         t.measure(0, "Z", rng=np.random.default_rng(0), destructive=True)
         t.prepare(0, letter)
         assert t.alive == [0, 1]
-        assert tableau_equal(t, from_labels("+IX", f"{want}I"))
+        assert canonical_mismatch(t, from_labels("+IX", f"{want}I")) is None
 
     def test_prepare_refuses_a_qubit_in_use(self):
         t = from_labels("+ZZ", "+XX")
@@ -124,7 +127,7 @@ class TestMeasurementRules:
 class TestGraphStates:
     def test_three_vertex_path(self):
         path = "1,1"  # 0-1-2 is a path
-        assert tableau_equal(graph_state_tableau(path), from_labels(*THREE_CHAIN))
+        assert canonical_mismatch(graph_state_tableau(path), from_labels(*THREE_CHAIN)) is None
 
     def test_single_vertex(self):
         t = graph_state_tableau("1")
@@ -133,29 +136,38 @@ class TestGraphStates:
 
     def test_star_of_two_leaves(self):
         t = graph_state_tableau("2")
-        assert tableau_equal(t, from_labels("+XZZ", "+ZXI", "+ZIX"))
+        assert canonical_mismatch(t, from_labels("+XZZ", "+ZXI", "+ZIX")) is None
 
 
 class TestCanonicalForm:
     def test_order_independence(self):
         a = from_labels("+XZ", "+ZX")
         b = from_labels("+ZX", "+XZ")
-        assert tableau_equal(a, b)
+        assert canonical_mismatch(a, b) is None
 
     def test_sign_matters(self):
-        assert not tableau_equal(from_labels("+X"), from_labels("-X"))
+        assert canonical_mismatch(from_labels("+X"), from_labels("-X")) is not None
+
+    def test_different_alive_qubits_do_not_match(self):
+        # Both read +ZZ on their two alive qubits, {0, 1} and {0, 2}, with equal ranks.
+        got, want = from_labels("+ZII", "+IIZ"), from_labels("+ZIZ", "+IZI")
+        assert got.measure(2, "Z", destructive=True) == 1
+        assert want.measure(1, "Z", destructive=True) == 1
+        assert (got.to_text(), want.to_text(), got.n_generators) == ("+ZI\n", "+ZZ\n", 1)
+        assert canonical_mismatch(got, want) == (
+            "qubit mismatch: alive only in got [1], only in want [2]")
 
     def test_row_products_preserve_group(self):
         t = graph_state_tableau("2,2")
         mixed = t.copy()
         mixed._row_mult(0, 1)
         mixed._row_mult(3, 5)
-        assert tableau_equal(t, mixed)
+        assert canonical_mismatch(t, mixed) is None
 
     def test_serialization_roundtrip(self):
         t = graph_state_tableau("2,2")
         again = tableau_from_text(t.to_text())
-        assert tableau_equal(t, again)
+        assert canonical_mismatch(t, again) is None
 
     def test_text_format_is_one_generator_per_line(self):
         text = from_labels("+XZ", "+ZX").to_text()
@@ -201,20 +213,20 @@ class TestExpectation:
 
 class TestEncoding:
     def test_plus_state_gives_product_of_pluses(self):
-        code = encode_logical("2", "+X", outcomes=(1, 1))
-        assert tableau_equal(code, from_labels("+XI", "+IX"))
-        assert code.x_logical.to_label() == "+XI"
-        assert code.z_logical.to_label() == "+ZZ"
+        code, x_logical, z_logical = encode_logical("2", "+X", outcomes=(1, 1))
+        assert canonical_mismatch(code, from_labels("+XI", "+IX")) is None
+        assert x_logical.to_label() == "+XI"
+        assert z_logical.to_label() == "+ZZ"
 
     def test_zero_state_gives_even_superposition(self):
-        code = encode_logical("2", "+Z", outcomes=(1, 1))
-        assert tableau_equal(code, from_labels("+XX", "+ZZ"))
+        code, _, _ = encode_logical("2", "+Z", outcomes=(1, 1))
+        assert canonical_mismatch(code, from_labels("+XX", "+ZZ")) is None
 
     @pytest.mark.parametrize("o1", [1, -1])
     @pytest.mark.parametrize("o2", [1, -1])
     def test_outcome_independence(self, o1, o2):
-        code = encode_logical("2", "+X", outcomes=(o1, o2))
-        assert tableau_equal(code, from_labels("+XI", "+IX"))
+        code, _, _ = encode_logical("2", "+X", outcomes=(o1, o2))
+        assert canonical_mismatch(code, from_labels("+XI", "+IX")) is None
 
     @pytest.mark.parametrize("prep,want", [("+Z", 1), ("-Z", -1)])
     def test_determinism_transfer(self, prep, want):
@@ -222,7 +234,7 @@ class TestEncoding:
         # state yields the encoded value as the product of outcomes.
         rng = np.random.default_rng(21)
         for b in ("2", "3", "2,2"):
-            code = encode_logical(b, prep, outcomes=(1, 1))
+            code, _, _ = encode_logical(b, prep, outcomes=(1, 1))
             prod = 1
             for q in range(BranchingVector.parse(b)[0]):
                 prod *= code.measure(q, "Z", rng=rng)
@@ -233,7 +245,7 @@ class TestEncoding:
         # code group regardless of the encoded state.
         vec = BranchingVector.of(2, 2)
         for prep in ("+X", "+Z", "-Z", "+Y"):
-            code = encode_logical(vec, prep, outcomes=(1, 1))
+            code, _, _ = encode_logical(vec, prep, outcomes=(1, 1))
             for v in range(3, 7):  # level-2 vertices, shifted by the root drop
                 gen = PauliString.identity(code.n)
                 gen.xs[v - 1] = True

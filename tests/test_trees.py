@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from treebsm.genseq import compile_bell_pair, logical_bell_tableau
-from treebsm.stabilizer import encode_logical, graph_state_tableau
 from treebsm.trees import (
     MAX_VERTICES,
     BranchingVector,
@@ -14,6 +13,8 @@ from treebsm.trees import (
     as_branching_vector,
     photon_count,
 )
+
+from builders import encode_logical, graph_state_tableau
 
 
 class TestBranchingVector:
