@@ -235,9 +235,9 @@ def execute_sequence(
     if unmapped:
         raise ValueError(f"photon_vertex names no tree vertex for {len(unmapped)} of the "
                          f"{n_p} photons; a program runs only with the compiler's map")
-    t = StabilizerTableau.from_generators(
-        PauliString.single(n_p + seq.n_registers, p, "Z") for p in range(n_p)
-    )
+    t = StabilizerTableau(n_p + seq.n_registers)
+    for p in range(n_p):
+        t.prepare(p, "Z")
     live: set[int] = set()  # registers prepared and not yet measured
 
     def reg(ins: Instruction, r: int) -> int:

@@ -1,37 +1,29 @@
 """Stabilizer-tableau engine for graph states and destructive Pauli measurements.
 
-Ground truth for small instances: the graph-state generators and logical
-operators of a tree, single-qubit Pauli measurements and canonical-form
-comparison of tableaux, which the Bell-pair verifier of
-:mod:`treebsm.genseq` builds on.  Generators are read off a branching
-vector; a tree above ``trees.MAX_VERTICES`` is refused first, then a
-tableau above :data:`MAX_TABLEAU_BYTES`.
+Ground truth for the Bell-pair verifier of :mod:`treebsm.genseq`: tree
+graph-state generators and logical operators (a tree above
+``trees.MAX_VERTICES`` is refused, then a tableau above
+:data:`MAX_TABLEAU_BYTES`), H, CZ, CNOT, Pauli frames, single-qubit Pauli
+measurements and canonical forms.
 
-Every generator update goes through one row primitive, ``_row_mult``,
-which multiplies one generator into a set of others.  A pivot step
-multiplies a pivot generator into every other generator with a bit in a
-given column; it is the engine's one GF(2) elimination.  A measurement
-(Aaronson and Gottesman, PRA 70, 052328) is one pivot step: write the
-signed outcome ``m * P`` into the pivot row and clear the measured qubit's
-column through it; the outcome only decides which row is the pivot.  The
-canonical form is the same step taken column by column in row-echelon
-order, and every membership question and state comparison reads it.
-
-Internally a generator is stored as ``i**phase * prod_q X_q^{x_q} Z_q^{z_q}``
-with X factors written left of Z factors on every qubit.  A Hermitian Pauli
-then satisfies ``phase == (number of Y sites) mod 2``; only such rows ever
-appear (row products are taken between commuting stabilizers).  An explicit
-``+1/-1`` sign is exposed at the edges; i-phases never leak out.
-
-The gate set is H, CZ, CNOT and Pauli frame corrections: everything needed
-for graph states, photon emission and measurement-based verification.  No
-phase gates, no non-Clifford gates, no statevectors.
+A generator is one int and an i-exponent, ``i**phase * prod_q X_q^{x_q}
+Z_q^{z_q}`` with x_q at bit 2q and z_q at bit 2q + 1 (X left of Z on each
+qubit, so a Hermitian row has ``phase == #Y mod 2``).  A row product is one
+XOR; its phase gains 2 per qubit where the left row has Z and the right X.
+``touch[q]`` holds the rows with a bit on qubit q, so gates, preparations
+and measurements visit only those rows, and work follows the rows' support
+(3 to 5 letters in a Bell program), not the qubit count; a dropped row is
+replaced by the last, and no tableau is copied.  A measurement (Aaronson
+and Gottesman, PRA 70, 052328) is one pivot step.  The canonical form is
+one XOR-basis pass whose pivots are the rows' lowest bits, qubit ascending
+and X before Z; membership and state comparison read it.  Signs are
+``+1/-1`` at the edges; i-phases never leak out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,24 +41,22 @@ MAX_TABLEAU_BYTES = 2 * 10**9
 
 
 def tableau_bytes(qubits: int) -> int:
-    """Estimated peak bytes of building and verifying a tableau on ``qubits`` qubits.
+    """Estimated peak bytes of building and verifying a tableau on q = ``qubits`` qubits.
 
-    A tableau holds about one generator per qubit as two bool planes, and
-    the verifier holds the executed state, the target and their canonical
-    forms at once: about 14 bytes per qubit squared measured on (10,10,2)
-    and (15,15,2), taken here as 16.
+    The target builder's dense generators take two bool planes of q bytes
+    each (2 q^2), the verifier's four int tableaux (state, target and their
+    canonical forms) at most q/4 bytes a row (q^2).  Traced peaks on
+    (10,10,2), (15,15,2), (74,15) and (50,48) are 0.71 to 0.75 of this.
     """
-    return 16 * qubits**2
+    return 3 * qubits**2 + 2000 * qubits
 
 
 def check_tableau_size(qubits: int) -> None:
     """Raise ``ValueError`` with the estimate if ``qubits`` tableau qubits would not fit."""
     need = tableau_bytes(qubits)
     if need > MAX_TABLEAU_BYTES:
-        raise ValueError(
-            f"a tableau of {qubits} qubits needs about {need / 1e9:.3g} GB, "
-            f"above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap"
-        )
+        raise ValueError(f"a tableau of {qubits} qubits needs about {need / 1e9:.3g} GB, "
+                         f"above the {MAX_TABLEAU_BYTES / 1e9:g} GB cap")
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +127,8 @@ class PauliString:
         return PauliString(xs, zs, _sign_from_phase(ph % 4, xs, zs))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PauliString)
-            and self.sign == other.sign
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.zs, other.zs)
-        )
+        return (isinstance(other, PauliString) and self.sign == other.sign
+                and np.array_equal(self.xs, other.xs) and np.array_equal(self.zs, other.zs))
 
 
 def _phase_of(p: PauliString) -> int:
@@ -152,34 +138,48 @@ def _phase_of(p: PauliString) -> int:
 
 
 def _sign_from_phase(phase: int, xs: np.ndarray, zs: np.ndarray) -> int:
-    n_y = int(np.count_nonzero(xs & zs))
-    rel = (phase - n_y) % 4
-    if rel == 0:
-        return 1
-    if rel == 2:
-        return -1
-    raise AssertionError("non-Hermitian phase encountered")
+    rel = (phase - int(np.count_nonzero(xs & zs))) % 4
+    if rel % 2:
+        raise AssertionError("non-Hermitian phase encountered")
+    return 1 - rel
 
 
 # ---------------------------------------------------------------------------
 # Tableau
 # ---------------------------------------------------------------------------
 
+def _to_bits(p: PauliString) -> int:
+    """``p``'s letters as a row: X on qubit q at bit 2q, Z at bit 2q + 1."""
+    bits = np.empty(2 * p.n, dtype=bool)
+    bits[0::2], bits[1::2] = p.xs, p.zs
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The index of every set bit of ``mask``, highest first; bit k is on qubit k >> 1."""
+    while mask:
+        k = mask.bit_length() - 1
+        yield k
+        mask ^= 1 << k
+
+
 class StabilizerTableau:
     """Sign-annotated generator list of a stabilizer group on ``n`` qubits.
 
-    The generator count may be below ``n`` (code states).  Destructive
-    measurements drop the measured qubit's residual generator and retire
-    the qubit; retired columns are excluded from serialization, canonical
-    forms and equality until :meth:`prepare` puts the qubit in a fresh state.
+    Generator i is ``i**phase[i]`` times the Pauli of bits ``rows[i]``;
+    ``touch[q]`` is the set of rows with a bit on qubit q.  There may be
+    fewer than ``n`` generators (code states).  A destructive measurement
+    drops the qubit's last generator and retires the qubit, leaving it out
+    of serialization, canonical forms and equality until :meth:`prepare`.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.xs = np.zeros((0, n), dtype=bool)
-        self.zs = np.zeros((0, n), dtype=bool)
-        self.phase = np.zeros(0, dtype=np.uint8)   # i-exponent mod 4
+        self.rows: list[int] = []
+        self.phase: list[int] = []   # i-exponent mod 4
+        self.touch: list[set[int]] = [set() for _ in range(n)]
         self.discarded: set[int] = set()
+        self._x = ((1 << 2 * n) - 1) // 3   # every X bit
 
     # -- construction ------------------------------------------------------
 
@@ -188,49 +188,54 @@ class StabilizerTableau:
         paulis = list(paulis)
         if not paulis:
             raise ValueError("need at least one generator")
-        t = cls(paulis[0].n)
-        t._append_rows(paulis)
+        if any(p.n != paulis[0].n for p in paulis):
+            raise ValueError("qubit-count mismatch")
+        t = cls(paulis[0].n)._from_rows(map(_to_bits, paulis), map(_phase_of, paulis))
         t._check_consistency()
         return t
 
-    def copy(self) -> "StabilizerTableau":
+    def _from_rows(self, rows: Iterable[int], phases: Iterable[int]) -> "StabilizerTableau":
+        """A tableau on the same qubits, alive and retired, holding the given rows."""
         t = StabilizerTableau(self.n)
-        t.xs = self.xs.copy()
-        t.zs = self.zs.copy()
-        t.phase = self.phase.copy()
         t.discarded = set(self.discarded)
+        for v, ph in zip(rows, phases):
+            t._append(v, ph)
         return t
+
+    def copy(self) -> "StabilizerTableau":
+        return self._from_rows(self.rows, self.phase)
 
     @property
     def n_generators(self) -> int:
-        return self.xs.shape[0]
+        return len(self.rows)
 
     @property
     def alive(self) -> list[int]:
         return [q for q in range(self.n) if q not in self.discarded]
 
     def generator(self, i: int) -> PauliString:
-        return PauliString(
-            self.xs[i].copy(), self.zs[i].copy(),
-            _sign_from_phase(int(self.phase[i]), self.xs[i], self.zs[i]),
-        )
+        packed = self.rows[i].to_bytes((2 * self.n + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little").astype(bool)
+        xs, zs = bits[0:2 * self.n:2], bits[1:2 * self.n:2]
+        return PauliString(xs, zs, _sign_from_phase(self.phase[i], xs, zs))
 
     def generators(self) -> list[PauliString]:
         return [self.generator(i) for i in range(self.n_generators)]
 
-    def _append_rows(self, paulis: Sequence[PauliString]) -> None:
-        if any(p.n != self.n for p in paulis):
-            raise ValueError("qubit-count mismatch")
-        self.xs = np.vstack([self.xs, *(p.xs for p in paulis)])
-        self.zs = np.vstack([self.zs, *(p.zs for p in paulis)])
-        phases = np.array([_phase_of(p) for p in paulis], dtype=np.uint8)
-        self.phase = np.concatenate([self.phase, phases])
+    def _anticommuting(self, w: int) -> set[int]:
+        """The rows anticommuting with the Pauli of bits ``w``, read from the rows on its qubits."""
+        near = set().union(*(self.touch[k >> 1] for k in _set_bits((w | w >> 1) & self._x)))
+        return {i for i in near
+                if (((self.rows[i] >> 1) & w ^ self.rows[i] & w >> 1) & self._x).bit_count() & 1}
 
     def _check_consistency(self) -> None:
-        for i in range(self.n_generators):
-            later = np.flatnonzero(self._anticommuting(self.xs[i], self.zs[i])[i + 1:])
-            if later.size:
-                raise ValueError(f"generators {i} and {i + 1 + later[0]} anticommute")
+        """Raise if two generators act with different letters on an odd number of qubits."""
+        odd: set[tuple[int, int]] = set()
+        for q, near in enumerate(self.touch):
+            letter = {i: self.rows[i] >> 2 * q & 3 for i in near}
+            odd ^= {(i, j) for i in near for j in near if i < j and letter[i] != letter[j]}
+        if odd:
+            raise ValueError("generators {} and {} anticommute".format(*min(odd)))
 
     def prepare(self, q: int, letter: str) -> None:
         """Put qubit ``q`` in the +1 eigenstate of a one-qubit Pauli (``"X"``, ``"-Z"``, ...).
@@ -240,34 +245,38 @@ class StabilizerTableau:
         """
         if not 0 <= q < self.n:
             raise ValueError(f"qubit {q} out of range")
-        if self.xs[:, q].any() or self.zs[:, q].any():
+        if self.touch[q]:
             raise ValueError(f"qubit {q} is still acted on by a generator")
-        p = PauliString.from_label(letter)
-        if p.n != 1 or not (p.xs[0] or p.zs[0]):
+        label = letter.strip()
+        x, z = _BITS.get((label[1:] if label[:1] in "+-" else label).upper(), (0, 0))
+        if not x | z:
             raise ValueError(f"expected a one-qubit Pauli label like '+X', got {letter!r}")
-        row = PauliString.identity(self.n)
-        row.xs[q], row.zs[q], row.sign = p.xs[0], p.zs[0], p.sign
-        self._append_rows([row])
+        self._append((x | z << 1) << 2 * q, x & z | (2 if label[0] == "-" else 0))
         self.discarded.discard(q)
 
-    # -- row arithmetic ------------------------------------------------------
+    def _append(self, v: int, phase: int) -> None:
+        for k in _set_bits((v | v >> 1) & self._x):
+            self.touch[k >> 1].add(len(self.rows))
+        self.rows.append(v)
+        self.phase.append(phase)
 
-    def _row_mult(self, rows: np.ndarray | int, j: int) -> None:
-        """Replace generator i by (generator i) * (generator j) for every i in ``rows``."""
-        cross = np.count_nonzero(self.zs[rows] & self.xs[j], axis=-1)
-        self.phase[rows] = (self.phase[rows] + self.phase[j] + 2 * cross) % 4
-        self.xs[rows] ^= self.xs[j]
-        self.zs[rows] ^= self.zs[j]
+    def _set_row(self, i: int, v: int) -> None:
+        """Store bits ``v`` as row i, moving i between the touch sets where its support changed."""
+        old, self.rows[i] = self.rows[i], v
+        for k in _set_bits(((old | old >> 1) ^ (v | v >> 1)) & self._x):
+            if (v >> k) & 3:
+                self.touch[k >> 1].add(i)
+            else:
+                self.touch[k >> 1].discard(i)
 
-    def _pivot(self, j: int, column: np.ndarray) -> None:
-        """Multiply generator j into every other generator with a bit in ``column``."""
-        rows = np.flatnonzero(column)
-        self._row_mult(rows[rows != j], j)
+    def _product(self, v: int, pv: int, w: int, pw: int) -> tuple[int, int]:
+        """Bits and i-exponent of the product of two commuting rows, ``v`` left of ``w``."""
+        return v ^ w, (pv + pw + 2 * ((v >> 1) & w & self._x).bit_count()) & 3
 
-    def _anticommuting(self, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
-        """Per generator, whether it anticommutes with the Pauli with bits (px, pz)."""
-        anti = np.count_nonzero(self.xs[:, pz], axis=1) + np.count_nonzero(self.zs[:, px], axis=1)
-        return anti % 2 == 1
+    def _row_mult(self, i: int, j: int) -> None:
+        """Replace generator i by (generator i) * (generator j)."""
+        v, self.phase[i] = self._product(self.rows[i], self.phase[i], self.rows[j], self.phase[j])
+        self._set_row(i, v)
 
     # -- Clifford gates ------------------------------------------------------
 
@@ -280,144 +289,139 @@ class StabilizerTableau:
 
     def apply_h(self, q: int) -> None:
         self._alive_check(q)
-        both = self.xs[:, q] & self.zs[:, q]
-        self.phase = (self.phase + 2 * both.astype(np.uint8)) % 4
-        self.xs[:, q], self.zs[:, q] = self.zs[:, q].copy(), self.xs[:, q].copy()
+        for i in self.touch[q]:
+            if (self.rows[i] >> 2 * q) & 3 == 3:
+                self.phase[i] ^= 2
+            else:
+                self.rows[i] ^= 3 << 2 * q
 
     def apply_cz(self, a: int, b: int) -> None:
         self._alive_check(a, b)
-        both_x = self.xs[:, a] & self.xs[:, b]
-        self.phase = (self.phase + 2 * both_x.astype(np.uint8)) % 4
-        self.zs[:, a] ^= self.xs[:, b]
-        self.zs[:, b] ^= self.xs[:, a]
+        for i in self.touch[a] | self.touch[b]:
+            v = self.rows[i]
+            xa, xb = (v >> 2 * a) & 1, (v >> 2 * b) & 1
+            if xa or xb:
+                self.phase[i] ^= 2 * (xa & xb)
+                self._set_row(i, v ^ xb << 2 * a + 1 ^ xa << 2 * b + 1)
 
     def apply_cnot(self, control: int, target: int) -> None:
         self._alive_check(control, target)
-        self.xs[:, target] ^= self.xs[:, control]
-        self.zs[:, control] ^= self.zs[:, target]
+        for i in self.touch[control] | self.touch[target]:
+            v = self.rows[i]
+            xc, zt = (v >> 2 * control) & 1, (v >> 2 * target + 1) & 1
+            if xc or zt:
+                self._set_row(i, v ^ xc << 2 * target ^ zt << 2 * control + 1)
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli frame correction."""
-        flips = self._anticommuting(p.xs, p.zs)
-        self.phase = (self.phase + 2 * flips.astype(np.uint8)) % 4
+        for i in self._anticommuting(_to_bits(p)):
+            self.phase[i] ^= 2
 
-    # -- membership / expectation -------------------------------------------
+    # -- membership, measurement and canonical form --------------------------
 
-    def _reduce(self, p: PauliString) -> tuple["StabilizerTableau", np.ndarray, int]:
-        """Read ``p`` off the canonical form: (canonical tableau, support rows, value).
-
-        Each canonical row's pivot is its first bit, X before Z, and no
-        other row has a bit there, so the rows whose product could be
-        ``+-p`` are those where ``p`` has a bit at the pivot.  The residual
-        ``p * (their product)`` is ``+-I`` exactly when ``+-p`` is in the
-        group; value is then its sign, the expectation of ``p``, and 0
-        otherwise.  ``p`` must commute with every generator.
-        """
+    def _reduce(self, w: int, pw: int) -> tuple["StabilizerTableau", list[int], int]:
+        """(canonical tableau, support rows, value) of the Pauli p of bits ``w`` and
+        i-exponent ``pw``, commuting with every generator.  Only one canonical row
+        has a bit at its pivot, so +-p can only be the product of the rows where p
+        has one: value is the sign of p * (their product) if that is +-I, else 0."""
         c = self.canonical()
-        q = np.argmax(c.xs | c.zs, axis=1)  # each row's pivot qubit
-        support = np.flatnonzero(np.where(c.xs[np.arange(c.n_generators), q], p.xs[q], p.zs[q]))
-        residual = p
+        support = [i for i, v in enumerate(c.rows) if w & v & -v]
         for i in support:
-            residual = residual * c.generator(i)
-        return c, support, 0 if residual.xs.any() or residual.zs.any() else residual.sign
+            w, pw = c._product(w, pw, c.rows[i], c.phase[i])
+        return c, support, 0 if w else 1 - pw
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        return 0 if self._anticommuting(p.xs, p.zs).any() else self._reduce(p)[2]
+        w = _to_bits(p)
+        return 0 if self._anticommuting(w) else self._reduce(w, _phase_of(p))[2]
 
-    # -- measurement ---------------------------------------------------------
-
-    def measure(
-        self,
-        qubit: int,
-        basis: str,
-        outcome: int | None = None,
-        rng: np.random.Generator | None = None,
-        destructive: bool = False,
-    ) -> int:
+    def measure(self, qubit: int, basis: str, outcome: int | None = None,
+                rng: np.random.Generator | None = None, destructive: bool = False) -> int:
         """Measure one qubit in the X, Y or Z basis; returns the +1/-1 outcome.
 
-        Every outcome takes the same path: choose a pivot generator, write
-        the signed outcome ``m * P`` into it and multiply it into every
-        other generator touching the qubit.  The pivot is the first
-        generator anticommuting with ``P`` once it has been multiplied into
+        A pivot generator takes the signed outcome ``m * P`` and is then
+        multiplied into every other generator on the qubit.  It is the
+        lightest generator anticommuting with ``P``, first multiplied into
         the others (random outcome); a new row (``P`` commutes with the
-        group without being in it, an undetermined code direction; random
-        outcome); or, when ``+-P`` is in the group (deterministic outcome),
-        the first canonical row ``P`` needs, the canonical rows, which
-        generate the same group, replacing the generators.
-
-        ``outcome`` forces the result where it is random (else
-        :func:`draw_outcome` draws it); forcing a deterministic measurement
-        to the opposite value raises :class:`MeasurementContradictionError`.
-        In destructive mode the pivot row, the only generator left on the
-        qubit, is dropped and the qubit retired, as a photon absorbed by
-        its detector.
+        group without being in it: random); or, when ``+-P`` is in the
+        group (deterministic), the first canonical row ``P`` needs, the
+        canonical rows replacing the generators.  ``outcome`` forces a
+        random result (else :func:`draw_outcome` draws it); forcing a
+        deterministic one to the opposite value raises
+        :class:`MeasurementContradictionError`.  Destructive mode drops the
+        pivot row, the last row taking its place, and retires the qubit, as
+        a photon absorbed by its detector.
         """
         self._alive_check(qubit)
-        op = PauliString.single(self.n, qubit, basis)
-        anti = self._anticommuting(op.xs, op.zs)
-        if anti.any():
-            pivot = int(np.argmax(anti))
-            self._pivot(pivot, anti)
+        x, z = _BITS[basis.upper()]
+        op = (x | z << 1) << 2 * qubit
+        anti = self._anticommuting(op)
+        if anti:
+            pivot = min(anti, key=lambda i: (self.rows[i].bit_count(), i))
+            for i in anti - {pivot}:
+                self._row_mult(i, pivot)
             m = draw_outcome(outcome, rng)
         else:
-            canon, support, m = self._reduce(op)
+            canon, support, m = self._reduce(op, x & z)
             if not m:
                 m = draw_outcome(outcome, rng)
-                self._append_rows([op])
+                self._append(0, 0)
                 pivot = self.n_generators - 1
             elif outcome is not None and outcome != m:
                 raise MeasurementContradictionError(
-                    f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}"
-                )
+                    f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}")
             else:
-                self.xs, self.zs, self.phase = canon.xs, canon.zs, canon.phase
-                pivot = int(support[0])
-        rep = PauliString.single(self.n, qubit, basis, sign=m)
-        self.xs[pivot], self.zs[pivot], self.phase[pivot] = rep.xs, rep.zs, _phase_of(rep)
-        self._pivot(pivot, self.xs[:, qubit] | self.zs[:, qubit])
+                self.rows, self.phase, self.touch = canon.rows, canon.phase, canon.touch
+                pivot = support[0]
+        self.phase[pivot] = x & z | (1 - m)
+        self._set_row(pivot, op)
+        for i in self.touch[qubit] - {pivot}:
+            self._row_mult(i, pivot)
         if destructive:
-            self._drop_row_and_qubit(pivot, qubit)
+            last = self.n_generators - 1
+            self.phase[pivot] = self.phase[last]
+            self._set_row(pivot, self.rows[last])
+            self._set_row(last, 0)
+            del self.rows[last], self.phase[last]
+            if self.touch[qubit]:
+                raise AssertionError("retired qubit still has generator support")
+            self.discarded.add(qubit)
         return m
 
-    def _drop_row_and_qubit(self, row: int, qubit: int) -> None:
-        keep = np.arange(self.n_generators) != row
-        self.xs = self.xs[keep]
-        self.zs = self.zs[keep]
-        self.phase = self.phase[keep]
-        if np.any(self.xs[:, qubit]) or np.any(self.zs[:, qubit]):
-            raise AssertionError("retired qubit still has generator support")
-        self.discarded.add(qubit)
-
-    # -- canonical form and serialization -------------------------------------
-
     def canonical(self) -> "StabilizerTableau":
-        """Row-reduced echelon form over the alive columns, unique per group."""
-        t = self.copy()
-        row = 0
-        for q in t.alive:
-            for bits in (t.xs, t.zs):
-                hits = np.flatnonzero(bits[row:, q])
-                if not hits.size:
-                    continue
-                pivot = row + hits[0]
-                for a in (t.xs, t.zs, t.phase):
-                    a[[row, pivot]] = a[[pivot, row]]
-                t._pivot(row, bits[:, q])
-                row += 1
-        return t
+        """Row-reduced echelon form over the alive columns, unique per group.
+
+        One XOR-basis pass: a row is multiplied by the basis row owning its
+        lowest bit until that bit is free, and then owns it.  Rows go in
+        highest bits first, so rows sharing a lowest bit (one vertex's
+        children) reduce in one step each, not a chain.  Back substitution
+        clears every pivot bit from the other rows; rows are listed by
+        pivot, then the dependent ones, reduced to the identity.
+        """
+        basis: dict[int, tuple[int, int]] = {}   # pivot bit -> (bits, i-exponent)
+        empty: list[int] = []
+        for v, pv in sorted(zip(self.rows, self.phase), reverse=True):
+            while v and (low := v & -v) in basis:
+                v, pv = self._product(v, pv, *basis[low])
+            if v:
+                basis[v & -v] = (v, pv)
+            else:
+                empty.append(pv)
+        pivots = sorted(basis)
+        done = 0
+        for low in reversed(pivots):
+            v, pv = basis[low]
+            for k in _set_bits(v & done):
+                v, pv = self._product(v, pv, *basis[1 << k])
+            basis[low] = (v, pv)
+            done |= low
+        return self._from_rows([basis[k][0] for k in pivots] + [0] * len(empty),
+                               [basis[k][1] for k in pivots] + empty)
 
     def to_text(self) -> str:
         alive = self.alive
-        lines = []
-        for i in range(self.n_generators):
-            sign = _sign_from_phase(int(self.phase[i]), self.xs[i], self.zs[i])
-            body = "".join(
-                _LETTER[(int(self.xs[i, q]), int(self.zs[i, q]))] for q in alive
-            )
-            lines.append(("+" if sign == 1 else "-") + body)
-        return "\n".join(lines) + "\n"
+        labels = [g.to_label() for g in self.generators()]
+        return "\n".join(s[0] + "".join(s[1 + q] for q in alive) for s in labels) + "\n"
 
 
 def draw_outcome(outcome: int | None, rng: np.random.Generator | None) -> int:
@@ -441,14 +445,11 @@ def canonical_mismatch(got: StabilizerTableau, want: StabilizerTableau) -> str |
     if got.n_generators != want.n_generators:
         return f"rank mismatch: got {got.n_generators}, want {want.n_generators}"
     cg, cw = got.canonical(), want.canonical()
-    q = cg.alive
-    differ = np.flatnonzero((cg.xs[:, q] != cw.xs[:, q]).any(axis=1)
-                            | (cg.zs[:, q] != cw.zs[:, q]).any(axis=1) | (cg.phase != cw.phase))
-    if not differ.size:
-        return None
-    i = differ[0]
-    return (f"mismatch at canonical row {i}: got {cg.generator(i).to_label()}, "
-            f"want {cw.generator(i).to_label()}")
+    for i, row in enumerate(zip(cg.rows, cg.phase)):
+        if row != (cw.rows[i], cw.phase[i]):
+            return (f"mismatch at canonical row {i}: got {cg.generator(i).to_label()}, "
+                    f"want {cw.generator(i).to_label()}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +485,10 @@ def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliSt
 def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:
     """New tableau on the listed qubits (all generators must live there)."""
     qubits = list(qubits)
-    others = [q for q in range(t.n) if q not in qubits]
-    if others and (np.any(t.xs[:, others]) or np.any(t.zs[:, others])):
+    if any(t.touch[q] for q in set(range(t.n)).difference(qubits)):
         raise ValueError("generators have support outside the requested qubits")
-    out = StabilizerTableau(len(qubits))
-    out.xs = t.xs[:, qubits].copy()
-    out.zs = t.zs[:, qubits].copy()
-    out.phase = t.phase.copy()
-    return out
+    rows = [0] * t.n_generators
+    for k, q in enumerate(qubits):
+        for i in t.touch[q]:
+            rows[i] |= (t.rows[i] >> 2 * q & 3) << 2 * k
+    return StabilizerTableau(len(qubits))._from_rows(rows, t.phase)

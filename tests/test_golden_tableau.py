@@ -8,9 +8,10 @@ state's canonical form (``canonical().to_text()``), the second the sha256
 of the Pauli frame label that ``verify_bell_pair`` applies, the frame the
 record of outcomes implies (recorded when the verifier began applying that
 frame in place of solving for one).  Any change to the order of the random
-draws, to which generator a measurement keeps as its pivot, to a sign
-rule, to the canonical form or to the byproduct rule moves at least one of
-them.
+draws, to a sign rule, to the canonical form or to the byproduct rule
+moves at least one of them.  Which generator a measurement keeps as its
+pivot moves neither: the canonical form is unique per stabilizer group,
+and the frame depends on the outcomes alone.
 """
 
 import hashlib

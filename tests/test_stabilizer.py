@@ -18,6 +18,7 @@ from builders import (
     tableau_from_text,
     verify_indirect_z,
 )
+from reference_tableau import StabilizerTableau as DenseTableau
 
 
 def from_labels(*labels):
@@ -357,3 +358,126 @@ class TestSignedStatevector:
             p = PauliString.from_label(str(rng.choice(["+", "-"])) + "".join(letters))
             want = np.vdot(psi, _dense(p) @ psi).real
             assert np.isclose(want, round(want)) and t.expectation(p) == round(want), p.to_label()
+
+
+def _supports(t):
+    """Per qubit, the rows with a bit on it, recomputed from the rows."""
+    return [{i for i, v in enumerate(t.rows) if v >> 2 * q & 3} for q in range(t.n)]
+
+
+class TestAgainstDenseEngine:
+    """Seeded random programs on the sparse engine and on the dense numpy one.
+
+    ``tests/reference_tableau.py`` keeps the engine's earlier form: bool
+    planes, numpy row updates, column-by-column canonical form.  Both run
+    H, CZ, CNOT, Pauli frames, preparations of retired qubits and X/Y/Z
+    measurements, destructive or not, with forced and seeded outcomes.
+    Some qubits start with no generator, so measuring them takes the new-row
+    branch; a repeated measurement is deterministic, and forcing it the
+    other way must raise in both.  After every step the outcomes, ranks and
+    canonical texts must agree, and ``touch`` must equal the supports
+    recomputed from the rows: a stale index would send a gate or a
+    measurement past a row it should update.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_program(self, seed):
+        rng = np.random.default_rng([seed, 22])
+        n = int(rng.integers(6, 41))
+        free = set(rng.choice(n, size=int(rng.integers(1, n // 3 + 1)), replace=False).tolist())
+        start = [PauliString.single(n, q, "Z") for q in range(n) if q not in free]
+        sparse = StabilizerTableau.from_generators(start)
+        dense = DenseTableau.from_generators(start)
+
+        def both(step, method, *args, rng_seed=None, **kwargs):
+            """Run one call on both engines, each with its own generator seeded
+            by ``rng_seed``; the results, or the contradiction, must agree."""
+            got = []
+            for t in (sparse, dense):
+                if rng_seed is not None:
+                    kwargs["rng"] = np.random.default_rng(rng_seed)
+                try:
+                    got.append(getattr(t, method)(*args, **kwargs))
+                except MeasurementContradictionError:
+                    got.append("contradiction")
+            assert got[0] == got[1], (step, method, args)
+            return got[0]
+
+        both("free", "measure", min(free), "XYZ"[seed % 3], rng_seed=[seed, 0])
+        contradictions = 0
+        for step in range(60):
+            alive = sparse.alive
+            a, b = (int(x) for x in rng.choice(alive, size=2, replace=False))
+            op = int(rng.integers(0, 7))
+            if op == 0:
+                both(step, "apply_h", a)
+            elif op == 1:
+                both(step, "apply_cz", a, b)
+            elif op == 2:
+                both(step, "apply_cnot", a, b)
+            elif op == 3:
+                letters = rng.choice(list("IXYZ"), size=n)
+                letters[sorted(sparse.discarded)] = "I"
+                p = PauliString.from_label(str(rng.choice(["+", "-"])) + "".join(letters))
+                both(step, "apply_pauli", p)
+                both(step, "expectation", p)
+            elif op == 4 and sparse.discarded:
+                letter = str(rng.choice(["X", "-X", "Y", "-Y", "Z", "-Z"]))
+                both(step, "prepare", int(rng.choice(sorted(sparse.discarded))), letter)
+            else:
+                basis = "XYZ"[int(rng.integers(0, 3))]
+                forced = [1, -1, None][int(rng.integers(0, 3))]
+                m = both(step, "measure", a, basis, outcome=forced, rng_seed=[seed, step])
+                if m == "contradiction":  # forced against a fixed value: nothing changed
+                    contradictions += 1
+                    m = -forced
+                if op == 5:  # again, now deterministic: the other value contradicts
+                    assert both(step, "measure", a, basis, outcome=-m) == "contradiction"
+                    contradictions += 1
+                drop = len(alive) > 2 and bool(rng.integers(0, 2))
+                assert both(step, "measure", a, basis, destructive=drop) == m
+            assert sparse.n_generators == dense.n_generators, step
+            assert sparse.canonical().to_text() == dense.canonical().to_text(), step
+            assert sparse.touch == _supports(sparse), step
+        assert contradictions
+
+
+class TestPhaseRules:
+    """The sign rules of H and CZ on rows where their phase terms fire.
+
+    CZ adds a sign to a row with X or Y on both of its qubits, H to a row
+    with Y on its qubit.  Each conjugation was worked by hand, e.g. CZ
+    takes X_a Y_b to (X_a Z_b)(Z_a Y_b) = (X_a Z_a)(Z_b Y_b) =
+    (-iY_a)(-iX_b) = -Y_a X_b; the dense engine must agree.
+    """
+
+    @pytest.mark.parametrize("before,after", [
+        ("+XX", "+YY"), ("+YY", "+XX"), ("+XY", "-YX"), ("+YX", "-XY"), ("-XXZ", "-YYZ"),
+        ("+XI", "+XZ"), ("+YI", "+YZ"), ("+ZZ", "+ZZ"), ("-YXY", "+XYY"),
+    ])
+    def test_cz(self, before, after):
+        for engine in (StabilizerTableau, DenseTableau):
+            t = engine.from_generators([PauliString.from_label(before)])
+            t.apply_cz(0, 1)
+            assert t.to_text() == after + "\n", engine
+
+    @pytest.mark.parametrize("before,q,after", [
+        ("+Y", 0, "-Y"), ("-Y", 0, "+Y"), ("+X", 0, "+Z"), ("-Z", 0, "-X"),
+        ("+YZ", 0, "-YZ"), ("+XY", 1, "-XY"), ("+YY", 0, "-YY"), ("+YX", 1, "+YZ"),
+    ])
+    def test_h(self, before, q, after):
+        for engine in (StabilizerTableau, DenseTableau):
+            t = engine.from_generators([PauliString.from_label(before)])
+            t.apply_h(q)
+            assert t.to_text() == after + "\n", engine
+
+    def test_both_rules_on_a_graph_state_row(self):
+        # K_1 of the path 0-1-2 is Z X Z; with Y on vertex 0 (times K_0 = X Z I)
+        # it is the row +Y Y Z, which CZ(0, 1) takes to +X X Z and H(0) then to +Z X Z.
+        t = from_labels(*THREE_CHAIN)
+        t._row_mult(1, 0)
+        assert t.generator(1).to_label() == "+YYZ"
+        t.apply_cz(0, 1)
+        assert t.generator(1).to_label() == "+XXZ"
+        t.apply_h(0)
+        assert t.generator(1).to_label() == "+ZXZ"
