@@ -311,7 +311,7 @@ def verify_bell_pair(
     record: list[int] = []
     state = execute_sequence(seq, rng=rng, forced_outcomes=forced_outcomes, record=record)
 
-    frame = PauliString.identity(state.n)
+    frame = 0   # the frame's bits, as in a PauliString: Z on column c is bit 2c + 1
     last_photon: dict[int, int] = {}  # register -> the photon it emitted last
     outcomes = iter(record)
     for ins in seq.instructions:
@@ -322,15 +322,15 @@ def verify_bell_pair(
             if next(outcomes) == 1:
                 continue
             if ins.opcode == "MZ" and p is not None:
-                frame.zs[vec.photon_column(*seq.photon_vertex[p])] ^= True
+                frame ^= 2 << 2 * vec.photon_column(*seq.photon_vertex[p])
             elif ins.opcode == "MX" and r in (0, 1):
-                lx = logical_x_string(vec, state.n, vec.photon_column(r, 0))
-                frame.xs ^= lx.xs
-                frame.zs ^= lx.zs
+                frame ^= logical_x_string(vec, state.n, vec.photon_column(r, 0)).bits
             else:
                 return VerifyResult(False, seq.n_registers, seq.n_photons, None,
                                     f"{ins.to_line()!r} read -1, which has no known byproduct")
 
-    state.apply_pauli(frame)
+    correction = PauliString(state.n, frame)
+    state.apply_pauli(correction)
     mismatch = canonical_mismatch(state, logical_bell_tableau(vec))
-    return VerifyResult(mismatch is None, seq.n_registers, seq.n_photons, frame, mismatch or "ok")
+    return VerifyResult(mismatch is None, seq.n_registers, seq.n_photons, correction,
+                        mismatch or "ok")

@@ -6,10 +6,12 @@ graph-state generators and logical operators (a tree above
 :data:`MAX_TABLEAU_BYTES`), H, CZ, CNOT, Pauli frames, single-qubit Pauli
 measurements and canonical forms.
 
-A generator is one int and an i-exponent, ``i**phase * prod_q X_q^{x_q}
-Z_q^{z_q}`` with x_q at bit 2q and z_q at bit 2q + 1 (X left of Z on each
-qubit, so a Hermitian row has ``phase == #Y mod 2``).  A row product is one
-XOR; its phase gains 2 per qubit where the left row has Z and the right X.
+A Pauli has one encoding, an int of bits: x_q at bit 2q and z_q at bit
+2q + 1.  A :class:`PauliString` is such an int with a qubit count and a
+sign; a generator is one with an i-exponent, ``i**phase * prod_q X_q^{x_q}
+Z_q^{z_q}`` (X left of Z on each qubit, so a Hermitian row has ``phase ==
+#Y mod 2``, and a sign of -1 adds 2).  A product is one XOR; its phase
+gains 2 per qubit where the left factor has Z and the right X.
 ``touch[q]`` holds the rows with a bit on qubit q, so gates, preparations
 and measurements visit only those rows, and work follows the rows' support
 (3 to 5 letters in a Bell program), not the qubit count; a dropped row is
@@ -43,12 +45,14 @@ MAX_TABLEAU_BYTES = 2 * 10**9
 def tableau_bytes(qubits: int) -> int:
     """Estimated peak bytes of building and verifying a tableau on q = ``qubits`` qubits.
 
-    The target builder's dense generators take two bool planes of q bytes
-    each (2 q^2), the verifier's four int tableaux (state, target and their
-    canonical forms) at most q/4 bytes a row (q^2).  Traced peaks on
-    (10,10,2), (15,15,2), (74,15) and (50,48) are 0.71 to 0.75 of this.
+    The verifier holds four int tableaux (state, target and their canonical
+    forms) of at most q/4 bytes a row (q^2), and their ``touch`` sets, row
+    lists and int headers take about 2 KB a qubit, counted here as 4 KB so
+    that a first call in a fresh interpreter, which also imports numpy's
+    seeding code, fits too.  Traced peaks on (10,10,2), (15,15,2), (74,15)
+    and (50,48) are 0.55 to 0.67 of this, and 0.82 on a first (10,10,2) call.
     """
-    return 3 * qubits**2 + 2000 * qubits
+    return qubits**2 + 4000 * qubits
 
 
 def check_tableau_size(qubits: int) -> None:
@@ -63,83 +67,89 @@ def check_tableau_size(qubits: int) -> None:
 # Pauli strings
 # ---------------------------------------------------------------------------
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS = {v: k for k, v in _LETTER.items()}
+_LETTER = "IXZY"   # a qubit's letter, indexed by its two bits x | z << 1
+_BITS = {c: k for k, c in enumerate(_LETTER)}
 
 
-@dataclass
+def _x_bits(n: int) -> int:
+    """Every X bit of an ``n``-qubit row: bits 0, 2, ..., 2n - 2."""
+    return ((1 << 2 * n) - 1) // 3
+
+
+def _anticommute(v: int, w: int, x: int) -> int:
+    """1 if the Paulis of bits ``v`` and ``w`` anticommute, else 0; ``x`` masks every X bit."""
+    return (((v >> 1) & w ^ v & w >> 1) & x).bit_count() & 1
+
+
+def _product(v: int, pv: int, w: int, pw: int, x: int) -> tuple[int, int]:
+    """Bits and i-exponent of the product of two commuting rows, ``v`` left of ``w``."""
+    return v ^ w, (pv + pw + 2 * ((v >> 1) & w & x).bit_count()) & 3
+
+
+@dataclass(frozen=True)
 class PauliString:
-    """A signed Pauli operator on ``n`` qubits (sign is +1 or -1 only)."""
+    """A signed Pauli operator on ``n`` qubits in the tableau's row layout:
+    X on qubit q at bit 2q of ``bits``, Z at bit 2q + 1 (sign is +1 or -1 only)."""
 
-    xs: np.ndarray
-    zs: np.ndarray
+    n: int
+    bits: int = 0
     sign: int = 1
 
     def __post_init__(self) -> None:
-        self.xs = np.asarray(self.xs, dtype=bool)
-        self.zs = np.asarray(self.zs, dtype=bool)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if not 0 <= self.bits < 1 << 2 * self.n:
+            raise ValueError(f"bits {self.bits:#x} act beyond qubit {self.n - 1}")
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), 1)
+        return cls(n)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliString":
-        p = cls.identity(n)
-        x, z = _BITS[letter.upper()]
-        p.xs[qubit], p.zs[qubit] = bool(x), bool(z)
-        p.sign = sign
-        return p
+        return cls(n, _letter_bits(letter) << 2 * qubit, sign)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        label = label.strip()
-        sign = 1
-        if label and label[0] in "+-":
-            sign = -1 if label[0] == "-" else 1
-            label = label[1:]
-        xs, zs = [], []
-        for ch in label:
-            x, z = _BITS[ch.upper()]
-            xs.append(bool(x))
-            zs.append(bool(z))
-        return cls(np.array(xs, dtype=bool), np.array(zs, dtype=bool), sign)
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
+        body = label.strip()
+        sign = -1 if body[:1] == "-" else 1
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        return cls(len(body), sum(_letter_bits(c) << 2 * q for q, c in enumerate(body)), sign)
 
     def to_label(self) -> str:
-        body = "".join(_LETTER[(int(x), int(z))] for x, z in zip(self.xs, self.zs))
+        body = "".join(_LETTER[self.bits >> 2 * q & 3] for q in range(self.n))
         return ("+" if self.sign == 1 else "-") + body
 
     def commutes_with(self, other: "PauliString") -> bool:
-        anti = np.count_nonzero(self.xs & other.zs) + np.count_nonzero(self.zs & other.xs)
-        return anti % 2 == 0
+        if self.n != other.n:
+            raise ValueError("qubit-count mismatch")
+        return not _anticommute(self.bits, other.bits, _x_bits(self.n))
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not self.commutes_with(other):
             raise ValueError("product of anticommuting Paulis is not Hermitian")
-        ph = _phase_of(self) + _phase_of(other) + 2 * int(np.count_nonzero(self.zs & other.xs))
-        xs, zs = self.xs ^ other.xs, self.zs ^ other.zs
-        return PauliString(xs, zs, _sign_from_phase(ph % 4, xs, zs))
+        x = _x_bits(self.n)
+        bits, phase = _product(self.bits, _phase_of(self), other.bits, _phase_of(other), x)
+        return PauliString(self.n, bits, _sign_from_phase(phase, bits, x))
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PauliString) and self.sign == other.sign
-                and np.array_equal(self.xs, other.xs) and np.array_equal(self.zs, other.zs))
+
+def _letter_bits(letter: str) -> int:
+    """``x | z << 1`` of a one-qubit Pauli letter, either case."""
+    if (k := _BITS.get(letter.upper())) is None:
+        raise ValueError(f"expected a Pauli letter I, X, Y or Z, got {letter!r}")
+    return k
 
 
 def _phase_of(p: PauliString) -> int:
-    """i-exponent of ``p`` in X-left-of-Z form."""
-    n_y = int(np.count_nonzero(p.xs & p.zs))
-    return (n_y + (0 if p.sign == 1 else 2)) % 4
+    """i-exponent of ``p`` in X-left-of-Z form: one per Y, two for a minus sign."""
+    return ((p.bits & p.bits >> 1 & _x_bits(p.n)).bit_count() + 1 - p.sign) & 3
 
 
-def _sign_from_phase(phase: int, xs: np.ndarray, zs: np.ndarray) -> int:
-    rel = (phase - int(np.count_nonzero(xs & zs))) % 4
-    if rel % 2:
+def _sign_from_phase(phase: int, bits: int, x: int) -> int:
+    """The sign of the Hermitian row of bits ``bits`` and i-exponent ``phase``."""
+    rel = (phase - (bits & bits >> 1 & x).bit_count()) & 3
+    if rel & 1:
         raise AssertionError("non-Hermitian phase encountered")
     return 1 - rel
 
@@ -147,13 +157,6 @@ def _sign_from_phase(phase: int, xs: np.ndarray, zs: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Tableau
 # ---------------------------------------------------------------------------
-
-def _to_bits(p: PauliString) -> int:
-    """``p``'s letters as a row: X on qubit q at bit 2q, Z at bit 2q + 1."""
-    bits = np.empty(2 * p.n, dtype=bool)
-    bits[0::2], bits[1::2] = p.xs, p.zs
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
 
 def _set_bits(mask: int) -> Iterator[int]:
     """The index of every set bit of ``mask``, highest first; bit k is on qubit k >> 1."""
@@ -179,7 +182,7 @@ class StabilizerTableau:
         self.phase: list[int] = []   # i-exponent mod 4
         self.touch: list[set[int]] = [set() for _ in range(n)]
         self.discarded: set[int] = set()
-        self._x = ((1 << 2 * n) - 1) // 3   # every X bit
+        self._x = _x_bits(n)
 
     # -- construction ------------------------------------------------------
 
@@ -190,7 +193,7 @@ class StabilizerTableau:
             raise ValueError("need at least one generator")
         if any(p.n != paulis[0].n for p in paulis):
             raise ValueError("qubit-count mismatch")
-        t = cls(paulis[0].n)._from_rows(map(_to_bits, paulis), map(_phase_of, paulis))
+        t = cls(paulis[0].n)._from_rows([p.bits for p in paulis], map(_phase_of, paulis))
         t._check_consistency()
         return t
 
@@ -214,10 +217,8 @@ class StabilizerTableau:
         return [q for q in range(self.n) if q not in self.discarded]
 
     def generator(self, i: int) -> PauliString:
-        packed = self.rows[i].to_bytes((2 * self.n + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little").astype(bool)
-        xs, zs = bits[0:2 * self.n:2], bits[1:2 * self.n:2]
-        return PauliString(xs, zs, _sign_from_phase(self.phase[i], xs, zs))
+        v = self.rows[i]
+        return PauliString(self.n, v, _sign_from_phase(self.phase[i], v, self._x))
 
     def generators(self) -> list[PauliString]:
         return [self.generator(i) for i in range(self.n_generators)]
@@ -225,8 +226,7 @@ class StabilizerTableau:
     def _anticommuting(self, w: int) -> set[int]:
         """The rows anticommuting with the Pauli of bits ``w``, read from the rows on its qubits."""
         near = set().union(*(self.touch[k >> 1] for k in _set_bits((w | w >> 1) & self._x)))
-        return {i for i in near
-                if (((self.rows[i] >> 1) & w ^ self.rows[i] & w >> 1) & self._x).bit_count() & 1}
+        return {i for i in near if _anticommute(self.rows[i], w, self._x)}
 
     def _check_consistency(self) -> None:
         """Raise if two generators act with different letters on an odd number of qubits."""
@@ -247,11 +247,10 @@ class StabilizerTableau:
             raise ValueError(f"qubit {q} out of range")
         if self.touch[q]:
             raise ValueError(f"qubit {q} is still acted on by a generator")
-        label = letter.strip()
-        x, z = _BITS.get((label[1:] if label[:1] in "+-" else label).upper(), (0, 0))
-        if not x | z:
+        p = PauliString.from_label(letter)
+        if p.n != 1 or not p.bits:
             raise ValueError(f"expected a one-qubit Pauli label like '+X', got {letter!r}")
-        self._append((x | z << 1) << 2 * q, x & z | (2 if label[0] == "-" else 0))
+        self._append(p.bits << 2 * q, _phase_of(p))
         self.discarded.discard(q)
 
     def _append(self, v: int, phase: int) -> None:
@@ -269,13 +268,10 @@ class StabilizerTableau:
             else:
                 self.touch[k >> 1].discard(i)
 
-    def _product(self, v: int, pv: int, w: int, pw: int) -> tuple[int, int]:
-        """Bits and i-exponent of the product of two commuting rows, ``v`` left of ``w``."""
-        return v ^ w, (pv + pw + 2 * ((v >> 1) & w & self._x).bit_count()) & 3
-
     def _row_mult(self, i: int, j: int) -> None:
         """Replace generator i by (generator i) * (generator j)."""
-        v, self.phase[i] = self._product(self.rows[i], self.phase[i], self.rows[j], self.phase[j])
+        v, self.phase[i] = _product(self.rows[i], self.phase[i], self.rows[j], self.phase[j],
+                                    self._x)
         self._set_row(i, v)
 
     # -- Clifford gates ------------------------------------------------------
@@ -314,7 +310,7 @@ class StabilizerTableau:
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli frame correction."""
-        for i in self._anticommuting(_to_bits(p)):
+        for i in self._anticommuting(p.bits):
             self.phase[i] ^= 2
 
     # -- membership, measurement and canonical form --------------------------
@@ -327,13 +323,12 @@ class StabilizerTableau:
         c = self.canonical()
         support = [i for i, v in enumerate(c.rows) if w & v & -v]
         for i in support:
-            w, pw = c._product(w, pw, c.rows[i], c.phase[i])
+            w, pw = _product(w, pw, c.rows[i], c.phase[i], c._x)
         return c, support, 0 if w else 1 - pw
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        w = _to_bits(p)
-        return 0 if self._anticommuting(w) else self._reduce(w, _phase_of(p))[2]
+        return 0 if self._anticommuting(p.bits) else self._reduce(p.bits, _phase_of(p))[2]
 
     def measure(self, qubit: int, basis: str, outcome: int | None = None,
                 rng: np.random.Generator | None = None, destructive: bool = False) -> int:
@@ -353,8 +348,9 @@ class StabilizerTableau:
         a photon absorbed by its detector.
         """
         self._alive_check(qubit)
-        x, z = _BITS[basis.upper()]
-        op = (x | z << 1) << 2 * qubit
+        if not (k := _BITS.get(basis.upper())):
+            raise ValueError(f"expected a measurement basis X, Y or Z, got {basis!r}")
+        op, y = k << 2 * qubit, k & k >> 1
         anti = self._anticommuting(op)
         if anti:
             pivot = min(anti, key=lambda i: (self.rows[i].bit_count(), i))
@@ -362,7 +358,7 @@ class StabilizerTableau:
                 self._row_mult(i, pivot)
             m = draw_outcome(outcome, rng)
         else:
-            canon, support, m = self._reduce(op, x & z)
+            canon, support, m = self._reduce(op, y)
             if not m:
                 m = draw_outcome(outcome, rng)
                 self._append(0, 0)
@@ -373,7 +369,7 @@ class StabilizerTableau:
             else:
                 self.rows, self.phase, self.touch = canon.rows, canon.phase, canon.touch
                 pivot = support[0]
-        self.phase[pivot] = x & z | (1 - m)
+        self.phase[pivot] = y | (1 - m)
         self._set_row(pivot, op)
         for i in self.touch[qubit] - {pivot}:
             self._row_mult(i, pivot)
@@ -402,7 +398,7 @@ class StabilizerTableau:
         empty: list[int] = []
         for v, pv in sorted(zip(self.rows, self.phase), reverse=True):
             while v and (low := v & -v) in basis:
-                v, pv = self._product(v, pv, *basis[low])
+                v, pv = _product(v, pv, *basis[low], self._x)
             if v:
                 basis[v & -v] = (v, pv)
             else:
@@ -412,16 +408,14 @@ class StabilizerTableau:
         for low in reversed(pivots):
             v, pv = basis[low]
             for k in _set_bits(v & done):
-                v, pv = self._product(v, pv, *basis[1 << k])
+                v, pv = _product(v, pv, *basis[1 << k], self._x)
             basis[low] = (v, pv)
             done |= low
         return self._from_rows([basis[k][0] for k in pivots] + [0] * len(empty),
                                [basis[k][1] for k in pivots] + empty)
 
     def to_text(self) -> str:
-        alive = self.alive
-        labels = [g.to_label() for g in self.generators()]
-        return "\n".join(s[0] + "".join(s[1 + q] for q in alive) for s in labels) + "\n"
+        return "\n".join(g.to_label() for g in restricted_to(self, self.alive).generators()) + "\n"
 
 
 def draw_outcome(outcome: int | None, rng: np.random.Generator | None) -> int:
@@ -458,28 +452,21 @@ def canonical_mismatch(got: StabilizerTableau, want: StabilizerTableau) -> str |
 
 def graph_generator(b: BranchingVectorLike, v: int, n: int, offset: int = 0) -> PauliString:
     """X on vertex ``v``, Z on every neighbor (vertex ids offset), on ``n`` qubits."""
-    p = PauliString.identity(n)
-    p.xs[offset + v] = True
-    for w in as_branching_vector(b).neighbors(v):
-        p.zs[offset + w] = True
-    return p
+    zs = sum(2 << 2 * (offset + w) for w in as_branching_vector(b).neighbors(v))
+    return PauliString(n, 1 << 2 * (offset + v) | zs)
 
 
 def logical_x_string(b: BranchingVectorLike, n: int, offset: int = 0,
                      level1_vertex: int = 1) -> PauliString:
     """X on one first-level vertex, Z on its children (vertex ids offset)."""
-    p = PauliString.identity(n)
-    p.xs[offset + level1_vertex] = True
     kids = as_branching_vector(b).children(level1_vertex)
-    p.zs[offset + kids.start:offset + kids.stop] = True
-    return p
+    zs = _x_bits(len(kids)) << 2 * (offset + kids.start) + 1   # one mask: Z on every child
+    return PauliString(n, 1 << 2 * (offset + level1_vertex) | zs)
 
 
 def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliString:
     """Z on every first-level vertex (vertex ids offset)."""
-    p = PauliString.identity(n)
-    p.zs[offset + 1:offset + 1 + as_branching_vector(b)[0]] = True
-    return p
+    return PauliString(n, _x_bits(as_branching_vector(b)[0]) << 2 * (offset + 1) + 1)
 
 
 def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:

@@ -4,10 +4,11 @@ This is the numpy engine that ``treebsm.stabilizer`` used before its rows
 became int bitsets: two bool planes of generators by qubits and an
 i-exponent per row, with one numpy pivot step as its only GF(2)
 elimination (Aaronson and Gottesman, PRA 70, 052328).  Every update touches
-whole planes, so it costs O(q^2) per measurement, but it shares no row code
-with the package.  ``tests/test_stabilizer.py`` runs both engines through
-the same random programs and compares outcomes, ranks and canonical forms
-after every step.
+whole planes, so it costs O(q^2) per measurement, but it shares no Pauli
+code with the package: it reads a :class:`PauliString` through its label
+alone, and keeps its own planes, products and phase rule.
+``tests/test_stabilizer.py`` runs both engines through the same random
+programs and compares outcomes, ranks and canonical forms after every step.
 """
 
 from __future__ import annotations
@@ -16,14 +17,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from treebsm.stabilizer import (
-    _LETTER,
-    MeasurementContradictionError,
-    PauliString,
-    _phase_of,
-    _sign_from_phase,
-    draw_outcome,
-)
+from treebsm.stabilizer import MeasurementContradictionError, PauliString, draw_outcome
+
+_PLANES = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER = {v: k for k, v in _PLANES.items()}
+
+
+def _planes(p: PauliString) -> tuple[np.ndarray, np.ndarray, int]:
+    """X plane, Z plane and i-exponent of ``p``, read off its label; the
+    exponent counts one per Y (X left of Z on each qubit) and two for a minus."""
+    label = p.to_label()
+    xs, zs = np.array([_PLANES[c] for c in label[1:]], dtype=bool).reshape(-1, 2).T
+    return xs, zs, (np.count_nonzero(xs & zs) + (0 if label[0] == "+" else 2)) % 4
+
+
+def _label(xs: np.ndarray, zs: np.ndarray, phase: int) -> str:
+    """The signed label of the Hermitian row of planes ``xs``, ``zs`` and i-exponent ``phase``."""
+    rel = (phase - np.count_nonzero(xs & zs)) % 4
+    if rel % 2:
+        raise AssertionError("non-Hermitian phase encountered")
+    return ("+" if rel == 0 else "-") + "".join(_LETTER[(int(x), int(z))] for x, z in zip(xs, zs))
 
 
 class StabilizerTableau:
@@ -71,10 +84,7 @@ class StabilizerTableau:
         return [q for q in range(self.n) if q not in self.discarded]
 
     def generator(self, i: int) -> PauliString:
-        return PauliString(
-            self.xs[i].copy(), self.zs[i].copy(),
-            _sign_from_phase(int(self.phase[i]), self.xs[i], self.zs[i]),
-        )
+        return PauliString.from_label(_label(self.xs[i], self.zs[i], int(self.phase[i])))
 
     def generators(self) -> list[PauliString]:
         return [self.generator(i) for i in range(self.n_generators)]
@@ -82,10 +92,12 @@ class StabilizerTableau:
     def _append_rows(self, paulis: Sequence[PauliString]) -> None:
         if any(p.n != self.n for p in paulis):
             raise ValueError("qubit-count mismatch")
-        self.xs = np.vstack([self.xs, *(p.xs for p in paulis)])
-        self.zs = np.vstack([self.zs, *(p.zs for p in paulis)])
-        phases = np.array([_phase_of(p) for p in paulis], dtype=np.uint8)
-        self.phase = np.concatenate([self.phase, phases])
+        self._append_planes([_planes(p) for p in paulis])
+
+    def _append_planes(self, rows: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> None:
+        self.xs = np.vstack([self.xs, *(xs for xs, _, _ in rows)])
+        self.zs = np.vstack([self.zs, *(zs for _, zs, _ in rows)])
+        self.phase = np.concatenate([self.phase, np.array([ph for *_, ph in rows], dtype=np.uint8)])
 
     def _check_consistency(self) -> None:
         for i in range(self.n_generators):
@@ -103,12 +115,12 @@ class StabilizerTableau:
             raise ValueError(f"qubit {q} out of range")
         if self.xs[:, q].any() or self.zs[:, q].any():
             raise ValueError(f"qubit {q} is still acted on by a generator")
-        p = PauliString.from_label(letter)
-        if p.n != 1 or not (p.xs[0] or p.zs[0]):
+        px, pz, phase = _planes(PauliString.from_label(letter))
+        if px.size != 1 or not (px[0] or pz[0]):
             raise ValueError(f"expected a one-qubit Pauli label like '+X', got {letter!r}")
-        row = PauliString.identity(self.n)
-        row.xs[q], row.zs[q], row.sign = p.xs[0], p.zs[0], p.sign
-        self._append_rows([row])
+        xs, zs = np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=bool)
+        xs[q], zs[q] = px[0], pz[0]
+        self._append_planes([(xs, zs, phase)])
         self.discarded.discard(q)
 
     # -- row arithmetic ------------------------------------------------------
@@ -159,7 +171,7 @@ class StabilizerTableau:
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli frame correction."""
-        flips = self._anticommuting(p.xs, p.zs)
+        flips = self._anticommuting(*_planes(p)[:2])
         self.phase = (self.phase + 2 * flips.astype(np.uint8)) % 4
 
     # -- membership / expectation -------------------------------------------
@@ -176,15 +188,16 @@ class StabilizerTableau:
         """
         c = self.canonical()
         q = np.argmax(c.xs | c.zs, axis=1)  # each row's pivot qubit
-        support = np.flatnonzero(np.where(c.xs[np.arange(c.n_generators), q], p.xs[q], p.zs[q]))
-        residual = p
+        xs, zs, phase = _planes(p)
+        support = np.flatnonzero(np.where(c.xs[np.arange(c.n_generators), q], xs[q], zs[q]))
         for i in support:
-            residual = residual * c.generator(i)
-        return c, support, 0 if residual.xs.any() or residual.zs.any() else residual.sign
+            phase = (phase + int(c.phase[i]) + 2 * np.count_nonzero(zs & c.xs[i])) % 4
+            xs, zs = xs ^ c.xs[i], zs ^ c.zs[i]
+        return c, support, 0 if xs.any() or zs.any() else 1 - phase
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        return 0 if self._anticommuting(p.xs, p.zs).any() else self._reduce(p)[2]
+        return 0 if self._anticommuting(*_planes(p)[:2]).any() else self._reduce(p)[2]
 
     # -- measurement ---------------------------------------------------------
 
@@ -217,7 +230,7 @@ class StabilizerTableau:
         """
         self._alive_check(qubit)
         op = PauliString.single(self.n, qubit, basis)
-        anti = self._anticommuting(op.xs, op.zs)
+        anti = self._anticommuting(*_planes(op)[:2])
         if anti.any():
             pivot = int(np.argmax(anti))
             self._pivot(pivot, anti)
@@ -226,7 +239,7 @@ class StabilizerTableau:
             canon, support, m = self._reduce(op)
             if not m:
                 m = draw_outcome(outcome, rng)
-                self._append_rows([op])
+                self._append_planes([_planes(op)])
                 pivot = self.n_generators - 1
             elif outcome is not None and outcome != m:
                 raise MeasurementContradictionError(
@@ -235,8 +248,8 @@ class StabilizerTableau:
             else:
                 self.xs, self.zs, self.phase = canon.xs, canon.zs, canon.phase
                 pivot = int(support[0])
-        rep = PauliString.single(self.n, qubit, basis, sign=m)
-        self.xs[pivot], self.zs[pivot], self.phase[pivot] = rep.xs, rep.zs, _phase_of(rep)
+        self.xs[pivot], self.zs[pivot], self.phase[pivot] = _planes(
+            PauliString.single(self.n, qubit, basis, sign=m))
         self._pivot(pivot, self.xs[:, qubit] | self.zs[:, qubit])
         if destructive:
             self._drop_row_and_qubit(pivot, qubit)
@@ -271,11 +284,5 @@ class StabilizerTableau:
 
     def to_text(self) -> str:
         alive = self.alive
-        lines = []
-        for i in range(self.n_generators):
-            sign = _sign_from_phase(int(self.phase[i]), self.xs[i], self.zs[i])
-            body = "".join(
-                _LETTER[(int(self.xs[i, q]), int(self.zs[i, q]))] for q in alive
-            )
-            lines.append(("+" if sign == 1 else "-") + body)
-        return "\n".join(lines) + "\n"
+        return "\n".join(_label(self.xs[i, alive], self.zs[i, alive], int(self.phase[i]))
+                         for i in range(self.n_generators)) + "\n"

@@ -3,13 +3,13 @@
 Every backticked dotted name in README.md whose first part is a module of
 ``treebsm`` or a name it exports (``montecarlo._lane``,
 ``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
-cannot linger in the docs, and the stream version the README states is the
-sampler's.  Every name the README's library tour, the demos and the
-benchmark (``perfbench/``) import from ``treebsm`` or read off such an
-import must exist; they are parsed, not run.  In the other direction,
-every function ``treebsm/__init__.py`` exports must be referenced in code
-by the package, a demo or the benchmark: a function only the tests call
-belongs in ``tests/``.
+cannot linger in the docs, and the stream version and the tableau qubit
+cap the README states are the code's.  Every name the README's library
+tour, the demos and the benchmark (``perfbench/``) import from ``treebsm``
+or read off such an import must exist; they are parsed, not run.  In the
+other direction, every function ``treebsm/__init__.py`` exports must be
+referenced in code by the package, a demo or the benchmark: a function
+only the tests call belongs in ``tests/``.
 """
 
 import ast
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import treebsm
-from treebsm import montecarlo
+from treebsm import montecarlo, stabilizer
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -62,6 +62,19 @@ def test_every_cited_name_resolves():
 def test_stated_stream_version_is_current():
     stated = re.findall(r"`montecarlo\.STREAM_VERSION` \(now (\d+)\)", README.read_text())
     assert stated == [str(montecarlo.STREAM_VERSION)]
+
+
+def test_stated_tableau_cap_is_current():
+    # Bisect for the largest q with tableau_bytes(q) <= MAX_TABLEAU_BYTES.
+    lo, hi = 0, stabilizer.MAX_TABLEAU_BYTES
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if stabilizer.tableau_bytes(mid) <= stabilizer.MAX_TABLEAU_BYTES:
+            lo = mid
+        else:
+            hi = mid - 1
+    stated = re.findall(r"admits up to ([\d,]+) qubits", README.read_text())
+    assert stated == [f"{lo:,}"]
 
 
 def library_tour() -> str:

@@ -145,7 +145,7 @@ class TestVerify:
 
         def negated(shape):
             return StabilizerTableau.from_generators(
-                PauliString(g.xs, g.zs, -g.sign) for g in target(shape).generators())
+                PauliString(g.n, g.bits, -g.sign) for g in target(shape).generators())
 
         monkeypatch.setattr(genseq, "logical_bell_tableau", negated)
         seq = compile_bell_pair(b)
@@ -422,15 +422,15 @@ class TestSizeCap:
         assert "GB" in capsys.readouterr().err
 
     def test_estimate_bounds_the_traced_peak(self):
-        b = (10, 10, 2)
-        seq = compile_bell_pair(b)
-        tracemalloc.start()
-        try:
-            assert verify_bell_pair(seq, b, rng=np.random.default_rng(1)).ok
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= tableau_bytes(program_qubits(b)) <= 2 * peak
+        for b in ((10, 10, 2), (74, 15)):
+            seq = compile_bell_pair(b)
+            tracemalloc.start()
+            try:
+                assert verify_bell_pair(seq, b, rng=np.random.default_rng(1)).ok
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= tableau_bytes(program_qubits(b)) <= 2 * peak, b
 
     @pytest.mark.parametrize("build", [graph_state_tableau, encode_logical, logical_bell_tableau])
     def test_builders_refuse_a_tableau_over_the_cap(self, build):
@@ -444,4 +444,4 @@ class TestSizeCap:
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15), (10, 10, 2)):
             assert tableau_bytes(program_qubits(b)) < MAX_TABLEAU_BYTES
-        assert tableau_bytes(program_qubits(self.TOWER)) > 500 * MAX_TABLEAU_BYTES
+        assert tableau_bytes(program_qubits(self.TOWER)) > 100 * MAX_TABLEAU_BYTES

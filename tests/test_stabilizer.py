@@ -46,6 +46,47 @@ class TestPauliString:
         assert PauliString.from_label("+XX").commutes_with(PauliString.from_label("+ZZ"))
         assert not PauliString.from_label("+XI").commutes_with(PauliString.from_label("+ZI"))
 
+    def test_bits_are_the_row_layout(self):
+        # X on qubit q at bit 2q, Z at bit 2q + 1: -IYZ has bits 0b10_11_00.
+        p = PauliString.from_label("-IYZ")
+        assert (p.n, p.bits, p.sign) == (3, 0b101100, -1)
+        assert p == PauliString(3, 0b101100, -1) != PauliString(3, 0b101100)
+        assert not hasattr(p, "xs") and not hasattr(p, "zs")
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            PauliString(2, 1, sign)
+
+    @pytest.mark.parametrize("n,bits", [(2, 1 << 4), (2, 1 << 5), (0, 1), (3, -1)])
+    def test_bits_beyond_the_last_qubit_are_refused(self, n, bits):
+        with pytest.raises(ValueError, match="beyond qubit"):
+            PauliString(n, bits)
+
+    def test_qubit_counts_must_match(self):
+        x, xx = PauliString.from_label("+X"), PauliString.from_label("+XX")
+        for a, b in ((x, xx), (xx, x)):
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                a.commutes_with(b)
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                _ = a * b
+
+    def test_single_refuses_a_qubit_out_of_range(self):
+        with pytest.raises(ValueError, match="beyond qubit"):
+            PauliString.single(2, 2, "X")
+
+    @pytest.mark.parametrize("label", ["+XQ", "-A", "X Z", "+-X"])
+    def test_label_letters_outside_ixyz_are_refused(self, label):
+        with pytest.raises(ValueError, match="Pauli letter"):
+            PauliString.from_label(label)
+
+    @pytest.mark.parametrize("basis", ["I", "W", "XZ", ""])
+    def test_measurement_basis_outside_xyz_is_refused(self, basis):
+        t = all_plus(2)
+        with pytest.raises(ValueError, match="basis X, Y or Z"):
+            t.measure(0, basis)
+        assert t.to_text() == "+XI\n+IX\n"
+
 
 class TestMeasurementRules:
     """The three-qubit chain worked example, bit-exact for both bases and signs."""
@@ -188,7 +229,7 @@ class TestExpectation:
             for g, used in zip(t.generators(), mask):
                 p = p * g if used else p
             assert t.expectation(p) == 1
-            assert t.expectation(PauliString(p.xs, p.zs, -p.sign)) == -1
+            assert t.expectation(PauliString(p.n, p.bits, -p.sign)) == -1
 
     def test_rank_deficient_group_against_brute_force(self):
         # Two generators on three qubits: every signed Pauli reads +1 or -1
@@ -248,9 +289,8 @@ class TestEncoding:
         for prep in ("+X", "+Z", "-Z", "+Y"):
             code, _, _ = encode_logical(vec, prep, outcomes=(1, 1))
             for v in range(3, 7):  # level-2 vertices, shifted by the root drop
-                gen = PauliString.identity(code.n)
-                gen.xs[v - 1] = True
-                gen.zs[vec.neighbors(v)[0] - 1] = True
+                gen = (PauliString.single(code.n, v - 1, "X")
+                       * PauliString.single(code.n, vec.neighbors(v)[0] - 1, "Z"))
                 assert code.expectation(gen) == 1
 
 
