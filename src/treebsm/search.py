@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
-from itertools import groupby
+from dataclasses import dataclass
 from typing import Iterator
 
-from .analytic import Protocol, logical_bsm_batch
+import numpy as np
+
+from .analytic import BsmRates, Protocol, logical_bsm_batch
 from .trees import BranchingVector, ChannelParams, photon_count
 
 
@@ -82,43 +83,17 @@ class ParetoEntry:
     loss_tolerant: bool       # pr_complete > eta^2
     beats_physical: bool      # pr_complete > eta^2 / 2
     error_correcting: bool    # err_complete < 3 eps (1 - eps)
-    improves_success: bool = False   # beat every smaller tree's success
-    improves_error: bool = False     # beat every smaller tree's error
-
-
-def _entry(
-    b: BranchingVector, params: ChannelParams, protocol: Protocol,
-    pr_complete: float, err_complete: float,
-) -> ParetoEntry:
-    return ParetoEntry(
-        b=b,
-        n_photons=photon_count(b),
-        protocol=protocol,
-        eta=params.eta,
-        eps=params.eps,
-        pr_complete=pr_complete,
-        err_complete=err_complete,
-        loss_tolerant=pr_complete > params.eta**2,
-        beats_physical=pr_complete > 0.5 * params.eta**2,
-        error_correcting=(params.eps > 0.0 and err_complete < params.eps_bsm),
-    )
+    improves_success: bool    # beat every smaller tree's success
+    improves_error: bool      # beat every smaller tree's error
 
 
 def evaluate_all(
     bounds: SearchBounds, params: ChannelParams, protocol: Protocol
-) -> list[ParetoEntry]:
-    """Score every enumerated shape, sorted by photon count then shape.
-
-    The shapes of each depth are scored as one batch of the exact engine.
-    """
-    entries = []
-    for _, group in groupby(enumerate_trees(bounds), key=len):
-        vecs = list(group)
-        rates = logical_bsm_batch(vecs, params.eta, params.eps, protocol)
-        scores = zip(vecs, rates.pr_complete.tolist(), rates.err_complete.tolist())
-        entries += [_entry(vec, params, protocol, pr, err) for vec, pr, err in scores]
-    entries.sort(key=lambda e: (e.n_photons, e.b.branches))
-    return entries
+) -> tuple[list[BranchingVector], BsmRates]:
+    """Every enumerated shape, sorted by photon count then shape, and its
+    rates from one batch of the exact engine, in that order."""
+    shapes = sorted(enumerate_trees(bounds), key=lambda b: (photon_count(b), b.branches))
+    return shapes, logical_bsm_batch(shapes, params.eta, params.eps, protocol)
 
 
 def pareto_front(
@@ -126,22 +101,25 @@ def pareto_front(
 ) -> list[ParetoEntry]:
     """Shapes that beat every smaller shape on success or on error.
 
-    Scanning in increasing photon count, an entry is kept when it strictly
-    improves the running best success probability or the running best
-    error rate; with eps = 0 all errors vanish and the front is the
-    success staircase alone.
+    In increasing photon count, a shape is kept when it strictly improves
+    the best success probability or the best error rate of the shapes
+    before it; with eps = 0 all errors vanish and the front is the success
+    staircase alone.  A shape that improves neither moves neither best, so
+    the bests run over all earlier shapes, not only the kept ones.
     """
-    front: list[ParetoEntry] = []
-    best_pr = -1.0
-    best_err = float("inf")
-    for e in evaluate_all(bounds, params, protocol):
-        improves_pr = e.pr_complete > best_pr
-        improves_err = params.eps > 0.0 and e.err_complete < best_err
-        if improves_pr or improves_err:
-            front.append(replace(e, improves_success=improves_pr, improves_error=improves_err))
-            best_pr = max(best_pr, e.pr_complete)
-            best_err = min(best_err, e.err_complete)
-    return front
+    shapes, rates = evaluate_all(bounds, params, protocol)
+    pr, err = rates.pr_complete, rates.err_complete
+    improves_pr = pr > np.append(-1.0, np.maximum.accumulate(pr)[:-1])
+    improves_err = (params.eps > 0.0) & (err < np.append(np.inf, np.minimum.accumulate(err)[:-1]))
+    rows = np.flatnonzero(improves_pr | improves_err)
+    columns = (a[rows].tolist() for a in (pr, err, improves_pr, improves_err))
+    return [
+        ParetoEntry(shapes[i], photon_count(shapes[i]), protocol, params.eta, params.eps, p, e,
+                    loss_tolerant=p > params.eta**2, beats_physical=p > 0.5 * params.eta**2,
+                    error_correcting=params.eps > 0.0 and e < params.eps_bsm,
+                    improves_success=ip, improves_error=ie)
+        for i, p, e, ip, ie in zip(rows.tolist(), *columns)
+    ]
 
 
 CSV_HEADER = [

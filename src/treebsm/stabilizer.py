@@ -130,7 +130,7 @@ class PauliString:
         if not self.commutes_with(other):
             raise ValueError("product of anticommuting Paulis is not Hermitian")
         x = _x_bits(self.n)
-        bits, phase = _product(self.bits, _phase_of(self), other.bits, _phase_of(other), x)
+        bits, phase = _product(self.bits, _phase_of(self, x), other.bits, _phase_of(other, x), x)
         return PauliString(self.n, bits, _sign_from_phase(phase, bits, x))
 
 
@@ -141,9 +141,9 @@ def _letter_bits(letter: str) -> int:
     return k
 
 
-def _phase_of(p: PauliString) -> int:
-    """i-exponent of ``p`` in X-left-of-Z form: one per Y, two for a minus sign."""
-    return ((p.bits & p.bits >> 1 & _x_bits(p.n)).bit_count() + 1 - p.sign) & 3
+def _phase_of(p: PauliString, x: int) -> int:
+    """i-exponent of ``p`` in X-left-of-Z form: one per Y, two for a minus sign; ``x``: X bits."""
+    return ((p.bits & p.bits >> 1 & x).bit_count() + 1 - p.sign) & 3
 
 
 def _sign_from_phase(phase: int, bits: int, x: int) -> int:
@@ -193,7 +193,8 @@ class StabilizerTableau:
             raise ValueError("need at least one generator")
         if any(p.n != paulis[0].n for p in paulis):
             raise ValueError("qubit-count mismatch")
-        t = cls(paulis[0].n)._from_rows([p.bits for p in paulis], map(_phase_of, paulis))
+        blank = cls(paulis[0].n)
+        t = blank._from_rows([p.bits for p in paulis], [_phase_of(p, blank._x) for p in paulis])
         t._check_consistency()
         return t
 
@@ -250,7 +251,7 @@ class StabilizerTableau:
         p = PauliString.from_label(letter)
         if p.n != 1 or not p.bits:
             raise ValueError(f"expected a one-qubit Pauli label like '+X', got {letter!r}")
-        self._append(p.bits << 2 * q, _phase_of(p))
+        self._append(p.bits << 2 * q, _phase_of(p, _x_bits(1)))
         self.discarded.discard(q)
 
     def _append(self, v: int, phase: int) -> None:
@@ -310,6 +311,8 @@ class StabilizerTableau:
 
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the state by a Pauli frame correction."""
+        if p.n != self.n:
+            raise ValueError("qubit-count mismatch")
         for i in self._anticommuting(p.bits):
             self.phase[i] ^= 2
 
@@ -328,7 +331,9 @@ class StabilizerTableau:
 
     def expectation(self, p: PauliString) -> int:
         """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        return 0 if self._anticommuting(p.bits) else self._reduce(p.bits, _phase_of(p))[2]
+        if p.n != self.n:
+            raise ValueError("qubit-count mismatch")
+        return 0 if self._anticommuting(p.bits) else self._reduce(p.bits, _phase_of(p, self._x))[2]
 
     def measure(self, qubit: int, basis: str, outcome: int | None = None,
                 rng: np.random.Generator | None = None, destructive: bool = False) -> int:

@@ -25,7 +25,7 @@ from treebsm.stabilizer import (
     logical_z_string,
     restricted_to,
 )
-from treebsm.trees import BranchingVectorLike, ChannelParams, as_branching_vector
+from treebsm.trees import BranchingVectorLike, ChannelParams, as_branching_vector, photon_count
 
 
 def all_plus(n: int) -> StabilizerTableau:
@@ -57,11 +57,21 @@ def level_stats(b: BranchingVectorLike, params: ChannelParams,
 def smallest_error_correcting(
     bounds: SearchBounds, params: ChannelParams, protocol: analytic.Protocol
 ) -> ParetoEntry | None:
-    """The in-bounds shape of least photon count whose error beats a raw BSM."""
-    for e in evaluate_all(bounds, params, protocol):
-        if e.error_correcting:
-            return e
-    return None
+    """The in-bounds shape of least photon count whose error beats a raw BSM.
+
+    Every shape before it errs more, so it improves on their error.
+    """
+    shapes, rates = evaluate_all(bounds, params, protocol)
+    hits = np.flatnonzero(rates.err_complete < params.eps_bsm) if params.eps > 0.0 else []
+    if len(hits) == 0:
+        return None
+    i = int(hits[0])
+    pr, err = float(rates.pr_complete[i]), float(rates.err_complete[i])
+    return ParetoEntry(
+        shapes[i], photon_count(shapes[i]), protocol, params.eta, params.eps, pr, err,
+        loss_tolerant=pr > params.eta**2, beats_physical=pr > 0.5 * params.eta**2,
+        error_correcting=True, improves_success=bool(pr > rates.pr_complete[:i].max(initial=-1.0)),
+        improves_error=True)
 
 
 def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:

@@ -3,13 +3,14 @@
 Every backticked dotted name in README.md whose first part is a module of
 ``treebsm`` or a name it exports (``montecarlo._lane``,
 ``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
-cannot linger in the docs, and the stream version and the tableau qubit
-cap the README states are the code's.  Every name the README's library
-tour, the demos and the benchmark (``perfbench/``) import from ``treebsm``
-or read off such an import must exist; they are parsed, not run.  In the
-other direction, every function ``treebsm/__init__.py`` exports must be
-referenced in code by the package, a demo or the benchmark: a function
-only the tests call belongs in ``tests/``.
+cannot linger in the docs, and the stream version, the search CSV
+columns and the tableau qubit cap the README states are the code's.
+Every name the README's library tour, the demos and the benchmark
+(``perfbench/``) import from ``treebsm`` or read off such an import must
+exist; they are parsed, not run.  In the other direction, every function
+``treebsm/__init__.py`` exports must be referenced in code by the
+package, a demo or the benchmark: a function only the tests call belongs
+in ``tests/``.
 """
 
 import ast
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import treebsm
-from treebsm import montecarlo, stabilizer
+from treebsm import montecarlo, search, stabilizer
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -62,6 +63,11 @@ def test_every_cited_name_resolves():
 def test_stated_stream_version_is_current():
     stated = re.findall(r"`montecarlo\.STREAM_VERSION` \(now (\d+)\)", README.read_text())
     assert stated == [str(montecarlo.STREAM_VERSION)]
+
+
+def test_stated_search_columns_are_current():
+    stated = re.findall(r"Search CSV columns:\s*`([^`]*)`", README.read_text())
+    assert stated == [",".join(search.CSV_HEADER)]
 
 
 def test_stated_tableau_cap_is_current():

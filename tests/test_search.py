@@ -1,7 +1,10 @@
 import pytest
 
+from treebsm import search
 from treebsm.analytic import Protocol, logical_bsm
+from treebsm.cli import main
 from treebsm.search import (
+    CSV_HEADER,
     SearchBounds,
     enumerate_trees,
     evaluate_all,
@@ -114,6 +117,36 @@ class TestFront:
         front = pareto_front(SearchBounds(max_photons=7), params, Protocol.STATIC)
         assert [e.b.branches for e in front] == [(2, 2)]
 
+    @pytest.mark.parametrize("protocol", [Protocol.STATIC, Protocol.DYNAMIC], ids=lambda p: p.value)
+    def test_bounds_with_no_shape_give_an_empty_front(self, protocol):
+        params = ChannelParams(eta=0.9, eps=1e-4)
+        assert pareto_front(SearchBounds(max_photons=6), params, protocol) == []
+
+    def test_cli_writes_the_header_alone_for_an_empty_search(self, tmp_path):
+        out = tmp_path / "front.csv"
+        assert main(["search", "--protocol", "static", "--eta", "0.9", "--max-n", "6",
+                     "--output", str(out)]) == 0
+        assert out.read_text().splitlines() == [",".join(CSV_HEADER)]
+
+    def test_one_engine_batch_and_entries_only_for_the_front(self, monkeypatch):
+        batches, entries = [], []
+        real_batch, real_entry = search.logical_bsm_batch, search.ParetoEntry
+
+        def counting_batch(*args, **kwargs):
+            batches.append(args[0])
+            return real_batch(*args, **kwargs)
+
+        def counting_entry(*args, **kwargs):
+            entries.append(args[0])
+            return real_entry(*args, **kwargs)
+
+        monkeypatch.setattr(search, "logical_bsm_batch", counting_batch)
+        monkeypatch.setattr(search, "ParetoEntry", counting_entry)
+        bounds, params = SearchBounds(max_photons=300), ChannelParams(eta=0.9, eps=1e-4)
+        front = pareto_front(bounds, params, Protocol.DYNAMIC)
+        assert len(batches) == 1 and len(batches[0]) == len(list(enumerate_trees(bounds)))
+        assert len(entries) == len(front) < len(batches[0])
+
 
 class TestHelpers:
     def test_smallest_error_correcting_none_below_threshold(self):
@@ -136,6 +169,6 @@ class TestHelpers:
 
     def test_evaluate_all_sorted_by_photon_count(self):
         params = ChannelParams(eta=0.9, eps=0.0)
-        entries = evaluate_all(SearchBounds(max_photons=60), params, Protocol.STATIC)
-        ns = [e.n_photons for e in entries]
+        shapes, _ = evaluate_all(SearchBounds(max_photons=60), params, Protocol.STATIC)
+        ns = [photon_count(b) for b in shapes]
         assert ns == sorted(ns)

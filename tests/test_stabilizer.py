@@ -71,6 +71,15 @@ class TestPauliString:
             with pytest.raises(ValueError, match="qubit-count mismatch"):
                 _ = a * b
 
+    @pytest.mark.parametrize("label", ["+ZZ", "+ZZZZ", "+XXXX"])
+    def test_tableau_refuses_a_pauli_on_other_qubits(self, label):
+        # Padding ZZ to ZZI or cutting ZZZZ and XXXX to three qubits would answer wrongly.
+        t, p = from_labels("+ZII", "+IZI", "+IIZ"), PauliString.from_label(label)
+        with pytest.raises(ValueError, match="qubit-count mismatch"):
+            t.expectation(p)
+        with pytest.raises(ValueError, match="qubit-count mismatch"):
+            t.apply_pauli(p)
+
     def test_single_refuses_a_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="beyond qubit"):
             PauliString.single(2, 2, "X")
