@@ -42,17 +42,20 @@ so the counters depend on the seed and the configuration alone, and no
 generator continues from one chunk or plane to the next.
 
 The unit of parallel work is a sample window: samples ``lo .. hi - 1`` of
-one chunk, each plane drawn from its lane set to their cells
-(:func:`_lane`), then evaluated and tallied on the same thread.  A chunk
-is cut into the fewest equal windows of at most :data:`_WINDOW` drawn
-cells each (:func:`_windows`), a split that depends on the chunk alone.
-Every window goes to one pool of one thread per CPU this process may use
-(numpy releases the interpreter lock in its draws and array operations),
-so at most that many windows are alive at once.  Totals are
-order-independent sums, so results are bit-identical for a fixed (seed,
-config) whatever the window size, thread count and window order.  A
-configuration whose whole chunk would not fit in :data:`MAX_CHUNK_BYTES`
-is refused before anything is drawn.
+the whole run, which may span many chunks.  Each plane is drawn in
+blocks of at most :data:`_BLOCK` cells within one chunk, from the chunk's
+lane set to the block's first cell (:func:`_lane`), and decoded into the
+window's columns; the window is then evaluated and tallied on the same
+thread.  A run is cut into the
+fewest equal windows of at most :data:`_WINDOW` drawn cells each
+(:func:`_windows`), a split that depends on the sample count and the drawn
+cells per sample alone.  Every window goes to one pool of one thread per
+CPU this process may use (numpy releases the interpreter lock in its draws
+and array operations), so at most that many windows are alive at once.
+Totals are order-independent sums, so results are bit-identical for a
+fixed (seed, config) whatever the window size, thread count and window
+order.  A configuration whose whole chunk would not fit in
+:data:`MAX_CHUNK_BYTES` is refused before anything is drawn.
 
 A run draws only the planes its protocol reads (:data:`_READS`): the static
 rules read no single-qubit tie planes and, like the adaptive rules, no tie
@@ -71,7 +74,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,8 +88,8 @@ from .trees import (
 )
 
 # Samples per chunk.  Part of the stream contract: each chunk has a key of its
-# own, so another chunk size gives other counters.  The unit of memory is
-# the sample window (:data:`_WINDOW`), not the chunk.
+# own, so another chunk size gives other counters.  It is no unit of work or
+# of memory: a sample window (:data:`_WINDOW`) may span many chunks.
 _CHUNK = 8192
 
 # Refuse a configuration whose chunk (world plus draw buffer) would need more
@@ -94,8 +97,10 @@ _CHUNK = 8192
 # photons per side from being attempted.
 MAX_CHUNK_BYTES = 2 * 10**9
 
-# Samples per block when a drawn plane is decoded and transposed to node-major.
-_BLOCK = 512
+# Most cells drawn, decoded and transposed to node-major at once, so a plane's
+# raws take at most 1 MB: about 582 samples of a 450-wide (15,15,2) leaf
+# plane, and a whole chunk of a narrow plane.
+_BLOCK = 2**18
 
 # Most drawn cells a sample window holds, unless it is a single sample:
 # the unit of memory, since each thread holds one window's world at a time.
@@ -405,43 +410,44 @@ def _lane(bits: np.random.Philox, key: np.ndarray, p: int, first: int, count: in
     return cells[first:first + count]
 
 
-def _windows(n: int, per_sample: int) -> list[tuple[int, int]]:
-    """Sample windows ``(lo, hi)`` of an ``n``-sample chunk: the fewest equal ones
-    that each hold at most :data:`_WINDOW` drawn cells (``per_sample`` per
-    sample), or one sample."""
+def _windows(n: int, per_sample: int) -> Iterator[tuple[int, int]]:
+    """Sample windows ``(lo, hi)`` of an ``n``-sample run, in order: the fewest equal
+    ones that each hold at most :data:`_WINDOW` drawn cells (``per_sample`` per
+    sample), or one sample.  Lazy, since a long run has millions."""
     count = -(-n // max(1, _WINDOW // per_sample))
-    return [(j * n // count, (j + 1) * n // count) for j in range(count)]
+    return ((j * n // count, (j + 1) * n // count) for j in range(count))
 
 
 def draw_world(
-    vec: BranchingVector, params: ChannelParams, key: Sequence[int], lo: int, hi: int,
+    vec: BranchingVector, params: ChannelParams, seed: int, lo: int, hi: int,
     reads: Reads | None = None,
 ) -> World:
-    """Sample samples ``lo .. hi - 1`` of the chunk drawn from the Philox stream
-    keyed by ``key``.
+    """Sample samples ``lo .. hi - 1`` of the run drawn with ``seed``.
 
-    The lanes and cell widths here are the stream contract.  Plane p of
-    :func:`_planes` (numbered with faults, so loss and coin planes have the
-    same lanes at every eps) is drawn from lane p of the key (:func:`_lane`),
-    one cell per column per sample: cell ``t = i * s_k + j`` decides node j
-    of sample i, and the plane is stored node-major, as its (s_k, samples)
-    transpose.  Loss and fault cells are 32-bit words w: a photon is
-    detected iff ``w < int(eta * 2^32)``, and faulted as :func:`_faults`
-    decodes w at ``third = int(eps_d * 2^32) // 3``.  Coin and tie cells are
-    single bits, True when set.  A chunk's planes depend on (key, p) alone,
-    not on the chunk's size or on which other planes are drawn.
+    The lanes and cell widths here are the stream contract.  Run sample
+    ``c * _CHUNK + i`` is sample i of chunk c, drawn from the Philox stream
+    keyed by ``(seed, c)``.  Plane p of :func:`_planes` (numbered with
+    faults, so loss and coin planes have the same lanes at every eps) is
+    drawn from lane p of the key (:func:`_lane`), one cell per column per
+    sample: cell ``t = i * s_k + j`` decides node j of the chunk's sample i,
+    and the plane is stored node-major, as its (s_k, samples) transpose.
+    Loss and fault cells are 32-bit words w: a photon is detected iff
+    ``w < int(eta * 2^32)``, and faulted as :func:`_faults` decodes w at
+    ``third = int(eps_d * 2^32) // 3``.  Coin and tie cells are single bits,
+    True when set.  A chunk's planes depend on (seed, c, p) alone, not on
+    the run's size or on which other planes are drawn.
 
     With ``reads``, only the planes it accepts are drawn; each other plane
     is None, and its lane is never touched.
 
-    A window's planes are columns ``lo:hi`` of the chunk's: each drawn
-    plane's lane is set to its cells ``lo * s_k .. hi * s_k - 1``, and they
-    are decoded and transposed in blocks of samples small enough to stay in
-    cache.
+    A window's planes are columns ``lo:hi`` of the run's, drawn in blocks of
+    at most :data:`_BLOCK` cells within one chunk: each block's lane is set
+    to the block's first cell, and its cells are decoded and transposed into
+    the window's columns.
     """
     # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
-    key = np.array(key, np.uint64)
-    bits = np.random.Philox(key=key)
+    keys = [(c, np.array([seed, c], np.uint64)) for c in range(lo // _CHUNK, -(-hi // _CHUNK))]
+    bits = np.random.Philox(key=keys[0][1])
     detect, third = int(params.eta * 2**32), _fault_third(params)
     # Decoders of the planes of 32-bit cells; the others are one-bit cells, kept as drawn.
     loss, fault = (lambda w: w < detect), (lambda w: _faults(w, third))
@@ -451,12 +457,15 @@ def draw_world(
         plane = None
         if reads is None or reads(field, k, vec.depth):
             decode = words.get(field)
-            cells = _lane(bits, key, p, lo * width, (hi - lo) * width, 32 if decode else 1)
-            cells = cells.reshape(hi - lo, width)
             plane = np.empty((width, hi - lo), np.uint8 if field.startswith("fault") else bool)
-            for i in range(0, hi - lo, _BLOCK):
-                block = cells[i:i + _BLOCK]
-                plane[:, i:i + _BLOCK] = (decode(block) if decode else block).T
+            step = max(1, _BLOCK // width)  # samples per block
+            for c, key in keys:
+                start, end = c * _CHUNK, min(hi, (c + 1) * _CHUNK)
+                for i in range(max(lo, start), end, step):
+                    j = min(i + step, end)
+                    block = _lane(bits, key, p, (i - start) * width, (j - i) * width,
+                                  32 if decode else 1).reshape(j - i, width)
+                    plane[:, i - lo:j - lo] = (decode(block) if decode else block).T
         world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
     return World(**world)
 
@@ -698,17 +707,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_window(vec: BranchingVector, params: ChannelParams, key: Sequence[int],
+def _sample_window(vec: BranchingVector, params: ChannelParams, seed: int,
                    lo: int, hi: int, evaluator,
                    reads: Reads | None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the chunk of
-    stream ``key``, evaluate and tally them; the world is released on return.
+    """Draw the planes ``reads`` accepts of window ``lo .. hi - 1`` of the run drawn
+    with ``seed``, evaluate and tally them; the world is released on return.
 
     Returns the (success, zz, xx, joint) counts, the world's bytes and the
     seconds this thread spent drawing and evaluating it.
     """
     t0 = time.perf_counter()
-    world = draw_world(vec, params, key, lo, hi, reads)
+    world = draw_world(vec, params, seed, lo, hi, reads)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
     counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
@@ -735,22 +744,20 @@ def run(cfg: SampleConfig) -> McEstimate:
         )
     per_sample = sum(_drawn_widths(vec, faults, reads))
 
-    # (chunk, window start, window end) of every window, chunk by chunk
-    tasks = ((c, lo, hi)
-             for c in range(-(-cfg.n_samples // _CHUNK))
-             for lo, hi in _windows(min(_CHUNK, cfg.n_samples - c * _CHUNK), per_sample))
+    windows = _windows(cfg.n_samples, per_sample)
 
-    def sample(task: tuple[int, int, int]) -> tuple[np.ndarray, int, np.ndarray]:
-        c, lo, hi = task
-        return _sample_window(vec, params, [cfg.seed, c], lo, hi, evaluator, reads)
+    def sample(window: tuple[int, int]) -> tuple[np.ndarray, int, np.ndarray]:
+        lo, hi = window
+        return _sample_window(vec, params, cfg.seed, lo, hi, evaluator, reads)
 
     totals, world_bytes, seconds = np.zeros(4, dtype=np.int64), 0, np.zeros(2)
     threads = _usable_cpus()
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # A pool's map submits all its tasks at once, about 1.8 KB each, and
-        # 10^10 samples are over a million windows: hand it a few per thread at a time.
-        while batch := list(islice(tasks, 64 * threads)):
+        # 10^10 samples of (15,15,2) are millions of windows: hand it a few per
+        # thread at a time.
+        while batch := list(islice(windows, 64 * threads)):
             for counts, nbytes, took in pool.map(sample, batch):
                 totals += counts
                 world_bytes = max(world_bytes, nbytes)

@@ -46,13 +46,13 @@ def tableau_bytes(qubits: int) -> int:
     """Estimated peak bytes of building and verifying a tableau on q = ``qubits`` qubits.
 
     The verifier holds four int tableaux (state, target and their canonical
-    forms) of at most q/4 bytes a row (q^2), and their ``touch`` sets, row
-    lists and int headers take about 2 KB a qubit, counted here as 4 KB so
-    that a first call in a fresh interpreter, which also imports numpy's
-    seeding code, fits too.  Traced peaks on (10,10,2), (15,15,2), (74,15)
-    and (50,48) are 0.55 to 0.67 of this, and 0.82 on a first (10,10,2) call.
+    forms) of at most q/4 bytes a row (q^2); only the state builds ``touch``
+    sets, which with the row lists and int headers take about 1 KB a qubit,
+    counted here as 2 KB.  Traced peaks on (10,10,2), (15,15,2), (74,15) and
+    (50,48) are 0.57 to 0.65 of this.  A first call in a fresh interpreter
+    also imports numpy's seeding code, about 1 MB more.
     """
-    return qubits**2 + 4000 * qubits
+    return qubits**2 + 2000 * qubits
 
 
 def check_tableau_size(qubits: int) -> None:
@@ -170,7 +170,9 @@ class StabilizerTableau:
     """Sign-annotated generator list of a stabilizer group on ``n`` qubits.
 
     Generator i is ``i**phase[i]`` times the Pauli of bits ``rows[i]``;
-    ``touch[q]`` is the set of rows with a bit on qubit q.  There may be
+    ``touch[q]`` is the set of rows with a bit on qubit q, built from the rows
+    on first use, so a tableau only read row by row (a canonical form, a
+    comparison target) never builds it.  There may be
     fewer than ``n`` generators (code states).  A destructive measurement
     drops the qubit's last generator and retires the qubit, leaving it out
     of serialization, canonical forms and equality until :meth:`prepare`.
@@ -180,7 +182,7 @@ class StabilizerTableau:
         self.n = n
         self.rows: list[int] = []
         self.phase: list[int] = []   # i-exponent mod 4
-        self.touch: list[set[int]] = [set() for _ in range(n)]
+        self._touch: list[set[int]] | None = None
         self.discarded: set[int] = set()
         self._x = _x_bits(n)
 
@@ -202,9 +204,17 @@ class StabilizerTableau:
         """A tableau on the same qubits, alive and retired, holding the given rows."""
         t = StabilizerTableau(self.n)
         t.discarded = set(self.discarded)
-        for v, ph in zip(rows, phases):
-            t._append(v, ph)
+        t.rows, t.phase = list(rows), list(phases)
         return t
+
+    @property
+    def touch(self) -> list[set[int]]:
+        if self._touch is None:
+            self._touch = [set() for _ in range(self.n)]
+            for i, v in enumerate(self.rows):
+                for k in _set_bits((v | v >> 1) & self._x):
+                    self._touch[k >> 1].add(i)
+        return self._touch
 
     def copy(self) -> "StabilizerTableau":
         return self._from_rows(self.rows, self.phase)
@@ -226,7 +236,8 @@ class StabilizerTableau:
 
     def _anticommuting(self, w: int) -> set[int]:
         """The rows anticommuting with the Pauli of bits ``w``, read from the rows on its qubits."""
-        near = set().union(*(self.touch[k >> 1] for k in _set_bits((w | w >> 1) & self._x)))
+        touch = self.touch
+        near = set().union(*(touch[k >> 1] for k in _set_bits((w | w >> 1) & self._x)))
         return {i for i in near if _anticommute(self.rows[i], w, self._x)}
 
     def _check_consistency(self) -> None:
@@ -255,19 +266,21 @@ class StabilizerTableau:
         self.discarded.discard(q)
 
     def _append(self, v: int, phase: int) -> None:
+        touch = self.touch  # indexes the rows before v
         for k in _set_bits((v | v >> 1) & self._x):
-            self.touch[k >> 1].add(len(self.rows))
+            touch[k >> 1].add(len(self.rows))
         self.rows.append(v)
         self.phase.append(phase)
 
     def _set_row(self, i: int, v: int) -> None:
         """Store bits ``v`` as row i, moving i between the touch sets where its support changed."""
+        touch = self.touch  # indexes the old row
         old, self.rows[i] = self.rows[i], v
         for k in _set_bits(((old | old >> 1) ^ (v | v >> 1)) & self._x):
             if (v >> k) & 3:
-                self.touch[k >> 1].add(i)
+                touch[k >> 1].add(i)
             else:
-                self.touch[k >> 1].discard(i)
+                touch[k >> 1].discard(i)
 
     def _row_mult(self, i: int, j: int) -> None:
         """Replace generator i by (generator i) * (generator j)."""
@@ -372,7 +385,7 @@ class StabilizerTableau:
                 raise MeasurementContradictionError(
                     f"{basis} on qubit {qubit} is fixed to {m}, cannot force {outcome}")
             else:
-                self.rows, self.phase, self.touch = canon.rows, canon.phase, canon.touch
+                self.rows, self.phase, self._touch = canon.rows, canon.phase, None
                 pivot = support[0]
         self.phase[pivot] = y | (1 - m)
         self._set_row(pivot, op)
@@ -476,11 +489,13 @@ def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliSt
 
 def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:
     """New tableau on the listed qubits (all generators must live there)."""
-    qubits = list(qubits)
-    if any(t.touch[q] for q in set(range(t.n)).difference(qubits)):
-        raise ValueError("generators have support outside the requested qubits")
-    rows = [0] * t.n_generators
-    for k, q in enumerate(qubits):
-        for i in t.touch[q]:
-            rows[i] |= (t.rows[i] >> 2 * q & 3) << 2 * k
-    return StabilizerTableau(len(qubits))._from_rows(rows, t.phase)
+    column = {q: k for k, q in enumerate(qubits)}
+    rows = []
+    for v in t.rows:
+        w = 0
+        for q in (k >> 1 for k in _set_bits((v | v >> 1) & t._x)):
+            if q not in column:
+                raise ValueError("generators have support outside the requested qubits")
+            w |= (v >> 2 * q & 3) << 2 * column[q]
+        rows.append(w)
+    return StabilizerTableau(len(column))._from_rows(rows, t.phase)

@@ -3,8 +3,9 @@
 Every backticked dotted name in README.md whose first part is a module of
 ``treebsm`` or a name it exports (``montecarlo._lane``,
 ``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
-cannot linger in the docs, and the stream version, the search CSV
-columns and the tableau qubit cap the README states are the code's.
+cannot linger in the docs, and the stream version, the sample-window
+counts, the search CSV columns and the tableau qubit cap the README
+states are the code's.
 Every name the README's library tour, the demos and the benchmark
 (``perfbench/``) import from ``treebsm`` or read off such an import must
 exist; they are parsed, not run.  In the other direction, every function
@@ -25,6 +26,8 @@ import pytest
 
 import treebsm
 from treebsm import montecarlo, search, stabilizer
+from treebsm.analytic import Protocol
+from treebsm.trees import BranchingVector
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -63,6 +66,30 @@ def test_every_cited_name_resolves():
 def test_stated_stream_version_is_current():
     stated = re.findall(r"`montecarlo\.STREAM_VERSION` \(now (\d+)\)", README.read_text())
     assert stated == [str(montecarlo.STREAM_VERSION)]
+
+
+PROTOCOLS = {"static": Protocol.STATIC, "adaptive": Protocol.DYNAMIC,
+             "loss-only": Protocol.LOSS_ONLY}
+
+
+def test_stated_window_counts_are_current():
+    # "(2,2) at eps 0 and N = 10^6 is 9 windows under the static rules and 7
+    # windows under the loss-only rules": one case per count.
+    text = " ".join(README.read_text().split())
+    heads = list(re.finditer(r"\(([\d,]+)\) at eps ([\de.-]+) and N = ([\d^]+) is ", text))
+    cases = []
+    for head, end in zip(heads, [h.start() for h in heads[1:]] + [len(text)]):
+        clause = text[head.end():end].split(". ")[0]
+        cases += [(*head.groups(), protocol, int(count)) for count, protocol in re.findall(
+            r"(\d+) windows (?:of [^,]*? samples )?under the ([\w-]+) rules", clause)]
+    assert len(cases) == 3
+    for b, eps, n, protocol, count in cases:
+        vec = BranchingVector(tuple(map(int, b.split(","))))
+        reads = montecarlo._READS[PROTOCOLS[protocol]]
+        per_sample = sum(montecarlo._drawn_widths(vec, float(eps) > 0.0, reads))
+        base, _, power = n.partition("^")
+        windows = montecarlo._windows(int(base) ** int(power or 1), per_sample)
+        assert len(list(windows)) == count, (b, eps, n, protocol)
 
 
 def test_stated_search_columns_are_current():

@@ -102,7 +102,7 @@ class TestVectorizedAgainstReference:
     )
     def test_dynamic_flags_match(self, b, eta, eps, seed):
         vec = BranchingVector(b)
-        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), [seed, 0], 0, 250)
+        world = draw_world(vec, ChannelParams(eta=eta, eps=eps), seed, 0, 250)
         success, zz_err, xx_err = eval_dynamic(vec, world)
         for i in range(250):
             assert (
@@ -112,7 +112,7 @@ class TestVectorizedAgainstReference:
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
         # virtual root: one row; the single-qubit sides have no level 0.
-        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), [7, 0], 0, 50)
+        world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 7, 0, 50)
         assert world.tie_pair[0].shape == (1, 50)
         assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
 
@@ -120,7 +120,7 @@ class TestVectorizedAgainstReference:
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.
         vec = BranchingVector((2, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), [3, 0], 0, 100)
+        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 3, 0, 100)
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
 
@@ -154,10 +154,10 @@ class TestReadSets:
         reads, evaluator = montecarlo._READS[protocol], montecarlo._EVALUATORS[protocol]
         unread = _unread(protocol, vec.depth, eps)
         for n, key in ((300, [7, 0]), (301, [7, 1]), (303, [7, 8195])):
-            whole = draw_world(vec, params, key, 0, n)
+            whole = chunk_world(vec, params, key, 0, n)
             want = evaluator(vec, whole)
             for lo, hi in ((0, n), (0, 1), (1, 150), (150, n - 1), (n - 1, n)):
-                world = draw_world(vec, params, key, lo, hi, reads)
+                world = chunk_world(vec, params, key, lo, hi, reads)
                 for field, k, _ in _planes(vec, eps > 0.0):
                     plane = getattr(world, field)[k]
                     where = f"{field}[{k}], n={n}, window={lo}:{hi}"
@@ -168,7 +168,7 @@ class TestReadSets:
                 for w, g in zip(want, evaluator(vec, world)):
                     np.testing.assert_array_equal(g, w[lo:hi])
         if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
-            world = draw_world(vec, params, [7, 8195], 0, n, reads)
+            world = chunk_world(vec, params, [7, 8195], 0, n, reads)
             success, zz_err, xx_err = evaluator(vec, world)
             for i in range(n):
                 assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
@@ -179,7 +179,7 @@ class TestNodeMajorLayout:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_planes_are_contiguous_nodes_by_samples(self, eps):
         vec = BranchingVector((3, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), [5, 0], 0, 37)
+        world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 5, 0, 37)
         drawn = 0
         for name in (f.name for f in fields(World)):
             planes = getattr(world, name)
@@ -197,8 +197,8 @@ class TestNodeMajorLayout:
         # started at counter (0, 0, p, 3), its cells taken from the raws with
         # shifts and masks and decoded here.  A (3, 2) world with faults has
         # planes of 1, 3 and 6 columns, so with n = 1101 the 32-bit planes end
-        # mid-raw and the bit planes mid-raw and mid-block; n is above and
-        # not a multiple of the draw's block of samples.
+        # mid-raw and the bit planes mid-raw and mid-block (Philox's block of
+        # four raws).  The draw's own blocks are test_blocks_do_not_move_a_plane's.
         vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05)
         assert STREAM_VERSION == 3
         third = int(1.5 * 0.05 * 2**32) // 3
@@ -206,7 +206,7 @@ class TestNodeMajorLayout:
                     "fault": lambda w: np.where(w < 3 * third, 1 + w // third, 0),
                     "coin": lambda c: c == 1, "tie": lambda c: c == 1}
         for n, key in ((1100, [9, 0]), (1101, [9, 8195])):
-            world = draw_world(vec, params, key, 0, n)
+            world = chunk_world(vec, params, key, 0, n)
             for p, (field, k, width) in enumerate(_planes(vec, True)):
                 cell_bits = 32 if field.startswith(("det", "fault")) else 1
                 cells = lane_cells(key, p, 0, n * width, cell_bits).reshape(n, width)
@@ -230,7 +230,7 @@ class TestStreamV3:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_eta_0_and_1_are_exact(self, eta):
         # At eta 1 the threshold is 2^32, above every word: no photon is lost.
-        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), [2, 0], 0, 500)
+        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), 2, 0, 500)
         for plane in world.det_a[1:] + world.det_b[1:]:
             assert plane.all() if eta == 1.0 else not plane.any()
 
@@ -240,7 +240,7 @@ class TestStreamV3:
         words = np.array([0, third - 1, third, 2 * third, 2**32 - 2, 2**32 - 1], np.uint32)
         assert _faults(words, third).tolist() == [1, 1, 2, 3, 3, 0]
         world = draw_world(BranchingVector((50, 20)), ChannelParams(eta=1.0, eps=EPS_MAX),
-                           [3, 0], 0, 1000)
+                           3, 0, 1000)
         for plane in world.fault_a[1:] + world.fault_b[1:]:
             assert plane.all() and plane.max() == 3
 
@@ -249,7 +249,7 @@ class TestStreamV3:
         # three Pauli codes at eps 0.1 (eps_d 0.15, each letter 0.05).
         vec, n = BranchingVector((1000,)), 1000
         params = ChannelParams(eta=0.7, eps=0.1)
-        world = draw_world(vec, params, [11, 4], 0, n)
+        world = chunk_world(vec, params, [11, 4], 0, n)
         third = _fault_third(params)
         cases = [(world.det_a[1], int(0.7 * 2**32) / 2**32), (world.coin[1], 0.5)]
         cases += [(world.fault_b[1] == code, third / 2**32) for code in (1, 2, 3)]
@@ -262,7 +262,7 @@ class TestStreamV3:
         # from distinct lanes: at eta 1/2 each pair disagrees on half its
         # cells, where a shared lane would make it agree everywhere.
         vec, n = BranchingVector((30, 30)), 400
-        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.05), [5, 2], 0, n)
+        world = chunk_world(vec, ChannelParams(eta=0.5, eps=0.05), [5, 2], 0, n)
         pairs = [(world.det_a[k], world.det_b[k]) for k in (1, 2)]
         pairs += [(world.coin[1], world.coin[2][:30]), (world.coin[1], world.coin[2][::30])]
         for a, b in pairs:
@@ -435,6 +435,13 @@ class TestEstimate:
         assert abs(z_score(est.success, wrong_ref, est.n_samples)) > 3
 
 
+def chunk_world(vec, params, key, lo, hi, reads=None):
+    """Samples ``lo .. hi - 1`` of chunk c of the run drawn with seed s, for ``key`` (s, c)."""
+    seed, c = key
+    start = c * montecarlo._CHUNK
+    return draw_world(vec, params, seed, start + lo, start + hi, reads)
+
+
 def serial_counters(cfg: SampleConfig) -> list[int]:
     """Dynamic-protocol run counters from a serial loop that draws chunk c whole from
     stream ``[seed, c]``."""
@@ -442,7 +449,7 @@ def serial_counters(cfg: SampleConfig) -> list[int]:
     want = np.zeros(4, dtype=np.int64)
     for c, first in enumerate(range(0, cfg.n_samples, montecarlo._CHUNK)):
         n = min(montecarlo._CHUNK, cfg.n_samples - first)
-        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, [cfg.seed, c], 0, n))
+        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, cfg.seed, first, first + n))
         want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
     return want.tolist()
 
@@ -517,10 +524,11 @@ class TestConcurrency:
 
 class TestChunkTasks:
     def test_counters_do_not_depend_on_chunk_order(self, monkeypatch):
-        # Every window is drawn from its own position in its chunk's stream,
+        # Every window is drawn from its own positions in its chunks' streams,
         # so running the tasks backwards changes no counter.  50003 samples
         # are six whole chunks and one of 851 samples, and a (3, 2) dynamic
-        # sample draws 55 cells, so each chunk is one window.
+        # sample draws 55 cells, so the run is two windows of 2^21 // 55 =
+        # 38130 samples at most, each spanning chunk boundaries.
         order = []
 
         class ReversePool:
@@ -543,11 +551,30 @@ class TestChunkTasks:
         want = run(cfg)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", ReversePool)
         got = run(cfg)
-        tasks = [(c, 0, 8192) for c in range(6)] + [(6, 0, 851)]
-        assert order == tasks[::-1]
+        assert order == [(25001, 50003), (0, 25001)]
         for est in (want, got):
             assert [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error] \
                 == serial_counters(cfg)
+
+    @pytest.mark.parametrize("b,eps,protocol,n_samples,windows", [
+        # 18 cells a sample: 2^21 // 18 = 116508 samples a window at most,
+        # where one-chunk windows would be 123.
+        ((2, 2), 0.0, Protocol.STATIC, 10**6, 9),
+        ((2, 2), 0.0, Protocol.LOSS_ONLY, 10**6, 7),
+        # 4171 cells a sample: 502 samples a window at most.
+        ((15, 15, 2), 1e-3, Protocol.DYNAMIC, 16384, 33)])
+    def test_a_run_evaluates_the_fewest_windows(self, monkeypatch, b, eps, protocol,
+                                                n_samples, windows):
+        evaluate, sizes = montecarlo._EVALUATORS[protocol], []
+
+        def counting(vec, world):
+            sizes.append(world.det_a[1].shape[1])
+            return evaluate(vec, world)
+
+        monkeypatch.setitem(montecarlo._EVALUATORS, protocol, counting)
+        run(SampleConfig(b=b, eta=0.8, eps=eps, protocol=protocol, n_samples=n_samples, seed=1))
+        assert len(sizes) == windows and sum(sizes) == n_samples
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestWorkerCap:
@@ -584,7 +611,7 @@ class TestSeed:
         # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
         vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
         want = lane_cells([seed, 0], 0, 0, 128, 32).reshape(64, 2).T < 2**31
-        np.testing.assert_array_equal(draw_world(vec, params, [seed, 0], 0, 64).det_a[1], want)
+        np.testing.assert_array_equal(draw_world(vec, params, seed, 0, 64).det_a[1], want)
 
     def test_bsm_error_rates_take_every_64_bit_seed(self):
         rates = [sample_bsm_error_rates(0.3, 1000, seed) for seed in (2**63, 2**63 + 1)]
@@ -619,17 +646,17 @@ class TestWindowedDraw:
         # odd cell, and every bit plane at a cell that is no multiple of 64.
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
         assert (lo * 3) % 2 == 1 and all(lo * w % 64 for w in (1, 3, 6))
-        whole = draw_world(vec, params, [4, 2], 0, n)
-        window = draw_world(vec, params, [4, 2], lo, lo + 100)
+        whole = chunk_world(vec, params, [4, 2], 0, n)
+        window = chunk_world(vec, params, [4, 2], lo, lo + 100)
         for field, k, _ in _planes(vec, True):
             np.testing.assert_array_equal(getattr(window, field)[k],
                                           getattr(whole, field)[k][:, lo:lo + 100],
                                           err_msg=f"{field}[{k}]")
 
-    @pytest.mark.parametrize("n", [1, 2, 1100, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 1100, 8192, 10**6 + 3])
     @pytest.mark.parametrize("per_sample", [1, 18, 4171, 3 * 10**6])
     def test_windows_are_the_fewest_that_fit(self, n, per_sample):
-        windows = _windows(n, per_sample)
+        windows = list(_windows(n, per_sample))
         assert windows[0][0] == 0 and windows[-1][1] == n
         assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         sizes = [hi - lo for lo, hi in windows]
@@ -643,10 +670,10 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_windowed_world_equals_the_serial_world(self, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
-        serial = draw_world(vec, params, [9, 7], 0, n)
+        serial = chunk_world(vec, params, [9, 7], 0, n)
         for j in range(windows):
             lo, hi = j * n // windows, (j + 1) * n // windows
-            split = draw_world(vec, params, [9, 7], lo, hi)
+            split = chunk_world(vec, params, [9, 7], lo, hi)
             for name in (f.name for f in fields(World)):
                 want, got = getattr(serial, name), getattr(split, name)
                 if want is None:
@@ -658,6 +685,62 @@ class TestWindowedDraw:
                     else:
                         assert g.flags.c_contiguous
                         np.testing.assert_array_equal(g, w[:, lo:hi], err_msg=f"{name}[{k}]")
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("chunk,lo,hi", [(8192, 7825, 8292), (50, 67, 326)])
+    def test_a_window_across_chunks_is_the_chunks_side_by_side(self, monkeypatch, eps,
+                                                                chunk, lo, hi):
+        # The window starts mid-raw in its first chunk, as in
+        # test_windows_start_mid_raw, and ends inside its last: two chunks
+        # of 8192 samples, or six of 50.
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps)
+        assert (lo % chunk * 3) % 2 == 1 and all(lo % chunk * w % 64 for w in (1, 3, 6))
+        window = draw_world(vec, params, 4, lo, hi)
+        chunks = [chunk_world(vec, params, [4, c], 0, chunk)
+                  for c in range(lo // chunk, -(-hi // chunk))]
+        start = lo // chunk * chunk
+        for name in (f.name for f in fields(World)):
+            got = getattr(window, name)
+            if got is None:
+                assert eps == 0.0 and name.startswith(("fault", "tie"))
+                continue
+            for k, g in enumerate(got):
+                if g is None:
+                    assert getattr(chunks[0], name)[k] is None
+                    continue
+                whole = np.concatenate([getattr(w, name)[k] for w in chunks], axis=1)
+                assert g.flags.c_contiguous
+                np.testing.assert_array_equal(g, whole[:, lo - start:hi - start],
+                                              err_msg=f"{name}[{k}]")
+
+    @pytest.mark.parametrize("block", [1, 7, 640])
+    def test_blocks_do_not_move_a_plane(self, monkeypatch, block):
+        # Blocks of one sample, of 7 cells (one or two samples a plane, cut
+        # mid-raw), and of 640 cells, across a chunk boundary: the world is
+        # the one drawn in blocks of 2^18 cells.
+        vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05)
+        want = draw_world(vec, params, 4, 7825, 8292)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        got = draw_world(vec, params, 4, 7825, 8292)
+        for field, k, _ in _planes(vec, True):
+            np.testing.assert_array_equal(getattr(got, field)[k], getattr(want, field)[k],
+                                          err_msg=f"{field}[{k}]")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_windows_across_chunks_give_the_serial_counters(self, monkeypatch, cpus):
+        # Windows of at most 3001 samples (a (3, 2) dynamic sample draws 55
+        # cells): 7 of about 2858, the third and sixth across a chunk boundary.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_WINDOW", 55 * 3001)
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                           n_samples=20003, seed=31)
+        windows = list(_windows(cfg.n_samples, 55))
+        assert len(windows) == 7
+        assert [lo // 8192 != (hi - 1) // 8192 for lo, hi in windows].count(True) == 2
+        est = run(cfg)
+        got = [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error]
+        assert got == serial_counters(cfg)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -679,14 +762,14 @@ class TestWindowedDraw:
         # Drawing a chunk window by window holds no more than drawing it whole.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
-        windows = _windows(8192, sum(montecarlo._drawn_widths(vec, True, reads)))
+        windows = list(_windows(8192, sum(montecarlo._drawn_widths(vec, True, reads))))
         assert len(windows) > 1
         peaks = []
         for cuts in ([(0, 8192)], windows):
             tracemalloc.start()
             try:
                 for lo, hi in cuts:
-                    _sample_window(vec, params, [1, 0], lo, hi, eval_dynamic, reads)
+                    _sample_window(vec, params, 1, lo, hi, eval_dynamic, reads)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -698,7 +781,7 @@ class TestMemoryBudget:
         vec = BranchingVector((15, 15, 2))
         tracemalloc.start()
         try:
-            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), [1, 0], 0, 8192)
+            world = draw_world(vec, ChannelParams(eta=0.8, eps=1e-3), 1, 0, 8192)
             eval_dynamic(vec, world)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -713,7 +796,7 @@ class TestMemoryBudget:
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
-        _, nbytes, _ = _sample_window(vec, params, [1, 0], 0, 8192, eval_dynamic, reads)
+        _, nbytes, _ = _sample_window(vec, params, 1, 0, 8192, eval_dynamic, reads)
         assert nbytes == 4171 * 8192
         assert chunk_bytes(vec, 8192, True, reads) == nbytes + 4 * 8192 * 450
 
@@ -761,6 +844,20 @@ class TestSizeCap:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_a_small_run_draws_through_draw_world(self, monkeypatch):
+        # The guard above patches draw_world: it holds only while a run draws
+        # through that name.
+        calls, draw = [], montecarlo.draw_world
+
+        def counting(*args):
+            calls.append(args[3:5])
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_world", counting)
+        run(SampleConfig(b=(2, 2), eta=0.9, eps=1e-3, protocol=Protocol.STATIC,
+                         n_samples=100, seed=1))
+        assert calls == [(0, 100)]
 
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15)):
