@@ -20,7 +20,6 @@ benchmark; constructors only the tests need live beside the tests.
 
 from .analytic import (
     BsmRates,
-    LogicalBsmResult,
     Protocol,
     ThresholdResult,
     UnreachableTargetError,

@@ -66,14 +66,9 @@ from .trees import (
     BranchingVector,
     BranchingVectorLike,
     ChannelParams,
+    Protocol,
     as_branching_vector,
 )
-
-
-class Protocol(Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
-    LOSS_ONLY = "loss-only"
 
 
 class Basis(Enum):
@@ -463,23 +458,9 @@ def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
 # Logical rates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogicalBsmResult:
-    """Logical-level rates of one protocol on one tree shape."""
-
-    protocol: Protocol
-    b: BranchingVector
-    params: ChannelParams
-    pr_xx: float
-    pr_zz: float
-    pr_complete: float
-    err_xx: float
-    err_zz: float
-    err_complete: float
-
-
 class BsmRates(NamedTuple):
-    """The rates of :class:`LogicalBsmResult` for a batch, one array entry per row."""
+    """Logical-level rates of one protocol: arrays with one entry per row of a batch
+    (:func:`logical_bsm_batch`), or floats for one shape (:func:`logical_bsm`)."""
 
     pr_xx: np.ndarray
     pr_zz: np.ndarray
@@ -553,13 +534,10 @@ def logical_bsm_batch(
     return BsmRates(*out)
 
 
-def logical_bsm(
-    b: BranchingVectorLike, params: ChannelParams, protocol: Protocol
-) -> LogicalBsmResult:
-    """Evaluate ``protocol`` exactly on tree shape ``b``: a batch of one."""
-    vec = as_branching_vector(b)
-    rates = logical_bsm_batch([vec], params.eta, params.eps, protocol)
-    return LogicalBsmResult(protocol, vec, params, *(float(r[0]) for r in rates))
+def logical_bsm(b: BranchingVectorLike, params: ChannelParams, protocol: Protocol) -> BsmRates:
+    """Evaluate ``protocol`` exactly on tree shape ``b``: a batch of one, as floats."""
+    rates = logical_bsm_batch([b], params.eta, params.eps, protocol)
+    return BsmRates(*(float(r[0]) for r in rates))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ family raises the measured threshold and enlarging it lowers it.
 
 from __future__ import annotations
 
-from .analytic import Protocol
-from .trees import BranchingVector
+from .trees import BranchingVector, Protocol
 
 # Shapes from the reference operating points, useful in any family.
 _COMMON = [

@@ -76,6 +76,10 @@ class Instruction:
         return " ".join([self.opcode, *map(str, self.args)])
 
 
+# Argument count of each opcode.
+_ARITY = {"E": 2, "H": 1, "CZ": 2, "MX": 1, "MY": 1, "MZ": 1}
+
+
 @dataclass
 class InstructionSequence:
     """Ordered matter-qubit program (execution order = list order).
@@ -251,6 +255,9 @@ def execute_sequence(
     outcomes = iter(forced_outcomes) if forced_outcomes is not None else None
 
     for ins in seq.instructions:
+        if len(ins.args) != _ARITY.get(ins.opcode, len(ins.args)):
+            raise ValueError(f"{ins.to_line()!r}: {ins.opcode} takes {_ARITY[ins.opcode]} "
+                             f"argument(s), got {len(ins.args)}")
         if ins.opcode == "E":
             r, p = ins.args
             if not 0 <= p < n_p:
@@ -259,6 +266,8 @@ def execute_sequence(
         elif ins.opcode == "H":
             t.apply_h(reg(ins, ins.args[0]))
         elif ins.opcode == "CZ":
+            if ins.args[0] == ins.args[1]:
+                raise ValueError(f"{ins.to_line()!r}: CZ needs two different registers")
             t.apply_cz(reg(ins, ins.args[0]), reg(ins, ins.args[1]))
         elif ins.opcode in ("MX", "MY", "MZ"):
             try:

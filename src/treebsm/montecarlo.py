@@ -69,6 +69,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,11 +79,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .analytic import Protocol
 from .trees import (
     BranchingVector,
     BranchingVectorLike,
     ChannelParams,
+    Protocol,
     as_branching_vector,
     photon_count,
 )
@@ -148,6 +149,12 @@ class SampleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(as_branching_vector(self.b)))
+        object.__setattr__(self, "protocol", Protocol(self.protocol))
+        for name in ("n_samples", "seed"):
+            try:  # integers of any type, numpy's included; a float is never truncated
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         check_seed(self.seed)
@@ -548,7 +555,7 @@ def _recover(
         direct, opener, gate, direct_err, opener_err = level(k) if k else _ROOT
         if can is None:  # no children below this level
             kids_ok, err_kids = True, False
-            ind[k] = err_ind[k] = np.zeros_like(direct)
+            ind[k] = err_ind[k] = np.False_  # broadcasts; no flag planes at the leaves
         else:
             kids_ok = _group(can, vec[k]).all(axis=1)
             votes = _group(chain, vec[k])

@@ -102,14 +102,6 @@ class PauliString:
             raise ValueError(f"bits {self.bits:#x} act beyond qubit {self.n - 1}")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliString":
-        return cls(n, _letter_bits(letter) << 2 * qubit, sign)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         body = label.strip()
         sign = -1 if body[:1] == "-" else 1
@@ -216,9 +208,6 @@ class StabilizerTableau:
                     self._touch[k >> 1].add(i)
         return self._touch
 
-    def copy(self) -> "StabilizerTableau":
-        return self._from_rows(self.rows, self.phase)
-
     @property
     def n_generators(self) -> int:
         return len(self.rows)
@@ -297,6 +286,11 @@ class StabilizerTableau:
             if not 0 <= q < self.n:
                 raise ValueError(f"qubit {q} out of range")
 
+    def _pair_check(self, a: int, b: int) -> None:
+        if a == b:
+            raise ValueError(f"a two-qubit gate needs two different qubits, got {a} twice")
+        self._alive_check(a, b)
+
     def apply_h(self, q: int) -> None:
         self._alive_check(q)
         for i in self.touch[q]:
@@ -306,7 +300,7 @@ class StabilizerTableau:
                 self.rows[i] ^= 3 << 2 * q
 
     def apply_cz(self, a: int, b: int) -> None:
-        self._alive_check(a, b)
+        self._pair_check(a, b)
         for i in self.touch[a] | self.touch[b]:
             v = self.rows[i]
             xa, xb = (v >> 2 * a) & 1, (v >> 2 * b) & 1
@@ -315,7 +309,7 @@ class StabilizerTableau:
                 self._set_row(i, v ^ xb << 2 * a + 1 ^ xa << 2 * b + 1)
 
     def apply_cnot(self, control: int, target: int) -> None:
-        self._alive_check(control, target)
+        self._pair_check(control, target)
         for i in self.touch[control] | self.touch[target]:
             v = self.rows[i]
             xc, zt = (v >> 2 * control) & 1, (v >> 2 * target + 1) & 1
@@ -341,12 +335,6 @@ class StabilizerTableau:
         for i in support:
             w, pw = _product(w, pw, c.rows[i], c.phase[i], c._x)
         return c, support, 0 if w else 1 - pw
-
-    def expectation(self, p: PauliString) -> int:
-        """+1/-1 if p (with its sign) is fixed by the state, 0 if random."""
-        if p.n != self.n:
-            raise ValueError("qubit-count mismatch")
-        return 0 if self._anticommuting(p.bits) else self._reduce(p.bits, _phase_of(p, self._x))[2]
 
     def measure(self, qubit: int, basis: str, outcome: int | None = None,
                 rng: np.random.Generator | None = None, destructive: bool = False) -> int:

@@ -6,14 +6,16 @@ verification, tree search) is driven by a *branching vector*
 vertex at level ``k < d`` has exactly ``b_k`` children.  This module owns
 that type and the tree layout every engine reads from it (the vertex ids
 of each level, each vertex's parent and children, and the photon columns
-left when the root is dropped), and the photon-channel parameters.  The
-tree is never materialized: each vertex query is one pass over the levels.
+left when the root is dropped), the photon-channel parameters and the
+measurement protocols every engine evaluates.  The tree is never
+materialized: each vertex query is one pass over the levels.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -101,9 +103,6 @@ class BranchingVector:
             above, start, size = start, start + size, size * bk
         raise IndexError(f"vertex {v} outside 0..{start - 1}")
 
-    def level_of(self, v: int) -> int:
-        return self._locate(v)[0]
-
     def children(self, v: int) -> range:
         """The children of vertex ``v``, contiguous; empty at a leaf."""
         return self._locate(v)[2]
@@ -181,6 +180,12 @@ def _first_outside(value, top: float):
     values = np.atleast_1d(value)
     bad = values[~((values >= 0.0) & (values <= top))]
     return bad[0] if bad.size else None
+
+
+class Protocol(Enum):
+    STATIC = "static"
+    DYNAMIC = "dynamic"
+    LOSS_ONLY = "loss-only"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Constructors that only the tests use: product and graph states, the
-tree-code encoding, per-level exact rates, search queries and the text parsers.
+"""Constructors and queries that only the tests use: one-qubit Paulis,
+product and graph states, tableau copies and expectations, the tree-code
+encoding, per-level exact rates, search queries and the text parsers.
 
 Tableaux and instruction sequences are written as text by the package
 (``StabilizerTableau.to_text``, ``Instruction.to_line``); reading them back
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from treebsm import analytic
+from treebsm import analytic, stabilizer
 from treebsm.genseq import Instruction
 from treebsm.search import ParetoEntry, SearchBounds, evaluate_all
 from treebsm.stabilizer import (
@@ -28,9 +29,26 @@ from treebsm.stabilizer import (
 from treebsm.trees import BranchingVectorLike, ChannelParams, as_branching_vector, photon_count
 
 
+def single(n: int, qubit: int, letter: str, sign: int = 1) -> PauliString:
+    """The n-qubit Pauli with ``letter`` on ``qubit`` and the identity elsewhere."""
+    return PauliString(n, stabilizer._letter_bits(letter) << 2 * qubit, sign)
+
+
 def all_plus(n: int) -> StabilizerTableau:
     """The n-qubit product state |+>^n."""
-    return StabilizerTableau.from_generators([PauliString.single(n, q, "X") for q in range(n)])
+    return StabilizerTableau.from_generators([single(n, q, "X") for q in range(n)])
+
+
+def copy_tableau(t: StabilizerTableau) -> StabilizerTableau:
+    """An independent tableau holding the same rows, with the same retired qubits."""
+    return t._from_rows(t.rows, t.phase)
+
+
+def expectation(t: StabilizerTableau, p: PauliString) -> int:
+    """+1/-1 if p (with its sign) is fixed by the state of ``t``, 0 if random."""
+    if p.n != t.n:
+        raise ValueError("qubit-count mismatch")
+    return 0 if t._anticommuting(p.bits) else t._reduce(p.bits, stabilizer._phase_of(p, t._x))[2]
 
 
 def tableau_from_text(text: str) -> StabilizerTableau:

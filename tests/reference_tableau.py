@@ -19,6 +19,8 @@ import numpy as np
 
 from treebsm.stabilizer import MeasurementContradictionError, PauliString, draw_outcome
 
+from builders import single
+
 _PLANES = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER = {v: k for k, v in _PLANES.items()}
 
@@ -229,7 +231,7 @@ class StabilizerTableau:
         its detector.
         """
         self._alive_check(qubit)
-        op = PauliString.single(self.n, qubit, basis)
+        op = single(self.n, qubit, basis)
         anti = self._anticommuting(*_planes(op)[:2])
         if anti.any():
             pivot = int(np.argmax(anti))
@@ -249,7 +251,7 @@ class StabilizerTableau:
                 self.xs, self.zs, self.phase = canon.xs, canon.zs, canon.phase
                 pivot = int(support[0])
         self.xs[pivot], self.zs[pivot], self.phase[pivot] = _planes(
-            PauliString.single(self.n, qubit, basis, sign=m))
+            single(self.n, qubit, basis, sign=m))
         self._pivot(pivot, self.xs[:, qubit] | self.zs[:, qubit])
         if destructive:
             self._drop_row_and_qubit(pivot, qubit)

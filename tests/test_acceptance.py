@@ -22,7 +22,7 @@ from treebsm.search import SearchBounds
 from treebsm.stabilizer import PauliString, StabilizerTableau, canonical_mismatch
 from treebsm.trees import ChannelParams, photon_count
 
-from builders import smallest_error_correcting
+from builders import copy_tableau, smallest_error_correcting
 from reference_sampler import sample_bsm_error_rates
 
 SEED = 20260808
@@ -167,13 +167,13 @@ def test_criterion_09_measurement_update_worked_example():
         [PauliString.from_label(s) for s in ("+XZI", "+ZXZ", "+IZX")]
     )
     for m, sign in ((1, "+"), (-1, "-")):
-        t = chain.copy()
+        t = copy_tableau(chain)
         t.measure(1, "Z", outcome=m)
         want = StabilizerTableau.from_generators(
             [PauliString.from_label(s) for s in (f"{sign}XII", f"{sign}IZI", f"{sign}IIX")]
         )
         assert canonical_mismatch(t, want) is None
-        t = chain.copy()
+        t = copy_tableau(chain)
         t.measure(1, "X", outcome=m)
         want = StabilizerTableau.from_generators(
             [PauliString.from_label(s) for s in (f"{sign}ZIZ", "+XIX", f"{sign}IXI")]

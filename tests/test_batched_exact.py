@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from treebsm import analytic
-from treebsm.analytic import MAX_CHAINS, Protocol, logical_bsm, logical_bsm_batch
+from treebsm.analytic import MAX_CHAINS, BsmRates, Protocol, logical_bsm, logical_bsm_batch
 from treebsm.cli import main
 from treebsm.search import SearchBounds, enumerate_trees, pareto_front
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
@@ -117,6 +117,14 @@ class TestBlocks:
             one = logical_bsm(vec, ChannelParams(eta=eta[i], eps=eps[i]), protocol)
             for f in FIELDS:
                 assert abs(float(getattr(got, f)[i]) - getattr(one, f)) <= TOL, (str(vec), f)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_one_shape_is_its_batch_row_as_floats(self, protocol):
+        params = ChannelParams(eta=0.9, eps=1e-3)
+        one = logical_bsm("15,15,2", params, protocol)
+        rows = logical_bsm_batch(["15,15,2"], params.eta, params.eps, protocol)
+        assert isinstance(one, BsmRates) and {type(r) for r in one} == {float}
+        assert one == tuple(float(r[0]) for r in rows)
 
     def test_long_batch_holds_a_few_mb(self):
         rng = np.random.default_rng(9)

@@ -10,8 +10,9 @@ Every name the README's library tour, the demos and the benchmark
 (``perfbench/``) import from ``treebsm`` or read off such an import must
 exist; they are parsed, not run.  In the other direction, every function
 ``treebsm/__init__.py`` exports must be referenced in code by the
-package, a demo or the benchmark: a function only the tests call belongs
-in ``tests/``.
+package, a demo or the benchmark, and so must every public method and
+property of a class it exports: code only the tests call belongs in
+``tests/``.
 """
 
 import ast
@@ -196,18 +197,58 @@ def code_references(source: str) -> set[str]:
     return found
 
 
-def exported_functions() -> list[str]:
+def exported(test) -> list[str]:
+    """The names ``treebsm/__init__.py`` exports whose object passes ``test``."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     names = [alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) for alias in node.names]
-    return sorted(n for n in names if inspect.isfunction(getattr(treebsm, n)))
+    return sorted(n for n in names if test(getattr(treebsm, n)))
+
+
+def used_outside_the_tests() -> set[str]:
+    """Names referenced in code by the package (not its ``__init__``), the demos or the benchmark."""
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    return set().union(*(code_references(path.read_text())
+                         for path in sources if path != PACKAGE / "__init__.py"))
 
 
 def test_every_exported_function_has_a_caller_outside_the_tests():
-    exported = exported_functions()
-    assert {"logical_bsm", "run", "verify_bell_pair"} <= set(exported)
-    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
-    used = set().union(*(code_references(path.read_text())
-                         for path in sources if path != PACKAGE / "__init__.py"))
-    assert [name for name in exported if name not in used] == []
+    functions = exported(inspect.isfunction)
+    assert {"logical_bsm", "run", "verify_bell_pair"} <= set(functions)
+    used = used_outside_the_tests()
+    assert [name for name in functions if name not in used] == []
+
+
+MEMBER_KINDS = (types.FunctionType, property, classmethod, staticmethod)
+
+
+def public_members(cls: type) -> list[str]:
+    """Functions, properties, classmethods and staticmethods defined in the body
+    of ``cls``, without dunder or private names; fields are none of these."""
+    return [name for name, value in vars(cls).items()
+            if isinstance(value, MEMBER_KINDS) and not name.startswith("_")]
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
+    members = [f"{name}.{member}" for name in exported(inspect.isclass)
+               for member in public_members(getattr(treebsm, name))]
+    assert {"StabilizerTableau.measure", "BranchingVector.children",
+            "ChannelParams.eps_bsm"} <= set(members)
+    assert not {"BsmRates.pr_complete", "SampleConfig.seed"} & set(members)  # fields
+    used = used_outside_the_tests()
+    assert [m for m in members if m.rpartition(".")[2] not in used] == []
+
+
+@pytest.mark.parametrize("module", ["montecarlo", "stabilizer", "genseq"])
+def test_the_checking_engines_import_nothing_from_the_exact_engine(module):
+    # The sampler and the verifier check the exact engine; the vocabulary
+    # they share with it (Protocol, ChannelParams) lives in trees.
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if name.split(".")[-1] == "analytic"]

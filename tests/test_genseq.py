@@ -87,7 +87,7 @@ class TestVerify:
         seq = compile_bell_pair(b)
         res = verify_bell_pair(seq, b)
         assert res.ok, res.detail
-        assert res.correction == PauliString.identity(res.correction.n)  # an all-+1 record
+        assert res.correction == PauliString(res.correction.n)  # an all-+1 record
 
     def test_all_outcome_patterns_small(self):
         for b in ("1", "2", "1,1", "2,1", "1,2", "2,2"):
@@ -355,6 +355,19 @@ class TestProgramChecks:
     def test_register_outside_the_program(self, bad):
         seq = self._program(self.GOOD[:2] + [bad] + self.GOOD[2:])
         with pytest.raises(ValueError, match=f"'{bad}': register"):
+            execute_sequence(seq, forced_outcomes=[1] * 10)
+
+    @pytest.mark.parametrize("bad", ["H", "E 0", "E 0 1 1", "CZ 0", "MX", "MZ 0 5"])
+    def test_argument_count_of_each_opcode(self, bad):
+        # "MZ 0 5" once ran as "MZ 0", "H" raised IndexError and "E 0" an unpacking error.
+        seq = self._program(self.GOOD[:2] + [bad] + self.GOOD[2:])
+        with pytest.raises(ValueError, match=f"'{bad}': {bad.split()[0]} takes"):
+            execute_sequence(seq, forced_outcomes=[1] * 10)
+
+    def test_cz_needs_two_different_registers(self):
+        # "CZ 0 0" once ran as a Z on register 0.
+        seq = self._program(self.GOOD[:2] + ["CZ 0 0"] + self.GOOD[2:])
+        with pytest.raises(ValueError, match="'CZ 0 0': CZ needs two different registers"):
             execute_sequence(seq, forced_outcomes=[1] * 10)
 
     def test_register_left_unmeasured(self):

@@ -620,6 +620,31 @@ class TestSeed:
             sample_bsm_error_rates(0.3, 1000, 2**64)
 
 
+class TestConfigInputs:
+    """A configuration run() could not use is refused when it is made."""
+
+    KW = dict(b=(2, 2), eta=0.8, eps=0.0, protocol=Protocol.STATIC, n_samples=1000, seed=1)
+
+    @pytest.mark.parametrize("bad", [1e4, 1000.0, "1000"])
+    def test_sample_count_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            SampleConfig(**{**self.KW, "n_samples": bad})
+        assert SampleConfig(**{**self.KW, "n_samples": np.int64(1000)}).n_samples == 1000
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0])
+    def test_seed_is_never_truncated(self, bad):
+        # Seed 1.7 once ran as seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SampleConfig(**{**self.KW, "seed": bad})
+
+    def test_protocol_is_a_protocol_or_its_value(self):
+        cfg = SampleConfig(**{**self.KW, "protocol": "static"})
+        assert cfg.protocol is Protocol.STATIC
+        assert run(cfg).n_success == run(SampleConfig(**self.KW)).n_success
+        with pytest.raises(ValueError, match="is not a valid Protocol"):
+            SampleConfig(**{**self.KW, "protocol": "dynamic-ish"})
+
+
 class TestWindowedDraw:
     @pytest.mark.parametrize("pre", range(6))
     def test_positioning_matches_the_raw_stream(self, pre):
@@ -799,6 +824,21 @@ class TestMemoryBudget:
         _, nbytes, _ = _sample_window(vec, params, 1, 0, 8192, eval_dynamic, reads)
         assert nbytes == 4171 * 8192
         assert chunk_bytes(vec, 8192, True, reads) == nbytes + 4 * 8192 * 450
+
+    def test_the_leaves_hold_no_vote_flag_planes(self):
+        # A (2,2) adaptive window of 111,111 samples at eps 0 (one ninth of
+        # N = 10^6) draws a 2.0 MB world and peaks at 5.6 MB; a zero flag
+        # plane per leaf level of both sides and the pair raised it to 6.9 MB.
+        vec, params = BranchingVector((2, 2)), ChannelParams(eta=0.8, eps=0.0)
+        reads = montecarlo._READS[Protocol.DYNAMIC]
+        _sample_window(vec, params, 1, 0, 1000, eval_dynamic, reads)  # first-call imports
+        tracemalloc.start()
+        try:
+            _sample_window(vec, params, 1, 0, 111111, eval_dynamic, reads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.2e6
 
     def test_a_two_worker_run_holds_windows_not_chunks(self, monkeypatch):
         # Each of two threads holds one window's world and buffer at a time,

@@ -68,7 +68,7 @@ class TestBuildTree:
         vec = BranchingVector.parse("2")
         assert vec.check_vertices() == 3
         assert vec.children(0) == range(1, 3)
-        assert [vec.level_of(v) for v in range(3)] == [0, 1, 1]
+        assert [vec._locate(v)[0] for v in range(3)] == [0, 1, 1]
 
     def test_fig_shape_3_2(self):
         vec = BranchingVector.parse("3,2")
@@ -102,7 +102,7 @@ class TestBuildTree:
             vec = BranchingVector(tuple(int(x) for x in rng.integers(1, 11, size=d)))
             assert vec.check_vertices() == photon_count(vec)
             # Each level's vertices are exactly the vector's level range.
-            levels = np.array([vec.level_of(v) for v in range(photon_count(vec))])
+            levels = np.array([vec._locate(v)[0] for v in range(photon_count(vec))])
             for k in range(d + 1):
                 got = np.flatnonzero(levels == k)
                 assert got.tolist() == list(vec.level_vertices(k))
@@ -138,14 +138,15 @@ class TestVertexQueries:
     @example([1])
     @example([1, 4, 1])
     def test_level_of_agrees_with_level_vertices(self, branches):
+        # _locate is the lookup children and neighbors read.
         vec = BranchingVector(tuple(branches))
         for k in range(vec.depth + 1):
-            assert all(vec.level_of(v) == k for v in vec.level_vertices(k))
+            assert all(vec._locate(v)[0] == k for v in vec.level_vertices(k))
 
     @pytest.mark.parametrize("v", [-1, 7, 100])
     def test_vertex_outside_the_tree(self, v):
         with pytest.raises(IndexError, match="outside 0..6"):
-            BranchingVector.of(2, 2).level_of(v)
+            BranchingVector.of(2, 2).children(v)
 
     @pytest.mark.parametrize("build", [
         compile_bell_pair, logical_bell_tableau, graph_state_tableau, encode_logical,
