@@ -21,7 +21,7 @@ for b in ("2", "2,2", "3,2,2"):
           f"{seq.n_registers} matter registers -> {'PASS' if res.ok else 'FAIL'}")
 
 print()
-print("full program for b = (2,2)  (E reg photon | H reg | MZ reg | CZ a b):")
+print("full program for b = (2,2)  (E reg column | H reg | MZ reg | CZ a b):")
 seq = compile_bell_pair("2,2")
 print(seq.to_text())
 

@@ -16,17 +16,18 @@ Conventions fixed here and relied on by the verifier:
   single-photon rotation that turns leaf copy-bonds into graph edges is
   deferred to the photon's detector; the verifier applies it (an H on each
   leaf photon) before comparing states.
+* A photon's index is its column in the target state,
+  :meth:`~treebsm.trees.BranchingVector.photon_column`: tree 0's
+  vertices 1..n-1 in breadth-first order, then tree 1's.  ``E r c`` emits
+  the photon of column c, so the program text alone is the whole program.
 * Every photon and every register has one fixed tableau qubit: photon p
   is qubit p, register r is qubit ``n_photons + r``.  A register starts in
   ``|+>`` and, once measured, is prepared in ``|+>`` again on its next use.
 * Measurement byproducts are a Pauli frame that the record fixes.  ``MZ r``
   reading -1, where register r last emitted photon p (the teleport
-  ``E r p; H r; MZ r``), leaves Z on p's target column; a root ``MX r``
+  ``E r p; H r; MZ r``), leaves Z on column p; a root ``MX r``
   (r = 0, 1) reading -1 leaves tree r's logical X.  The verifier applies
   that frame; no other -1 outcome has a known byproduct.
-* Photon columns of the target state come from
-  :meth:`~treebsm.trees.BranchingVector.photon_column`: tree 0's
-  vertices 1..n-1 in breadth-first order, then tree 1's.
 * The logical Bell pair produced by root-X measurements is the graph-type
   pair: its cross generators are (logical X) x (logical Z') and
   (logical Z) x (logical X'), together with both codes' stabilizers.  It
@@ -39,7 +40,7 @@ sharing the d - 1 ladder registers); depth 1 needs just the two roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -52,7 +53,6 @@ from .stabilizer import (
     graph_generator,
     logical_x_string,
     logical_z_string,
-    restricted_to,
 )
 from .trees import BranchingVectorLike, as_branching_vector, photon_count
 
@@ -65,7 +65,7 @@ from .trees import BranchingVectorLike, as_branching_vector, photon_count
 class Instruction:
     """One matter-register operation.
 
-    opcode: "E" (emit photon: args = (register, photon)), "H" (register),
+    opcode: "E" (emit photon: args = (register, photon column)), "H" (register),
     "MX" / "MY" / "MZ" (measure register), "CZ" (two registers).
     """
 
@@ -84,17 +84,16 @@ _ARITY = {"E": 2, "H": 1, "CZ": 2, "MX": 1, "MY": 1, "MZ": 1}
 class InstructionSequence:
     """Ordered matter-qubit program (execution order = list order).
 
-    ``photon_vertex[p]`` records which tree vertex the p-th photon
-    realizes, as ``(tree index, vertex id)`` with vertex ids from the
-    breadth-first tree numbering.  Matter registers are numbered 0 (root
-    of tree 0), 1 (root of tree 1), then 2.. for the shared ladder.
+    Photon p is the tree vertex of target column p
+    (:meth:`~treebsm.trees.BranchingVector.photon_column`).  Matter
+    registers are numbered 0 (root of tree 0), 1 (root of tree 1), then 2..
+    for the shared ladder.
     """
 
     branching: tuple[int, ...]
     n_registers: int
     n_photons: int
     instructions: list[Instruction]
-    photon_vertex: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -107,7 +106,7 @@ class InstructionSequence:
         return sum(1 for ins in self.instructions if ins.opcode in ("MX", "MY", "MZ"))
 
     def to_text(self) -> str:
-        """One instruction per line; the text has no photon->vertex map, so it is output only."""
+        """One instruction per line: with the shape and the counts, the whole program."""
         return "\n".join(ins.to_line() for ins in self.instructions) + "\n"
 
 
@@ -122,30 +121,24 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
     the grandchild structure on the next ladder register, bond it with CZ,
     emit the node photon and teleport the register into it (H then MZ);
     leaves are plain emissions.  The second tree is grown first, then the
-    first, then the two roots are bonded and measured in X.
+    first, then the two roots are bonded and measured in X.  Each photon is
+    emitted as its vertex's target column.
     """
     vec = as_branching_vector(b)
-    vec.check_vertices()
+    n_tree = vec.check_vertices()
     ins: list[Instruction] = []
-    photon_vertex: dict[int, tuple[int, int]] = {}
-
-    def emit(reg: int, tree_id: int, vertex: int) -> None:
-        p = len(photon_vertex)  # photons are numbered in emission order
-        photon_vertex[p] = (tree_id, vertex)
-        ins.append(Instruction("E", (reg, p)))
 
     def grow(reg: int, vertex: int, level: int, tree_id: int) -> None:
         # Attach every child subtree of `vertex` (at `level`, held on register `reg`).
         child_reg = 2 + level  # ladder register holding level-(level+1) nodes
         for child in vec.children(vertex):
+            column = vec.photon_column(tree_id, child)
             if level + 1 == vec.depth:
-                emit(reg, tree_id, child)
+                ins.append(Instruction("E", (reg, column)))
             else:
                 grow(child_reg, child, level + 1, tree_id)
-                ins.append(Instruction("CZ", (reg, child_reg)))
-                emit(child_reg, tree_id, child)
-                ins.append(Instruction("H", (child_reg,)))
-                ins.append(Instruction("MZ", (child_reg,)))
+                ins.extend([Instruction("CZ", (reg, child_reg)), Instruction("E", (child_reg, column)),
+                            Instruction("H", (child_reg,)), Instruction("MZ", (child_reg,))])
 
     grow(1, 0, 0, 1)
     grow(0, 0, 0, 0)
@@ -156,9 +149,8 @@ def compile_bell_pair(b: BranchingVectorLike) -> InstructionSequence:
     return InstructionSequence(
         branching=tuple(vec),
         n_registers=vec.depth + 1,
-        n_photons=len(photon_vertex),
+        n_photons=2 * (n_tree - 1),
         instructions=ins,
-        photon_vertex=photon_vertex,
     )
 
 
@@ -221,11 +213,12 @@ def execute_sequence(
 ) -> StabilizerTableau:
     """Run a sequence on the tableau engine; returns the photon-only state.
 
-    Photon p is tableau qubit p and register r is qubit ``n_photons + r``.
+    Photon p is tableau qubit p, its target column, so a program has one
+    photon per column of its shape; register r is qubit ``n_photons + r``.
     A register is prepared in ``|+>`` on first use and again on every use
     after a measurement; a complete program destructively measures every
-    register out.  The deferred leaf rotation (H on each leaf photon) is
-    applied before returning.  A measurement takes the next of
+    register out.  The deferred leaf rotation (H on each leaf photon's
+    column) is applied before returning.  A measurement takes the next of
     ``forced_outcomes`` if given, else draws from ``rng`` where its outcome
     is random; ``record``, if given, receives every outcome in program
     order.  A program whose tableau would not fit
@@ -235,10 +228,8 @@ def execute_sequence(
     check_tableau_size(seq.n_photons + seq.n_registers)
     vec = as_branching_vector(seq.branching)
     n_p = seq.n_photons
-    unmapped = set(range(n_p)) - seq.photon_vertex.keys()
-    if unmapped:
-        raise ValueError(f"photon_vertex names no tree vertex for {len(unmapped)} of the "
-                         f"{n_p} photons; a program runs only with the compiler's map")
+    if n_p != 2 * (photon_count(vec) - 1):
+        raise ValueError(f"{n_p} photons, not the {2 * (photon_count(vec) - 1)} columns of {vec}")
     t = StabilizerTableau(n_p + seq.n_registers)
     for p in range(n_p):
         t.prepare(p, "Z")
@@ -285,15 +276,12 @@ def execute_sequence(
     if live:
         raise ValueError(f"registers never measured out: {sorted(live)}")
 
-    # Deferred single-photon rotation on the leaves; order the photons into
-    # the target's columns.
-    leaves = vec.level_vertices(vec.depth)
-    order = [None] * (2 * (photon_count(vec) - 1))
-    for p, (tree_id, vertex) in seq.photon_vertex.items():
-        if vertex in leaves:
-            t.apply_h(p)
-        order[vec.photon_column(tree_id, vertex)] = p
-    return restricted_to(t, order)
+    # Deferred single-photon rotation on the leaves.  Every register is
+    # retired above the photons, so the rows act on photons 0..n_p-1 alone.
+    for tree_id in (0, 1):
+        for v in vec.level_vertices(vec.depth):
+            t.apply_h(vec.photon_column(tree_id, v))
+    return StabilizerTableau(n_p)._from_rows(t.rows, t.phase)
 
 
 def verify_bell_pair(
@@ -331,7 +319,7 @@ def verify_bell_pair(
             if next(outcomes) == 1:
                 continue
             if ins.opcode == "MZ" and p is not None:
-                frame ^= 2 << 2 * vec.photon_column(*seq.photon_vertex[p])
+                frame ^= 2 << 2 * p
             elif ins.opcode == "MX" and r in (0, 1):
                 frame ^= logical_x_string(vec, state.n, vec.photon_column(r, 0)).bits
             else:

@@ -25,7 +25,7 @@ and X before Z; membership and state comparison read it.  Signs are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class MeasurementContradictionError(RuntimeError):
 
 
 # Refuse to build a tableau whose work would need more bytes than this; like
-# montecarlo.MAX_CHUNK_BYTES, it stops paper-scale towers, whose tableaux
+# montecarlo.MAX_WINDOW_BYTES, it stops paper-scale towers, whose tableaux
 # would need terabytes, from being attempted.
 MAX_TABLEAU_BYTES = 2 * 10**9
 
@@ -167,7 +167,7 @@ class StabilizerTableau:
     comparison target) never builds it.  There may be
     fewer than ``n`` generators (code states).  A destructive measurement
     drops the qubit's last generator and retires the qubit, leaving it out
-    of serialization, canonical forms and equality until :meth:`prepare`.
+    of canonical forms and equality until :meth:`prepare`.
     """
 
     def __init__(self, n: int):
@@ -219,9 +219,6 @@ class StabilizerTableau:
     def generator(self, i: int) -> PauliString:
         v = self.rows[i]
         return PauliString(self.n, v, _sign_from_phase(self.phase[i], v, self._x))
-
-    def generators(self) -> list[PauliString]:
-        return [self.generator(i) for i in range(self.n_generators)]
 
     def _anticommuting(self, w: int) -> set[int]:
         """The rows anticommuting with the Pauli of bits ``w``, read from the rows on its qubits."""
@@ -420,9 +417,6 @@ class StabilizerTableau:
         return self._from_rows([basis[k][0] for k in pivots] + [0] * len(empty),
                                [basis[k][1] for k in pivots] + empty)
 
-    def to_text(self) -> str:
-        return "\n".join(g.to_label() for g in restricted_to(self, self.alive).generators()) + "\n"
-
 
 def draw_outcome(outcome: int | None, rng: np.random.Generator | None) -> int:
     """``outcome`` if forced (+1 or -1), else ``rng.integers(0, 2)``, 0 reading +1."""
@@ -473,17 +467,3 @@ def logical_x_string(b: BranchingVectorLike, n: int, offset: int = 0,
 def logical_z_string(b: BranchingVectorLike, n: int, offset: int = 0) -> PauliString:
     """Z on every first-level vertex (vertex ids offset)."""
     return PauliString(n, _x_bits(as_branching_vector(b)[0]) << 2 * (offset + 1) + 1)
-
-
-def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:
-    """New tableau on the listed qubits (all generators must live there)."""
-    column = {q: k for k, q in enumerate(qubits)}
-    rows = []
-    for v in t.rows:
-        w = 0
-        for q in (k >> 1 for k in _set_bits((v | v >> 1) & t._x)):
-            if q not in column:
-                raise ValueError("generators have support outside the requested qubits")
-            w |= (v >> 2 * q & 3) << 2 * column[q]
-        rows.append(w)
-    return StabilizerTableau(len(column))._from_rows(rows, t.phase)

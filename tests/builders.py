@@ -1,16 +1,20 @@
 """Constructors and queries that only the tests use: one-qubit Paulis,
-product and graph states, tableau copies and expectations, the tree-code
-encoding, per-level exact rates, search queries and the text parsers.
+product and graph states, tableau copies, restrictions, generator lists
+and expectations, the tree-code encoding, per-level exact rates, search
+queries and the text forms.
 
-Tableaux and instruction sequences are written as text by the package
-(``StabilizerTableau.to_text``, ``Instruction.to_line``); reading them back
-is needed only to check those forms.  The package builds the Bell-pair
-target from the same graph generators and logical operators
-(``genseq.logical_bell_tableau``); a lone graph state, an encoded logical
-qubit and a counterfactual Z readout are built here to check those pieces.
+Instruction sequences are written as text by the package
+(``Instruction.to_line``); reading them back, and writing and reading
+tableaux as text, is needed only to check those forms.  The package
+builds the Bell-pair target from the same graph generators and logical
+operators (``genseq.logical_bell_tableau``); a lone graph state, an
+encoded logical qubit and a counterfactual Z readout are built here to
+check those pieces.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +28,6 @@ from treebsm.stabilizer import (
     graph_generator,
     logical_x_string,
     logical_z_string,
-    restricted_to,
 )
 from treebsm.trees import BranchingVectorLike, ChannelParams, as_branching_vector, photon_count
 
@@ -44,6 +47,30 @@ def copy_tableau(t: StabilizerTableau) -> StabilizerTableau:
     return t._from_rows(t.rows, t.phase)
 
 
+def generators(t: StabilizerTableau) -> list[PauliString]:
+    """Every generator of ``t`` as a signed Pauli, in row order."""
+    return [t.generator(i) for i in range(t.n_generators)]
+
+
+def restricted_to(t: StabilizerTableau, qubits: Sequence[int]) -> StabilizerTableau:
+    """New tableau on the listed qubits (all generators must live there)."""
+    column = {q: k for k, q in enumerate(qubits)}
+    rows = []
+    for v in t.rows:
+        w = 0
+        for q in (k >> 1 for k in stabilizer._set_bits((v | v >> 1) & t._x)):
+            if q not in column:
+                raise ValueError("generators have support outside the requested qubits")
+            w |= (v >> 2 * q & 3) << 2 * column[q]
+        rows.append(w)
+    return StabilizerTableau(len(column))._from_rows(rows, t.phase)
+
+
+def tableau_text(t: StabilizerTableau) -> str:
+    """One signed generator per line (``+XZI``), over the alive qubits only."""
+    return "\n".join(g.to_label() for g in generators(restricted_to(t, t.alive))) + "\n"
+
+
 def expectation(t: StabilizerTableau, p: PauliString) -> int:
     """+1/-1 if p (with its sign) is fixed by the state of ``t``, 0 if random."""
     if p.n != t.n:
@@ -52,7 +79,7 @@ def expectation(t: StabilizerTableau, p: PauliString) -> int:
 
 
 def tableau_from_text(text: str) -> StabilizerTableau:
-    """Parse the one-signed-generator-per-line form of ``StabilizerTableau.to_text``."""
+    """Parse the one-signed-generator-per-line form of :func:`tableau_text`."""
     return StabilizerTableau.from_generators(
         [PauliString.from_label(line) for line in text.strip().splitlines()]
     )

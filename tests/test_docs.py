@@ -2,10 +2,11 @@
 
 Every backticked dotted name in README.md whose first part is a module of
 ``treebsm`` or a name it exports (``montecarlo._lane``,
-``StabilizerTableau.prepare``) must resolve, so a deleted or renamed helper
-cannot linger in the docs, and the stream version, the sample-window
-counts, the search CSV columns and the tableau qubit cap the README
-states are the code's.
+``StabilizerTableau.prepare``), every bare CamelCase name (``VerifyResult``)
+and every call form (``level_vertices(k)``) must resolve, so a deleted or
+renamed helper cannot linger in the docs, and the stream version, the
+sample-window counts, the search CSV columns and the tableau qubit cap the
+README states are the code's.
 Every name the README's library tour, the demos and the benchmark
 (``perfbench/``) import from ``treebsm`` or read off such an import must
 exist; they are parsed, not run.  In the other direction, every function
@@ -16,6 +17,8 @@ property of a class it exports: code only the tests call belongs in
 """
 
 import ast
+import builtins
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -38,30 +41,58 @@ BENCH = sorted(f"perfbench/{path.name}" for path in (ROOT / "perfbench").glob("*
 MODULES = {m.name for m in pkgutil.iter_modules(treebsm.__path__)}
 
 
-def cited_names() -> list[str]:
-    dotted = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text())
-    return sorted({name for name in dotted
-                   if name.split(".")[0] in MODULES or hasattr(treebsm, name.split(".")[0])})
+def cited_names(text: str) -> list[str]:
+    """The backticked names of ``text`` that name code: dotted names whose first
+    part is a module or an export of treebsm, bare CamelCase names and call
+    forms (``McEstimate.to_dict()``, ``children(v)``), the last as the name called."""
+    dotted = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text)
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\([^`]*\)`", text)
+    camel = re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)`", text)
+    return sorted({name for name in dotted + calls
+                   if name.split(".")[0] in MODULES or hasattr(treebsm, name.split(".")[0])}
+                  | {name for name in calls + camel if "." not in name})
+
+
+def has_member(obj, name: str) -> bool:
+    """Whether ``obj`` has the attribute ``name``, or is a dataclass with that field."""
+    return hasattr(obj, name) or (dataclasses.is_dataclass(obj)
+                                  and name in {f.name for f in dataclasses.fields(obj)})
+
+
+def resolves(name: str) -> bool:
+    """A dotted name walks from a treebsm module or export; a bare one is an
+    export, a module attribute, a member or field of an exported class, or a builtin."""
+    head, *rest = name.split(".")
+    if not rest:
+        owners = [treebsm, builtins, *(importlib.import_module(f"treebsm.{m}") for m in MODULES),
+                  *(getattr(treebsm, n) for n in exported(inspect.isclass))]
+        return any(has_member(owner, head) for owner in owners)
+    obj = importlib.import_module(f"treebsm.{head}") if head in MODULES else getattr(treebsm, head)
+    for part in rest:
+        if not has_member(obj, part):
+            return False
+        obj = getattr(obj, part, None)
+    return True
 
 
 def test_readme_cites_code():
-    names = cited_names()
+    names = cited_names(README.read_text())
     assert {"montecarlo._lane", "montecarlo._WINDOW", "cli.MAX_RANGE_COUNT",
-            "stabilizer.tableau_bytes"} <= set(names)
-    assert "pyproject.toml" not in names
+            "stabilizer.tableau_bytes", "VerifyResult", "ValueError", "level_vertices",
+            "McEstimate.to_dict", "SearchBounds"} <= set(names)
+    assert not {"pyproject.toml", "CZ", "None"} & set(names)
 
 
 def test_every_cited_name_resolves():
-    missing = []
-    for name in cited_names():
-        head, *rest = name.split(".")
-        obj = importlib.import_module(f"treebsm.{head}") if head in MODULES else getattr(treebsm, head)
-        for part in rest:
-            if not hasattr(obj, part):
-                missing.append(name)
-                break
-            obj = getattr(obj, part)
-    assert missing == []
+    assert [name for name in cited_names(README.read_text()) if not resolves(name)] == []
+
+
+def test_a_deleted_name_is_caught():
+    # Names the package once had: a result type, a level lookup and a method.
+    text = ("`LogicalBsmResult`, `level_of(v)`, `StabilizerTableau.to_text` "
+            "beside `BsmRates`, `photon_count(b)` and `McEstimate.n_success`")
+    assert [name for name in cited_names(text) if not resolves(name)] == [
+        "LogicalBsmResult", "StabilizerTableau.to_text", "level_of"]
 
 
 def test_stated_stream_version_is_current():

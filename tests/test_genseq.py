@@ -23,7 +23,7 @@ from treebsm.stabilizer import (
 )
 from treebsm.trees import TreeTooLargeError, as_branching_vector, photon_count
 
-from builders import encode_logical, graph_state_tableau, instruction_from_line
+from builders import encode_logical, generators, graph_state_tableau, instruction_from_line
 
 
 class TestCompile:
@@ -50,11 +50,28 @@ class TestCompile:
         for b, want in (("2", 2), ("3,2", 3), ("3,2,2", 4), ("2,2,2,2", 5)):
             assert compile_bell_pair(b).n_registers == want
 
-    def test_emitted_photon_indices_increase(self):
-        seq = compile_bell_pair("3,2,2")
-        emitted = [i.args[1] for i in seq if i.opcode == "E"]
-        assert emitted == sorted(emitted)
-        assert emitted == list(range(seq.n_photons))
+    @pytest.mark.parametrize("b", ["2", "3,2", "3,2,2"])
+    def test_each_column_is_emitted_once_by_the_register_growing_it(self, b):
+        # Tree 1 is grown first, each vertex after its children (a subtree is
+        # built before its photon is emitted).  A leaf comes from its parent's
+        # register, root r or ladder register d; an inner vertex of level k
+        # from ladder register k + 1, which held its subtree.
+        vec = as_branching_vector(b)
+        seq, per_tree = compile_bell_pair(vec), photon_count(vec) - 1
+        emitted = [i.args for i in seq if i.opcode == "E"]
+        assert sorted(c for _, c in emitted) == list(range(seq.n_photons))
+        done: set[int] = set()
+        for r, c in emitted:
+            tree_id, vertex = divmod(c, per_tree)
+            vertex += 1
+            assert c == vec.photon_column(tree_id, vertex)
+            level = next(k for k in range(vec.depth + 1) if vertex in vec.level_vertices(k))
+            leaf_register = tree_id if vec.depth == 1 else vec.depth
+            assert r == (leaf_register if level == vec.depth else level + 1), (r, c)
+            assert {vec.photon_column(tree_id, w) for w in vec.children(vertex)} <= done
+            done.add(c)
+        assert [c // per_tree for _, c in emitted] == sorted((c // per_tree for _, c in emitted),
+                                                             reverse=True)
 
     def test_schedule_shape_3_2_2(self):
         # Per first-level subtree: two leaf blocks (each two emissions plus
@@ -70,14 +87,26 @@ class TestCompile:
     def test_text_roundtrip(self):
         seq = compile_bell_pair("2,2")
         text = seq.to_text()
-        assert text.splitlines()[0] == "E 2 0"
+        assert text.splitlines()[0] == "E 2 8"   # tree 1's vertex 3, column 6 + 3 - 1
         again = [instruction_from_line(line) for line in text.splitlines()]
         assert again == seq.instructions
 
+    @pytest.mark.parametrize("b", ["2,2", "3,2,2", "4,4,4"])
+    def test_the_text_is_a_whole_program(self, b):
+        # Read back with the shape and its counts alone, the text verifies.
+        vec = as_branching_vector(b)
+        lines = compile_bell_pair(vec).to_text().splitlines()
+        seq = InstructionSequence(tuple(vec), vec.depth + 1, 2 * (photon_count(vec) - 1),
+                                  [instruction_from_line(line) for line in lines])
+        assert verify_bell_pair(seq, b).ok
+        assert verify_bell_pair(seq, b, forced_outcomes=[-1] * seq.n_measurements).ok
+        assert verify_bell_pair(seq, b, rng=np.random.default_rng(3)).ok
+
     def test_golden_program_for_two_leaves(self):
-        # Second tree first, then the first tree, then the root bond/reads.
+        # Second tree first, then the first tree, then the root bond/reads;
+        # each photon is its target column, tree 0's first.
         assert compile_bell_pair("2").to_text() == (
-            "E 1 0\nE 1 1\nE 0 2\nE 0 3\nCZ 0 1\nMX 1\nMX 0\n"
+            "E 1 2\nE 1 3\nE 0 0\nE 0 1\nCZ 0 1\nMX 1\nMX 0\n"
         )
 
 
@@ -101,7 +130,7 @@ class TestVerify:
         # has no byproduct in the frame rule, so no frame is guessed.
         seq = compile_bell_pair("1")
         bad = InstructionSequence(seq.branching, seq.n_registers, seq.n_photons,
-                                  [Instruction("MZ", (0,))] + seq.instructions, seq.photon_vertex)
+                                  [Instruction("MZ", (0,))] + seq.instructions)
         res = verify_bell_pair(bad, "1", forced_outcomes=[-1, 1, 1])
         assert not res.ok and res.detail.startswith("'MZ 0' read -1")
         assert verify_bell_pair(bad, "1", forced_outcomes=[1, 1, 1]).ok
@@ -112,7 +141,7 @@ class TestVerify:
         # holds; only the random measurements after it draw.
         seq = compile_bell_pair("1")
         lead = InstructionSequence(seq.branching, seq.n_registers, seq.n_photons,
-                                   [Instruction("MX", (0,))] + seq.instructions, seq.photon_vertex)
+                                   [Instruction("MX", (0,))] + seq.instructions)
         record = []
         execute_sequence(lead, rng=np.random.default_rng(seed), record=record)
         assert record[0] == 1 and len(record) == lead.n_measurements
@@ -131,7 +160,6 @@ class TestVerify:
         bad = InstructionSequence(
             seq.branching, seq.n_registers, seq.n_photons,
             [ins for j, ins in enumerate(seq.instructions) if j != idx],
-            seq.photon_vertex,
         )
         res = verify_bell_pair(bad, "2,2")
         assert not res.ok
@@ -145,7 +173,7 @@ class TestVerify:
 
         def negated(shape):
             return StabilizerTableau.from_generators(
-                PauliString(g.n, g.bits, -g.sign) for g in target(shape).generators())
+                PauliString(g.n, g.bits, -g.sign) for g in generators(target(shape)))
 
         monkeypatch.setattr(genseq, "logical_bell_tableau", negated)
         seq = compile_bell_pair(b)
@@ -179,7 +207,6 @@ class TestVerify:
         bad = InstructionSequence(
             seq.branching, seq.n_registers, seq.n_photons,
             seq.instructions + [Instruction("Q", (0,))],
-            seq.photon_vertex,
         )
         with pytest.raises(ValueError):
             execute_sequence(bad, forced_outcomes=[1] * 10)
@@ -268,14 +295,9 @@ class TestStatevectorOracle:
                 forced = outcomes[len(record)] if outcomes is not None else None
                 record.append(state.measure(reg(ins.args[0]), ins.opcode[1], forced, rng))
                 live.remove(ins.args[0])
-        leaves = vec.level_vertices(vec.depth)
-        for p, (_, vertex) in seq.photon_vertex.items():
-            if vertex in leaves:
-                state.apply(p, _H)
-        column = {p: vec.photon_column(*tv) for p, tv in seq.photon_vertex.items()}
-        order = sorted(state.labels, key=column.__getitem__)
-        state.psi = np.transpose(state.psi, [state.labels.index(p) for p in order])
-        state.labels = [column[p] for p in order]
+        for tree_id in (0, 1):
+            for v in vec.level_vertices(vec.depth):
+                state.apply(vec.photon_column(tree_id, v), _H)
         return state, record
 
     @pytest.mark.parametrize("b", ["2", "1,1", "2,1", "2,2"])
@@ -294,7 +316,7 @@ class TestStatevectorOracle:
                 state.apply(column, _PAULI[letter])
         target = logical_bell_tableau(b)
         assert target.n_generators == len(state.labels) == seq.n_photons
-        for g in target.generators():
+        for g in generators(target):
             fixed = _Statevector()
             fixed.psi, fixed.labels = g.sign * state.psi, state.labels
             for column, letter in enumerate(g.to_label()[1:]):
@@ -338,9 +360,9 @@ class TestProgramChecks:
 
     def _program(self, lines, n_registers=2, n_photons=2):
         ins = [instruction_from_line(line) for line in lines]
-        return InstructionSequence((1,), n_registers, n_photons, ins, {0: (1, 1), 1: (0, 1)})
+        return InstructionSequence((1,), n_registers, n_photons, ins)
 
-    GOOD = ["E 1 0", "E 0 1", "CZ 0 1", "MX 1", "MX 0"]
+    GOOD = ["E 1 1", "E 0 0", "CZ 0 1", "MX 1", "MX 0"]
 
     def test_hand_built_program_runs(self):
         assert verify_bell_pair(self._program(self.GOOD), "1").ok
@@ -379,11 +401,13 @@ class TestProgramChecks:
         with pytest.raises(ValueError, match="'MX 0': no forced outcome left"):
             verify_bell_pair(compile_bell_pair("2"), "2", forced_outcomes=[1])
 
-    def test_photon_without_a_tree_vertex(self):
-        seq = compile_bell_pair("2,2")
-        seq.photon_vertex = {}
-        with pytest.raises(ValueError, match="photon_vertex names no tree vertex for 12 of"):
-            execute_sequence(seq, forced_outcomes=[1] * seq.n_measurements)
+    @pytest.mark.parametrize("n_photons", [1, 3])
+    def test_one_photon_per_column_of_the_shape(self, n_photons):
+        # A leaf's deferred H is applied by column, so a short count would
+        # send it to a register's qubit.
+        with pytest.raises(ValueError, match=f"{n_photons} photons, not the 2 columns of 1"):
+            execute_sequence(self._program(self.GOOD, n_photons=n_photons),
+                             forced_outcomes=[1] * 10)
 
 
 class TestTarget:
@@ -394,7 +418,7 @@ class TestTarget:
 
     def test_cross_generators_couple_the_trees(self):
         t = logical_bell_tableau("2")
-        labels = {g.to_label() for g in t.generators()}
+        labels = {g.to_label() for g in generators(t)}
         assert "+XIZZ" in labels   # logical X of one tree with logical Z of the other
         assert "+ZZXI" in labels
 

@@ -4,12 +4,12 @@ The state digests below were recorded from the tableau engine before its
 row updates were rewritten around one pivot-and-eliminate step.  For each
 shape and seed, a Bell-pair program runs with random outcomes drawn from
 ``Philox(key=[seed, 0])``; the first digest is the sha256 of the executed
-state's canonical form (``canonical().to_text()``), the second the sha256
-of the Pauli frame label that ``verify_bell_pair`` applies, the frame the
-record of outcomes implies (recorded when the verifier began applying that
-frame in place of solving for one).  Any change to the order of the random
-draws, to a sign rule, to the canonical form or to the byproduct rule
-moves at least one of them.  Which generator a measurement keeps as its
+state's canonical form (``tableau_text(state.canonical())``), the second
+the sha256 of the Pauli frame label that ``verify_bell_pair`` applies, the
+frame the record of outcomes implies (recorded when the verifier began
+applying that frame in place of solving for one).  Any change to the order
+of the random draws, to a sign rule, to the canonical form or to the
+byproduct rule moves at least one of them.  Which generator a measurement keeps as its
 pivot moves neither: the canonical form is unique per stabilizer group,
 and the frame depends on the outcomes alone.
 """
@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from treebsm.genseq import compile_bell_pair, execute_sequence, verify_bell_pair
+
+from builders import tableau_text
 
 # (shape, seed) -> (sha256 of the canonical state text, sha256 of the frame label)
 GOLDEN = {
@@ -76,4 +78,4 @@ def test_random_outcome_state_and_correction(b, seed):
     state = execute_sequence(seq, rng=_rng(seed))
     res = verify_bell_pair(seq, b, rng=_rng(seed))
     assert res.ok, res.detail
-    assert (_sha(state.canonical().to_text()), _sha(res.correction.to_label())) == GOLDEN[(b, seed)]
+    assert (_sha(tableau_text(state.canonical())), _sha(res.correction.to_label())) == GOLDEN[(b, seed)]

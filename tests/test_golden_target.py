@@ -2,8 +2,8 @@
 
 The digests below were recorded before the tree layout was given a single
 owner.  ``TARGET`` holds the sha256 of
-``logical_bell_tableau(b).canonical().to_text()``, the stabilizer group the
-Bell-pair verifier compares against.  ``ENCODED`` holds the sha256 of the
+``tableau_text(logical_bell_tableau(b).canonical())``, the stabilizer group
+the Bell-pair verifier compares against.  ``ENCODED`` holds the sha256 of the
 canonical text of ``encode_logical(b, prep, outcomes)``; the
 outcome-dependent frame fix makes it the same for all four outcome pairs,
 and every pair is checked against it.  ``LOGICALS`` holds the designated
@@ -18,7 +18,7 @@ import pytest
 
 from treebsm.genseq import logical_bell_tableau
 
-from builders import encode_logical
+from builders import encode_logical, tableau_text
 
 TARGET = {
     "2": "4aab639d9c90a0c3f5a3d6a74645d52b17de804378ca7399d4a499b20659b0ae",
@@ -63,12 +63,12 @@ def _sha(text):
 
 @pytest.mark.parametrize("b", sorted(TARGET))
 def test_logical_bell_target(b):
-    assert _sha(logical_bell_tableau(b).canonical().to_text()) == TARGET[b]
+    assert _sha(tableau_text(logical_bell_tableau(b).canonical())) == TARGET[b]
 
 
 @pytest.mark.parametrize("b,prep", sorted(ENCODED))
 def test_encoded_code_and_logicals(b, prep):
     for outcomes in itertools.product((1, -1), repeat=2):
         code, x_logical, z_logical = encode_logical(b, prep, outcomes=outcomes)
-        assert _sha(code.canonical().to_text()) == ENCODED[(b, prep)], outcomes
+        assert _sha(tableau_text(code.canonical())) == ENCODED[(b, prep)], outcomes
         assert (x_logical.to_label(), z_logical.to_label()) == LOGICALS[b]

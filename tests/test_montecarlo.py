@@ -9,7 +9,7 @@ import pytest
 from treebsm import cli, montecarlo
 from treebsm.analytic import Protocol, logical_bsm
 from treebsm.montecarlo import (
-    MAX_CHUNK_BYTES,
+    MAX_WINDOW_BYTES,
     MIN_EPS,
     STREAM_VERSION,
     SampleConfig,
@@ -22,13 +22,13 @@ from treebsm.montecarlo import (
     _planes,
     _sample_window,
     _windows,
-    chunk_bytes,
     draw_world,
     eval_dynamic,
     eval_loss_only,
     exhaustive_dynamic,
     exhaustive_static,
     run,
+    window_bytes,
     z_score,
 )
 from treebsm.trees import EPS_MAX, BranchingVector, ChannelParams, photon_count
@@ -771,10 +771,13 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_counters_do_not_depend_on_windows(self, monkeypatch, cpus, n_workers):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        # Whole chunks, two and a part; and windows of one sample each, on
-        # chunks of 400 samples, two and a part again, since each window
-        # costs about a millisecond.
-        for window, chunk, n_samples in ((2**40, 8192, 20003), (1, 400, 1003)):
+        # Whole chunks, two and a part, in one window just as large as the
+        # run (the size check refuses a window cap of terabytes); and windows
+        # of one sample each, on chunks of 400 samples, two and a part again,
+        # since each window costs about a millisecond.
+        reads = montecarlo._READS[Protocol.DYNAMIC]
+        per_sample = sum(montecarlo._drawn_widths(BranchingVector((3, 2)), True, reads))
+        for window, chunk, n_samples in ((20003 * per_sample, 8192, 20003), (1, 400, 1003)):
             monkeypatch.setattr(montecarlo, "_WINDOW", window)
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
@@ -813,8 +816,9 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert world.nbytes <= 46e6
         assert peak <= 130e6
-        # The size estimate is the world plus the 32-bit words of the widest level.
-        assert chunk_bytes(vec, 8192, True) == world.nbytes + 4 * 8192 * 450
+        # The size estimate is 4 bytes per cell of a full window, 379 samples
+        # of the 5521 cells a sample with faults owns, and 6 per cell of a block.
+        assert window_bytes(vec, True) == 4 * 379 * 5521 + 6 * 2**18
 
     def test_a_chunk_holds_only_the_planes_its_protocol_reads(self):
         # Of the 5521 cells a (15,15,2) sample with faults owns, the
@@ -823,7 +827,7 @@ class TestMemoryBudget:
         reads = montecarlo._READS[Protocol.DYNAMIC]
         _, nbytes, _ = _sample_window(vec, params, 1, 0, 8192, eval_dynamic, reads)
         assert nbytes == 4171 * 8192
-        assert chunk_bytes(vec, 8192, True, reads) == nbytes + 4 * 8192 * 450
+        assert window_bytes(vec, True, reads) == 4 * (2**21 // 4171) * 4171 + 6 * 2**18
 
     def test_the_leaves_hold_no_vote_flag_planes(self):
         # A (2,2) adaptive window of 111,111 samples at eps 0 (one ninth of
@@ -860,7 +864,8 @@ class TestMemoryBudget:
     def test_run_sizes_and_reports_the_drawn_world(self, protocol, eps, per_sample):
         vec = BranchingVector((15, 15, 2))
         reads = montecarlo._READS[protocol]
-        assert chunk_bytes(vec, 8192, eps > 0.0, reads) == 8192 * (per_sample + 4 * 450)
+        window = 2**21 // per_sample * per_sample   # cells of a full window
+        assert window_bytes(vec, eps > 0.0, reads) == 4 * window + 6 * 2**18
         est = run(SampleConfig(b=vec.branches, eta=0.8, eps=eps, protocol=protocol,
                                n_samples=300, seed=3))
         assert est.world_bytes == 300 * per_sample
@@ -901,4 +906,42 @@ class TestSizeCap:
 
     def test_reference_shapes_fit(self):
         for b in ((15, 15, 2), (74, 15)):
-            assert chunk_bytes(BranchingVector(b), 8192, True) < MAX_CHUNK_BYTES
+            assert window_bytes(BranchingVector(b), True) < MAX_WINDOW_BYTES
+
+    @pytest.mark.parametrize("n_samples", [1, 10**9])
+    def test_the_cap_reads_a_window_not_the_run(self, n_samples, monkeypatch):
+        # (60,60,20) at eps 0 draws 9-sample windows of 2.04 MB; an 8192-sample
+        # chunk, which no run holds, was once sized at 4.22 GB and refused.
+        class Drawn(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(montecarlo, "draw_world", no_draw)
+        cfg = SampleConfig(b=(60, 60, 20), eta=0.9, eps=0.0, protocol=Protocol.STATIC,
+                           n_samples=n_samples, seed=1)
+        with pytest.raises(Drawn):   # past the size check, at the first draw
+            run(cfg)
+        vec = BranchingVector(cfg.b)
+        assert window_bytes(vec, False, montecarlo._READS[Protocol.STATIC]) < 0.01 * MAX_WINDOW_BYTES
+
+    @pytest.mark.parametrize("b,eps,protocol", [
+        ((1,), 1e-3, Protocol.DYNAMIC), ((2, 2), 0.0, Protocol.LOSS_ONLY),
+        ((15, 15, 2), 1e-3, Protocol.STATIC), ((60, 60, 20), 0.0, Protocol.STATIC),
+        ((2000, 300), 0.0, Protocol.DYNAMIC)])
+    def test_estimate_bounds_the_traced_peak_of_a_window(self, b, eps, protocol):
+        # A full window; (2000,300) is one sample whose leaf planes are one
+        # block each, wider than _BLOCK.
+        vec, reads = BranchingVector(b), montecarlo._READS[protocol]
+        per_sample = sum(montecarlo._drawn_widths(vec, eps > 0.0, reads))
+        hi = max(1, montecarlo._WINDOW // per_sample)
+        params, evaluator = ChannelParams(eta=0.8, eps=eps), montecarlo._EVALUATORS[protocol]
+        _sample_window(vec, params, 1, 0, 10, evaluator, reads)  # first-call imports
+        tracemalloc.start()
+        try:
+            _sample_window(vec, params, 1, 0, hi, evaluator, reads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= window_bytes(vec, eps > 0.0, reads) <= 3 * peak, b
