@@ -91,8 +91,9 @@ class Basis(Enum):
 # Version of the exact engine's numerics, stamped beside the sampler's
 # STREAM_VERSION on every CLI result, so a changed exact value can be traced
 # to a changed engine.  2: log-factorials and vote tails from this module's
-# own kernels (1 took them from scipy.special).
-ENGINE_VERSION = 2
+# own kernels (1 took them from scipy.special).  3: every sum runs in a
+# fixed order, so a row has the same bits in any batch.
+ENGINE_VERSION = 3
 
 # A batch goes through the level walk in blocks of rows.  A row counts one
 # float per vote column (its widest branch count) plus _LEVEL_FLOATS per
@@ -211,22 +212,11 @@ def _vote_tail(m, e):
     (:func:`_tail_window`).  Every step is a product of positive numbers,
     and ``log(4 f q)`` is taken as ``log1p(-(1 - 2f)**2)`` from ``f = 1/4``
     on, so a tail far below 1 keeps its relative precision.  For
-    ``e > 1/2`` the tail is the complement of the tail at ``1 - e``.  Two
-    scalars take the same sum in Python floats, without numpy's per-call
-    overhead, which would dominate a vote mix of one row.
+    ``e > 1/2`` the tail is the complement of the tail at ``1 - e``.  The
+    window is summed in index order from the first term's 1, so a row's
+    sum does not depend on the rows beside it: a wider window adds only
+    terms below ``exp(-45)`` of its 1, which round away.
     """
-    if np.isscalar(m) and np.isscalar(e):
-        k, f = (int(m) + 1) // 2, min(float(e), 1.0 - float(e))
-        q = 1.0 - f
-        tail = rest = 0.0
-        if f > 0.0:
-            log_4fq = math.log(4.0 * f * q) if f < 0.25 else math.log1p(-(q - f) * (q - f))
-            term = 1.0
-            for j in range(min(k - 1, _tail_window(k, f))):
-                term *= (k - 1 - j) / (k + 1 + j) * (f / q)
-                rest += term
-            tail = float(_central_binomial(k, k)) * math.exp(k * log_4fq) / (2.0 * q) * (1.0 + rest)
-        return 1.0 - tail if e > 0.5 else tail
     m, e = np.asarray(m), np.asarray(e, dtype=float)
     k = (m + 1) >> 1
     f = np.minimum(e, 1.0 - e)
@@ -239,7 +229,9 @@ def _vote_tail(m, e):
     first = _central_binomial(k, k_top) * np.exp(k * log_4fq) / (2.0 * q)
     j = np.arange(float(_tail_window(k_top, f_top)))[:, None]
     ratios = (k - 1.0 - j) / (k + 1.0 + j) * (f / q)
-    tail = first * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0).reshape(np.shape(first)))
+    terms = np.cumprod(ratios, axis=0)
+    terms[0] += 1.0
+    tail = first * np.cumsum(terms, axis=0)[-1].reshape(np.shape(first))
     if e.max() > 0.5:
         tail = np.where(e > 0.5, 1.0 - tail, tail)
     return tail[()]
@@ -259,11 +251,12 @@ def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarr
 
     which needs one vote tail per row (:func:`_vote_tail`) and sums terms
     of one sign.  0 where no chain can succeed or no chain errs.  The sums
-    run in order of ``m`` over column chunks of at most ``_BLOCK``
-    row-times-column elements, so a wide row costs time, not memory, and a
-    row's sums do not depend on the rows beside them (its vote tail sums
-    as many terms as the widest row needs; the extra ones are below
-    ``exp(-45)`` of its first).  Log-factorials come from
+    run over column chunks of at most ``_BLOCK`` row-times-column
+    elements, so a wide row costs time, not memory.  Each chunk's sums
+    start from the totals carried into its first entry, so they run in
+    order of ``m`` whatever the chunk width, and a row's columns past its
+    own ``n`` add exact zeros: a row has the same sums, bit for bit, in
+    any batch.  Log-factorials come from
     ``_LOG_FACTORIALS`` while every count fits it, and are computed chunk
     by chunk for a wider row.
     """
@@ -291,15 +284,17 @@ def _vote_error_mix(n_chains: np.ndarray, p_chain: np.ndarray, e_chain: np.ndarr
         lf_m = log_factorial(m)
         rest = n - m  # negative past n, where log_factorial is +inf and the weight 0
         log_w = lf_n - lf_m - log_factorial(rest) + m * log_p + rest * log_q
-        cum_w = weight + np.cumsum(np.exp(log_w - log_mode), axis=0)
+        w = np.exp(log_w - log_mode)
+        w[0] += weight  # carried in first, so the sum runs in order of m across chunks
+        cum_w = np.cumsum(w, axis=0)
         weight = cum_w[-1]
         # The even counts i = 2j + 2, where C(2j+1, j) = (i-1)! / ((i/2 - 1)! (i/2)!).
         half = m[1::2] // 2  # j + 1
         log_fall = lf_m[0::2] - log_factorial(half - 1) - log_factorial(half)
-        fall = np.exp(log_fall + half * log_ee) * (rest[1::2] > 0)
-        drop = drop + np.cumsum(fall * cum_w[1::2], axis=0)[-1]
-    tail = _vote_tail(n[0], e[0]) if len(n) == 1 else _vote_tail(n, e)
-    out[live] = tail + (1.0 - 2.0 * e) * drop / weight
+        fall = np.exp(log_fall + half * log_ee) * (rest[1::2] > 0) * cum_w[1::2]
+        fall[0] += drop
+        drop = np.cumsum(fall, axis=0)[-1]
+    out[live] = _vote_tail(n, e) + (1.0 - 2.0 * e) * drop / weight
     return out
 
 
@@ -507,7 +502,7 @@ def _logical_rows(
 
 
 def logical_bsm_batch(
-    shapes: Iterable[BranchingVectorLike], eta, eps, protocol: Protocol
+    shapes: Iterable[BranchingVectorLike], eta, eps, protocol: Protocol | str
 ) -> BsmRates:
     """Evaluate ``protocol`` exactly on every row of a batch of (shape, eta, eps).
 
@@ -518,10 +513,11 @@ def logical_bsm_batch(
     floats (see there), so memory does not grow with the batch beyond the
     returned arrays and the branch array.  Branch counts above
     ``MAX_CHAINS`` are refused with a ``ValueError`` before anything is
-    allocated.
+    allocated.  ``protocol`` is a :class:`Protocol` or its value.
     """
+    protocol = Protocol(protocol)
     if protocol not in (Protocol.STATIC, Protocol.DYNAMIC):
-        raise ValueError(f"no closed-form evaluation for protocol {protocol}")
+        raise ValueError(f"no closed-form evaluation for protocol {protocol.value!r}")
     branches = _branch_array(shapes)
     rows = len(branches)
     eta, eps = (np.broadcast_to(np.asarray(v, dtype=float), (rows,)) for v in (eta, eps))
@@ -534,7 +530,7 @@ def logical_bsm_batch(
     return BsmRates(*out)
 
 
-def logical_bsm(b: BranchingVectorLike, params: ChannelParams, protocol: Protocol) -> BsmRates:
+def logical_bsm(b: BranchingVectorLike, params: ChannelParams, protocol: Protocol | str) -> BsmRates:
     """Evaluate ``protocol`` exactly on tree shape ``b``: a batch of one, as floats."""
     rates = logical_bsm_batch([b], params.eta, params.eps, protocol)
     return BsmRates(*(float(r[0]) for r in rates))
@@ -558,8 +554,6 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    protocol: Protocol
-    target: float
     eta_star: float
     bracket_low: float
     bracket_high: float
@@ -569,7 +563,7 @@ class ThresholdResult:
 
 
 def find_threshold(
-    protocol: Protocol,
+    protocol: Protocol | str,
     family: Iterable[BranchingVectorLike],
     target: float = 0.99,
     tol: float = 1e-3,
@@ -618,7 +612,6 @@ def find_threshold(
         iterations += 1
 
     return ThresholdResult(
-        protocol=protocol, target=target,
         eta_star=0.5 * (lo + hi), bracket_low=lo, bracket_high=hi,
         iterations=iterations, family_size=len(vectors), witness=witness,
     )

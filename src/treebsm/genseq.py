@@ -190,7 +190,6 @@ def logical_bell_tableau(b: BranchingVectorLike) -> StabilizerTableau:
 class VerifyResult:
     ok: bool
     n_registers: int
-    n_photons: int
     correction: PauliString | None
     detail: str
 
@@ -219,9 +218,10 @@ def execute_sequence(
     after a measurement; a complete program destructively measures every
     register out.  The deferred leaf rotation (H on each leaf photon's
     column) is applied before returning.  A measurement takes the next of
-    ``forced_outcomes`` if given, else draws from ``rng`` where its outcome
-    is random; ``record``, if given, receives every outcome in program
-    order.  A program whose tableau would not fit
+    ``forced_outcomes`` if given, which must hold one outcome per
+    measurement, else draws from ``rng`` where its outcome is random;
+    ``record``, if given, receives every outcome in program order.  A
+    program whose tableau would not fit
     :data:`~treebsm.stabilizer.MAX_TABLEAU_BYTES` is refused before anything
     is allocated.
     """
@@ -275,6 +275,8 @@ def execute_sequence(
 
     if live:
         raise ValueError(f"registers never measured out: {sorted(live)}")
+    if outcomes is not None and (left := sum(1 for _ in outcomes)):
+        raise ValueError(f"{left} forced outcome(s) left after the last instruction")
 
     # Deferred single-photon rotation on the leaves.  Every register is
     # retired above the photons, so the rows act on photons 0..n_p-1 alone.
@@ -323,11 +325,10 @@ def verify_bell_pair(
             elif ins.opcode == "MX" and r in (0, 1):
                 frame ^= logical_x_string(vec, state.n, vec.photon_column(r, 0)).bits
             else:
-                return VerifyResult(False, seq.n_registers, seq.n_photons, None,
+                return VerifyResult(False, seq.n_registers, None,
                                     f"{ins.to_line()!r} read -1, which has no known byproduct")
 
     correction = PauliString(state.n, frame)
     state.apply_pauli(correction)
     mismatch = canonical_mismatch(state, logical_bell_tableau(vec))
-    return VerifyResult(mismatch is None, seq.n_registers, seq.n_photons, correction,
-                        mismatch or "ok")
+    return VerifyResult(mismatch is None, seq.n_registers, correction, mismatch or "ok")

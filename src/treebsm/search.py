@@ -88,7 +88,7 @@ class ParetoEntry:
 
 
 def evaluate_all(
-    bounds: SearchBounds, params: ChannelParams, protocol: Protocol
+    bounds: SearchBounds, params: ChannelParams, protocol: Protocol | str
 ) -> tuple[list[BranchingVector], BsmRates]:
     """Every enumerated shape, sorted by photon count then shape, and its
     rates from one batch of the exact engine, in that order."""
@@ -97,7 +97,7 @@ def evaluate_all(
 
 
 def pareto_front(
-    bounds: SearchBounds, params: ChannelParams, protocol: Protocol
+    bounds: SearchBounds, params: ChannelParams, protocol: Protocol | str
 ) -> list[ParetoEntry]:
     """Shapes that beat every smaller shape on success or on error.
 
@@ -107,6 +107,7 @@ def pareto_front(
     staircase alone.  A shape that improves neither moves neither best, so
     the bests run over all earlier shapes, not only the kept ones.
     """
+    protocol = Protocol(protocol)
     shapes, rates = evaluate_all(bounds, params, protocol)
     pr, err = rates.pr_complete, rates.err_complete
     improves_pr = pr > np.append(-1.0, np.maximum.accumulate(pr)[:-1])

@@ -14,10 +14,12 @@ from treebsm.analytic import (
     _vote_tail,
     find_threshold,
     logical_bsm,
+    logical_bsm_batch,
     parity_error,
 )
 from treebsm.analytic import _complete_bsm_closed
 from treebsm import families
+from treebsm.search import SearchBounds, evaluate_all, pareto_front
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
 from builders import level_stats
@@ -393,6 +395,25 @@ class TestFindThreshold:
             with pytest.raises(ValueError, match="no default threshold family for protocol 'loss-only'"):
                 families.default_family(protocol)
 
+    def test_exact_entries_take_a_protocol_or_its_value(self):
+        params = ChannelParams(eta=0.9, eps=1e-3)
+        bounds = SearchBounds(max_photons=20)
+        entries = {
+            "logical_bsm": lambda p: logical_bsm("2,2", params, p),
+            "logical_bsm_batch": lambda p: logical_bsm_batch(["2,2", "3"], 0.9, 1e-3, p),
+            "find_threshold": lambda p: find_threshold(p, ["2,2", "4,2"], target=0.5),
+            "evaluate_all": lambda p: evaluate_all(bounds, params, p),
+            "pareto_front": lambda p: pareto_front(bounds, params, p),
+        }
+        for name, call in entries.items():
+            for protocol in (Protocol.STATIC, Protocol.DYNAMIC):
+                assert repr(call(protocol.value)) == repr(call(protocol)), (name, protocol)
+            for protocol in (Protocol.LOSS_ONLY, "loss-only"):
+                with pytest.raises(ValueError, match="no closed-form evaluation for protocol 'loss-only'"):
+                    call(protocol)
+            with pytest.raises(ValueError, match="'bogus' is not a valid Protocol"):
+                call("bogus")
+
     def test_single_child_family_unreachable(self):
         with pytest.raises(UnreachableTargetError):
             find_threshold(Protocol.STATIC, [BranchingVector.of(1)])
@@ -414,4 +435,4 @@ class TestFindThreshold:
         got = logical_bsm(
             res.witness, ChannelParams(eta=res.bracket_high), Protocol.DYNAMIC
         )
-        assert got.pr_complete >= res.target
+        assert got.pr_complete >= 0.99  # find_threshold's default target

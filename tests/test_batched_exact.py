@@ -4,8 +4,9 @@
 the batch axis: one shape at one point, one level at a time, with a vote
 sum over every possible number of successful chains.  The batched walk
 must agree with it to 1e-12 on every default-bounds shape and give the
-same search fronts; each row of a batch must equal its batch of one; and
-neither a long batch nor a wide node may hold more than a few MB.
+same search fronts; each row of a batch must equal its batch of one, bit
+for bit; and neither a long batch nor a wide node may hold more than a
+few MB.
 """
 
 import math
@@ -115,8 +116,23 @@ class TestBlocks:
         assert len(blocks) > 3 and len({shape[0] for shape in blocks}) > 1
         for i, vec in enumerate(shapes):
             one = logical_bsm(vec, ChannelParams(eta=eta[i], eps=eps[i]), protocol)
-            for f in FIELDS:
-                assert abs(float(getattr(got, f)[i]) - getattr(one, f)) <= TOL, (str(vec), f)
+            assert tuple(float(r[i]) for r in got) == one, str(vec)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_rows_wider_than_the_table_equal_their_batch_of_one(self, protocol):
+        # (20000,) and (40000, 2) take blocks of their own and compute their
+        # log-factorials chunk by chunk; eps up to 2/3 widens the vote-tail
+        # windows that the narrow rows share.
+        rng = np.random.default_rng(17)
+        wide = [BranchingVector.of(20000), BranchingVector.of(40000, 2)]
+        shapes = [LOOSE_SHAPES[i] for i in rng.choice(len(LOOSE_SHAPES), 176)] + wide * 2
+        shapes = [shapes[i] for i in rng.permutation(len(shapes))]
+        eta = rng.uniform(0.5, 1.0, len(shapes))
+        eps = rng.uniform(0.0, 2 / 3, len(shapes))
+        got = logical_bsm_batch(shapes, eta, eps, protocol)
+        for i, vec in enumerate(shapes):
+            one = logical_bsm(vec, ChannelParams(eta=eta[i], eps=eps[i]), protocol)
+            assert tuple(float(r[i]) for r in got) == one, str(vec)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
     def test_one_shape_is_its_batch_row_as_floats(self, protocol):
@@ -191,3 +207,11 @@ class TestChainCap:
         n = 3 * analytic._BLOCK + 7  # one row takes four column chunks
         got = analytic._vote_error_mix(np.array([n]), np.array([p]), np.array([e]))[0]
         assert abs(got - vote_error_mix(n, p, e)) <= TOL
+
+    @pytest.mark.parametrize("p,e", [(0.3, 0.49), (1e-4, 0.3), (0.999, 0.45), (1.0, 0.4999)])
+    def test_wide_row_is_the_same_bits_beside_narrower_rows(self, p, e):
+        # Alone the row takes chunks of _BLOCK columns; beside 9 rows, of _BLOCK // 10.
+        n = np.array([3 * analytic._BLOCK + 7] + [2, 3, 7, 10, 64, 100, 999, 4000, 20000])
+        alone = analytic._vote_error_mix(n[:1], np.array([p]), np.array([e]))[0]
+        shared = analytic._vote_error_mix(n, np.full(len(n), p), np.full(len(n), e))[0]
+        assert shared == alone

@@ -108,7 +108,7 @@ class TestSweep:
                                  "engine_version", "outputs", "wall_time_s"}
         assert manifest["outputs"] == [str(out)]
         assert manifest["stream_version"] == STREAM_VERSION == 3
-        assert manifest["engine_version"] == ENGINE_VERSION == 2
+        assert manifest["engine_version"] == ENGINE_VERSION == 3
 
 
 @pytest.mark.parametrize("command", [

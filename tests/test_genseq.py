@@ -401,6 +401,11 @@ class TestProgramChecks:
         with pytest.raises(ValueError, match="'MX 0': no forced outcome left"):
             verify_bell_pair(compile_bell_pair("2"), "2", forced_outcomes=[1])
 
+    def test_forced_outcomes_left_over(self):
+        # (2,2) makes 6 measurements, so a record of 11 belongs to another program.
+        with pytest.raises(ValueError, match=r"5 forced outcome\(s\) left after the last instruction"):
+            verify_bell_pair(compile_bell_pair("2,2"), "2,2", forced_outcomes=[1] * 11)
+
     @pytest.mark.parametrize("n_photons", [1, 3])
     def test_one_photon_per_column_of_the_shape(self, n_photons):
         # A leaf's deferred H is applied by column, so a short count would
