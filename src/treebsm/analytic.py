@@ -11,39 +11,44 @@ Two protocols are evaluated in closed (recursive) form:
   single-qubit measurements, which upgrade a failed pair to a known
   Z-parity through two independent single-qubit indirect measurements.
 
-Both rest on one level walk, :func:`_levels`: the indirect-measurement
-recursion evaluated from the leaves (level ``d``) to the virtual level 0,
-whose single node has the ``b0`` first-level pairs as children and whose
-indirect entry is the logical X-parity.  At every level
-:func:`_chain_step` applies the one recovery rule: a lost value is rebuilt
-from indirect chains, a chain is an opener plus all of its children
-readable, and repeated chains combine by majority vote.  A value rule then
-turns that vote into the level's rate and error:
+Both rest on one suffix walk, :func:`_suffix_walk`: the
+indirect-measurement recursion evaluated from the leaves to the virtual
+root, whose single node has the ``b0`` first-level pairs as children and
+whose indirect entry is the logical X-parity.  The rates of a node depend
+only on its suffix -- the branch counts ``(b_k, ..., b_{d-1})`` below it
+-- and on (eta, eps), so the walk runs over suffix lengths ``L = 0..d``
+(a node at level ``k`` of a depth-``d`` shape has the suffix of length
+``d - k``, the root the whole shape) and evaluates each distinct (suffix,
+eta, eps) of a batch once.  For each of them :func:`_chain_step` applies
+the one recovery rule: a lost value is rebuilt from indirect chains, a
+chain is an opener plus all of its children readable, and repeated chains
+combine by majority vote.  A value rule then turns that vote into the
+node's rate and error:
 
 * single-qubit Z and the static pair ZZ prefer an available vote to the
   direct readout (:func:`_prefer_indirect`);
 * the adaptive pair ZZ mixes three pair classes: a complete pair prefers
   its chain vote, a partial pair prefers the single-qubit upgrade, and a
-  failed pair needs the upgrade.
+  failed pair needs the upgrade (:func:`_adaptive_value`).
 
-Level-``d`` photons have no chains below them, so their indirect rate is 0
-and the value rule reads them directly.  An exponent over the children of
-a leaf is an empty product (1).
+Leaves (the empty suffix) have no chains below them, so their indirect
+rate is 0 and the value rule reads them directly.  An exponent over the
+children of a leaf is an empty product (1).
 
-The walk runs over a batch axis: each level handles one entry per row of
-(shape, eta, eps), and a shape shallower than the batch is padded with
-zero branch counts, since a node with no children is a leaf.
-:func:`logical_bsm_batch` takes a batch through the walk in blocks of
-bounded memory; :func:`logical_bsm` is a batch of one.
+:func:`logical_bsm_batch` sorts a batch of (shape, eta, eps) rows by
+(eta, eps, branch counts read from the leaf end), so rows that share a
+suffix of any length are contiguous, and walks the sorted rows in chunks
+and blocks of bounded memory; :func:`logical_bsm` is a batch of one.
 
 Error rates are conditional on success.  Even-sized votes drop one result
 at random, which is equivalent to voting over one fewer sample.
 Conditional errors whose conditioning probability is zero are defined as
 zero: those branches carry no weight.  The complete-BSM rate is read off
-levels 0 and 1 of the walk: every first-level pair readable, minus every
-one readable with no chain (:func:`_complete_bsm_closed`), and every
-``1 - (1 - p)**n`` is evaluated as ``-expm1(n * log1p(-p))``, so tiny chain
-rates and branch counts in the thousands stay accurate.
+a shape's whole suffix and its suffix one shorter: every first-level pair
+readable, minus every one readable with no chain
+(:func:`_complete_bsm_closed`), and every ``1 - (1 - p)**n`` is evaluated
+as ``-expm1(n * log1p(-p))``, so tiny chain rates and branch counts in the
+thousands stay accurate.
 
 The vote mix needs two special functions, and both are numpy kernels of
 this module, so the engine imports nothing beyond numpy:
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +77,7 @@ from .trees import (
 
 
 class Basis(Enum):
-    """Measurement flavour of the level walk.
+    """Measurement flavour of a suffix walk.
 
     Z:  single-qubit Z on one tree (direct succeeds with eta, errs with eps).
     ZZ: joint Z-parity of a photon pair (direct succeeds with eta^2; the
@@ -95,11 +100,12 @@ class Basis(Enum):
 # fixed order, so a row has the same bits in any batch.
 ENGINE_VERSION = 3
 
-# A batch goes through the level walk in blocks of rows.  A row counts one
-# float per vote column (its widest branch count) plus _LEVEL_FLOATS per
-# level for the level arrays of the walks, and a block holds at most
-# _BLOCK floats of rows; a row wider than that takes its vote sum in column
-# chunks of _BLOCK.  Each temporary of a block is then at most 128 KB.
+# The suffix walk evaluates the distinct suffixes of one length in blocks.
+# A suffix counts one float per vote column (its own branch count) plus
+# _LEVEL_FLOATS for its entries and their temporaries, per walk that shares
+# its chain step, and a block holds at most _BLOCK floats; a suffix wider
+# than that takes its vote sum in column chunks of _BLOCK.  Each temporary
+# of a block is then at most 128 KB.
 _BLOCK = 2**14
 _LEVEL_FLOATS = 16
 # Largest branch count the exact engine accepts.  Time grows with the
@@ -117,19 +123,22 @@ def parity_error(per_slot: Sequence, counts: Sequence) -> float | np.ndarray:
     be arrays of rows.  The rate ``0.5 * (1 - prod (1 - 2e)**n)`` is formed
     from ``sum n * log|1 - 2e|`` and the sign of the product, with
     ``expm1`` where the product is positive, so a small parity error keeps
-    its relative precision.  A slot with zero count (a padded row) adds
+    its relative precision.  A slot with zero count (no grandchildren) adds
     nothing, and one with ``e = 1/2`` makes the parity a fair coin.
     """
-    log_abs, negative = 0.0, False
-    for e, n in zip(per_slot, counts):
-        e, n = np.asarray(e, dtype=float), np.asarray(n)
-        with np.errstate(divide="ignore"):  # log(0) = -inf at e = 1/2
+    log_abs, negative = 0.0, np.False_
+    with np.errstate(divide="ignore"):  # log(0) = -inf at e = 1/2
+        for e, n in zip(per_slot, counts):
+            e, n = np.asarray(e, dtype=float), np.asarray(n)
             log_base = np.log1p(-2.0 * np.minimum(e, 1.0 - e))  # log|1 - 2e|
-        term = np.zeros(np.broadcast(e, n).shape)
-        log_abs = log_abs + np.multiply(n, log_base, out=term, where=n > 0)
-        negative = negative ^ ((e > 0.5) & (n % 2 == 1))
+            term = np.zeros(np.broadcast(e, n).shape)
+            log_abs = log_abs + np.multiply(n, log_base, out=term, where=n > 0)
+            negative = negative ^ ((e > 0.5) & (n % 2 == 1))
     # 0 - expm1 rather than -expm1, which would give -0.0 for an error-free parity.
-    return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), 0.5 * (0.0 - np.expm1(log_abs)))[()]
+    below_half = 0.5 * (0.0 - np.expm1(log_abs))
+    if not negative.any():
+        return below_half[()]
+    return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), below_half)[()]
 
 
 # log k! is exact below k = 12 and follows Stirling's series from there, as in
@@ -326,20 +335,22 @@ def _prefer_indirect(pr_i, err_i, pr_d, err_d) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The level walk
+# The suffix walk
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Per-level success and conditional-error rates of one measured value.
+    """Success and conditional-error rates of one measured value, field by field.
 
-    Arrays are indexed by level ``k = 0..d`` (then by row, inside the
-    batched walk); level 0 is the virtual root slot whose indirect entry
-    feeds the logical X-parity.  Events:
+    The suffix walk keeps them as the rows of its entry tables (one column
+    per distinct (suffix, eta, eps)), in this order; a node at level ``k``
+    of a depth-``d`` shape is its suffix of length ``d - k``, and level 0
+    is the virtual root slot whose indirect entry feeds the logical
+    X-parity.  Events:
 
-    * ``pr_s[k]``: one specific chain through one child succeeds,
-    * ``pr_i[k]``: at least one chain succeeds (indirect),
-    * ``pr_m[k]``: the level-k value is obtained.
+    * ``pr_s``: one specific chain through one child succeeds,
+    * ``pr_i``: at least one chain succeeds (indirect),
+    * ``pr_m``: the value is obtained.
     """
 
     pr_s: np.ndarray
@@ -350,97 +361,160 @@ class LayerStats:
     err_m: np.ndarray
 
 
-def _levels(
-    branches: np.ndarray,
-    opener: tuple[np.ndarray, np.ndarray],
-    value: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> LayerStats:
-    """Walk the levels of a block of rows from the leaves to the virtual root.
-
-    ``branches`` is ``(rows, d)``; a row shallower than ``d`` is padded with
-    zero branch counts, and a node with no children is a leaf.  At level
-    ``k`` each of the ``b[k]`` children opens a chain (success and error
-    rates ``opener``) through the ``b[k+1]`` values at level ``k+2``::
-
-        pr_s[k] = pr_opener * pr_m[k+2]**b[k+1]    (empty product if b[k+1] == 0)
-        pr_i[k] = 1 - (1 - pr_s[k])**b[k]          (0 at a leaf)
-
-    and ``value(k, pr_i[k], err_i[k])`` turns the vote into
-    ``(pr_m[k], err_m[k])``.
-    """
-    rows, d = branches.shape
-    pr_s, pr_i, pr_m, err_s, err_i, err_m = np.zeros((6, d + 1, rows))
-    for k in range(d, -1, -1):
-        if k < d:
-            if k + 1 < d:
-                n_grand, grand = branches[:, k + 1], (pr_m[k + 2], err_m[k + 2])
-            else:
-                n_grand, grand = 0, (1.0, 0.0)
-            pr_s[k], err_s[k], pr_i[k], err_i[k] = _chain_step(
-                branches[:, k], n_grand, opener, grand)
-        pr_m[k], err_m[k] = value(k, pr_i[k], err_i[k])
-    return LayerStats(pr_s, pr_i, pr_m, err_s, err_i, err_m)
-
-
-def _static_walk(branches: np.ndarray, params: ChannelParams, basis: Basis) -> LayerStats:
-    eta = params.eta
-    if basis is Basis.Z:
-        direct = opener = (eta, params.eps)
-    else:
-        direct, opener = (eta**2, params.err_dzz), (0.5 * eta**2, params.err_dxx)
-    return _levels(branches, opener, lambda k, pr_i, err_i: _prefer_indirect(pr_i, err_i, *direct))
-
-
-def _dynamic_walk(branches: np.ndarray, params: ChannelParams) -> LayerStats:
-    """Level rates of the pair Z-parity under the adaptive rules.
+def _adaptive_value(pr_i, err_i, pr_iz, err_iz, eta2, err_dzz) -> tuple[np.ndarray, np.ndarray]:
+    """Rate and conditional error of the pair Z-parity under the adaptive rules.
 
     A pair with no direct readout is upgraded by two independent
-    single-qubit indirect measurements, one per tree: ``pr_u = pr_i_z**2``,
-    erring with ``2 e (1 - e)``.  Per-pair Z-parity::
+    single-qubit indirect measurements, one per tree, whose rates
+    ``pr_iz`` and ``err_iz`` the single-qubit Z walk gives at the same
+    suffix: ``pr_u = pr_iz**2``, erring with ``2 e (1 - e)``.  Per-pair
+    Z-parity::
 
-        pr_m[k] = eta^2 + (1 - eta^2) * pr_u[k]
+        pr_m = eta^2 + (1 - eta^2) * pr_u
 
     -- a complete or partial BSM reads it directly, a failed one needs the
     upgrade.  Below a complete pair, a chain opens with a complete child
     BSM (eta^2/2) and needs the Z-parity of every grandchild pair; given
     chain success the grandchild classes are iid, so ``err_m`` is the class
-    mixture: complete (eta^2/2, prefers its chain vote), partial (eta^2/2,
-    prefers the upgrade) and failed (1 - eta^2, upgrade only).
+    mixture: complete (eta^2/2, prefers its chain vote ``pr_i``, ``err_i``),
+    partial (eta^2/2, prefers the upgrade) and failed (1 - eta^2, upgrade
+    only).
     """
-    eta2, err_dzz = params.eta**2, params.err_dzz
-    z = _static_walk(branches, params, Basis.Z)
-    pr_u = z.pr_i**2
-    err_u = 2.0 * z.err_i - 2.0 * z.err_i**2
+    pr_u, err_u = pr_iz**2, 2.0 * err_iz - 2.0 * err_iz**2
+    err_c = _prefer_indirect(pr_i, err_i, 1.0, err_dzz)[1]
+    err_p = _prefer_indirect(pr_u, err_u, 1.0, err_dzz)[1]
+    pr_f, err_f = _prefer_indirect(pr_u, err_u, 0.0, 0.0)
+    pr_m = eta2 + (1.0 - eta2) * pr_f
+    err = 0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f
+    return pr_m, np.divide(err, pr_m, out=np.zeros_like(pr_m), where=pr_m > 0.0)
 
-    def value(k: int, pr_i, err_i):
-        err_c = _prefer_indirect(pr_i, err_i, 1.0, err_dzz)[1]
-        err_p = _prefer_indirect(pr_u[k], err_u[k], 1.0, err_dzz)[1]
-        pr_f, err_f = _prefer_indirect(pr_u[k], err_u[k], 0.0, 0.0)
-        pr_m = eta2 + (1.0 - eta2) * pr_f
-        err = 0.5 * eta2 * (err_c + err_p) + (1.0 - eta2) * pr_f * err_f
-        return pr_m, np.divide(err, pr_m, out=np.zeros_like(pr_m), where=pr_m > 0.0)
 
-    return _levels(branches, (0.5 * eta2, params.err_dxx), value)
+def _entries(walk: Basis | Protocol, channel: np.ndarray, n_chains: np.ndarray,
+             n_grand: np.ndarray, grand: np.ndarray) -> np.ndarray:
+    """Entries ``(6, walks, keys)``, rows as in :class:`LayerStats`, of a block of distinct keys.
+
+    ``channel`` holds the rows eta, eps, eta^2, err_dzz and err_dxx of the
+    keys.  ``walk`` is the :class:`Basis` of a value under the static
+    rules, or ``Protocol.DYNAMIC`` for the pair Z-parity under the adaptive
+    rules: two walks that share one chain step, the single-qubit Z walk,
+    whose vote the adaptive value reads (:func:`_adaptive_value`), then
+    the pair walk.  A suffix opens ``n_chains`` chains (none at a leaf),
+    each through the ``n_grand`` values of the suffix two shorter, whose
+    ``pr_m`` and ``err_m`` per walk are ``grand``::
+
+        pr_s = pr_opener * pr_m[grand]**n_grand    (empty product if n_grand == 0)
+        pr_i = 1 - (1 - pr_s)**n_chains            (0 at a leaf)
+
+    A single-qubit chain opens with eta (erring with eps), a pair chain
+    with the X-parity of a complete BSM (eta^2/2).  The value rule turns
+    the vote into ``(pr_m, err_m)``; under the static rules it prefers an
+    available vote to the direct readout (eta for Z, eta^2 for a pair).
+    """
+    eta, eps, eta2, err_dzz, err_dxx = channel
+    walks = 2 if walk is Protocol.DYNAMIC else 1
+    table = np.zeros((6, walks, len(eta)))
+    pr_s, pr_i, pr_m, err_s, err_i, err_m = table
+    if n_chains.any():  # a block of leaves opens no chains: its rates stay 0
+        opener = (eta, eps) if walk is Basis.Z else (0.5 * eta2, err_dxx)
+        if walks > 1:  # the Z walk, then the pair walk
+            opener = tuple(map(np.concatenate, zip((eta, eps), opener)))
+            n_chains, n_grand = np.concatenate([n_chains] * 2), np.concatenate([n_grand] * 2)
+        steps = _chain_step(n_chains, n_grand, opener, grand.reshape(2, -1))
+        for row, values in zip((pr_s, err_s, pr_i, err_i), steps):
+            row[:] = values.reshape(walks, -1)
+    if walk is Basis.ZZ:
+        pr_m[0], err_m[0] = _prefer_indirect(pr_i[0], err_i[0], eta2, err_dzz)
+    else:
+        pr_m[0], err_m[0] = _prefer_indirect(pr_i[0], err_i[0], eta, eps)
+    if walk is Protocol.DYNAMIC:
+        pr_m[1], err_m[1] = _adaptive_value(pr_i[1], err_i[1], pr_i[0], err_i[0], eta2, err_dzz)
+    return table
+
+
+def _suffix_walk(
+    walk: Basis | Protocol, branches: np.ndarray, params: ChannelParams
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk the suffixes of a chunk of sorted rows from the leaves up.
+
+    ``branches`` is laid out by :func:`_branch_array` and ``params`` holds
+    one eta and eps per row.  For each suffix length ``L = 0..depth`` it
+    yields the group of every row at least ``L`` deep (its column in the
+    entries) and the :func:`_entries` of that length, one column per
+    distinct (suffix, eta, eps).  Rows that share a key are contiguous, so
+    a key starts where a row differs from the one before it in eta, eps
+    (bit for bit) or its first ``L`` branch counts, and it is evaluated
+    once, from its first row, in :func:`_blocks` sized by its own branch
+    count.  A suffix reads only the suffixes two shorter, so after the
+    leaves the walk takes two lengths per step.
+    """
+    depth, rows = branches.shape
+    channel = np.stack((params.eta, params.eps, params.eta**2, params.err_dzz, params.err_dxx))
+    walks = 2 if walk is Protocol.DYNAMIC else 1
+    new = np.zeros(rows, dtype=bool)  # the row starts a key: eta and eps, so far
+    new[:1] = True
+    for key in channel[:2].view(np.int64):
+        new[1:] |= key[1:] != key[:-1]
+    # pr_m and err_m of the last step's keys, then of the empty product that a
+    # suffix of length 1 reads for its grandchildren; per length of that step,
+    # the group of each row and the column where its keys start.
+    values, below = np.array([1.0, 0.0]).reshape(2, 1, 1).repeat(walks, axis=1), {}
+    for step in [[0]] + [[k, k + 1][:depth + 1 - k] for k in range(1, depth + 1, 2)]:
+        groups, firsts, n_chains, n_grand, grand = [], [], [], [], []
+        for length in step:
+            n = branches[length - 1] if length else np.zeros(rows, dtype=branches.dtype)
+            new[1:] |= n[1:] != n[:-1]
+            starts = new & (n > 0) if length else new  # a shorter row has no such suffix
+            first = starts.nonzero()[0]
+            groups.append(starts.cumsum() - 1)
+            firsts.append(first)
+            n_chains.append(n[first])
+            if length > 1:
+                group, at = below[length - 2]
+                n_grand.append(branches[length - 2, first])
+                grand.append(at + group[first])
+            else:
+                n_grand.append(np.zeros_like(first))
+                grand.append(np.full(len(first), -1))
+        first, n_chains, n_grand, grand = map(np.concatenate, (firsts, n_chains, n_grand, grand))
+        table = np.empty((6, walks, len(first) + 1))
+        table[2::3, :, -1] = values[..., -1]
+        entries = table[..., :-1]
+        for block in _blocks(walks * (n_chains + _LEVEL_FLOATS)):
+            entries[..., block] = _entries(walk, channel[:, first[block]], n_chains[block],
+                                           n_grand[block], values[..., grand[block]])
+        values, below, at = table[2::3], {}, 0
+        for length, group, keys in zip(step, groups, firsts):
+            below[length] = group, at
+            yield group, entries[..., at:at + len(keys)]
+            at += len(keys)
 
 
 def _branch_array(shapes: Iterable[BranchingVectorLike]) -> np.ndarray:
-    """``(rows, depth)`` branch counts, shallower rows padded with zeros."""
+    """``(depth, rows)`` branch counts read from the leaf end, shallower rows padded with zeros.
+
+    Column ``i`` holds ``b[d - 1], ..., b[0], 0, ...`` for row ``i`` of depth
+    ``d``, so its first ``L`` entries are the row's suffix of length ``L``.
+    """
     rows = [as_branching_vector(s).branches for s in shapes]
     widest = max(map(max, rows), default=1)
     if widest > MAX_CHAINS:
         raise ValueError(f"branch count {widest} is above the cap of {MAX_CHAINS}")
-    branches = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=np.int32)
-    for row, r in zip(branches, rows):
-        row[:len(r)] = r
+    branches = np.zeros((max(map(len, rows), default=1), len(rows)), dtype=np.int32)
+    for k, suffix in enumerate(branches):
+        suffix[:] = [r[-1 - k] if k < len(r) else 0 for r in rows]
     return branches
 
 
 def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
-    """Row indices in blocks whose row count times widest row ``width`` stays within ``_BLOCK``.
+    """Indices in blocks whose count times widest ``width`` stays within ``_BLOCK``.
 
-    Rows are taken in order of width, widest first, so narrow rows share
-    large blocks and a few wide rows do not shrink every block.
+    Entries that fit one block form it, in order.  Otherwise they are taken
+    in order of width, widest first, so narrow entries share large blocks
+    and a few wide ones do not shrink every block.
     """
+    if len(width) and len(width) * width.max() <= _BLOCK:
+        yield slice(None)
+        return
     order = np.argsort(width, kind="stable")
     stop = len(order)
     while stop > 0:
@@ -481,24 +555,31 @@ def _complete_bsm_closed(b0, m1, s0):
     return np.where(got, m1**b0 * -np.expm1(b0 * np.log1p(-ratio)), 0.0)
 
 
-def _logical_rows(
-    protocol: Protocol, branches: np.ndarray, params: ChannelParams
-) -> tuple[np.ndarray, ...]:
-    """Logical rates of one block at the virtual root, in :class:`BsmRates` order.
+# A batch is walked in chunks of at most _CHUNK rows of its sorted order.
+# A chunk holds the entries of one step of the walk, at most two suffixes
+# per row of up to 12 floats each, and the values of the step before, so
+# its tables stay under 1 MB however long the batch is.
+_CHUNK = 2**11
 
-    The level-0 vote is the logical X-parity and the ``b0`` level-1 values
-    form the logical Z-parity; a complete BSM needs every first-level pair
-    readable (``pr_m[1]``) and at least one first-level chain (``pr_s[0]``).
+
+def _chunks(order: np.ndarray, eta: np.ndarray, eps: np.ndarray, leaf: np.ndarray
+            ) -> Iterator[np.ndarray]:
+    """The sorted rows ``order`` in chunks of at most ``_CHUNK`` rows.
+
+    A chunk ends where a suffix of length 1 -- (eta, eps, leaf branch
+    count) -- starts, if one starts within it, so that no suffix is split
+    between two chunks, and evaluated twice, unless one spans a chunk.
     """
-    if protocol is Protocol.STATIC:
-        zz = _static_walk(branches, params, Basis.ZZ)
-    else:
-        zz = _dynamic_walk(branches, params)
-    b0, m1 = branches[:, 0], zz.pr_m[1]
-    err_zz = parity_error([zz.err_m[1]], [b0])
-    err_xx = zz.err_i[0]
-    return (zz.pr_i[0], m1**b0, _complete_bsm_closed(b0, m1, zz.pr_s[0]),
-            err_xx, err_zz, err_zz + (1.0 - err_zz) * err_xx)
+    lo = 0
+    while lo < len(order):
+        hi = min(lo + _CHUNK, len(order))
+        if hi < len(order):
+            here, after = order[lo:hi], order[lo + 1:hi + 1]
+            starts = np.any([key[after] != key[here] for key in
+                             (eta.view(np.int64), eps.view(np.int64), leaf)], axis=0).nonzero()[0]
+            hi = lo + 1 + starts[-1] if len(starts) else hi
+        yield order[lo:hi]
+        lo = hi
 
 
 def logical_bsm_batch(
@@ -507,26 +588,51 @@ def logical_bsm_batch(
     """Evaluate ``protocol`` exactly on every row of a batch of (shape, eta, eps).
 
     ``eta`` and ``eps`` are scalars or sequences broadcast to one value per
-    shape.  Shapes of different depths may share a batch: shallower rows
-    are padded with zero branch counts, which the walk reads as leaves.
-    Rows go through the one level walk in blocks of at most ``_BLOCK``
-    floats (see there), so memory does not grow with the batch beyond the
-    returned arrays and the branch array.  Branch counts above
-    ``MAX_CHAINS`` are refused with a ``ValueError`` before anything is
-    allocated.  ``protocol`` is a :class:`Protocol` or its value.
+    shape.  The rows are sorted once by (eta, eps, branch counts read from
+    the leaf end), so rows that share a suffix of any length at the same
+    point are contiguous, and the suffix walk evaluates each distinct
+    (suffix, eta, eps) once; shapes of different depths may share a batch.
+    The sorted rows go through the walk in chunks of ``_CHUNK`` rows and
+    blocks of at most ``_BLOCK`` floats (see there), so memory does not
+    grow with the batch beyond the returned arrays, the branch array and
+    the sort order.  Branch counts above ``MAX_CHAINS`` are refused with a
+    ``ValueError`` before anything is allocated.  ``protocol`` is a
+    :class:`Protocol` or its value.
     """
     protocol = Protocol(protocol)
     if protocol not in (Protocol.STATIC, Protocol.DYNAMIC):
         raise ValueError(f"no closed-form evaluation for protocol {protocol.value!r}")
     branches = _branch_array(shapes)
-    rows = len(branches)
+    rows = branches.shape[1]
     eta, eps = (np.broadcast_to(np.asarray(v, dtype=float), (rows,)) for v in (eta, eps))
     ChannelParams(eta, eps)  # refuses a value outside [0, 1] before any work
+    walk = Basis.ZZ if protocol is Protocol.STATIC else Protocol.DYNAMIC
     out = np.empty((6, rows))
-    width = branches.max(axis=1) + _LEVEL_FLOATS * (branches.shape[1] + 1)
-    for block in _blocks(width):
-        out[:, block] = _logical_rows(
-            protocol, branches[block], ChannelParams(eta[block], eps[block]))
+    order = np.lexsort((*branches[::-1], eps, eta)).astype(np.int32)  # 4 bytes per row
+    for chunk in _chunks(order, eta, eps, branches[0]):
+        part = branches[:, chunk]
+        depth = np.count_nonzero(part, axis=0)
+        by_depth = depth.argsort(kind="stable")
+        starts = np.r_[0, np.bincount(depth, minlength=len(part) + 2).cumsum()]  # rows < L deep
+        # Per row: b0; pr_m and err_m of the first-level pairs, its suffix one shorter;
+        # pr_s, pr_i and err_i of the pair Z-parity at the root, its whole shape.
+        root = np.empty((6, len(chunk)))
+        root[0] = part[depth - 1, np.arange(len(chunk))]
+        tables = _suffix_walk(walk, part, ChannelParams(eta[chunk], eps[chunk]))
+        for length, (group, table) in enumerate(tables):
+            table = table[:, -1]  # the pair walk, in LayerStats order
+            whole, deeper = (by_depth[starts[k]:starts[k + 1]] for k in (length, length + 1))
+            if len(whole):
+                root[3:, whole] = table[[0, 1, 4]][:, group[whole]]
+            if len(deeper):
+                root[1:3, deeper] = table[2::3, group[deeper]]
+        # The root vote is the logical X-parity and the b0 first-level values form
+        # the logical Z-parity; a complete BSM needs every first-level pair readable
+        # and at least one first-level chain.
+        b0, m1, err_m1, pr_s, pr_i, err_xx = root
+        err_zz = parity_error([err_m1], [b0])
+        out[:, chunk] = (pr_i, m1**b0, _complete_bsm_closed(b0, m1, pr_s),
+                         err_xx, err_zz, err_zz + (1.0 - err_zz) * err_xx)
     return BsmRates(*out)
 
 

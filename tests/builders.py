@@ -93,9 +93,13 @@ def instruction_from_line(line: str) -> Instruction:
 
 def level_stats(b: BranchingVectorLike, params: ChannelParams,
                 basis: analytic.Basis) -> analytic.LayerStats:
-    """Per-level rates of one value under the static rules: the level walk on a batch of one."""
+    """Per-level rates of one value under the static rules: the suffix walk on a batch of one.
+
+    Level ``k`` of a depth-``d`` shape is its suffix of length ``d - k``.
+    """
     row = ChannelParams(np.array([params.eta]), np.array([params.eps]))
-    stats = analytic._static_walk(analytic._branch_array([b]), row, basis)
+    stats = analytic.LayerStats(*np.stack([table[:, -1] for _, table in analytic._suffix_walk(
+        basis, analytic._branch_array([b]), row)][::-1], axis=1))
     return analytic.LayerStats(**{name: a[:, 0] for name, a in vars(stats).items()})
 
 

@@ -107,9 +107,9 @@ class TestBlocks:
         eta = rng.uniform(0.5, 1.0, len(shapes))
         eps = rng.uniform(0.0, 0.05, len(shapes))
         blocks = []
-        real = analytic._logical_rows
-        monkeypatch.setattr(analytic, "_logical_rows",
-                            lambda *args: blocks.append(args[1].shape) or real(*args))
+        real = analytic._entries
+        monkeypatch.setattr(analytic, "_entries",
+                            lambda *args: blocks.append(args[1][0].shape) or real(*args))
         got = logical_bsm_batch(shapes, eta, eps, protocol)
         monkeypatch.undo()
 
@@ -157,6 +157,49 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak - sum(a.nbytes for a in got) < 4e6
+
+
+class TestSharing:
+    """Each distinct (suffix, eta, eps) of a batch reaches the recovery rule once per walk."""
+
+    @staticmethod
+    def _rows_per_walk(monkeypatch, shapes, eta, eps, protocol):
+        """The rates of a batch, and how many rows it hands ``_chain_step`` per walk."""
+        rows = []
+        real = analytic._chain_step
+        monkeypatch.setattr(analytic, "_chain_step",
+                            lambda n_chains, *rest: rows.append(len(n_chains)) or real(n_chains, *rest))
+        got = logical_bsm_batch(shapes, eta, eps, protocol)
+        monkeypatch.undo()
+        # The adaptive rules walk the single-qubit Z-parity beside the pair Z-parity.
+        walks = 2 if protocol is Protocol.DYNAMIC else 1
+        assert sum(rows) % walks == 0
+        return np.array(got), sum(rows) // walks
+
+    @staticmethod
+    def _keys(rows) -> set:
+        """Every (suffix, eta, eps) of suffix length 1 or more, whole shapes included."""
+        return {(vec.branches[k:], eta, eps) for vec, eta, eps in rows for k in range(vec.depth)}
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_default_search_evaluates_each_suffix_once(self, protocol, monkeypatch):
+        # 6294 rows take several chunks of sorted rows; none splits a suffix.
+        _, per_walk = self._rows_per_walk(monkeypatch, DEFAULT_SHAPES, 0.95, 1e-5, protocol)
+        assert per_walk == len(self._keys((vec, 0.95, 1e-5) for vec in DEFAULT_SHAPES)) == 6337
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_repeated_rows_are_evaluated_once_and_share_their_bits(self, protocol, monkeypatch):
+        rng = np.random.default_rng(23)
+        points = [(0.9, 1e-3), (0.7, 0.02), (0.9, 0.0)]
+        rows = [(LOOSE_SHAPES[i], *points[k % 3])
+                for k, i in enumerate(rng.choice(len(LOOSE_SHAPES), 40, replace=False))]
+        picks = rng.integers(0, len(rows), 300)
+        shapes, eta, eps = zip(*(rows[i] for i in picks))
+        got, per_walk = self._rows_per_walk(monkeypatch, shapes, eta, eps, protocol)
+        assert per_walk == len(self._keys(rows[i] for i in set(picks))) < len(picks)
+        for i in set(picks):
+            same = got[:, picks == i]
+            assert all(column.tobytes() == same[:, 0].tobytes() for column in same.T)
 
 
 def test_a_point_outside_the_unit_interval_is_refused():
