@@ -73,6 +73,7 @@ from .trees import (
     ChannelParams,
     Protocol,
     as_branching_vector,
+    bsm_readout_errors,
 )
 
 
@@ -126,19 +127,16 @@ def parity_error(per_slot: Sequence, counts: Sequence) -> float | np.ndarray:
     its relative precision.  A slot with zero count (no grandchildren) adds
     nothing, and one with ``e = 1/2`` makes the parity a fair coin.
     """
-    log_abs, negative = 0.0, np.False_
-    with np.errstate(divide="ignore"):  # log(0) = -inf at e = 1/2
-        for e, n in zip(per_slot, counts):
-            e, n = np.asarray(e, dtype=float), np.asarray(n)
+    log_abs, negative = 0.0, False
+    for e, n in zip(per_slot, counts):
+        e, n = np.asarray(e, dtype=float), np.asarray(n)
+        with np.errstate(divide="ignore"):  # log(0) = -inf at e = 1/2
             log_base = np.log1p(-2.0 * np.minimum(e, 1.0 - e))  # log|1 - 2e|
-            term = np.zeros(np.broadcast(e, n).shape)
-            log_abs = log_abs + np.multiply(n, log_base, out=term, where=n > 0)
-            negative = negative ^ ((e > 0.5) & (n % 2 == 1))
+        term = np.zeros(np.broadcast(e, n).shape)
+        log_abs = log_abs + np.multiply(n, log_base, out=term, where=n > 0)
+        negative = negative ^ ((e > 0.5) & (n % 2 == 1))
     # 0 - expm1 rather than -expm1, which would give -0.0 for an error-free parity.
-    below_half = 0.5 * (0.0 - np.expm1(log_abs))
-    if not negative.any():
-        return below_half[()]
-    return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), below_half)[()]
+    return np.where(negative, 0.5 * (1.0 + np.exp(log_abs)), 0.5 * (0.0 - np.expm1(log_abs)))[()]
 
 
 # log k! is exact below k = 12 and follows Stirling's series from there, as in
@@ -432,15 +430,17 @@ def _entries(walk: Basis | Protocol, channel: np.ndarray, n_chains: np.ndarray,
 
 
 def _suffix_walk(
-    walk: Basis | Protocol, branches: np.ndarray, params: ChannelParams
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Walk the suffixes of a chunk of sorted rows from the leaves up.
+    walk: Basis | Protocol, branches: np.ndarray, channel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of every distinct (suffix, eta, eps) of a chunk of sorted rows: ``(table, key)``.
 
-    ``branches`` is laid out by :func:`_branch_array` and ``params`` holds
-    one eta and eps per row.  For each suffix length ``L = 0..depth`` it
-    yields the group of every row at least ``L`` deep (its column in the
-    entries) and the :func:`_entries` of that length, one column per
-    distinct (suffix, eta, eps).  Rows that share a key are contiguous, so
+    ``branches`` is laid out by :func:`_branch_array` and ``channel`` holds
+    the rows of :func:`_channel_rows`, one column per row.  ``table`` is
+    ``(6, walks, keys + 1)``: the :func:`_entries` of each distinct key,
+    ordered by suffix length, then one column of the empty product (pr_m 1,
+    err_m 0) that a suffix of length 1 reads for its grandchildren.
+    ``key[L, r]`` is the column of row ``r``'s suffix of length ``L``, for
+    ``L`` up to the row's depth.  Rows that share a key are contiguous, so
     a key starts where a row differs from the one before it in eta, eps
     (bit for bit) or its first ``L`` branch counts, and it is evaluated
     once, from its first row, in :func:`_blocks` sized by its own branch
@@ -448,45 +448,34 @@ def _suffix_walk(
     leaves the walk takes two lengths per step.
     """
     depth, rows = branches.shape
-    channel = np.stack((params.eta, params.eps, params.eta**2, params.err_dzz, params.err_dxx))
     walks = 2 if walk is Protocol.DYNAMIC else 1
-    new = np.zeros(rows, dtype=bool)  # the row starts a key: eta and eps, so far
-    new[:1] = True
-    for key in channel[:2].view(np.int64):
-        new[1:] |= key[1:] != key[:-1]
-    # pr_m and err_m of the last step's keys, then of the empty product that a
-    # suffix of length 1 reads for its grandchildren; per length of that step,
-    # the group of each row and the column where its keys start.
-    values, below = np.array([1.0, 0.0]).reshape(2, 1, 1).repeat(walks, axis=1), {}
-    for step in [[0]] + [[k, k + 1][:depth + 1 - k] for k in range(1, depth + 1, 2)]:
-        groups, firsts, n_chains, n_grand, grand = [], [], [], [], []
-        for length in step:
-            n = branches[length - 1] if length else np.zeros(rows, dtype=branches.dtype)
-            new[1:] |= n[1:] != n[:-1]
-            starts = new & (n > 0) if length else new  # a shorter row has no such suffix
-            first = starts.nonzero()[0]
-            groups.append(starts.cumsum() - 1)
-            firsts.append(first)
-            n_chains.append(n[first])
-            if length > 1:
-                group, at = below[length - 2]
-                n_grand.append(branches[length - 2, first])
-                grand.append(at + group[first])
-            else:
-                n_grand.append(np.zeros_like(first))
-                grand.append(np.full(len(first), -1))
-        first, n_chains, n_grand, grand = map(np.concatenate, (firsts, n_chains, n_grand, grand))
-        table = np.empty((6, walks, len(first) + 1))
-        table[2::3, :, -1] = values[..., -1]
-        entries = table[..., :-1]
-        for block in _blocks(walks * (n_chains + _LEVEL_FLOATS)):
-            entries[..., block] = _entries(walk, channel[:, first[block]], n_chains[block],
-                                           n_grand[block], values[..., grand[block]])
-        values, below, at = table[2::3], {}, 0
-        for length, group, keys in zip(step, groups, firsts):
-            below[length] = group, at
-            yield group, entries[..., at:at + len(keys)]
-            at += len(keys)
+    counts = np.zeros((depth + 1, rows), dtype=branches.dtype)  # 0 chains at length 0
+    counts[1:] = branches
+    new = np.zeros((depth + 1, rows), dtype=bool)  # the row starts a key
+    new[:, 0] = True
+    new[:, 1:] = counts[:, 1:] != counts[:, :-1]
+    for point in channel[:2].view(np.int64):
+        new[:, 1:] |= point[1:] != point[:-1]
+    np.logical_or.accumulate(new, axis=0, out=new)
+    new[1:] &= branches > 0  # a shorter row has no such suffix
+    key = new.cumsum().reshape(new.shape) - 1  # length by length, so keys come sorted by length
+    length, first = new.nonzero()
+    n_chains, n_grand = counts[length, first], counts[np.maximum(length - 1, 0), first]
+    grand = np.where(length > 1, key[length - 2, first], -1)
+    table = np.empty((6, walks, len(first) + 1))
+    table[2, :, -1], table[5, :, -1] = 1.0, 0.0
+    edges = length.searchsorted([0, *range(1, depth + 2, 2)])
+    for lo, hi in zip(edges, [*edges[1:], len(first)]):
+        for block in _blocks(walks * (n_chains[lo:hi] + _LEVEL_FLOATS)):
+            keys = lo + block
+            table[..., keys] = _entries(walk, channel[:, first[keys]], n_chains[keys],
+                                        n_grand[keys], table[2::3][..., grand[keys]])
+    return table, key
+
+
+def _channel_rows(eta: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``(5, rows)``: eta, eps, eta^2, err_dzz and err_dxx of checked eta and eps."""
+    return np.stack((eta, eps, eta**2, *bsm_readout_errors(eps)))
 
 
 def _branch_array(shapes: Iterable[BranchingVectorLike]) -> np.ndarray:
@@ -508,14 +497,10 @@ def _branch_array(shapes: Iterable[BranchingVectorLike]) -> np.ndarray:
 def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
     """Indices in blocks whose count times widest ``width`` stays within ``_BLOCK``.
 
-    Entries that fit one block form it, in order.  Otherwise they are taken
-    in order of width, widest first, so narrow entries share large blocks
-    and a few wide ones do not shrink every block.
+    Entries are taken in order of width, widest first, so narrow entries
+    share large blocks and a few wide ones do not shrink every block.
     """
-    if len(width) and len(width) * width.max() <= _BLOCK:
-        yield slice(None)
-        return
-    order = np.argsort(width, kind="stable")
+    order = width.argsort(kind="stable")
     stop = len(order)
     while stop > 0:
         start = max(0, stop - max(1, _BLOCK // int(width[order[stop - 1]])))
@@ -556,9 +541,9 @@ def _complete_bsm_closed(b0, m1, s0):
 
 
 # A batch is walked in chunks of at most _CHUNK rows of its sorted order.
-# A chunk holds the entries of one step of the walk, at most two suffixes
-# per row of up to 12 floats each, and the values of the step before, so
-# its tables stay under 1 MB however long the batch is.
+# A chunk holds the entries of its distinct suffixes, at most one per row
+# and suffix length of up to 12 floats each, and the column of each row at
+# each length: about 300 KB per suffix length, however long the batch is.
 _CHUNK = 2**11
 
 
@@ -580,6 +565,26 @@ def _chunks(order: np.ndarray, eta: np.ndarray, eps: np.ndarray, leaf: np.ndarra
             hi = lo + 1 + starts[-1] if len(starts) else hi
         yield order[lo:hi]
         lo = hi
+
+
+def _chunk_rates(walk: Basis | Protocol, branches: np.ndarray, channel: np.ndarray) -> tuple:
+    """Logical rates of a chunk of sorted rows at the virtual root, in :class:`BsmRates` order.
+
+    The root vote is the logical X-parity and the ``b0`` first-level values
+    form the logical Z-parity; a complete BSM needs every first-level pair
+    readable and at least one first-level chain.
+    """
+    table, key = _suffix_walk(walk, branches, channel)
+    table, depth = table[:, -1], np.count_nonzero(branches, axis=0)  # the pair walk
+    cols = np.arange(len(depth))
+    # Per row: pr_m and err_m of the first-level pairs, its suffix one shorter;
+    # pr_s, pr_i and err_i of the pair Z-parity at the root, its whole shape.
+    b0 = branches[depth - 1, cols]
+    m1, err_m1 = table[2::3][:, key[depth - 1, cols]]
+    pr_s, pr_i, err_xx = table[[0, 1, 4]][:, key[depth, cols]]
+    err_zz = parity_error([err_m1], [b0])
+    return (pr_i, m1**b0, _complete_bsm_closed(b0, m1, pr_s),
+            err_xx, err_zz, err_zz + (1.0 - err_zz) * err_xx)
 
 
 def logical_bsm_batch(
@@ -610,29 +615,7 @@ def logical_bsm_batch(
     out = np.empty((6, rows))
     order = np.lexsort((*branches[::-1], eps, eta)).astype(np.int32)  # 4 bytes per row
     for chunk in _chunks(order, eta, eps, branches[0]):
-        part = branches[:, chunk]
-        depth = np.count_nonzero(part, axis=0)
-        by_depth = depth.argsort(kind="stable")
-        starts = np.r_[0, np.bincount(depth, minlength=len(part) + 2).cumsum()]  # rows < L deep
-        # Per row: b0; pr_m and err_m of the first-level pairs, its suffix one shorter;
-        # pr_s, pr_i and err_i of the pair Z-parity at the root, its whole shape.
-        root = np.empty((6, len(chunk)))
-        root[0] = part[depth - 1, np.arange(len(chunk))]
-        tables = _suffix_walk(walk, part, ChannelParams(eta[chunk], eps[chunk]))
-        for length, (group, table) in enumerate(tables):
-            table = table[:, -1]  # the pair walk, in LayerStats order
-            whole, deeper = (by_depth[starts[k]:starts[k + 1]] for k in (length, length + 1))
-            if len(whole):
-                root[3:, whole] = table[[0, 1, 4]][:, group[whole]]
-            if len(deeper):
-                root[1:3, deeper] = table[2::3, group[deeper]]
-        # The root vote is the logical X-parity and the b0 first-level values form
-        # the logical Z-parity; a complete BSM needs every first-level pair readable
-        # and at least one first-level chain.
-        b0, m1, err_m1, pr_s, pr_i, err_xx = root
-        err_zz = parity_error([err_m1], [b0])
-        out[:, chunk] = (pr_i, m1**b0, _complete_bsm_closed(b0, m1, pr_s),
-                         err_xx, err_zz, err_zz + (1.0 - err_zz) * err_xx)
+        out[:, chunk] = _chunk_rates(walk, branches[:, chunk], _channel_rows(eta[chunk], eps[chunk]))
     return BsmRates(*out)
 
 

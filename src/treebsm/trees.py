@@ -182,6 +182,15 @@ def _first_outside(value, top: float):
     return bad[0] if bad.size else None
 
 
+def bsm_readout_errors(eps):
+    """``(err_dzz, err_dxx)`` of a linear-optical BSM at single-qubit error ``eps``, unchecked.
+
+    ``eps`` may be an array; :class:`ChannelParams` reads its derived rates here.
+    """
+    eps_bsm = 3.0 * eps * (1.0 - eps)
+    return (2.0 / 3.0) * eps_bsm, eps_bsm
+
+
 class Protocol(Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
@@ -228,11 +237,11 @@ class ChannelParams:
 
     @property
     def eps_bsm(self) -> float:
-        return 3.0 * self.eps * (1.0 - self.eps)
+        return bsm_readout_errors(self.eps)[1]
 
     @property
     def err_dzz(self) -> float:
-        return (2.0 / 3.0) * self.eps_bsm
+        return bsm_readout_errors(self.eps)[0]
 
     @property
     def err_dxx(self) -> float:

@@ -97,10 +97,9 @@ def level_stats(b: BranchingVectorLike, params: ChannelParams,
 
     Level ``k`` of a depth-``d`` shape is its suffix of length ``d - k``.
     """
-    row = ChannelParams(np.array([params.eta]), np.array([params.eps]))
-    stats = analytic.LayerStats(*np.stack([table[:, -1] for _, table in analytic._suffix_walk(
-        basis, analytic._branch_array([b]), row)][::-1], axis=1))
-    return analytic.LayerStats(**{name: a[:, 0] for name, a in vars(stats).items()})
+    row = analytic._channel_rows(np.array([params.eta]), np.array([params.eps]))
+    table, key = analytic._suffix_walk(basis, analytic._branch_array([b]), row)
+    return analytic.LayerStats(*table[:, -1, key[::-1, 0]])
 
 
 def smallest_error_correcting(

@@ -106,14 +106,16 @@ class TestBlocks:
             shapes[i] = wide[i % 3]
         eta = rng.uniform(0.5, 1.0, len(shapes))
         eps = rng.uniform(0.0, 0.05, len(shapes))
-        blocks = []
-        real = analytic._entries
-        monkeypatch.setattr(analytic, "_entries",
-                            lambda *args: blocks.append(args[1][0].shape) or real(*args))
+        steps = []  # the key counts of the blocks of each step of the walk
+        real = analytic._blocks
+        monkeypatch.setattr(analytic, "_blocks",
+                            lambda width: steps.append([len(b) for b in real(width)]) or real(width))
         got = logical_bsm_batch(shapes, eta, eps, protocol)
         monkeypatch.undo()
 
-        assert len(blocks) > 3 and len({shape[0] for shape in blocks}) > 1
+        # The wide rows split the steps that hold them into blocks.
+        split = [blocks for blocks in steps if len(blocks) > 1]
+        assert sum(map(len, split)) > 3 and len({n for blocks in split for n in blocks}) > 1
         for i, vec in enumerate(shapes):
             one = logical_bsm(vec, ChannelParams(eta=eta[i], eps=eps[i]), protocol)
             assert tuple(float(r[i]) for r in got) == one, str(vec)
