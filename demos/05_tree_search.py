@@ -8,10 +8,12 @@ shape beating a bare pair appears at 7 photons; error correction first
 appears at 691 photons for the adaptive rules.
 """
 
-from treebsm import ChannelParams, Protocol, SearchBounds, pareto_front
+from treebsm import ChannelParams, Protocol, SearchBounds, enumerate_trees, pareto_front
 
 params = ChannelParams(eta=0.95, eps=1e-5)
-front = pareto_front(SearchBounds(max_photons=800), params, Protocol.DYNAMIC)
+bounds = SearchBounds(max_photons=800)
+front = pareto_front(bounds, params, Protocol.DYNAMIC)
+n_shapes = sum(1 for _ in enumerate_trees(bounds))
 
 first_lt = next(e for e in front if e.loss_tolerant)
 first_ec = next(e for e in front if e.error_correcting)
@@ -27,5 +29,5 @@ for e in picks:
     ) if on]
     print(f"{str(e.b):>12} {e.n_photons:>5} {e.pr_complete:9.5f} "
           f"{e.err_complete:10.2e}  {', '.join(flags)}")
-print(f"\n({len(front)} shapes on the full front; first error correction at "
+print(f"\n({len(front)} of {n_shapes} shapes on the full front; first error correction at "
       f"n = {first_ec.n_photons})")

@@ -201,12 +201,14 @@ def _tail_window(k: int, f: float) -> int:
     """How many terms after the first the vote tail sums, for ``k`` and ``f`` at their largest.
 
     A term is at most ``(f/q)**j`` and ``exp(-j**2 / 2k)`` times the first,
-    and the window ends where either bound is below ``exp(-45)``.
+    and the window ends where either bound is below ``exp(-45)``, after at
+    least one term.  ``log(q/f)`` is taken as ``log1p(-f) - log(f)``, which
+    stays finite for a subnormal ``f``.
     """
     width = min(k, math.ceil(math.sqrt(90 * k)))
     if 0.0 < f < 0.5:
-        width = min(width, math.ceil(45 / math.log((1.0 - f) / f)))
-    return width
+        width = min(width, math.ceil(45 / (math.log1p(-f) - math.log(f))))
+    return max(width, 1)
 
 
 def _vote_tail(m, e):
@@ -478,20 +480,41 @@ def _channel_rows(eta: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.stack((eta, eps, eta**2, *bsm_readout_errors(eps)))
 
 
-def _branch_array(shapes: Iterable[BranchingVectorLike]) -> np.ndarray:
+def _branch_array(shapes: Iterable[BranchingVectorLike] | np.ndarray) -> np.ndarray:
     """``(depth, rows)`` branch counts read from the leaf end, shallower rows padded with zeros.
 
-    Column ``i`` holds ``b[d - 1], ..., b[0], 0, ...`` for row ``i`` of depth
-    ``d``, so its first ``L`` entries are the row's suffix of length ``L``.
+    ``shapes`` is a ``(rows, depth)`` integer table, one shape per row
+    zero-padded at the leaf end, or shapes that are first padded into one.
+    Column ``i`` of the result holds ``b[d - 1], ..., b[0], 0, ...`` for row
+    ``i`` of depth ``d``, so its first ``L`` entries are the row's suffix of
+    length ``L``.
     """
-    rows = [as_branching_vector(s).branches for s in shapes]
-    widest = max(map(max, rows), default=1)
+    if not isinstance(shapes, np.ndarray):
+        rows = [as_branching_vector(s).branches for s in shapes]
+        _check_widest(max(map(max, rows), default=1))  # before any count meets a fixed width
+        shapes = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=np.int32)
+        for k, level in enumerate(shapes.T):
+            level[:] = [r[k] if k < len(r) else 0 for r in rows]
+    if shapes.ndim != 2 or shapes.dtype.kind not in "iu":
+        raise ValueError(f"a shape table is a 2-D integer array, got {shapes.ndim}-D {shapes.dtype}")
+    pad = shapes == 0
+    if len(shapes) and (shapes.shape[1] == 0 or pad[:, 0].any() or (shapes < 0).any()
+                        or (pad[:, :-1] > pad[:, 1:]).any()):
+        raise ValueError("every row of a shape table needs branch counts >= 1, "
+                         "then only zeros as padding")
+    _check_widest(int(shapes.max(initial=1)))
+    depth = shapes.shape[1] - np.count_nonzero(pad, axis=1)
+    branches = np.zeros((max(int(depth.max(initial=1)), 1), len(shapes)), dtype=np.int32)
+    cols = np.arange(len(shapes))
+    for k, level in enumerate(branches):  # level k: the count k levels above each leaf
+        level[:] = np.where(depth > k, shapes[cols, np.maximum(depth - 1 - k, 0)], 0)
+    return branches
+
+
+def _check_widest(widest: int) -> None:
+    """Refuse a branch count above :data:`MAX_CHAINS` with a ``ValueError``."""
     if widest > MAX_CHAINS:
         raise ValueError(f"branch count {widest} is above the cap of {MAX_CHAINS}")
-    branches = np.zeros((max(map(len, rows), default=1), len(rows)), dtype=np.int32)
-    for k, suffix in enumerate(branches):
-        suffix[:] = [r[-1 - k] if k < len(r) else 0 for r in rows]
-    return branches
 
 
 def _blocks(width: np.ndarray) -> Iterator[np.ndarray]:
@@ -588,15 +611,20 @@ def _chunk_rates(walk: Basis | Protocol, branches: np.ndarray, channel: np.ndarr
 
 
 def logical_bsm_batch(
-    shapes: Iterable[BranchingVectorLike], eta, eps, protocol: Protocol | str
+    shapes: Iterable[BranchingVectorLike] | np.ndarray, eta, eps, protocol: Protocol | str
 ) -> BsmRates:
     """Evaluate ``protocol`` exactly on every row of a batch of (shape, eta, eps).
 
-    ``eta`` and ``eps`` are scalars or sequences broadcast to one value per
-    shape.  The rows are sorted once by (eta, eps, branch counts read from
-    the leaf end), so rows that share a suffix of any length at the same
-    point are contiguous, and the suffix walk evaluates each distinct
-    (suffix, eta, eps) once; shapes of different depths may share a batch.
+    ``shapes`` is an iterable of shapes, or a ``(rows, depth)`` integer
+    table with one shape per row, its branch counts zero-padded at the leaf
+    end (what ``search.evaluate_all`` passes); an iterable is first padded
+    into such a table, and either form is checked once, by
+    :func:`_branch_array`.  ``eta`` and ``eps`` are scalars or sequences
+    broadcast to one value per shape.  The rows are sorted once by (eta,
+    eps, branch counts read from the leaf end), so rows that share a suffix
+    of any length at the same point are contiguous, and the suffix walk
+    evaluates each distinct (suffix, eta, eps) once; shapes of different
+    depths may share a batch.
     The sorted rows go through the walk in chunks of ``_CHUNK`` rows and
     blocks of at most ``_BLOCK`` floats (see there), so memory does not
     grow with the batch beyond the returned arrays, the branch array and

@@ -20,7 +20,7 @@ import numpy as np
 
 from treebsm import analytic, stabilizer
 from treebsm.genseq import Instruction
-from treebsm.search import ParetoEntry, SearchBounds, evaluate_all
+from treebsm.search import ParetoEntry, SearchBounds, _vector, evaluate_all
 from treebsm.stabilizer import (
     PauliString,
     StabilizerTableau,
@@ -109,14 +109,15 @@ def smallest_error_correcting(
 
     Every shape before it errs more, so it improves on their error.
     """
-    shapes, rates = evaluate_all(bounds, params, protocol)
+    table, rates = evaluate_all(bounds, params, protocol)
     hits = np.flatnonzero(rates.err_complete < params.eps_bsm) if params.eps > 0.0 else []
     if len(hits) == 0:
         return None
     i = int(hits[0])
+    b = _vector(table[i].tolist())
     pr, err = float(rates.pr_complete[i]), float(rates.err_complete[i])
     return ParetoEntry(
-        shapes[i], photon_count(shapes[i]), protocol, params.eta, params.eps, pr, err,
+        b, photon_count(b), protocol, params.eta, params.eps, pr, err,
         loss_tolerant=pr > params.eta**2, beats_physical=pr > 0.5 * params.eta**2,
         error_correcting=True, improves_success=bool(pr > rates.pr_complete[:i].max(initial=-1.0)),
         improves_error=True)

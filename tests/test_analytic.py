@@ -19,6 +19,7 @@ from treebsm.analytic import (
 )
 from treebsm.analytic import _complete_bsm_closed
 from treebsm import families
+from treebsm.cli import main
 from treebsm.search import SearchBounds, evaluate_all, pareto_front
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
@@ -295,6 +296,20 @@ class TestErrors:
         res = logical_bsm(b, ChannelParams(eta=0.0, eps=1e-3), protocol)
         assert res.pr_xx == res.pr_zz == res.pr_complete == 0.0
         assert res.err_xx == res.err_zz == res.err_complete == 0.0
+
+    @PROTOCOLS
+    def test_subnormal_eps_gives_finite_rates(self, protocol):
+        # (1 - f) / f overflows below f = 5.6e-309; the tail window must not shrink to nothing.
+        res = logical_bsm("2,2", ChannelParams(eta=0.9, eps=1e-310), protocol)
+        normal = logical_bsm("2,2", ChannelParams(eta=0.9, eps=1e-300), protocol)
+        assert all(np.isfinite(r) for r in res)
+        assert res.err_complete / 1e-310 == pytest.approx(normal.err_complete / 1e-300, rel=1e-9)
+
+    def test_sweep_at_a_subnormal_eps_exits_0(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--protocol", "static", "--b", "1,2", "--eps", "1e-320",
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_error_monotone_in_eps(self):
         for b in ("2,2", "4,2", "3,2,2"):

@@ -219,6 +219,42 @@ def test_eps_beyond_a_channel_is_refused():
         logical_bsm("2,2", ChannelParams(eta=0.9, eps=0.9), Protocol.STATIC)
 
 
+class TestShapeTable:
+    """A ``(rows, depth)`` table of shapes, zero-padded at the leaf end, is a batch too."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.value)
+    def test_table_rows_give_the_bits_of_the_shapes(self, protocol):
+        shapes = LOOSE_SHAPES[::7]
+        table = np.zeros((len(shapes), 5), dtype=np.int64)
+        for row, vec in zip(table, shapes):
+            row[:vec.depth] = vec.branches
+        got, want = (np.array(logical_bsm_batch(s, 0.9, 1e-3, protocol)) for s in (table, shapes))
+        assert got.tobytes() == want.tobytes()
+        assert analytic._branch_array(table).tobytes() == analytic._branch_array(shapes).tobytes()
+
+    @pytest.mark.parametrize("table", [
+        np.array([[2, 0, 2]]), np.array([[0, 0]]), np.array([[2, 2], [0, 0]]), np.array([[3, -1]]),
+        np.zeros((1, 0), dtype=int),
+    ], ids=["zero-before-a-count", "empty-row", "empty-second-row", "negative", "no-levels"])
+    def test_rows_that_are_no_shape_are_refused(self, table):
+        with pytest.raises(ValueError, match="branch counts >= 1, then only zeros as padding"):
+            logical_bsm_batch(table, 0.9, 1e-3, Protocol.STATIC)
+
+    @pytest.mark.parametrize("table", [np.array([[2.0, 2.0]]), np.array([2, 2]),
+                                       np.array([[True, True]])], ids=["float", "1-D", "bool"])
+    def test_a_table_of_other_than_integers_in_two_dimensions_is_refused(self, table):
+        with pytest.raises(ValueError, match="2-D integer array"):
+            logical_bsm_batch(table, 0.9, 1e-3, Protocol.STATIC)
+
+    def test_cap_holds_for_a_table(self):
+        with pytest.raises(ValueError, match=f"branch count {MAX_CHAINS + 1} is above the cap"):
+            logical_bsm_batch(np.array([[2, 0], [MAX_CHAINS + 1, 2]]), 0.9, 1e-3, Protocol.STATIC)
+
+    def test_empty_table_is_an_empty_batch(self):
+        rates = logical_bsm_batch(np.zeros((0, 0), dtype=np.int64), 0.9, 1e-3, Protocol.DYNAMIC)
+        assert all(len(r) == 0 for r in rates)
+
+
 class TestChainCap:
     def test_cap_is_refused_before_anything_is_allocated(self):
         tracemalloc.start()

@@ -1,3 +1,7 @@
+import time
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from treebsm import search
@@ -5,6 +9,7 @@ from treebsm.analytic import Protocol, logical_bsm
 from treebsm.cli import main
 from treebsm.search import (
     CSV_HEADER,
+    MAX_TABLE_CELLS,
     SearchBounds,
     enumerate_trees,
     evaluate_all,
@@ -14,6 +19,7 @@ from treebsm.search import (
 from treebsm.trees import ChannelParams, photon_count
 
 from builders import smallest_error_correcting
+from reference_search import reference_enumerate_trees
 
 LOOSE = dict(min_branch=1, min_depth=1, monotone=False)
 
@@ -169,6 +175,103 @@ class TestHelpers:
 
     def test_evaluate_all_sorted_by_photon_count(self):
         params = ChannelParams(eta=0.9, eps=0.0)
-        shapes, _ = evaluate_all(SearchBounds(max_photons=60), params, Protocol.STATIC)
-        ns = [photon_count(b) for b in shapes]
+        table, _ = evaluate_all(SearchBounds(max_photons=60), params, Protocol.STATIC)
+        ns = [photon_count(search._vector(row)) for row in table.tolist()]
         assert ns == sorted(ns)
+
+
+ORACLE_BOUNDS = {
+    "default": SearchBounds(),
+    "loose": SearchBounds(**LOOSE),
+    "increasing-min-depth-3": SearchBounds(monotone=False, min_depth=3),
+    "n-7": SearchBounds(max_photons=7),
+    "n-60": SearchBounds(max_photons=60),
+    "n-700": SearchBounds(max_photons=700),
+    # The recursion holds one frame per level, so its chains stay short.
+    "unit-chain": SearchBounds(max_depth=1000, max_branch=1, max_photons=400, min_branch=1),
+}
+
+
+class TestTable:
+    """The shape table against the recursive enumerator it replaced."""
+
+    @pytest.mark.parametrize("bounds", ORACLE_BOUNDS.values(), ids=ORACLE_BOUNDS.keys())
+    def test_table_rows_are_the_sorted_recursion(self, bounds):
+        reference = list(reference_enumerate_trees(bounds))
+        assert list(enumerate_trees(bounds)) == reference
+        want = sorted(reference, key=lambda b: (photon_count(b), b.branches))
+        table, rates = evaluate_all(bounds, ChannelParams(eta=0.9, eps=0.0), Protocol.STATIC)
+        assert table.shape == (len(want), max(b.depth for b in want))
+        assert len(rates.pr_complete) == len(want)
+        assert [tuple(row) for row in table.tolist()] == [
+            b.branches + (0,) * (table.shape[1] - b.depth) for b in want]
+
+    def test_photon_counts_are_the_rows(self):
+        table, photons = search._shape_table(SearchBounds(**LOOSE, max_photons=500))
+        assert photons.tolist() == [photon_count(search._vector(row)) for row in table.tolist()]
+
+    def test_table_is_as_wide_as_its_deepest_shape(self):
+        for max_depth in (9, 99999):
+            table, _ = search._shape_table(SearchBounds(max_depth=max_depth))
+            assert table.shape == (6946, 9)
+        table, _ = search._shape_table(SearchBounds(max_photons=6))
+        assert table.shape == (0, 0)
+
+    def test_unit_chains_reach_the_photon_bound_without_recursion(self):
+        table, photons = search._shape_table(SearchBounds(max_depth=5000, max_branch=1, min_branch=1))
+        assert table.shape == (1998, 1999)
+        assert (table == np.tri(1998, 1999, 1, dtype=int)).all()
+        assert photons.tolist() == list(range(3, 2001))
+
+    def test_cells_are_capped_before_the_level_is_allocated(self):
+        # Depth 4 adds 80**4 shapes, 1.3 GB of cells; depth 3 holds 12 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap of {MAX_TABLE_CELLS} cells"):
+                search._shape_table(SearchBounds(max_photons=10**9, **LOOSE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert 6294 * 4 < 1998 * 1999 < MAX_TABLE_CELLS // 4
+
+    def test_bounds_beyond_int64_do_not_overflow(self):
+        # The depth and branch bounds hold the photon count to 6**4 + ... + 1.
+        table, photons = search._shape_table(SearchBounds(max_branch=6, max_photons=10**30))
+        reach = photon_count((6, 6, 6, 6))
+        assert photons.max() == reach
+        assert table.tolist() == search._shape_table(SearchBounds(max_branch=6, max_photons=reach))[0].tolist()
+        with pytest.raises(ValueError, match="above the cap of 2\\*\\*62"):
+            search._shape_table(SearchBounds(max_depth=70, min_branch=2, max_branch=2,
+                                             max_photons=10**30))
+        with pytest.raises(ValueError, match="above the cap of 2\\*\\*62"):
+            search._shape_table(SearchBounds(min_branch=10**20, max_branch=10**21,
+                                             max_photons=10**30))
+
+
+class TestCliBounds:
+    @pytest.mark.parametrize("max_n", ["1000000000", str(10**30)])
+    def test_impossible_bounds_exit_1_with_an_error_line(self, max_n, tmp_path, capsys):
+        out = tmp_path / "front.csv"
+        assert main(["search", "--protocol", "static", "--eta", "0.9", "--max-n", max_n,
+                     "--min-branch", "1", "--no-monotone", "--output", str(out)]) == 1
+        assert f"cap of {MAX_TABLE_CELLS} cells" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_chains_to_depth_5000_exit_0(self, tmp_path):
+        out = tmp_path / "front.csv"
+        assert main(["search", "--protocol", "static", "--eta", "0.9", "--max-depth", "5000",
+                     "--min-branch", "1", "--max-branch", "1", "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith('"1,1",3,static,')
+
+    def test_depth_bound_past_every_shape_costs_nothing(self, tmp_path):
+        texts, times = [], []
+        for max_depth in ("9", "99999"):
+            out = tmp_path / f"front-{max_depth}.csv"
+            start = time.perf_counter()
+            assert main(["search", "--protocol", "dynamic", "--eta", "0.95", "--eps", "1e-5",
+                         "--max-depth", max_depth, "--output", str(out)]) == 0
+            times.append(time.perf_counter() - start)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert times[1] < 3 * times[0] + 1.0
