@@ -9,24 +9,33 @@ disjoint photons, which is what makes the product/independence structure
 of the exact recursions hold sample-by-sample.
 
 The sampler functions take the tree's :class:`~treebsm.trees.BranchingVector`.
-A world holds one node-major (level size, samples) array per level, viewed
-as (parent nodes, b_k, samples) to reach each node's children, so a node's
-children are b_k contiguous rows and every reduction over them is a
-row-wise operation along the sample axis.
+A world holds one node-major (level size, packed samples) array per level,
+viewed as (parent nodes, b_k, packed samples) to reach each node's
+children, so a node's children are b_k contiguous rows and every reduction
+over them is a row-wise operation along the sample axis.  Samples are
+bit-packed, eight to a byte: sample i of a window is bit i % 8 of byte
+i // 8 (``np.packbits(..., bitorder="little")``), so every flag of the
+decision procedure is a bit and every logical step a bitwise operation on
+whole bytes.  The bits past the window's last sample are padding: they
+are evaluated like the others, never read back, and never counted.
 
 Every protocol applies one recovery rule, coded once in :func:`_recover`
 and walked from the leaves (level d) to the virtual root (level 0): a lost
 value is rebuilt from indirect chains, a chain is an opener plus all of
 its children readable, repeated chains combine by majority vote (an even
 vote drops one member at random), and an available vote beats the direct
-readout.  The virtual root is one node whose children are the first-level
-pairs; its chain is the logical Z-parity and its vote the logical
-X-parity.  The protocols differ only in the level inputs they supply.
-Error tallies follow the world: an evaluator counts logical errors exactly
-when the world carries faults (``draw_world`` draws them when eps > 0), and
-reports all-False error flags otherwise.
+readout.  Votes are counted bit-sliced (:func:`_count`): bit j of every
+count is a packed plane of its own, built by a tree of whole-array adders
+over the children.  The virtual root is one node whose children are the
+first-level pairs; its chain is the logical Z-parity and its vote the
+logical X-parity.  The protocols differ only in the level inputs they
+supply.  Error tallies follow the world: an evaluator counts logical
+errors exactly when the world carries faults (``draw_world`` draws them
+when eps > 0), and reports all-False error flags otherwise.
 
-A two-photon BSM's Z-parity readout flips when the pair's combined fault
+A fault is stored as the two readouts it flips: a single-qubit Z readout
+flips on an X letter (X or Y), an X readout on a Z letter (Y or Z).  A
+two-photon BSM's Z-parity readout flips when the pair's combined fault
 has an odd number of X/Y letters; the X-parity readout is corrupted
 whenever either parity flips, since the X readout is decoded assuming the
 Z parity.
@@ -45,8 +54,8 @@ The unit of parallel work is a sample window: samples ``lo .. hi - 1`` of
 the whole run, which may span many chunks.  Each plane is drawn in
 blocks of at most :data:`_BLOCK` cells within one chunk, from the chunk's
 lane set to the block's first cell (:func:`_lane`), and decoded into the
-window's columns; the window is then evaluated and tallied on the same
-thread.  A run is cut into the
+window's columns of a one-plane staging buffer, which is then packed; the
+window is evaluated and tallied on the same thread.  A run is cut into the
 fewest equal windows of at most :data:`_WINDOW` drawn cells each
 (:func:`_windows`), a split that depends on the sample count and the drawn
 cells per sample alone.  Every window goes to one pool of one thread per
@@ -176,11 +185,13 @@ class McEstimate:
     slightly below the composition on small trees because one physical
     pair can corrupt both parities at once.
 
-    ``draw_s`` and ``eval_s`` split the sampling time into world draws and
-    level evaluation (with the tally).  They are thread-seconds, summed per
-    sample window over the pool's threads, so they can exceed
-    ``wall_time_s``, but not ``wall_time_s`` times the pool's thread count,
-    one per usable CPU.
+    ``world_bytes`` is the largest window world the run held: its packed
+    planes, a byte per eight samples of each stored plane (a fault is stored
+    as two flip planes).  ``draw_s`` and ``eval_s`` split the sampling time
+    into world draws and level evaluation (with the tally).  They are
+    thread-seconds, summed per sample window over the pool's threads, so
+    they can exceed ``wall_time_s``, but not ``wall_time_s`` times the
+    pool's thread count, one per usable CPU.
     """
 
     config: SampleConfig
@@ -189,7 +200,7 @@ class McEstimate:
     n_xx_error: int
     n_joint_error: int
     wall_time_s: float
-    world_bytes: int  # the largest window world, in bytes
+    world_bytes: int  # the largest window world, in packed bytes
     draw_s: float  # thread-seconds drawing worlds
     eval_s: float  # thread-seconds evaluating and tallying them
 
@@ -311,6 +322,11 @@ def _planes(vec: BranchingVector, faults: bool) -> list[tuple[str, int, int]]:
     return layout + [("tie_pair", 0, 1)] if faults else layout
 
 
+# The world fields a plane of :func:`_planes` is stored as: a fault plane
+# as its two flip planes, every other plane under its own name.
+_STORED = {"fault_a": ("z_flip_a", "x_flip_a"), "fault_b": ("z_flip_b", "x_flip_b")}
+
+
 # Which planes of a world an evaluator reads, as a predicate on (field,
 # level, depth); None reads (and draws) every plane.
 Reads = Callable[[str, int, int], bool]
@@ -325,35 +341,49 @@ def _drawn_widths(vec: BranchingVector, faults: bool, reads: Reads | None = None
 def window_bytes(vec: BranchingVector, faults: bool, reads: Reads | None = None) -> int:
     """Estimated peak bytes of a sample window drawing the planes ``reads`` accepts.
 
-    A window holds at most :data:`_WINDOW` drawn cells, or one sample's: a
-    byte each in the world and 3 in the evaluation's temporaries.  A block
-    holds at most :data:`_BLOCK` cells, or one row of the widest plane: 4
-    bytes of raws and 2 of decoding each.  Traced peaks on (1,) to
-    (2000,300) are 0.39 to 0.81 of this, whatever the run's sample count.
+    A window holds at most :data:`_WINDOW` drawn cells, or one sample's.  Its
+    world is a byte per eight samples of each stored plane (a fault plane is
+    stored as two), counted three times: the world and up to twice its size
+    in the evaluation's temporaries.  The draw adds the bool staging buffer
+    of the widest stored plane, a byte per cell, and its largest block (at
+    most :data:`_BLOCK` cells or one row of a plane, within one chunk): 4
+    bytes of raws and up to 6 of decoding per cell.  Traced peaks on (1,) to
+    (2000,300) are 0.61 to 0.84 of this, whatever the run's sample count.
     """
-    widths = _drawn_widths(vec, faults, reads)
-    cells = max(1, _WINDOW // sum(widths)) * sum(widths)
-    return 4 * cells + 6 * max(_BLOCK, max(widths))
+    drawn = [(width, len(_STORED.get(field, (field,)))) for field, k, width in _planes(vec, faults)
+             if reads is None or reads(field, k, vec.depth)]
+    n = max(1, _WINDOW // sum(width for width, _ in drawn))  # samples of a full window
+    world = sum(width * copies for width, copies in drawn) * -(-n // 8)
+    staging = max(width * copies for width, copies in drawn) * n
+    block = max(width * min(n, _CHUNK, max(1, _BLOCK // width)) for width, _ in drawn)
+    return 3 * world + staging + 10 * block
 
 
 @dataclass
 class World:
-    """One batch of sampled worlds, as node-major per-level arrays of shape (s_k, N).
+    """One batch of sampled worlds, as node-major per-level packed planes.
 
-    Loss flags, coins and tie-breaks are bool (a tie plane is True where an
-    even vote drops a wrong member); faults are uint8 Pauli codes.  Level 0
-    is the virtual root: it holds only the pair tie-break of the logical
-    X-parity vote, a (1, N) plane, and None in every other list.  Faults
-    and tie-breaks are None at eps = 0.  A world drawn for one protocol
-    holds None for every plane that protocol does not read (see
-    :data:`_READS`); its other planes equal those of a world drawn whole.
+    A plane is a (s_k, ceil(n_samples / 8)) uint8 array: bit i % 8 of byte
+    i // 8 of row j is node j of sample i, and the bits past sample
+    ``n_samples - 1`` are padding.  Every plane is a flag: detected, coin
+    complete, a tie-break (set where an even vote drops a right member, so
+    the vote is wrong), and, for each side's faults, a Z-readout flip (an X
+    or Y letter) and an X-readout flip (a Y or Z letter).  Level 0 is the
+    virtual root: it holds only the pair tie-break of the logical X-parity
+    vote, a one-row plane, and None in every other list.  Flips and
+    tie-breaks are None at eps = 0.  A world drawn for one protocol holds
+    None for every plane that protocol does not read (see :data:`_READS`);
+    its other planes equal those of a world drawn whole.
     """
 
     det_a: list[np.ndarray]
     det_b: list[np.ndarray]
     coin: list[np.ndarray]
-    fault_a: list[np.ndarray] | None = None
-    fault_b: list[np.ndarray] | None = None
+    n_samples: int
+    z_flip_a: list[np.ndarray] | None = None
+    x_flip_a: list[np.ndarray] | None = None
+    z_flip_b: list[np.ndarray] | None = None
+    x_flip_b: list[np.ndarray] | None = None
     tie_pair: list[np.ndarray] | None = None
     tie_side_a: list[np.ndarray] | None = None
     tie_side_b: list[np.ndarray] | None = None
@@ -382,16 +412,16 @@ def _fault_third(params: ChannelParams) -> int:
     return third
 
 
-def _faults(w: np.ndarray, third: int) -> np.ndarray:
-    """Per-photon Pauli faults (0 none, 1 X, 2 Y, 3 Z) of 32-bit words ``w``.
+def _flips(w: np.ndarray, third: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-readout and X-readout flips of the Pauli faults of 32-bit words ``w``.
 
-    A word below ``3 * third`` is a fault, of code ``1 + w // third``, so the
-    rate is ``3 * third / 2^32`` and the split over X, Y and Z exactly uniform.
+    A word below ``third`` is an X fault, below ``2 * third`` a Y and below
+    ``3 * third`` a Z, so the fault rate is ``3 * third / 2^32`` and the split
+    over X, Y and Z exactly uniform.  A Z readout flips on X or Y
+    (``w < 2 * third``), an X readout on Y or Z (``third <= w < 3 * third``:
+    one unsigned compare once ``third`` is subtracted with wraparound).
     """
-    f = np.zeros(w.shape, dtype=np.uint8)
-    hit = w < 3 * third
-    f[hit] = 1 + w[hit] // third
-    return f
+    return w < 2 * third, w - np.uint32(third) < 2 * third
 
 
 def _lane(bits: np.random.Philox, key: np.ndarray, p: int, first: int, count: int,
@@ -441,12 +471,13 @@ def draw_world(
     faults, so loss and coin planes have the same lanes at every eps) is
     drawn from lane p of the key (:func:`_lane`), one cell per column per
     sample: cell ``t = i * s_k + j`` decides node j of the chunk's sample i,
-    and the plane is stored node-major, as its (s_k, samples) transpose.
-    Loss and fault cells are 32-bit words w: a photon is detected iff
-    ``w < int(eta * 2^32)``, and faulted as :func:`_faults` decodes w at
-    ``third = int(eps_d * 2^32) // 3``.  Coin and tie cells are single bits,
-    True when set.  A chunk's planes depend on (seed, c, p) alone, not on
-    the run's size or on which other planes are drawn.
+    and the plane is stored node-major, as its (s_k, samples) transpose,
+    packed along the samples.  Loss and fault cells are 32-bit words w: a
+    photon is detected iff ``w < int(eta * 2^32)``, and its fault flips
+    readouts as :func:`_flips` decodes w at ``third = int(eps_d * 2^32) // 3``.
+    Coin and tie cells are single bits, True when set.  A chunk's planes
+    depend on (seed, c, p) alone, not on the run's size or on which other
+    planes are drawn.
 
     With ``reads``, only the planes it accepts are drawn; each other plane
     is None, and its lane is never touched.
@@ -454,21 +485,26 @@ def draw_world(
     A window's planes are columns ``lo:hi`` of the run's, drawn in blocks of
     at most :data:`_BLOCK` cells within one chunk: each block's lane is set
     to the block's first cell, and its cells are decoded and transposed into
-    the window's columns.
+    the window's columns of a bool staging buffer, one plane at a time,
+    which is then packed.
     """
     # As uint64: numpy takes a list holding a word of 2^63 or more through float64.
     keys = [(c, np.array([seed, c], np.uint64)) for c in range(lo // _CHUNK, -(-hi // _CHUNK))]
     bits = np.random.Philox(key=keys[0][1])
     detect, third = int(params.eta * 2**32), _fault_third(params)
-    # Decoders of the planes of 32-bit cells; the others are one-bit cells, kept as drawn.
-    loss, fault = (lambda w: w < detect), (lambda w: _faults(w, third))
+    # Decoders of the planes of 32-bit cells, to the flags of each stored
+    # field; the others are one-bit cells, kept as drawn.
+    loss, fault = (lambda w: (w < detect,)), (lambda w: _flips(w, third))
     words = {"det_a": loss, "det_b": loss, "fault_a": fault, "fault_b": fault}
     world: dict[str, list] = {}
     for p, (field, k, width) in enumerate(_planes(vec, params.eps > 0.0)):
-        plane = None
+        stored = _STORED.get(field, (field,))
+        planes = [None] * len(stored)
         if reads is None or reads(field, k, vec.depth):
             decode = words.get(field)
-            plane = np.empty((width, hi - lo), np.uint8 if field.startswith("fault") else bool)
+            # Rows of whole bytes, zero past the window, so the staging packs
+            # as one flat run: per row, packbits is slow on short rows.
+            staging = np.zeros((len(stored), width, -(-(hi - lo) // 8) * 8), bool)
             step = max(1, _BLOCK // width)  # samples per block
             for c, key in keys:
                 start, end = c * _CHUNK, min(hi, (c + 1) * _CHUNK)
@@ -476,38 +512,81 @@ def draw_world(
                     j = min(i + step, end)
                     block = _lane(bits, key, p, (i - start) * width, (j - i) * width,
                                   32 if decode else 1).reshape(j - i, width)
-                    plane[:, i - lo:j - lo] = (decode(block) if decode else block).T
-        world.setdefault(field, [None] * (vec.depth + 1))[k] = plane
-    return World(**world)
+                    for f, flags in enumerate(decode(block) if decode else (block,)):
+                        staging[f, :, i - lo:j - lo] = flags.T
+            planes = np.packbits(staging, bitorder="little").reshape(len(stored), width, -1)
+            del staging  # before the next plane's is made
+        for name, plane in zip(stored, planes):
+            world.setdefault(name, [None] * (vec.depth + 1))[k] = plane
+    return World(**world, n_samples=hi - lo)
 
 
-# A fault flips a single-qubit Z readout when it has an X letter (X or Y),
-# and an X readout when it has a Z letter (Y or Z).  On the uint8 codes
-# (0 none, 1 X, 2 Y, 3 Z) both are bits of GF(2)-linear maps, so the flips of
-# a product of two faults are the flips of the xor of their codes.
-def _z_flip(f: np.ndarray) -> np.ndarray:
-    return ((f ^ (f >> 1)) & 1).view(bool)
+# Every bit set: the constant True of a packed plane, as 0 is its False.
+_ONES = np.uint8(0xFF)
 
 
-def _x_flip(f: np.ndarray) -> np.ndarray:
-    return (f >> 1).view(bool)
+def _where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.where`` on packed planes: the bits of ``a`` where ``mask`` is set, of ``b`` elsewhere."""
+    return b ^ (mask & (a ^ b))
 
 
-def _pair_flips(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z-parity flip and X-readout error of two-photon BSMs with faults fa, fb.
+def _pair_flips(za: np.ndarray, xa: np.ndarray, zb: np.ndarray,
+                xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z-parity flip and X-readout error of two-photon BSMs, from each photon's
+    Z-readout (``z*``) and X-readout (``x*``) flips.
 
     The X readout is decoded assuming the Z parity, so it is wrong whenever
     either parity flips.
     """
-    both = fa ^ fb
-    zz = _z_flip(both)
-    return zz, zz | _x_flip(both)
+    zz = za ^ zb
+    return zz, zz | (xa ^ xb)
 
 
-def _majority_wrong(wrong: np.ndarray, total: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    """Vote failure with random drop on even ties; False where total == 0."""
-    right = total - wrong
-    return (wrong > right) | ((wrong == right) & (total > 0) & tie)
+def _count(bits: np.ndarray) -> np.ndarray:
+    """Bit-sliced counts of the set bits of ``bits`` over its child axis, the second to last.
+
+    A pairwise tree adder: each stage adds neighbouring counts with a
+    ripple-carry adder of whole-array operations, so b children take
+    ceil(log2 b) stages and no loop over the children.  Entry j of the
+    result holds bit j of every count, least significant first, in as many
+    bits as the child count has.
+    """
+    width = bits.shape[-2].bit_length()  # no count needs more bits
+    count = bits[np.newaxis]
+    while count.shape[-2] > 1:
+        if count.shape[-2] % 2:  # the odd one out is added to zero
+            count = np.concatenate([count, np.zeros_like(count[..., :1, :])], axis=-2)
+        a, b = count[..., 0::2, :], count[..., 1::2, :]
+        total = np.empty((min(len(count) + 1, width), *a.shape[1:]), np.uint8)
+        carry = None
+        for j in range(len(count)):
+            np.bitwise_xor(a[j], b[j], out=total[j])
+            nxt = a[j] & b[j]
+            if carry is not None:
+                nxt |= total[j] & carry
+                total[j] ^= carry
+            carry = nxt
+        if len(total) > len(count):
+            total[-1] = carry
+        count = total
+    return count[..., 0, :]
+
+
+def _majority_wrong(votes: np.ndarray, wrong: np.ndarray, some: np.ndarray,
+                    tie: np.ndarray) -> np.ndarray:
+    """Vote failure of the chains set in ``votes`` (nodes, b_k, packed samples),
+    of which those set in ``wrong`` carry a wrong value: more wrong than right,
+    or as many with ``some`` vote cast and the ``tie`` bit set, which drops a
+    right member.  Unset where no vote is cast."""
+    # Both counts in one adder, compared most significant bit first.
+    against = votes & wrong
+    n_wrong, n_right = _count(np.stack([against, votes ^ against])).swapaxes(0, 1)
+    above, equal = np.uint8(0), _ONES
+    for w, r in zip(n_wrong[::-1], n_right[::-1]):
+        differ = w ^ r
+        above = above | (equal & differ & w)
+        equal = equal & ~differ
+    return above | (equal & some & tie)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +608,7 @@ class _Recovery:
 # Level inputs of the virtual root: no photon of its own, it always opens
 # (its X-parity is the vote over the level-1 chains), and its Z-parity is the
 # xor of its children's values.  _recover supplies them at level 0.
-_ROOT = (False, True, True, False, False)
+_ROOT = (np.uint8(0), _ONES, _ONES, np.uint8(0), np.uint8(0))
 
 
 def _recover(
@@ -541,15 +620,16 @@ def _recover(
 ) -> _Recovery:
     """Walk levels ``bottom`` (default d) down to ``top`` with the one recovery rule.
 
-    ``level(k)`` gives the level-k planes ``(direct, opener, gate,
+    ``level(k)`` gives the level-k packed planes ``(direct, opener, gate,
     direct_err, opener_err)`` for k >= 1 (level 0 is the virtual root,
     :data:`_ROOT`): the node reads itself; it opens a chain for its parent;
     it may use its own chain vote; and the errors of the direct readout and
     of the opener (None when ``ties`` is None, which skips error tallies).
-    A chain through a child needs the child to open and all of the child's
-    children readable.  Chains vote by majority, ``ties[k]``
-    breaks even votes, and an available vote beats the direct readout.
-    Only level k + 1's planes are kept while level k is evaluated.
+    A constant plane is :data:`_ONES` or 0.  A chain through a child needs
+    the child to open and all of the child's children readable.  Chains
+    vote by majority, ``ties[k]`` breaks even votes, and an available vote
+    beats the direct readout.  Only level k + 1's planes are kept while
+    level k is evaluated.
     """
     d = vec.depth
     ind = [None] * (d + 1)
@@ -558,31 +638,30 @@ def _recover(
     for k in range(d if bottom is None else bottom, top - 1, -1):
         direct, opener, gate, direct_err, opener_err = level(k) if k else _ROOT
         if can is None:  # no children below this level
-            kids_ok, err_kids = True, False
-            ind[k] = err_ind[k] = np.False_  # broadcasts; no flag planes at the leaves
+            kids_ok, err_kids = _ONES, np.uint8(0)
+            ind[k] = err_ind[k] = np.uint8(0)  # broadcasts; no flag planes at the leaves
         else:
-            kids_ok = _group(can, vec[k]).all(axis=1)
+            kids_ok = np.bitwise_and.reduce(_group(can, vec[k]), axis=1)
             votes = _group(chain, vec[k])
-            ind[k] = votes.any(axis=1) & gate
+            some = np.bitwise_or.reduce(votes, axis=1)
+            ind[k] = some & gate
             if ties is not None:
-                err_kids = np.logical_xor.reduce(_group(err, vec[k]), axis=1)
-                count = np.min_scalar_type(vec[k])  # unsigned, holds up to b_k votes
-                wrong = (votes & _group(err_chain, vec[k])).sum(axis=1, dtype=count)
-                err_ind[k] = _majority_wrong(wrong, votes.sum(axis=1, dtype=count), ties[k])
+                err_kids = np.bitwise_xor.reduce(_group(err, vec[k]), axis=1)
+                err_ind[k] = _majority_wrong(votes, _group(err_chain, vec[k]), some, ties[k])
         can = direct | ind[k]
         chain = opener & kids_ok
         if ties is not None:
             err_chain = opener_err ^ err_kids
-            err = np.where(ind[k], err_ind[k], direct_err) & can
+            err = _where(ind[k], err_ind[k], direct_err) & can
     return _Recovery(ind=ind, err_ind=err_ind, chain=chain, err_chain=err_chain)
 
 
 def _logical(root: _Recovery):
-    """Success and logical-error flags read off a walk that reached level 0.
+    """Packed success and logical-error flags read off a walk that reached level 0.
 
     Success needs every first-level Z-parity (the root's chain) and at least
     one first-level chain (the root's indirect X-parity).  The error flags
-    are all False when the walk tallied no errors.
+    are all unset when the walk tallied no errors.
     """
     success = (root.chain & root.ind[0])[0]
     if root.err_chain is None:
@@ -591,18 +670,24 @@ def _logical(root: _Recovery):
     return success, success & root.err_chain[0], success & root.err_ind[0][0]
 
 
-def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None) -> _Recovery:
+def _side(vec: BranchingVector, det: list, z_flip: list | None, x_flip: list | None,
+          ties: list | None) -> _Recovery:
     """Single-qubit Z readouts of one tree, levels d..1.
 
     A photon is its own direct readout and opens its parent's chain with an
-    X measurement.  Errors are tallied when ``fault`` and ``ties`` are given.
+    X measurement.  Errors are tallied when the flips and ``ties`` are given.
     """
     def level(k: int) -> tuple:
         if ties is None:
-            return det[k], det[k], True, None, None
-        return det[k], det[k], True, _z_flip(fault[k]), _x_flip(fault[k])
+            return det[k], det[k], _ONES, None, None
+        return det[k], det[k], _ONES, z_flip[k], x_flip[k]
 
     return _recover(vec, level, ties, top=1)
+
+
+def _bsm_flips(world: World, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-parity flip and X-readout error of the level-k pairs' BSMs."""
+    return _pair_flips(world.z_flip_a[k], world.x_flip_a[k], world.z_flip_b[k], world.x_flip_b[k])
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +695,7 @@ def _side(vec: BranchingVector, det: list, fault: list | None, ties: list | None
 # ---------------------------------------------------------------------------
 
 def eval_static(vec: BranchingVector, world: World):
-    """Success and logical-error flags for the static rules.
+    """Packed success and logical-error flags for the static rules.
 
     Every pair gets a BSM.  The logical Z-parity needs every first-level
     pair readable (directly for complete/partial, through a chain of a
@@ -621,9 +706,9 @@ def eval_static(vec: BranchingVector, world: World):
     def level(k: int) -> tuple:
         both = world.det_a[k] & world.det_b[k]
         complete = both & world.coin[k]
-        if world.fault_a is None:
-            return both, complete, True, None, None
-        return (both, complete, True, *_pair_flips(world.fault_a[k], world.fault_b[k]))
+        if world.z_flip_a is None:
+            return both, complete, _ONES, None, None
+        return (both, complete, _ONES, *_bsm_flips(world, k))
 
     return _logical(_recover(vec, level, world.tie_pair))
 
@@ -633,7 +718,7 @@ def eval_static(vec: BranchingVector, world: World):
 # ---------------------------------------------------------------------------
 
 def eval_dynamic(vec: BranchingVector, world: World):
-    """Success and logical-error flags for the adaptive rules.
+    """Packed success and logical-error flags for the adaptive rules.
 
     First-level pairs get BSMs; the children of a complete pair get BSMs,
     the children of a partial or failed pair get single-qubit
@@ -642,19 +727,19 @@ def eval_dynamic(vec: BranchingVector, world: World):
     a complete pair can vote over chains of its children.  Errors are
     tallied when the world carries faults.
     """
-    a = _side(vec, world.det_a, world.fault_a, world.tie_side_a)
-    b = _side(vec, world.det_b, world.fault_b, world.tie_side_b)
+    a = _side(vec, world.det_a, world.z_flip_a, world.x_flip_a, world.tie_side_a)
+    b = _side(vec, world.det_b, world.z_flip_b, world.x_flip_b, world.tie_side_b)
 
     def level(k: int) -> tuple:
         both = world.det_a[k] & world.det_b[k]
         complete = both & world.coin[k]
         upgrade = a.ind[k] & b.ind[k]
-        if world.fault_a is None:
+        if world.z_flip_a is None:
             return both | upgrade, complete, complete, None, None
-        zz, xx = _pair_flips(world.fault_a[k], world.fault_b[k])
+        zz, xx = _bsm_flips(world, k)
         # A partial or failed pair prefers its upgrade to the direct readout.
         up_err = a.err_ind[k] ^ b.err_ind[k]
-        return both | upgrade, complete, complete, np.where(~complete & upgrade, up_err, zz), xx
+        return both | upgrade, complete, complete, _where(upgrade & ~complete, up_err, zz), xx
 
     return _logical(_recover(vec, level, world.tie_pair))
 
@@ -664,21 +749,21 @@ def eval_dynamic(vec: BranchingVector, world: World):
 # ---------------------------------------------------------------------------
 
 def eval_loss_only(vec: BranchingVector, world: World):
-    """Success flags when everything below level 1 is single-qubit measured.
+    """Packed success flags when everything below level 1 is single-qubit measured.
 
     The children of complete (and partial) first-level pairs are
     Z-measured, so the logical X-parity needs every such child readable on
     both sides individually; failed first-level pairs recover through the
     two sides' indirect chains, exactly as in the adaptive protocol.  It
-    has no error model: its error flags are all False, faults or not.
+    has no error model: its error flags are all unset, faults or not.
     """
-    a = _side(vec, world.det_a, None, None)
-    b = _side(vec, world.det_b, None, None)
+    a = _side(vec, world.det_a, None, None, None)
+    b = _side(vec, world.det_b, None, None, None)
 
     def level(k: int) -> tuple:
         both = world.det_a[1] & world.det_b[1]
         opener = both & world.coin[1] & a.chain & b.chain
-        return both | (a.ind[1] & b.ind[1]), opener, True, None, None
+        return both | (a.ind[1] & b.ind[1]), opener, _ONES, None, None
 
     return _logical(_recover(vec, level, None, bottom=1))
 
@@ -731,7 +816,9 @@ def _sample_window(vec: BranchingVector, params: ChannelParams, seed: int,
     world = draw_world(vec, params, seed, lo, hi, reads)
     t1 = time.perf_counter()
     success, zz_err, xx_err = evaluator(vec, world)
-    counts = [success.sum(), zz_err.sum(), xx_err.sum(), (zz_err | xx_err).sum()]
+    # Each unpacked to the window's samples, so no padding bit is counted.
+    counts = [np.count_nonzero(np.unpackbits(flags, count=hi - lo, bitorder="little"))
+              for flags in (success, zz_err, xx_err, zz_err | xx_err)]
     seconds = np.array([t1 - t0, time.perf_counter() - t1])
     return np.array(counts, dtype=np.int64), world.nbytes, seconds
 
@@ -813,10 +900,12 @@ def _exhaustive(b: BranchingVectorLike, atoms: list[tuple], probs: list[float], 
     weights = np.array(probs)[digits].prod(axis=0)
     # Split the photon rows into levels 1..d.
     cuts = [vec.photon_column(0, vec.level_vertices(k).start) for k in range(2, vec.depth + 1)]
-    det_a, det_b, coin = ([None, *np.split(np.array(col)[digits], cuts, axis=0)]
+    det_a, det_b, coin = ([None, *(np.packbits(plane, axis=1, bitorder="little")
+                                   for plane in np.split(np.array(col)[digits], cuts, axis=0))]
                           for col in zip(*atoms))
-    success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin))
-    return float(weights[success].sum())
+    n = len(weights)
+    success, _, _ = evaluator(vec, World(det_a=det_a, det_b=det_b, coin=coin, n_samples=n))
+    return float(weights[np.unpackbits(success, count=n, bitorder="little").view(bool)].sum())
 
 
 def exhaustive_static(b: BranchingVectorLike, params: ChannelParams) -> float:

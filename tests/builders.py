@@ -1,7 +1,7 @@
 """Constructors and queries that only the tests use: one-qubit Paulis,
 product and graph states, tableau copies, restrictions, generator lists
 and expectations, the tree-code encoding, per-level exact rates, search
-queries and the text forms.
+queries, unpacked sampler worlds and flags, and the text forms.
 
 Instruction sequences are written as text by the package
 (``Instruction.to_line``); reading them back, and writing and reading
@@ -14,12 +14,14 @@ check those pieces.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from treebsm import analytic, stabilizer
 from treebsm.genseq import Instruction
+from treebsm.montecarlo import World
 from treebsm.search import ParetoEntry, SearchBounds, _vector, evaluate_all
 from treebsm.stabilizer import (
     PauliString,
@@ -121,6 +123,28 @@ def smallest_error_correcting(
         loss_tolerant=pr > params.eta**2, beats_physical=pr > 0.5 * params.eta**2,
         error_correcting=True, improves_success=bool(pr > rates.pr_complete[:i].max(initial=-1.0)),
         improves_error=True)
+
+
+# The fields of a sampler world that hold per-level planes.
+PLANE_FIELDS = [f.name for f in fields(World) if f.name != "n_samples"]
+
+
+def unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """Bool flags of the first ``n`` samples of packed flags (sample i at bit i % 8 of
+    byte i // 8 of the last axis); the padding bits are dropped."""
+    return np.unpackbits(packed, axis=-1, count=n, bitorder="little").view(bool)
+
+
+def unpack_world(world: World) -> World:
+    """The world with every plane unpacked to a node-major (s_k, n_samples) bool array."""
+    return replace(world, **{
+        name: [None if p is None else unpack(p, world.n_samples) for p in planes]
+        for name in PLANE_FIELDS if (planes := getattr(world, name)) is not None})
+
+
+def unpack_flags(flags: Sequence[np.ndarray], world: World) -> list[np.ndarray]:
+    """An evaluator's packed (success, zz, xx) flags as bool arrays of the world's samples."""
+    return [unpack(f, world.n_samples) for f in flags]
 
 
 def graph_state_tableau(b: BranchingVectorLike) -> StabilizerTableau:

@@ -1,12 +1,15 @@
-"""Reference samplers for tests only: the adaptive protocol per sample, and one BSM's faults.
+"""Reference samplers for tests only: the adaptive protocol per sample, one BSM's
+faults, and the Pauli code of a fault word.
 
 ``reference_dynamic_sample`` is slow and recursive: it documents the
 adaptive procedure photon by photon, and audits that no photon is ever
 wanted in two different bases within one sample.  The vectorized
 ``montecarlo.eval_dynamic`` must reproduce its flags bit for bit on the
-same world.  World planes are node-major, so node ``j`` of sample ``i`` at
-level ``k`` is ``plane[k][j, i]``.  ``sample_bsm_error_rates`` checks the
-sampler's fault draw and decoding on a single two-photon BSM.
+same world, read here unpacked (``builders.unpack_world``): planes are
+node-major bool arrays, so node ``j`` of sample ``i`` at level ``k`` is
+``plane[k][j, i]``.  ``faults`` decodes a fault word to its Pauli code, the
+reference for the sampler's flip planes, and ``sample_bsm_error_rates``
+checks the fault draw and decoding on a single two-photon BSM.
 """
 
 from __future__ import annotations
@@ -15,8 +18,26 @@ import math
 
 import numpy as np
 
-from treebsm.montecarlo import World, _fault_third, _faults, _lane, _pair_flips, check_seed
+from treebsm.montecarlo import World, _fault_third, _lane, _pair_flips, check_seed
 from treebsm.trees import BranchingVector, ChannelParams
+
+
+def faults(w: np.ndarray, third: int) -> np.ndarray:
+    """Per-photon Pauli faults (0 none, 1 X, 2 Y, 3 Z) of 32-bit words ``w``.
+
+    A word below ``3 * third`` is a fault, of code ``1 + w // third``, so the
+    rate is ``3 * third / 2^32`` and the split over X, Y and Z exactly uniform.
+    """
+    f = np.zeros(w.shape, dtype=np.uint8)
+    hit = w < 3 * third
+    f[hit] = 1 + w[hit] // third
+    return f
+
+
+def code_flips(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z-readout and X-readout flips of Pauli codes ``f``: an X letter (X, Y)
+    flips a Z readout, a Z letter (Y, Z) an X readout."""
+    return np.isin(f, (1, 2)), np.isin(f, (2, 3))
 
 
 def sample_bsm_error_rates(
@@ -25,9 +46,9 @@ def sample_bsm_error_rates(
     """Monte-Carlo readout error rates of a single two-photon BSM.
 
     Each photon suffers a uniform Pauli fault with total probability
-    ``3*eps/2``, drawn and decoded as the sampler draws faults (in steps of
-    3 * 2^-32).  Returns the Z-parity flip rate and the X-readout error
-    rate with their standard errors.
+    ``3*eps/2``, drawn as the sampler draws faults (in steps of 3 * 2^-32)
+    and decoded to Pauli codes by :func:`faults`.  Returns the Z-parity flip
+    rate and the X-readout error rate with their standard errors.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -35,9 +56,9 @@ def sample_bsm_error_rates(
     key = np.array([seed, 0], np.uint64)
     bits = np.random.Philox(key=key)
     third = _fault_third(ChannelParams(eta=1.0, eps=eps))
-    # The two photons' 32-bit words come from lanes 0 and 1, decoded as the sampler does.
-    fa, fb = (_faults(_lane(bits, key, p, 0, n_samples, 32), third) for p in (0, 1))
-    zz, xx = _pair_flips(fa, fb)
+    # The two photons' 32-bit words come from lanes 0 and 1, decoded to Pauli codes.
+    fa, fb = (faults(_lane(bits, key, p, 0, n_samples, 32), third) for p in (0, 1))
+    zz, xx = _pair_flips(*code_flips(fa), *code_flips(fb))
     pz = float(zz.mean())
     px = float(xx.mean())
     return {
@@ -65,7 +86,7 @@ class _BasisAudit:
 def reference_dynamic_sample(
     vec: BranchingVector, world: World, i: int
 ) -> tuple[bool, bool, bool]:
-    """One adaptive sample, evaluated recursively with the basis audit.
+    """One adaptive sample of an unpacked world, evaluated recursively with the basis audit.
 
     Returns (success, zz parity wrong, xx estimate wrong); the vectorized
     evaluator must reproduce all three bit-for-bit on the same world.
@@ -77,9 +98,10 @@ def reference_dynamic_sample(
         arr = world.det_a if side == "A" else world.det_b
         return bool(arr[k][j, i])
 
-    def fault(side: str, k: int, j: int) -> int:
-        arr = world.fault_a if side == "A" else world.fault_b
-        return int(arr[k][j, i]) if arr is not None else 0
+    def flips(side: str, k: int, j: int) -> tuple[bool, bool]:
+        """Whether the photon's fault flips a Z readout (X, Y) and an X readout (Y, Z)."""
+        z, x = (world.z_flip_a, world.x_flip_a) if side == "A" else (world.z_flip_b, world.x_flip_b)
+        return (bool(z[k][j, i]), bool(x[k][j, i])) if z is not None else (False, False)
 
     def children(k: int, j: int) -> range:
         if k >= d:
@@ -92,7 +114,7 @@ def reference_dynamic_sample(
         for w in children(k, j):
             audit.want(side, k + 1, w, "X")
             ok = det(side, k + 1, w)
-            err = fault(side, k + 1, w) in (2, 3)
+            err = flips(side, k + 1, w)[1]
             for u in children(k + 1, w):
                 sub_ok, sub_err = side_mz(side, k + 2, u)
                 ok &= sub_ok
@@ -111,7 +133,7 @@ def reference_dynamic_sample(
         if ok:
             return True, err
         if det(side, k, j):
-            return True, fault(side, k, j) in (1, 2)
+            return True, flips(side, k, j)[0]
         return False, False
 
     def pair_class(k: int, j: int) -> str:
@@ -122,10 +144,10 @@ def reference_dynamic_sample(
         return "c" if bool(world.coin[k][j, i]) else "p"
 
     def zz_flip(k: int, j: int) -> bool:
-        return (fault("A", k, j) in (1, 2)) ^ (fault("B", k, j) in (1, 2))
+        return flips("A", k, j)[0] ^ flips("B", k, j)[0]
 
     def xx_err(k: int, j: int) -> bool:
-        raw = (fault("A", k, j) in (2, 3)) ^ (fault("B", k, j) in (2, 3))
+        raw = flips("A", k, j)[1] ^ flips("B", k, j)[1]
         return raw | zz_flip(k, j)
 
     def pair_zz(k: int, j: int) -> tuple[bool, bool]:

@@ -1,7 +1,7 @@
 import os
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +14,8 @@ from treebsm.montecarlo import (
     STREAM_VERSION,
     SampleConfig,
     UnsupportedConfigurationError,
-    World,
     _fault_third,
-    _faults,
+    _flips,
     _lane,
     _pair_flips,
     _planes,
@@ -33,7 +32,8 @@ from treebsm.montecarlo import (
 )
 from treebsm.trees import EPS_MAX, BranchingVector, ChannelParams, photon_count
 
-from reference_sampler import reference_dynamic_sample, sample_bsm_error_rates
+from builders import PLANE_FIELDS, unpack, unpack_flags, unpack_world
+from reference_sampler import code_flips, faults, reference_dynamic_sample, sample_bsm_error_rates
 
 
 def all_trees_up_to(n_max):
@@ -103,26 +103,76 @@ class TestVectorizedAgainstReference:
     def test_dynamic_flags_match(self, b, eta, eps, seed):
         vec = BranchingVector(b)
         world = draw_world(vec, ChannelParams(eta=eta, eps=eps), seed, 0, 250)
-        success, zz_err, xx_err = eval_dynamic(vec, world)
+        success, zz_err, xx_err = unpack_flags(eval_dynamic(vec, world), world)
+        bools = unpack_world(world)
         for i in range(250):
             assert (
                 bool(success[i]), bool(zz_err[i]), bool(xx_err[i])
-            ) == reference_dynamic_sample(vec, world, i)
+            ) == reference_dynamic_sample(vec, bools, i)
 
     def test_root_tie_is_level_zero_of_the_pair_ties(self):
         # The logical X-parity's tie-break is the pair tie plane of the
         # virtual root: one row; the single-qubit sides have no level 0.
         world = draw_world(BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 7, 0, 50)
-        assert world.tie_pair[0].shape == (1, 50)
+        assert world.tie_pair[0].shape == (1, 7)  # 50 samples, packed into 7 bytes
         assert world.tie_side_a[0] is None and world.tie_side_b[0] is None
 
     def test_basis_audit_never_trips(self):
         # The reference evaluator raises if any photon is wanted in two
         # bases; exercising it across many worlds keeps that tripwire armed.
         vec = BranchingVector((2, 2, 2))
-        world = draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 3, 0, 100)
+        world = unpack_world(draw_world(vec, ChannelParams(eta=0.5, eps=0.1), 3, 0, 100))
         for i in range(100):
             reference_dynamic_sample(vec, world, i)
+
+
+def bool_majority_wrong(votes, wrong, tie):
+    """The vote rule on bool (nodes, b, samples) arrays: more wrong than right, or as
+    many with some vote cast and the tie bit set."""
+    n_wrong = (votes & wrong).sum(axis=1)
+    n_right = (votes & ~wrong).sum(axis=1)
+    return (n_wrong > n_right) | ((n_wrong == n_right) & votes.any(axis=1) & tie)
+
+
+def packed_majority_wrong(votes, wrong, tie):
+    """``montecarlo._majority_wrong`` on the packed forms of bool arrays, unpacked."""
+    n = votes.shape[-1]
+    v, w, t = (np.packbits(a, axis=-1, bitorder="little") for a in (votes, wrong, tie))
+    return unpack(montecarlo._majority_wrong(v, w, np.bitwise_or.reduce(v, axis=1), t), n)
+
+
+class TestBitSlicedVotes:
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_every_pattern_up_to_ten_votes(self, b):
+        # Every vote, error and tie pattern of b chains is one sample: 2^(2b+1)
+        # of them, dealt over three nodes in rows that end mid-byte, the last
+        # filled up with the first patterns again.
+        cut = -(-2 ** (2 * b + 1) // 3)
+        pattern = np.arange(3 * cut).reshape(3, 1, cut) % 2 ** (2 * b + 1)
+        bits = (pattern >> np.arange(2 * b + 1)[:, None]) & 1 == 1  # (3, 2b + 1, cut)
+        votes, wrong, tie = bits[:, :b], bits[:, b:2 * b], bits[:, 2 * b]
+        np.testing.assert_array_equal(packed_majority_wrong(votes, wrong, tie),
+                                      bool_majority_wrong(votes, wrong, tie))
+
+    @pytest.mark.parametrize("b", [15, 16, 31, 600])
+    def test_random_patterns_of_many_votes(self, b):
+        # Dense votes with half of them wrong tie often at even b; at b = 600
+        # the counts pass 255 and need nine bits or more.  Rows of 1001
+        # samples end mid-byte.
+        rng = np.random.default_rng(b)
+        shape = (3, b, 1001)
+        for p_vote, p_wrong in ((1.0, 0.5), (0.9, 0.5), (0.5, 0.3), (0.05, 0.5)):
+            votes, wrong = rng.random(shape) < p_vote, rng.random(shape) < p_wrong
+            tie = rng.random((3, 1001)) < 0.5
+            want = bool_majority_wrong(votes, wrong, tie)
+            np.testing.assert_array_equal(packed_majority_wrong(votes, wrong, tie), want,
+                                          err_msg=f"b={b}, votes {p_vote}, wrong {p_wrong}")
+            if p_vote == 1.0 and b % 2 == 0:
+                assert ((votes & wrong).sum(axis=1) == b // 2).any()  # ties do occur
+        counts = montecarlo._count(np.packbits(votes, axis=-1, bitorder="little"))
+        assert len(counts) == b.bit_length()
+        total = sum(unpack(plane, 1001).astype(int) << j for j, plane in enumerate(counts))
+        np.testing.assert_array_equal(total, votes.sum(axis=1))
 
 
 def _unread(protocol, d, eps):
@@ -135,6 +185,11 @@ def _unread(protocol, d, eps):
     if protocol is Protocol.DYNAMIC:
         return leaves
     return leaves | {(field, k) for field in ("tie_side_a", "tie_side_b") for k in range(1, d)}
+
+
+def stored(field):
+    """The world fields a plane of ``_planes`` is stored as: a fault plane as its two flips."""
+    return montecarlo._STORED.get(field, (field,))
 
 
 READ_CASES = [(p, b, eps) for p in Protocol for b in ((2, 2), (3, 2, 2), (4, 2, 1))
@@ -155,21 +210,24 @@ class TestReadSets:
         unread = _unread(protocol, vec.depth, eps)
         for n, key in ((300, [7, 0]), (301, [7, 1]), (303, [7, 8195])):
             whole = chunk_world(vec, params, key, 0, n)
-            want = evaluator(vec, whole)
+            want, whole = unpack_flags(evaluator(vec, whole), whole), unpack_world(whole)
             for lo, hi in ((0, n), (0, 1), (1, 150), (150, n - 1), (n - 1, n)):
                 world = chunk_world(vec, params, key, lo, hi, reads)
+                got, world = unpack_flags(evaluator(vec, world), world), unpack_world(world)
                 for field, k, _ in _planes(vec, eps > 0.0):
-                    plane = getattr(world, field)[k]
-                    where = f"{field}[{k}], n={n}, window={lo}:{hi}"
-                    assert (plane is None) == ((field, k) in unread), where
-                    if plane is not None:
-                        np.testing.assert_array_equal(plane, getattr(whole, field)[k][:, lo:hi],
-                                                      err_msg=where)
-                for w, g in zip(want, evaluator(vec, world)):
+                    for name in stored(field):
+                        plane = getattr(world, name)[k]
+                        where = f"{name}[{k}], n={n}, window={lo}:{hi}"
+                        assert (plane is None) == ((field, k) in unread), where
+                        if plane is not None:
+                            np.testing.assert_array_equal(plane, getattr(whole, name)[k][:, lo:hi],
+                                                          err_msg=where)
+                for w, g in zip(want, got):
                     np.testing.assert_array_equal(g, w[lo:hi])
         if protocol is Protocol.DYNAMIC and eps > 0.0:  # the reference needs faults
             world = chunk_world(vec, params, [7, 8195], 0, n, reads)
-            success, zz_err, xx_err = evaluator(vec, world)
+            success, zz_err, xx_err = unpack_flags(evaluator(vec, world), world)
+            world = unpack_world(world)
             for i in range(n):
                 assert (bool(success[i]), bool(zz_err[i]), bool(xx_err[i])) \
                     == reference_dynamic_sample(vec, world, i)
@@ -178,19 +236,21 @@ class TestReadSets:
 class TestNodeMajorLayout:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_planes_are_contiguous_nodes_by_samples(self, eps):
+        # 37 samples are 5 bytes a row, the last with 3 samples and 5 padding bits.
         vec = BranchingVector((3, 2, 2))
         world = draw_world(vec, ChannelParams(eta=0.7, eps=eps), 5, 0, 37)
+        assert world.n_samples == 37
         drawn = 0
-        for name in (f.name for f in fields(World)):
+        for name in PLANE_FIELDS:
             planes = getattr(world, name)
             if planes is None:
-                assert eps == 0.0 and name.startswith(("fault", "tie"))
+                assert eps == 0.0 and name.startswith(("z_flip", "x_flip", "tie"))
                 continue
             for k in range(1, vec.depth + 1):
-                assert planes[k].shape == (len(vec.level_vertices(k)), 37), (name, k)
-                assert planes[k].flags.c_contiguous, (name, k)
+                assert planes[k].shape == (len(vec.level_vertices(k)), 5), (name, k)
+                assert planes[k].dtype == np.uint8 and planes[k].flags.c_contiguous, (name, k)
                 drawn += 1
-        assert drawn == (8 if eps else 3) * vec.depth
+        assert drawn == (10 if eps else 3) * vec.depth
 
     def test_every_plane_is_its_own_lane(self):
         # Plane p of _planes is rebuilt from an independent Philox generator
@@ -202,17 +262,18 @@ class TestNodeMajorLayout:
         vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05)
         assert STREAM_VERSION == 3
         third = int(1.5 * 0.05 * 2**32) // 3
-        decoders = {"det": lambda w: w < int(0.7 * 2**32),
-                    "fault": lambda w: np.where(w < 3 * third, 1 + w // third, 0),
-                    "coin": lambda c: c == 1, "tie": lambda c: c == 1}
+        decoders = {"det": lambda w: [w < int(0.7 * 2**32)],
+                    "fault": lambda w: code_flips(np.where(w < 3 * third, 1 + w // third, 0)),
+                    "coin": lambda c: [c == 1], "tie": lambda c: [c == 1]}
         for n, key in ((1100, [9, 0]), (1101, [9, 8195])):
-            world = chunk_world(vec, params, key, 0, n)
+            world = unpack_world(chunk_world(vec, params, key, 0, n))
             for p, (field, k, width) in enumerate(_planes(vec, True)):
                 cell_bits = 32 if field.startswith(("det", "fault")) else 1
                 cells = lane_cells(key, p, 0, n * width, cell_bits).reshape(n, width)
-                want = decoders[field.split("_")[0]](cells).T
-                np.testing.assert_array_equal(getattr(world, field)[k], want,
-                                              err_msg=f"{field}[{k}], n={n}")
+                for name, want in zip(stored(field), decoders[field.split("_")[0]](cells),
+                                      strict=True):
+                    np.testing.assert_array_equal(getattr(world, name)[k], want.T,
+                                                  err_msg=f"{name}[{k}], n={n}")
 
 
 def lane_cells(key, p, first, count, cell_bits):
@@ -230,7 +291,7 @@ class TestStreamV3:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_eta_0_and_1_are_exact(self, eta):
         # At eta 1 the threshold is 2^32, above every word: no photon is lost.
-        world = draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), 2, 0, 500)
+        world = unpack_world(draw_world(BranchingVector((40, 40)), ChannelParams(eta=eta), 2, 0, 500))
         for plane in world.det_a[1:] + world.det_b[1:]:
             assert plane.all() if eta == 1.0 else not plane.any()
 
@@ -238,21 +299,36 @@ class TestStreamV3:
         third = _fault_third(ChannelParams(eta=1.0, eps=EPS_MAX))
         assert 3 * third >= 2**32 - 1
         words = np.array([0, third - 1, third, 2 * third, 2**32 - 2, 2**32 - 1], np.uint32)
-        assert _faults(words, third).tolist() == [1, 1, 2, 3, 3, 0]
-        world = draw_world(BranchingVector((50, 20)), ChannelParams(eta=1.0, eps=EPS_MAX),
-                           3, 0, 1000)
-        for plane in world.fault_a[1:] + world.fault_b[1:]:
-            assert plane.all() and plane.max() == 3
+        assert faults(words, third).tolist() == [1, 1, 2, 3, 3, 0]
+        world = unpack_world(draw_world(BranchingVector((50, 20)),
+                                        ChannelParams(eta=1.0, eps=EPS_MAX), 3, 0, 1000))
+        for side in "ab":
+            for z, x in zip(getattr(world, f"z_flip_{side}")[1:], getattr(world, f"x_flip_{side}")[1:]):
+                assert (z | x).all() and (x & ~z).any()  # every photon faulted, some with Z
+
+    @pytest.mark.parametrize("eps", [MIN_EPS, 1e-3, 0.05, EPS_MAX])
+    def test_flips_match_the_codes_at_every_boundary(self, eps):
+        # The flip planes are the reference codes' letters on the last and
+        # first word of each code, and at the top of the 32-bit range.
+        third = _fault_third(ChannelParams(eta=1.0, eps=eps))
+        words = np.array([0, third - 1, third, 2 * third - 1, 2 * third, 3 * third - 1,
+                          3 * third, 2**32 - 1], np.uint32)
+        codes = faults(words, third)
+        if eps < EPS_MAX:
+            assert codes.tolist() == [1, 1, 2, 2, 3, 3, 0, 0]
+        for got, want in zip(_flips(words, third), code_flips(codes), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_marginal_rates_are_within_5_sigma(self):
         # 10^6 cells per plane: loss at eta 0.7, the first-level coins, and the
         # three Pauli codes at eps 0.1 (eps_d 0.15, each letter 0.05).
         vec, n = BranchingVector((1000,)), 1000
         params = ChannelParams(eta=0.7, eps=0.1)
-        world = chunk_world(vec, params, [11, 4], 0, n)
+        world = unpack_world(chunk_world(vec, params, [11, 4], 0, n))
         third = _fault_third(params)
         cases = [(world.det_a[1], int(0.7 * 2**32) / 2**32), (world.coin[1], 0.5)]
-        cases += [(world.fault_b[1] == code, third / 2**32) for code in (1, 2, 3)]
+        z, x = world.z_flip_b[1], world.x_flip_b[1]
+        cases += [(letter, third / 2**32) for letter in (z & ~x, z & x, x & ~z)]  # X, Y, Z
         for flags, p in cases:
             assert flags.size >= 10**6
             assert abs(z_score(flags.mean(), p, flags.size)) <= 5, p
@@ -262,7 +338,7 @@ class TestStreamV3:
         # from distinct lanes: at eta 1/2 each pair disagrees on half its
         # cells, where a shared lane would make it agree everywhere.
         vec, n = BranchingVector((30, 30)), 400
-        world = chunk_world(vec, ChannelParams(eta=0.5, eps=0.05), [5, 2], 0, n)
+        world = unpack_world(chunk_world(vec, ChannelParams(eta=0.5, eps=0.05), [5, 2], 0, n))
         pairs = [(world.det_a[k], world.det_b[k]) for k in (1, 2)]
         pairs += [(world.coin[1], world.coin[2][:30]), (world.coin[1], world.coin[2][::30])]
         for a, b in pairs:
@@ -374,7 +450,7 @@ class TestFaultModel:
             (1, 3): (True, True),    # X with Z'
         }
         for (fa, fb), (zz_want, xx_want) in cases.items():
-            zz, xx = _pair_flips(np.array([fa], np.uint8), np.array([fb], np.uint8))
+            zz, xx = _pair_flips(*code_flips(np.array([fa])), *code_flips(np.array([fb])))
             assert (bool(zz[0]), bool(xx[0])) == (zz_want, xx_want), (fa, fb)
 
     def test_two_photon_rates(self):
@@ -449,7 +525,8 @@ def serial_counters(cfg: SampleConfig) -> list[int]:
     want = np.zeros(4, dtype=np.int64)
     for c, first in enumerate(range(0, cfg.n_samples, montecarlo._CHUNK)):
         n = min(montecarlo._CHUNK, cfg.n_samples - first)
-        success, zz, xx = eval_dynamic(vec, draw_world(vec, cfg.params, cfg.seed, first, first + n))
+        world = draw_world(vec, cfg.params, cfg.seed, first, first + n)
+        success, zz, xx = unpack_flags(eval_dynamic(vec, world), world)
         want += [success.sum(), zz.sum(), xx.sum(), (zz | xx).sum()]
     return want.tolist()
 
@@ -568,13 +645,52 @@ class TestChunkTasks:
         evaluate, sizes = montecarlo._EVALUATORS[protocol], []
 
         def counting(vec, world):
-            sizes.append(world.det_a[1].shape[1])
+            sizes.append(world.n_samples)
             return evaluate(vec, world)
 
         monkeypatch.setitem(montecarlo._EVALUATORS, protocol, counting)
         run(SampleConfig(b=b, eta=0.8, eps=eps, protocol=protocol, n_samples=n_samples, seed=1))
         assert len(sizes) == windows and sum(sizes) == n_samples
         assert max(sizes) - min(sizes) <= 1
+
+
+def dirty_padding(world):
+    """The world with every padding bit set: bits past ``n_samples`` of each plane's last byte."""
+    used = world.n_samples % 8
+    for name in PLANE_FIELDS:
+        for plane in getattr(world, name) or []:
+            if plane is not None and used:
+                plane[..., -1] |= np.uint8(0xFF << used & 0xFF)
+    return world
+
+
+class TestPadding:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 8191, 8193])
+    def test_padding_bits_never_count(self, monkeypatch, n):
+        # Windows of at most 1001 samples (a (3, 2) dynamic sample draws 55
+        # cells): one of n samples up to 1001, else 9 of 910 or 911; every
+        # plane of every window is drawn with its padding bits set, which the
+        # evaluation reads and the tally must drop.
+        draw = montecarlo.draw_world
+        monkeypatch.setattr(montecarlo, "draw_world", lambda *args: dirty_padding(draw(*args)))
+        monkeypatch.setattr(montecarlo, "_WINDOW", 55 * 1001)
+        cfg = SampleConfig(b=(3, 2), eta=0.8, eps=0.02, protocol=Protocol.DYNAMIC,
+                           n_samples=n, seed=31)
+        sizes = [hi - lo for lo, hi in _windows(n, 55)]
+        assert sizes == [n] if n <= 1001 else len(sizes) == 9 and set(sizes) <= {910, 911}
+        est = run(cfg)
+        assert [est.n_success, est.n_zz_error, est.n_xx_error, est.n_joint_error] \
+            == serial_counters(cfg)
+
+    def test_dirty_padding_moves_no_flag(self):
+        # The flags of the samples are those of a world with clean padding.
+        vec, params = BranchingVector((3, 2, 2)), ChannelParams(eta=0.8, eps=0.05)
+        for lo, hi in ((0, 1), (3, 12), (5, 1006)):
+            clean = draw_world(vec, params, 7, lo, hi)
+            want = unpack_flags(eval_dynamic(vec, clean), clean)
+            dirty = dirty_padding(draw_world(vec, params, 7, lo, hi))
+            for w, g in zip(want, unpack_flags(eval_dynamic(vec, dirty), dirty)):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestWorkerCap:
@@ -611,7 +727,7 @@ class TestSeed:
         # float64, which turns 2^63 + 1 into 2^63 and warns at 2^64 - 1.
         vec, params = BranchingVector((2,)), ChannelParams(eta=0.5)
         want = lane_cells([seed, 0], 0, 0, 128, 32).reshape(64, 2).T < 2**31
-        np.testing.assert_array_equal(draw_world(vec, params, seed, 0, 64).det_a[1], want)
+        np.testing.assert_array_equal(unpack(draw_world(vec, params, seed, 0, 64).det_a[1], 64), want)
 
     def test_bsm_error_rates_take_every_64_bit_seed(self):
         rates = [sample_bsm_error_rates(0.3, 1000, seed) for seed in (2**63, 2**63 + 1)]
@@ -671,12 +787,13 @@ class TestWindowedDraw:
         # odd cell, and every bit plane at a cell that is no multiple of 64.
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=0.05), 1100
         assert (lo * 3) % 2 == 1 and all(lo * w % 64 for w in (1, 3, 6))
-        whole = chunk_world(vec, params, [4, 2], 0, n)
-        window = chunk_world(vec, params, [4, 2], lo, lo + 100)
+        whole = unpack_world(chunk_world(vec, params, [4, 2], 0, n))
+        window = unpack_world(chunk_world(vec, params, [4, 2], lo, lo + 100))
         for field, k, _ in _planes(vec, True):
-            np.testing.assert_array_equal(getattr(window, field)[k],
-                                          getattr(whole, field)[k][:, lo:lo + 100],
-                                          err_msg=f"{field}[{k}]")
+            for name in stored(field):
+                np.testing.assert_array_equal(getattr(window, name)[k],
+                                              getattr(whole, name)[k][:, lo:lo + 100],
+                                              err_msg=f"{name}[{k}]")
 
     @pytest.mark.parametrize("n", [1, 2, 1100, 8192, 10**6 + 3])
     @pytest.mark.parametrize("per_sample", [1, 18, 4171, 3 * 10**6])
@@ -695,11 +812,14 @@ class TestWindowedDraw:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_windowed_world_equals_the_serial_world(self, windows, eps):
         vec, params, n = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps), 1100
-        serial = chunk_world(vec, params, [9, 7], 0, n)
+        serial = unpack_world(chunk_world(vec, params, [9, 7], 0, n))
         for j in range(windows):
             lo, hi = j * n // windows, (j + 1) * n // windows
-            split = chunk_world(vec, params, [9, 7], lo, hi)
-            for name in (f.name for f in fields(World)):
+            packed = chunk_world(vec, params, [9, 7], lo, hi)
+            assert all(p.flags.c_contiguous for name in PLANE_FIELDS
+                       for p in getattr(packed, name) or [] if p is not None)
+            split = unpack_world(packed)
+            for name in PLANE_FIELDS:
                 want, got = getattr(serial, name), getattr(split, name)
                 if want is None:
                     assert got is None and eps == 0.0
@@ -708,7 +828,6 @@ class TestWindowedDraw:
                     if w is None:
                         assert g is None
                     else:
-                        assert g.flags.c_contiguous
                         np.testing.assert_array_equal(g, w[:, lo:hi], err_msg=f"{name}[{k}]")
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -722,13 +841,13 @@ class TestWindowedDraw:
         vec, params = BranchingVector((3, 2)), ChannelParams(eta=0.7, eps=eps)
         assert (lo % chunk * 3) % 2 == 1 and all(lo % chunk * w % 64 for w in (1, 3, 6))
         window = draw_world(vec, params, 4, lo, hi)
-        chunks = [chunk_world(vec, params, [4, c], 0, chunk)
+        chunks = [unpack_world(chunk_world(vec, params, [4, c], 0, chunk))
                   for c in range(lo // chunk, -(-hi // chunk))]
         start = lo // chunk * chunk
-        for name in (f.name for f in fields(World)):
+        for name in PLANE_FIELDS:
             got = getattr(window, name)
             if got is None:
-                assert eps == 0.0 and name.startswith(("fault", "tie"))
+                assert eps == 0.0 and name.startswith(("z_flip", "x_flip", "tie"))
                 continue
             for k, g in enumerate(got):
                 if g is None:
@@ -736,7 +855,7 @@ class TestWindowedDraw:
                     continue
                 whole = np.concatenate([getattr(w, name)[k] for w in chunks], axis=1)
                 assert g.flags.c_contiguous
-                np.testing.assert_array_equal(g, whole[:, lo - start:hi - start],
+                np.testing.assert_array_equal(unpack(g, hi - lo), whole[:, lo - start:hi - start],
                                               err_msg=f"{name}[{k}]")
 
     @pytest.mark.parametrize("block", [1, 7, 640])
@@ -749,8 +868,9 @@ class TestWindowedDraw:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         got = draw_world(vec, params, 4, 7825, 8292)
         for field, k, _ in _planes(vec, True):
-            np.testing.assert_array_equal(getattr(got, field)[k], getattr(want, field)[k],
-                                          err_msg=f"{field}[{k}]")
+            for name in stored(field):
+                np.testing.assert_array_equal(getattr(got, name)[k], getattr(want, name)[k],
+                                              err_msg=f"{name}[{k}]")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_windows_across_chunks_give_the_serial_counters(self, monkeypatch, cpus):
@@ -816,23 +936,29 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert world.nbytes <= 46e6
         assert peak <= 130e6
-        # The size estimate is 4 bytes per cell of a full window, 379 samples
-        # of the 5521 cells a sample with faults owns, and 6 per cell of a block.
-        assert window_bytes(vec, True) == 4 * 379 * 5521 + 6 * 2**18
+        # A full window is 379 samples (48 bytes a row) of the 5521 cells a
+        # sample with faults owns, 6901 stored since a fault is two flips.  The
+        # estimate counts its world three times, a byte per sample of the
+        # widest stored plane (a 450-wide leaf fault plane, 900 flips) and 10
+        # per cell of a block, here one leaf plane of the whole window.
+        assert window_bytes(vec, True) == 3 * 6901 * 48 + 900 * 379 + 10 * 450 * 379
 
     def test_a_chunk_holds_only_the_planes_its_protocol_reads(self):
         # Of the 5521 cells a (15,15,2) sample with faults owns, the
         # adaptive rules read 4171: all but the three leaf tie planes.
         vec, params = BranchingVector((15, 15, 2)), ChannelParams(eta=0.8, eps=1e-3)
         reads = montecarlo._READS[Protocol.DYNAMIC]
+        # 8192 samples are 1024 bytes a row; the 1380 fault cells are stored
+        # twice; a full window is 502 samples, 63 bytes a row.
         _, nbytes, _ = _sample_window(vec, params, 1, 0, 8192, eval_dynamic, reads)
-        assert nbytes == 4171 * 8192
-        assert window_bytes(vec, True, reads) == 4 * (2**21 // 4171) * 4171 + 6 * 2**18
+        assert nbytes == (4171 + 1380) * 1024
+        assert window_bytes(vec, True, reads) == 3 * 5551 * 63 + 900 * 502 + 10 * 450 * 502
 
     def test_the_leaves_hold_no_vote_flag_planes(self):
         # A (2,2) adaptive window of 111,111 samples at eps 0 (one ninth of
-        # N = 10^6) draws a 2.0 MB world and peaks at 5.6 MB; a zero flag
-        # plane per leaf level of both sides and the pair raised it to 6.9 MB.
+        # N = 10^6) draws a 0.25 MB packed world and peaks at 0.86 MB.  As a
+        # 2.0 MB bool world it peaked at 5.6 MB, and a zero flag plane per
+        # leaf level of both sides and the pair raised that to 6.9 MB.
         vec, params = BranchingVector((2, 2)), ChannelParams(eta=0.8, eps=0.0)
         reads = montecarlo._READS[Protocol.DYNAMIC]
         _sample_window(vec, params, 1, 0, 1000, eval_dynamic, reads)  # first-call imports
@@ -845,8 +971,9 @@ class TestMemoryBudget:
         assert peak <= 6.2e6
 
     def test_a_two_worker_run_holds_windows_not_chunks(self, monkeypatch):
-        # Each of two threads holds one window's world and buffer at a time,
-        # about 2.9 MB, where an 8192-sample chunk would hold 48.9 MB.
+        # Each of two threads holds one window's world and buffers at a time:
+        # the run peaks at 5.9 MB, where an 8192-sample chunk of bool planes
+        # would hold 48.9 MB.
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = SampleConfig(b=(15, 15, 2), eta=0.8, eps=1e-3, protocol=Protocol.DYNAMIC,
                            n_samples=16384, seed=1)
@@ -858,17 +985,22 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak <= 30e6
 
-    @pytest.mark.parametrize("protocol,eps,per_sample", [
-        (Protocol.STATIC, 1e-3, 3691), (Protocol.DYNAMIC, 1e-3, 4171),
-        (Protocol.STATIC, 0.0, 2070), (Protocol.DYNAMIC, 0.0, 2070), (Protocol.LOSS_ONLY, 0.0, 1395)])
-    def test_run_sizes_and_reports_the_drawn_world(self, protocol, eps, per_sample):
+    # Drawn and stored cells per sample (the 1380 fault cells are stored
+    # twice), and the largest block: a leaf plane of the whole window or of
+    # 582 samples, or 1165 samples of a 225-wide plane.
+    @pytest.mark.parametrize("protocol,eps,per_sample,stored,block", [
+        (Protocol.STATIC, 1e-3, 3691, 5071, 450 * 568), (Protocol.DYNAMIC, 1e-3, 4171, 5551, 450 * 502),
+        (Protocol.STATIC, 0.0, 2070, 2070, 450 * 582), (Protocol.DYNAMIC, 0.0, 2070, 2070, 450 * 582),
+        (Protocol.LOSS_ONLY, 0.0, 1395, 1395, 225 * 1165)])
+    def test_run_sizes_and_reports_the_drawn_world(self, protocol, eps, per_sample, stored, block):
         vec = BranchingVector((15, 15, 2))
         reads = montecarlo._READS[protocol]
-        window = 2**21 // per_sample * per_sample   # cells of a full window
-        assert window_bytes(vec, eps > 0.0, reads) == 4 * window + 6 * 2**18
+        n = 2**21 // per_sample   # samples of a full window
+        widest = 900 if eps else 450   # the widest stored plane: a leaf fault is two
+        assert window_bytes(vec, eps > 0.0, reads) == 3 * stored * -(-n // 8) + widest * n + 10 * block
         est = run(SampleConfig(b=vec.branches, eta=0.8, eps=eps, protocol=protocol,
                                n_samples=300, seed=3))
-        assert est.world_bytes == 300 * per_sample
+        assert est.world_bytes == 38 * stored   # 300 samples are 38 bytes a row
 
 
 class TestSizeCap:
@@ -910,8 +1042,9 @@ class TestSizeCap:
 
     @pytest.mark.parametrize("n_samples", [1, 10**9])
     def test_the_cap_reads_a_window_not_the_run(self, n_samples, monkeypatch):
-        # (60,60,20) at eps 0 draws 9-sample windows of 2.04 MB; an 8192-sample
-        # chunk, which no run holds, was once sized at 4.22 GB and refused.
+        # (60,60,20) at eps 0 draws 9-sample windows of 2.04 M cells; an
+        # 8192-sample chunk, which no run holds, was once sized at 4.22 GB and
+        # refused.
         class Drawn(Exception):
             pass
 
