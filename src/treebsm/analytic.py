@@ -22,8 +22,10 @@ only on its suffix -- the branch counts ``(b_k, ..., b_{d-1})`` below it
 eta, eps) of a batch once.  For each of them :func:`_chain_step` applies
 the one recovery rule: a lost value is rebuilt from indirect chains, a
 chain is an opener plus all of its children readable, and repeated chains
-combine by majority vote.  A value rule then turns that vote into the
-node's rate and error:
+combine by majority vote.  The protocol alone selects the walks: the
+static rules walk the pair Z-parity, the adaptive rules the single-qubit
+Z and then the pair Z-parity, and the two share each chain step.  A value
+rule then turns the vote into the node's rate and error:
 
 * single-qubit Z and the static pair ZZ prefer an available vote to the
   direct readout (:func:`_prefer_indirect`);
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -75,19 +76,6 @@ from .trees import (
     as_branching_vector,
     bsm_readout_errors,
 )
-
-
-class Basis(Enum):
-    """Measurement flavour of a suffix walk.
-
-    Z:  single-qubit Z on one tree (direct succeeds with eta, errs with eps).
-    ZZ: joint Z-parity of a photon pair (direct succeeds with eta^2; the
-        matching indirect chains open with an X-parity, which a complete
-        BSM supplies with probability eta^2/2).
-    """
-
-    Z = "Z"
-    ZZ = "ZZ"
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +326,6 @@ def _prefer_indirect(pr_i, err_i, pr_d, err_d) -> tuple[np.ndarray, np.ndarray]:
 # The suffix walk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerStats:
-    """Success and conditional-error rates of one measured value, field by field.
-
-    The suffix walk keeps them as the rows of its entry tables (one column
-    per distinct (suffix, eta, eps)), in this order; a node at level ``k``
-    of a depth-``d`` shape is its suffix of length ``d - k``, and level 0
-    is the virtual root slot whose indirect entry feeds the logical
-    X-parity.  Events:
-
-    * ``pr_s``: one specific chain through one child succeeds,
-    * ``pr_i``: at least one chain succeeds (indirect),
-    * ``pr_m``: the value is obtained.
-    """
-
-    pr_s: np.ndarray
-    pr_i: np.ndarray
-    pr_m: np.ndarray
-    err_s: np.ndarray
-    err_i: np.ndarray
-    err_m: np.ndarray
-
-
 def _adaptive_value(pr_i, err_i, pr_iz, err_iz, eta2, err_dzz) -> tuple[np.ndarray, np.ndarray]:
     """Rate and conditional error of the pair Z-parity under the adaptive rules.
 
@@ -389,56 +354,56 @@ def _adaptive_value(pr_i, err_i, pr_iz, err_iz, eta2, err_dzz) -> tuple[np.ndarr
     return pr_m, np.divide(err, pr_m, out=np.zeros_like(pr_m), where=pr_m > 0.0)
 
 
-def _entries(walk: Basis | Protocol, channel: np.ndarray, n_chains: np.ndarray,
+def _entries(protocol: Protocol, channel: np.ndarray, n_chains: np.ndarray,
              n_grand: np.ndarray, grand: np.ndarray) -> np.ndarray:
-    """Entries ``(6, walks, keys)``, rows as in :class:`LayerStats`, of a block of distinct keys.
+    """Entries ``(6, walks, keys)`` of a block of distinct keys.
 
+    The rows are ``pr_s`` (one specific chain through one child succeeds),
+    ``pr_i`` (at least one chain succeeds), ``pr_m`` (the value is
+    obtained) and their conditional errors ``err_s``, ``err_i``, ``err_m``.
     ``channel`` holds the rows eta, eps, eta^2, err_dzz and err_dxx of the
-    keys.  ``walk`` is the :class:`Basis` of a value under the static
-    rules, or ``Protocol.DYNAMIC`` for the pair Z-parity under the adaptive
-    rules: two walks that share one chain step, the single-qubit Z walk,
-    whose vote the adaptive value reads (:func:`_adaptive_value`), then
-    the pair walk.  A suffix opens ``n_chains`` chains (none at a leaf),
-    each through the ``n_grand`` values of the suffix two shorter, whose
-    ``pr_m`` and ``err_m`` per walk are ``grand``::
+    keys.  ``STATIC`` walks the pair Z-parity; ``DYNAMIC`` walks the
+    single-qubit Z, whose vote the adaptive value reads
+    (:func:`_adaptive_value`), then the pair Z-parity, in one chain step.
+    A suffix opens ``n_chains`` chains (none at a leaf), each through the
+    ``n_grand`` values of the suffix two shorter, whose ``pr_m`` and
+    ``err_m`` per walk are ``grand``::
 
         pr_s = pr_opener * pr_m[grand]**n_grand    (empty product if n_grand == 0)
         pr_i = 1 - (1 - pr_s)**n_chains            (0 at a leaf)
 
     A single-qubit chain opens with eta (erring with eps), a pair chain
     with the X-parity of a complete BSM (eta^2/2).  The value rule turns
-    the vote into ``(pr_m, err_m)``; under the static rules it prefers an
-    available vote to the direct readout (eta for Z, eta^2 for a pair).
+    the vote into ``(pr_m, err_m)``; the static pair and the single-qubit
+    Z prefer an available vote to the direct readout (eta^2, eta).
     """
     eta, eps, eta2, err_dzz, err_dxx = channel
-    walks = 2 if walk is Protocol.DYNAMIC else 1
-    table = np.zeros((6, walks, len(eta)))
+    table = np.zeros((6, *grand.shape[1:]))  # as many walks as ``grand`` holds
     pr_s, pr_i, pr_m, err_s, err_i, err_m = table
     if n_chains.any():  # a block of leaves opens no chains: its rates stay 0
-        opener = (eta, eps) if walk is Basis.Z else (0.5 * eta2, err_dxx)
-        if walks > 1:  # the Z walk, then the pair walk
+        opener = (0.5 * eta2, err_dxx)
+        if protocol is Protocol.DYNAMIC:  # the Z walk, then the pair walk
             opener = tuple(map(np.concatenate, zip((eta, eps), opener)))
             n_chains, n_grand = np.concatenate([n_chains] * 2), np.concatenate([n_grand] * 2)
         steps = _chain_step(n_chains, n_grand, opener, grand.reshape(2, -1))
         for row, values in zip((pr_s, err_s, pr_i, err_i), steps):
-            row[:] = values.reshape(walks, -1)
-    if walk is Basis.ZZ:
-        pr_m[0], err_m[0] = _prefer_indirect(pr_i[0], err_i[0], eta2, err_dzz)
-    else:
-        pr_m[0], err_m[0] = _prefer_indirect(pr_i[0], err_i[0], eta, eps)
-    if walk is Protocol.DYNAMIC:
+            row[:] = values.reshape(row.shape)
+    direct = (eta2, err_dzz) if protocol is Protocol.STATIC else (eta, eps)  # walk 0's readout
+    pr_m[0], err_m[0] = _prefer_indirect(pr_i[0], err_i[0], *direct)
+    if protocol is Protocol.DYNAMIC:
         pr_m[1], err_m[1] = _adaptive_value(pr_i[1], err_i[1], pr_i[0], err_i[0], eta2, err_dzz)
     return table
 
 
 def _suffix_walk(
-    walk: Basis | Protocol, branches: np.ndarray, channel: np.ndarray
+    protocol: Protocol, branches: np.ndarray, channel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entries of every distinct (suffix, eta, eps) of a chunk of sorted rows: ``(table, key)``.
 
     ``branches`` is laid out by :func:`_branch_array` and ``channel`` holds
     the rows of :func:`_channel_rows`, one column per row.  ``table`` is
-    ``(6, walks, keys + 1)``: the :func:`_entries` of each distinct key,
+    ``(6, walks, keys + 1)``, the walks of ``protocol`` as in :func:`_entries`,
+    the pair walk last: the entries of each distinct key,
     ordered by suffix length, then one column of the empty product (pr_m 1,
     err_m 0) that a suffix of length 1 reads for its grandchildren.
     ``key[L, r]`` is the column of row ``r``'s suffix of length ``L``, for
@@ -450,7 +415,7 @@ def _suffix_walk(
     leaves the walk takes two lengths per step.
     """
     depth, rows = branches.shape
-    walks = 2 if walk is Protocol.DYNAMIC else 1
+    walks = 2 if protocol is Protocol.DYNAMIC else 1
     counts = np.zeros((depth + 1, rows), dtype=branches.dtype)  # 0 chains at length 0
     counts[1:] = branches
     new = np.zeros((depth + 1, rows), dtype=bool)  # the row starts a key
@@ -470,7 +435,7 @@ def _suffix_walk(
     for lo, hi in zip(edges, [*edges[1:], len(first)]):
         for block in _blocks(walks * (n_chains[lo:hi] + _LEVEL_FLOATS)):
             keys = lo + block
-            table[..., keys] = _entries(walk, channel[:, first[keys]], n_chains[keys],
+            table[..., keys] = _entries(protocol, channel[:, first[keys]], n_chains[keys],
                                         n_grand[keys], table[2::3][..., grand[keys]])
     return table, key
 
@@ -590,14 +555,14 @@ def _chunks(order: np.ndarray, eta: np.ndarray, eps: np.ndarray, leaf: np.ndarra
         lo = hi
 
 
-def _chunk_rates(walk: Basis | Protocol, branches: np.ndarray, channel: np.ndarray) -> tuple:
+def _chunk_rates(protocol: Protocol, branches: np.ndarray, channel: np.ndarray) -> tuple:
     """Logical rates of a chunk of sorted rows at the virtual root, in :class:`BsmRates` order.
 
     The root vote is the logical X-parity and the ``b0`` first-level values
     form the logical Z-parity; a complete BSM needs every first-level pair
     readable and at least one first-level chain.
     """
-    table, key = _suffix_walk(walk, branches, channel)
+    table, key = _suffix_walk(protocol, branches, channel)
     table, depth = table[:, -1], np.count_nonzero(branches, axis=0)  # the pair walk
     cols = np.arange(len(depth))
     # Per row: pr_m and err_m of the first-level pairs, its suffix one shorter;
@@ -639,11 +604,11 @@ def logical_bsm_batch(
     rows = branches.shape[1]
     eta, eps = (np.broadcast_to(np.asarray(v, dtype=float), (rows,)) for v in (eta, eps))
     ChannelParams(eta, eps)  # refuses a value outside [0, 1] before any work
-    walk = Basis.ZZ if protocol is Protocol.STATIC else Protocol.DYNAMIC
     out = np.empty((6, rows))
     order = np.lexsort((*branches[::-1], eps, eta)).astype(np.int32)  # 4 bytes per row
     for chunk in _chunks(order, eta, eps, branches[0]):
-        out[:, chunk] = _chunk_rates(walk, branches[:, chunk], _channel_rows(eta[chunk], eps[chunk]))
+        out[:, chunk] = _chunk_rates(protocol, branches[:, chunk],
+                                     _channel_rows(eta[chunk], eps[chunk]))
     return BsmRates(*out)
 
 

@@ -15,7 +15,7 @@ check those pieces.
 from __future__ import annotations
 
 from dataclasses import fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,15 +93,34 @@ def instruction_from_line(line: str) -> Instruction:
     return Instruction(opcode, tuple(int(x) for x in args))
 
 
-def level_stats(b: BranchingVectorLike, params: ChannelParams,
-                basis: analytic.Basis) -> analytic.LayerStats:
-    """Per-level rates of one value under the static rules: the suffix walk on a batch of one.
+class LevelStats(NamedTuple):
+    """Success and conditional-error rates of one walk's value, each indexed by level.
 
-    Level ``k`` of a depth-``d`` shape is its suffix of length ``d - k``.
+    Level ``k`` of a depth-``d`` shape is its suffix of length ``d - k``;
+    level 0 is the virtual root, whose indirect entry is the logical
+    X-parity.  ``pr_s``: one specific chain through one child succeeds;
+    ``pr_i``: at least one chain succeeds (indirect); ``pr_m``: the value
+    is obtained; each ``err_`` field is the error conditional on its event.
+    """
+
+    pr_s: np.ndarray
+    pr_i: np.ndarray
+    pr_m: np.ndarray
+    err_s: np.ndarray
+    err_i: np.ndarray
+    err_m: np.ndarray
+
+
+def level_stats(b: BranchingVectorLike, params: ChannelParams,
+                protocol: analytic.Protocol) -> list[LevelStats]:
+    """Per-level rates of every walk of ``protocol``: the suffix walk on a batch of one.
+
+    ``STATIC`` has one walk, the pair Z-parity; ``DYNAMIC`` has two, the
+    single-qubit Z (the static rules' Z value) and then the pair Z-parity.
     """
     row = analytic._channel_rows(np.array([params.eta]), np.array([params.eps]))
-    table, key = analytic._suffix_walk(basis, analytic._branch_array([b]), row)
-    return analytic.LayerStats(*table[:, -1, key[::-1, 0]])
+    table, key = analytic._suffix_walk(protocol, analytic._branch_array([b]), row)
+    return [LevelStats(*walk) for walk in table[..., key[::-1, 0]].swapaxes(0, 1)]
 
 
 def smallest_error_correcting(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from treebsm.analytic import (
-    Basis,
     Protocol,
     UnreachableTargetError,
     ConfigurationError,
@@ -115,7 +114,7 @@ class TestVoteErrorMix:
         # The level-0 chain rate here is ~2e-9, where 1 - (1 - p)**42
         # cancels to ~1e-9 relative; err_xx must be the exact vote mix.
         params = ChannelParams(eta=0.8, eps=1e-3)
-        stats = level_stats("42,42", params, Basis.ZZ)
+        stats = level_stats("42,42", params, Protocol.STATIC)[0]
         exact = float(_exact_vote_mix(42, stats.pr_s[0], stats.err_s[0]))
         assert abs(logical_bsm("42,42", params, protocol).err_xx - exact) <= 1e-12
 
@@ -157,7 +156,7 @@ class TestParityError:
         # where 1 - prod (1 - 2e)**n cancels; compare with the exact rational
         # value of the same float input.
         params = ChannelParams(eta=0.95, eps=1e-5)
-        e = Fraction(float(level_stats((63, 30), params, Basis.ZZ).err_m[1]))
+        e = Fraction(float(level_stats((63, 30), params, Protocol.STATIC)[0].err_m[1]))
         exact = (1 - (1 - 2 * e) ** 63) / 2
         got = logical_bsm((63, 30), params, Protocol.STATIC).err_zz
         assert abs(Fraction(got) - exact) <= 1e-12 * exact
@@ -187,13 +186,13 @@ class TestParityError:
 
 class TestStaticLayers:
     def test_leaf_level_direct_only(self):
-        stats = level_stats("2", ChannelParams(eta=1.0), Basis.ZZ)
+        stats = level_stats("2", ChannelParams(eta=1.0), Protocol.STATIC)[0]
         assert stats.pr_i[1] == 0.0
         assert stats.pr_m[1] == 1.0
 
     def test_level0_chain_rate_is_half_eta_sq(self):
         for eta in (0.2, 0.6, 0.95):
-            stats = level_stats("2", ChannelParams(eta=eta), Basis.ZZ)
+            stats = level_stats("2", ChannelParams(eta=eta), Protocol.STATIC)[0]
             assert stats.pr_s[0] == pytest.approx(0.5 * eta**2, abs=1e-14)
 
     def test_single_qubit_level1_matches_loss_pattern_enumeration(self):
@@ -220,16 +219,16 @@ class TestStaticLayers:
                 w *= (1 - eta) if flag else eta
             if readable(1, lost):
                 brute += w
-        stats = level_stats("2,2", ChannelParams(eta=eta), Basis.Z)
+        stats = level_stats("2,2", ChannelParams(eta=eta), Protocol.DYNAMIC)[0]
         assert stats.pr_m[1] == pytest.approx(brute, abs=1e-12)
 
     def test_stats_within_unit_interval_and_m_dominates(self):
         rng = np.random.default_rng(3)
         for b in _random_trees(rng, 20):
-            for basis in (Basis.Z, Basis.ZZ):
+            for protocol in (Protocol.DYNAMIC, Protocol.STATIC):  # walk 0: Z, then the pair
                 params = ChannelParams(eta=float(rng.uniform()), eps=0.01)
-                stats = level_stats(b, params, basis)
-                pr_d, err_d = ((params.eta, params.eps) if basis is Basis.Z
+                stats = level_stats(b, params, protocol)[0]
+                pr_d, err_d = ((params.eta, params.eps) if protocol is Protocol.DYNAMIC
                                else (params.eta**2, params.err_dzz))
                 for arr in (stats.pr_s, stats.pr_i, stats.pr_m):
                     assert np.all((arr >= 0) & (arr <= 1))
@@ -261,7 +260,7 @@ class TestStaticLogical:
         for b in _random_trees(rng, 25):
             eta = float(rng.uniform())
             vec = BranchingVector.of(*b)
-            stats = level_stats(vec, ChannelParams(eta=eta), Basis.ZZ)
+            stats = level_stats(vec, ChannelParams(eta=eta), Protocol.STATIC)[0]
             i1 = float(stats.pr_i[1])
             x = float(stats.pr_m[2] ** vec[1]) if vec.depth >= 2 else 1.0
             m1, s0 = eta**2 + (1 - eta**2) * i1, eta**2 * x / 2

@@ -3,7 +3,8 @@
 ``reference_exact.reference_logical_bsm`` is the engine as it was before
 the batch axis: one shape at one point, one level at a time, with a vote
 sum over every possible number of successful chains.  The batched walk
-must agree with it to 1e-12 on every default-bounds shape and give the
+must agree with it to 1e-12 on every default-bounds shape, and so must
+each of its three walks, level by level, on five shapes; it must give the
 same search fronts; each row of a batch must equal its batch of one, bit
 for bit; and neither a long batch nor a wide node may hold more than a
 few MB.
@@ -22,7 +23,9 @@ from treebsm.cli import main
 from treebsm.search import SearchBounds, enumerate_trees, pareto_front
 from treebsm.trees import BranchingVector, ChannelParams, photon_count
 
-from reference_exact import FIELDS, reference_logical_bsm, vote_error_mix
+from builders import level_stats
+from reference_exact import (FIELDS, reference_dynamic_levels, reference_logical_bsm,
+                             reference_static_levels, vote_error_mix)
 from test_golden_exact import POINTS
 
 TOL = 1e-12
@@ -63,6 +66,29 @@ class TestOracle:
         picks += [LOOSE_SHAPES[i] for i in rng.choice(len(LOOSE_SHAPES), 200, replace=False)]
         assert {v.depth for v in picks} == {1, 2, 3, 4, 5}
         assert _worst(picks, *point, protocol) <= TOL
+
+
+# The shapes of the golden layer arrays, a two-level shape of 74 branches and
+# a unit-branch chain.
+LEVEL_SHAPES = ["15,15,2", "2,1100", "3,2,2", "74,15", "1,1,1"]
+# Each walk, as (protocol, index among its walks), with its scalar reference.
+WALKS = {
+    "static-pair": (Protocol.STATIC, 0, lambda b, p: reference_static_levels(b, p, False)),
+    "adaptive-z": (Protocol.DYNAMIC, 0, lambda b, p: reference_static_levels(b, p, True)),
+    "adaptive-pair": (Protocol.DYNAMIC, 1, reference_dynamic_levels),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("b", LEVEL_SHAPES)
+def test_every_walk_matches_its_reference_level_by_level(b, walk):
+    protocol, index, reference = WALKS[walk]
+    for point in POINTS:
+        params = ChannelParams(*point)
+        walks = level_stats(b, params, protocol)
+        assert len(walks) == (2 if protocol is Protocol.DYNAMIC else 1)
+        np.testing.assert_allclose(walks[index], reference(b, params), rtol=0, atol=TOL,
+                                   err_msg=f"{walk} {point}")
 
 
 def _oracle_front(bounds: SearchBounds, params: ChannelParams, protocol: Protocol):

@@ -12,7 +12,8 @@ Every name the README's library tour, the demos and the benchmark
 exist; they are parsed, not run.  In the other direction, every function
 ``treebsm/__init__.py`` exports must be referenced in code by the
 package, a demo or the benchmark, and so must every public method and
-property of a class it exports: code only the tests call belongs in
+property of a class it exports and every public function or class that
+a module defines at its top level: code only the tests call belongs in
 ``tests/``.
 """
 
@@ -88,11 +89,11 @@ def test_every_cited_name_resolves():
 
 
 def test_a_deleted_name_is_caught():
-    # Names the package once had: a result type, a level lookup and a method.
-    text = ("`LogicalBsmResult`, `level_of(v)`, `StabilizerTableau.to_text` "
+    # Names the package once had: two result types, a level lookup and a method.
+    text = ("`LogicalBsmResult`, `LayerStats`, `level_of(v)`, `StabilizerTableau.to_text` "
             "beside `BsmRates`, `photon_count(b)` and `McEstimate.n_success`")
     assert [name for name in cited_names(text) if not resolves(name)] == [
-        "LogicalBsmResult", "StabilizerTableau.to_text", "level_of"]
+        "LayerStats", "LogicalBsmResult", "StabilizerTableau.to_text", "level_of"]
 
 
 def test_stated_stream_version_is_current():
@@ -269,6 +270,24 @@ def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests
     assert not {"BsmRates.pr_complete", "SampleConfig.seed"} & set(members)  # fields
     used = used_outside_the_tests()
     assert [m for m in members if m.rpartition(".")[2] not in used] == []
+
+
+def module_level_definitions() -> list[str]:
+    """``module.name`` of every public function and class a ``treebsm`` module
+    defines at its top level (imports and assignments are not definitions)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def test_every_module_level_function_and_class_has_a_reference_outside_the_tests():
+    names = module_level_definitions()
+    assert {"analytic.logical_bsm_batch", "analytic.BsmRates", "trees.BranchingVector",
+            "montecarlo.eval_loss_only"} <= set(names)
+    assert not {"analytic._suffix_walk", "analytic.ENGINE_VERSION", "treebsm.Protocol"} & set(names)
+    used = used_outside_the_tests()
+    assert [name for name in names if name.rpartition(".")[2] not in used] == []
 
 
 @pytest.mark.parametrize("module", ["montecarlo", "stabilizer", "genseq"])

@@ -954,7 +954,7 @@ class TestMemoryBudget:
         assert nbytes == (4171 + 1380) * 1024
         assert window_bytes(vec, True, reads) == 3 * 5551 * 63 + 900 * 502 + 10 * 450 * 502
 
-    def test_the_leaves_hold_no_vote_flag_planes(self):
+    def test_the_leaves_hold_no_vote_flag_planes(self, monkeypatch):
         # A (2,2) adaptive window of 111,111 samples at eps 0 (one ninth of
         # N = 10^6) draws a 0.25 MB packed world and peaks at 0.86 MB.  As a
         # 2.0 MB bool world it peaked at 5.6 MB, and a zero flag plane per
@@ -969,6 +969,26 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 6.2e6
+        # Packed leaf planes would be an eighth of that rise, within the bound,
+        # so every walk's first level is checked to be a scalar, not a plane.
+        walks, recover = [], montecarlo._recover
+
+        def spy(vec, level, ties, top=0, bottom=None):
+            walk = recover(vec, level, ties, top, bottom)
+            walks.append((vec.depth if bottom is None else bottom, top, walk))
+            return walk
+
+        monkeypatch.setattr(montecarlo, "_recover", spy)
+        vec = BranchingVector((3, 2, 2))
+        for evaluate in (montecarlo.eval_static, eval_dynamic, eval_loss_only):
+            for eps in (0.0, 1e-3):
+                walks.clear()
+                evaluate(vec, draw_world(vec, ChannelParams(eta=0.8, eps=eps), 1, 0, 100))
+                assert len(walks) == (1 if evaluate is montecarlo.eval_static else 3)
+                for leaf, top, walk in walks:
+                    assert np.ndim(walk.ind[leaf]) == np.ndim(walk.err_ind[leaf]) == 0, (
+                        evaluate.__name__, eps, leaf)
+                    assert np.ndim(walk.ind[top]) == 2  # the levels above hold planes
 
     def test_a_two_worker_run_holds_windows_not_chunks(self, monkeypatch):
         # Each of two threads holds one window's world and buffers at a time:
